@@ -19,6 +19,8 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 from . import __version__
 from .converse import random_encoders, verify_factorization
@@ -38,41 +40,13 @@ from .rng import ROLE_ENCODER, stream
 # factorized form; anything above it means the reduction itself is broken.
 CONVERSE_TOL = 1e-9
 
+# --threads and FSMAC_THREADS must lie in [1, THREADS_CAP]: every worker is an
+# OS thread, and the simulator's pool would otherwise start one per trial.
+THREADS_CAP = 64
+
 
 def _canonical(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _manifest(command: str, spec_path: str, options: dict, seed: int,
-              started: float, started_utc: str) -> dict:
-    # Thread count is deliberately absent from the options echo: results are
-    # merged by work-item index, so payload bytes must not depend on it.
-    return {
-        "command": command,
-        "spec_path": spec_path,
-        "options": options,
-        "seed": seed,
-        "version": __version__,
-        "timing": {
-            "started_utc": started_utc,
-            "duration_s": round(time.monotonic() - started, 6),
-        },
-    }
-
-
-class _Clock:
-    """Captures the start instant once so the manifest can report both the
-    wall-clock timestamp and the elapsed duration."""
-
-    def __init__(self):
-        self.started = time.monotonic()
-        self.started_utc = datetime.datetime.now(datetime.timezone.utc).strftime(
-            "%Y-%m-%dT%H:%M:%SZ"
-        )
-
-    def manifest(self, command: str, spec_path: str, options: dict, seed: int) -> dict:
-        return _manifest(command, spec_path, options, seed,
-                         self.started, self.started_utc)
 
 
 def _emit(payload: dict, out: str | None, summary: str) -> None:
@@ -86,15 +60,28 @@ def _emit(payload: dict, out: str | None, summary: str) -> None:
         print(summary)
 
 
+def _write_csv(path: str, header: list, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _num(value) -> str:
+    # 17 significant digits round-trip every double
+    return format(float(value), ".17g")
+
+
 def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    return int(os.environ.get("FSMAC_THREADS", "1"))
+    threads = args.threads
+    if threads is None:
+        threads = int(os.environ.get("FSMAC_THREADS", "1"))
+    if not 1 <= threads <= THREADS_CAP:
+        raise ValueError(f"threads must be in [1, {THREADS_CAP}], got {threads}")
+    return threads
 
 
-def cmd_validate(args) -> int:
-    clock = _Clock()
-    spec = load_spec(args.spec, strategy_cap=args.strategy_cap)
+def _validate(args, spec, chan, threads):
     count_a = spec.size_xa ** spec.size_sa
     count_b = spec.size_xb ** spec.size_sb
     payload = {
@@ -104,22 +91,11 @@ def cmd_validate(args) -> int:
             "sa": spec.size_sa, "sb": spec.size_sb, "y": spec.size_y,
         },
         "strategies": {"a": count_a, "b": count_b, "pairs": count_a * count_b},
-        "manifest": clock.manifest(
-            "validate", args.spec,
-            {"spec": args.spec, "strategy_cap": args.strategy_cap},
-            seed=0,
-        ),
     }
-    _emit(payload, args.out,
-          f"{args.spec}: ok ({count_a} x {count_b} strategy pairs)")
-    return 0
+    return payload, f"{args.spec}: ok ({count_a} x {count_b} strategy pairs)", 0
 
 
-def cmd_sumrate(args) -> int:
-    clock = _Clock()
-    threads = _resolve_threads(args)
-    spec = load_spec(args.spec, strategy_cap=args.strategy_cap)
-    chan = induced_strategy_channel(spec, strategy_cap=args.strategy_cap)
+def _sumrate(args, spec, chan, threads):
     cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     result = maximize_sum_rate(spec, chan, cfg, threads=threads)
     payload = {
@@ -127,75 +103,35 @@ def cmd_sumrate(args) -> int:
         "policy": result.policy.to_dict(),
         "restarts_used": cfg.restarts,
         "converged": bool(result.converged),
-        "manifest": clock.manifest(
-            "sumrate", args.spec,
-            {
-                "spec": args.spec, "strategy_cap": args.strategy_cap,
-                "restarts": args.restarts, "resolution": args.resolution,
-                "out": args.out,
-            },
-            seed=args.seed,
-        ),
     }
     if args.resolution is not None:
         payload["grid_oracle"] = {
             "resolution": args.resolution,
             "value": float(grid_oracle_sum_rate(spec, chan, args.resolution)),
         }
-    _emit(payload, args.out, f"C_sum = {result.value:.6f} bits")
-    return 0
+    return payload, f"C_sum = {result.value:.6f} bits", 0
 
 
-def cmd_region(args) -> int:
-    clock = _Clock()
-    threads = _resolve_threads(args)
-    spec = load_spec(args.spec, strategy_cap=args.strategy_cap)
-    chan = induced_strategy_channel(spec, strategy_cap=args.strategy_cap)
+def _region(args, spec, chan, threads):
     cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     region = inner_bound_region(spec, chan, cfg,
                                 directions=args.directions, threads=threads)
     outer = maximize_sum_rate(spec, chan, cfg, threads=threads)
-
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["ra", "rb"])
-        for ra, rb in region.vertices:
-            writer.writerow([format(float(ra), ".17g"), format(float(rb), ".17g")])
-
+    _write_csv(args.out, ["ra", "rb"],
+               [[_num(ra), _num(rb)] for ra, rb in region.vertices])
     if args.csv is not None:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["direction_a", "direction_b",
-                             "bound_a", "bound_b", "bound_sum"])
-            for sup in region.supports:
-                pent = sup.pentagon
-                writer.writerow([
-                    format(float(sup.direction[0]), ".17g"),
-                    format(float(sup.direction[1]), ".17g"),
-                    format(float(pent.bound_a), ".17g"),
-                    format(float(pent.bound_b), ".17g"),
-                    format(float(pent.bound_sum), ".17g"),
-                ])
-
-    sidecar = args.out + ".json"
+        _write_csv(args.csv,
+                   ["direction_a", "direction_b", "bound_a", "bound_b", "bound_sum"],
+                   [[_num(v) for v in (*sup.direction, sup.pentagon.bound_a,
+                                       sup.pentagon.bound_b, sup.pentagon.bound_sum)]
+                    for sup in region.supports])
     payload = {
         "outer_sum_value": float(outer.value),
         "vertices": [[float(ra), float(rb)] for ra, rb in region.vertices],
-        "manifest": clock.manifest(
-            "region", args.spec,
-            {
-                "spec": args.spec, "strategy_cap": args.strategy_cap,
-                "restarts": args.restarts, "directions": args.directions,
-                "out": args.out, "csv": args.csv,
-            },
-            seed=args.seed,
-        ),
     }
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        fh.write(_canonical(payload))
-    print(f"region: {len(region.vertices)} hull vertices, "
-          f"outer sum {outer.value:.6f} bits")
-    return 0
+    summary = (f"region: {len(region.vertices)} hull vertices, "
+               f"outer sum {outer.value:.6f} bits")
+    return payload, summary, 0
 
 
 def _report_dict(rep) -> dict:
@@ -219,11 +155,11 @@ def _report_dict(rep) -> dict:
     }
 
 
-def cmd_simulate(args) -> int:
-    clock = _Clock()
-    threads = _resolve_threads(args)
-    spec = load_spec(args.spec, strategy_cap=args.strategy_cap)
-    chan = induced_strategy_channel(spec, strategy_cap=args.strategy_cap)
+def _simulate(args, spec, chan, threads):
+    # configs first: their guards reject bad rates before any optimization
+    configs = [SimConfig(blocklength=n, rate_a=args.ra, rate_b=args.rb,
+                         epsilon=args.eps, trials=args.trials,
+                         seed=args.seed, decoder=args.decoder) for n in args.n]
     if args.policy is not None:
         policy = load_policy(args.policy)
     else:
@@ -231,56 +167,26 @@ def cmd_simulate(args) -> int:
         opt = maximize_sum_rate(spec, chan, OptimizerConfig(seed=args.seed),
                                 threads=threads)
         policy = opt.policy
-
-    reports = []
-    for n in args.n:
-        cfg = SimConfig(blocklength=n, rate_a=args.ra, rate_b=args.rb,
-                        epsilon=args.eps, trials=args.trials,
-                        seed=args.seed, decoder=args.decoder)
-        reports.append(estimate_error(spec, chan, policy, cfg, threads=threads))
+    reports = [estimate_error(spec, chan, policy, cfg, threads=threads) for cfg in configs]
 
     if args.csv is not None:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["n", "messages_a", "messages_b", "trials",
-                             "errors", "error_rate", "wilson_low", "wilson_high"])
-            for rep in reports:
-                writer.writerow([
-                    rep.config.blocklength,
-                    rep.config.messages_a, rep.config.messages_b,
-                    rep.trials, rep.errors,
-                    format(float(rep.error_rate), ".17g"),
-                    format(float(rep.wilson_low), ".17g"),
-                    format(float(rep.wilson_high), ".17g"),
-                ])
+        _write_csv(args.csv,
+                   ["n", "messages_a", "messages_b", "trials",
+                    "errors", "error_rate", "wilson_low", "wilson_high"],
+                   [[rep.config.blocklength, rep.config.messages_a,
+                     rep.config.messages_b, rep.trials, rep.errors,
+                     _num(rep.error_rate), _num(rep.wilson_low), _num(rep.wilson_high)]
+                    for rep in reports])
 
-    payload = {
-        "reports": [_report_dict(rep) for rep in reports],
-        "manifest": clock.manifest(
-            "simulate", args.spec,
-            {
-                "spec": args.spec, "strategy_cap": args.strategy_cap,
-                "policy": args.policy, "n": list(args.n),
-                "ra": args.ra, "rb": args.rb, "eps": args.eps,
-                "trials": args.trials, "decoder": args.decoder,
-                "out": args.out, "csv": args.csv,
-            },
-            seed=args.seed,
-        ),
-    }
     summary = "; ".join(
         f"P_err(n={rep.config.blocklength}) = {rep.error_rate:.4f} "
         f"[{rep.wilson_low:.4f}, {rep.wilson_high:.4f}]"
         for rep in reports
     )
-    _emit(payload, args.out, summary)
-    return 0
+    return {"reports": [_report_dict(rep) for rep in reports]}, summary, 0
 
 
-def cmd_verify_converse(args) -> int:
-    clock = _Clock()
-    spec = load_spec(args.spec, strategy_cap=args.strategy_cap)
-    chan = induced_strategy_channel(spec, strategy_cap=args.strategy_cap)
+def _verify_converse(args, spec, chan, threads):
     worst = 0.0
     worst_t, worst_sigma = 1, ""
     for trial in range(args.trials):
@@ -294,22 +200,63 @@ def cmd_verify_converse(args) -> int:
         "max_deviation": worst,
         "trials": args.trials,
         "worst_case": {"t": worst_t, "sigma": worst_sigma},
-        "manifest": clock.manifest(
-            "verify-converse", args.spec,
-            {
-                "spec": args.spec, "strategy_cap": args.strategy_cap,
-                "n": args.n, "trials": args.trials, "out": args.out,
-            },
-            seed=args.seed,
-        ),
     }
     breached = worst > CONVERSE_TOL
     summary = (f"converse factorization: max deviation {worst:.3e} "
                f"over {args.trials} codes (n={args.n})")
     if breached:
         summary += f", EXCEEDS {CONVERSE_TOL:g}"
-    _emit(payload, args.out, summary)
-    return 3 if breached else 0
+    return payload, summary, 3 if breached else 0
+
+
+@dataclass(frozen=True)
+class _Command:
+    handler: Callable      # (args, spec, chan, threads) -> (payload, summary, exit code)
+    echo: tuple            # option names copied into manifest.options
+    channel: bool = True   # False keeps validate O(spec): no strategy enumeration
+    seeded: bool = True    # False reports seed 0 whatever --seed says
+    sidecar: bool = False  # the report goes to <out>.json; --out holds the hull CSV
+
+
+_SPEC_OPTIONS = ("spec", "strategy_cap")
+
+_COMMANDS = {
+    "validate": _Command(_validate, _SPEC_OPTIONS, channel=False, seeded=False),
+    "sumrate": _Command(_sumrate, _SPEC_OPTIONS + ("restarts", "resolution", "out")),
+    "region": _Command(_region, _SPEC_OPTIONS + ("restarts", "directions", "out", "csv"),
+                       sidecar=True),
+    "simulate": _Command(_simulate, _SPEC_OPTIONS + (
+        "policy", "n", "ra", "rb", "eps", "trials", "decoder", "out", "csv")),
+    "verify-converse": _Command(_verify_converse, _SPEC_OPTIONS + ("n", "trials", "out")),
+}
+
+
+def _run(args) -> int:
+    cmd = _COMMANDS[args.command]
+    started = time.monotonic()
+    started_utc = datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    # only sumrate, region and simulate have --threads; bad counts fail
+    # before the spec is read
+    threads = _resolve_threads(args) if hasattr(args, "threads") else 1
+    spec = load_spec(args.spec, strategy_cap=args.strategy_cap)
+    chan = (induced_strategy_channel(spec, strategy_cap=args.strategy_cap)
+            if cmd.channel else None)
+    payload, summary, code = cmd.handler(args, spec, chan, threads)
+    # Thread count is deliberately absent from the options echo: results are
+    # merged by work-item index, so payload bytes must not depend on it.
+    payload["manifest"] = {
+        "command": args.command,
+        "spec_path": args.spec,
+        "options": {name: getattr(args, name) for name in cmd.echo},
+        "seed": args.seed if cmd.seeded else 0,
+        "version": __version__,
+        "timing": {
+            "started_utc": started_utc,
+            "duration_s": round(time.monotonic() - started, 6),
+        },
+    }
+    _emit(payload, args.out + ".json" if cmd.sidecar else args.out, summary)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a spec file and report sizes")
     common(p)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("sumrate", help="maximize the strategy sum rate")
     common(p)
@@ -341,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker threads (default: FSMAC_THREADS or 1)")
     p.add_argument("--resolution", type=int, default=None,
                    help="also run the grid oracle at this resolution")
-    p.set_defaults(func=cmd_sumrate)
 
     p = sub.add_parser("region", help="trace the achievable rate region hull")
     common(p, out_required=True)
@@ -350,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--csv", default=None,
                    help="also write the per-direction pentagon table here")
-    p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("simulate", help="Monte Carlo block-coding error rates")
     common(p)
@@ -366,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decoder", choices=DECODERS, default="typicality")
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--csv", default=None, help="write the per-n sweep table here")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify-converse",
                        help="audit the single-letter factorization on random codes")
@@ -374,16 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2, help="blocklength")
     p.add_argument("--trials", type=int, default=50,
                    help="number of random encoder pairs")
-    p.set_defaults(func=cmd_verify_converse)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except (SpecFormatError, OSError, json.JSONDecodeError) as exc:
         print(f"fsmac: error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import GuardError
 from .model import FsMacSpec, StrategyChannel, induced_strategy_channel
 from .rates import JointLaw, RatePentagon, TeamPolicy, joint_law, pentagon
-from .strategy import encode_table
 
 MAP_CELL_CAP = 1_000_000
 HISTORY_CAP = 4096

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GuardError
 from .model import FsMacSpec, StrategyChannel
-from .rates import JointLaw, TeamPolicy, joint_law
+from .rates import JointLaw, TeamPolicy, joint_law, log2_floor
 from .rng import ROLE_CODEBOOKS, ROLE_TRIAL, stream
 
 MESSAGE_CAP = 1 << 20
@@ -53,17 +53,21 @@ class SimConfig:
     def __post_init__(self):
         if self.blocklength < 1:
             raise ValueError(f"blocklength must be >= 1, got {self.blocklength}")
-        if self.rate_a < 0 or self.rate_b < 0:
-            raise ValueError("rates must be nonnegative")
+        for rate in (self.rate_a, self.rate_b):
+            if not (math.isfinite(rate) and rate >= 0):
+                raise ValueError(f"rates must be finite and nonnegative, got {rate}")
         if not 0 < self.epsilon <= 100:
             raise ValueError(f"epsilon must be in (0, 100], got {self.epsilon}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {DECODERS}")
+        for rate in (self.rate_a, self.rate_b):
+            # checked on the exponent, so 2 ** (n * rate) can never overflow
+            if self.blocklength * rate > math.log2(MESSAGE_CAP):
+                raise GuardError(f"message guard: 2**({self.blocklength} * {rate}) "
+                                 f"messages exceed cap {MESSAGE_CAP}")
         ma, mb = self.messages_a, self.messages_b
-        if ma > MESSAGE_CAP or mb > MESSAGE_CAP:
-            raise GuardError(f"message guard: {ma} x {mb} messages exceed cap {MESSAGE_CAP}")
         if ma * mb > PAIR_CAP:
             raise GuardError(
                 f"decoder pair guard: {ma} x {mb} message pairs exceed cap {PAIR_CAP}"
@@ -137,11 +141,6 @@ def generate_codebooks(policy: TeamPolicy, cfg: SimConfig,
     return Codebooks(policy=policy, ids_a=ids_a, ids_b=ids_b)
 
 
-def _log2_floor(p: np.ndarray) -> np.ndarray:
-    # at p == 0 this reads about -996, which fails any sane typicality margin
-    return np.log2(np.maximum(p, 1e-300))
-
-
 def _axis_subsets():
     for r in range(1, 5):
         yield from itertools.combinations(range(4), r)
@@ -154,14 +153,14 @@ class _DecodeContext:
 
     def __init__(self, spec: FsMacSpec, chan: StrategyChannel, policy: TeamPolicy):
         self.q = chan.q
-        self.logq = _log2_floor(chan.q)
+        self.logq = log2_floor(chan.q)
         self.state_pmf = spec.state_pmf
         law = joint_law(spec, chan, policy).p
         self.tables = {}
         for combo in _axis_subsets():
             drop = tuple(i for i in range(4) if i not in combo)
             marg = law.sum(axis=drop)
-            log_t = _log2_floor(marg)
+            log_t = log2_floor(marg)
             self.tables[combo] = (log_t, float(-(marg * log_t).sum()))
 
 
@@ -189,7 +188,7 @@ def typicality_check(seqs, law, epsilon: float) -> bool:
     for combo in _axis_subsets():
         drop = tuple(i for i in range(4) if i not in combo)
         marg = p.sum(axis=drop)
-        log_t = _log2_floor(marg)
+        log_t = log2_floor(marg)
         ent = float(-(marg * log_t).sum())
         total = 0.0
         for t in range(n):

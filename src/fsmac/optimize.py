@@ -14,6 +14,7 @@ so runs are reproducible for any thread count.
 """
 
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -21,20 +22,14 @@ import numpy as np
 
 from .errors import GuardError, InternalInvariantError
 from .model import FsMacSpec, StrategyChannel
-from .rates import RatePentagon, TeamPolicy, entropy_rows, joint_law, pentagon
+from .rates import RatePentagon, TeamPolicy, entropy_rows, joint_law, log2_floor, pentagon
 from .rng import ROLE_RESTART, stream
 
 _LOG2E = 1.0 / np.log(2.0)
 _EG_STEPS = 30
 _BACKTRACKS = 40
 _MONOTONE_SLACK = 1e-12
-
-INNER_SOLVERS = ("exponentiated_gradient", "conditional_gradient")
-
-
-def _entropy_last(p: np.ndarray) -> np.ndarray:
-    # p * log2(max(p, tiny)) is exactly 0 at p == 0, no nan cleanup needed
-    return -(p * np.log2(np.maximum(p, 1e-300))).sum(axis=-1)
+ORACLE_GRID_CAP = 1 << 16  # grid points per sender the oracle may scan
 
 
 @dataclass(frozen=True)
@@ -43,7 +38,6 @@ class OptimizerConfig:
     max_iters: int = 500
     rel_tol: float = 1e-9
     seed: int = 0
-    inner_solver: str = "exponentiated_gradient"
 
     def __post_init__(self):
         if not 1 <= self.restarts <= 1 << 20:
@@ -52,8 +46,6 @@ class OptimizerConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.inner_solver not in INNER_SOLVERS:
-            raise ValueError(f"inner_solver must be one of {INNER_SOLVERS}")
 
 
 @dataclass(frozen=True)
@@ -111,20 +103,19 @@ class _WeightedBounds:
         self.p = state_pmf
         self.wa, self.wb, self.wc = float(wa), float(wb), float(wc)
         self.wsum = self.wa + self.wb + self.wc
-        self.hq = entropy_rows(q)                     # (S,A,B)
-        self.m = np.einsum("s,sab->ab", state_pmf, self.hq)
+        self.m = np.einsum("s,sab->ab", state_pmf, entropy_rows(q))   # (A,B)
 
     def value(self, pa: np.ndarray, pb: np.ndarray) -> float:
         u = np.einsum("b,saby->say", pb, self.q)
         r = np.einsum("a,say->sy", pa, u)
         out = -self.wsum * float(pa @ self.m @ pb)
         if self.wc:
-            out += self.wc * float(self.p @ _entropy_last(r))
+            out += self.wc * float(self.p @ entropy_rows(r))
         if self.wb:
-            out += self.wb * float(np.einsum("s,a,sa->", self.p, pa, _entropy_last(u)))
+            out += self.wb * float(np.einsum("s,a,sa->", self.p, pa, entropy_rows(u)))
         if self.wa:
             v = np.einsum("a,saby->sby", pa, self.q)
-            out += self.wa * float(np.einsum("s,b,sb->", self.p, pb, _entropy_last(v)))
+            out += self.wa * float(np.einsum("s,b,sb->", self.p, pb, entropy_rows(v)))
         return out
 
     def _grad(self, pa, pb, block: str) -> np.ndarray:
@@ -142,50 +133,39 @@ class _WeightedBounds:
         u = np.einsum("b,saby->say", other, q)        # mix over the other sender
         r = np.einsum("a,say->sy", own, u)
         g_h4 = m @ other                              # d H(Y|Ta,Tb,S)
-        g_lin = self.p @ _entropy_last(u)             # d H(Y|Town,S), linear term
+        g_lin = self.p @ entropy_rows(u)              # d H(Y|Town,S), linear term
         grad = -self.wsum * g_h4
         if self.wc:
-            lr = -np.log2(np.maximum(r, 1e-300)) - _LOG2E
+            lr = -log2_floor(r) - _LOG2E
             grad += self.wc * np.einsum("say,s,sy->a", u, self.p, lr)
         if w_other:
             grad += w_other * g_lin
         if w_own:
             v = np.einsum("a,saby->sby", own, q)      # law given the other's table
-            lv = -np.log2(np.maximum(v, 1e-300)) - _LOG2E
+            lv = -log2_floor(v) - _LOG2E
             grad += w_own * np.einsum("saby,s,b,sby->a", q, self.p, other, lv)
         return grad
 
 
-def _ascend_block(obj: _WeightedBounds, pa, pb, block: str, solver: str, tol: float):
-    """Climb one block to local stationarity; returns (new block pmf, value)."""
+def _ascend_block(obj: _WeightedBounds, pa, pb, block: str, tol: float):
+    """Climb one block to local stationarity by exponentiated gradient with
+    backtracking; returns (new block pmf, value)."""
     own = pa if block == "a" else pb
     value = obj.value(pa, pb)
     for _ in range(_EG_STEPS):
         grad = obj._grad(pa, pb, block)
         accepted = False
-        if solver == "exponentiated_gradient":
-            step = 1.0
-            for _ in range(_BACKTRACKS):
-                cand = own * np.exp(step * (grad - grad.max()))
-                total = cand.sum()
-                if total > 0 and np.isfinite(total):
-                    cand = cand / total
-                    cand_value = obj.value(cand, pb) if block == "a" else obj.value(pa, cand)
-                    if cand_value > value:
-                        accepted = True
-                        break
-                step *= 0.5
-        else:  # conditional_gradient: move toward the best vertex
-            vertex = int(np.argmax(grad))
-            gamma = 1.0
-            for _ in range(_BACKTRACKS):
-                cand = (1.0 - gamma) * own
-                cand[vertex] += gamma
+        step = 1.0
+        for _ in range(_BACKTRACKS):
+            cand = own * np.exp(step * (grad - grad.max()))
+            total = cand.sum()
+            if total > 0 and np.isfinite(total):
+                cand = cand / total
                 cand_value = obj.value(cand, pb) if block == "a" else obj.value(pa, cand)
                 if cand_value > value:
                     accepted = True
                     break
-                gamma *= 0.5
+            step *= 0.5
         if not accepted:
             break
         gain = cand_value - value
@@ -208,8 +188,8 @@ def _run_restart(obj: _WeightedBounds, cfg: OptimizerConfig, item: int):
     converged = False
     rounds = 0
     for rounds in range(1, cfg.max_iters + 1):
-        pa, _ = _ascend_block(obj, pa, pb, "a", cfg.inner_solver, cfg.rel_tol)
-        pb, new_value = _ascend_block(obj, pa, pb, "b", cfg.inner_solver, cfg.rel_tol)
+        pa, _ = _ascend_block(obj, pa, pb, "a", cfg.rel_tol)
+        pb, new_value = _ascend_block(obj, pa, pb, "b", cfg.rel_tol)
         if new_value < value - _MONOTONE_SLACK * max(1.0, abs(value)):
             raise InternalInvariantError(
                 f"objective decreased from {value!r} to {new_value!r} during ascent"
@@ -270,6 +250,11 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     return np.diff(padded, axis=1) - 1
 
 
+def _grid_points(dim: int, resolution: int) -> int:
+    """Row count of _simplex_grid(dim, resolution), without building it."""
+    return math.comb(resolution + dim - 1, dim - 1)
+
+
 def _simplex_grid(dim: int, resolution: int) -> np.ndarray:
     return _compositions(resolution, dim) / float(resolution)
 
@@ -297,7 +282,7 @@ def _grid_max_deterministic(spec: FsMacSpec, resolution: int) -> float:
     for j0 in range(0, t.shape[0], chunk):
         tj = t[j0:j0 + chunk]
         r = np.einsum("isx,jsxy->ijsy", mix_a, tj, optimize=True)
-        values = np.einsum("s,ijs->ij", spec.state_pmf, _entropy_last(r))
+        values = np.einsum("s,ijs->ij", spec.state_pmf, entropy_rows(r))
         best = max(best, float(values.max()))
     return best
 
@@ -306,15 +291,14 @@ def _grid_max_generic(q: np.ndarray, state_pmf: np.ndarray, resolution: int) -> 
     count_a, count_b = q.shape[1], q.shape[2]
     grid_a = _simplex_grid(count_a, resolution)
     grid_b = _simplex_grid(count_b, resolution)
-    hq = entropy_rows(q)
-    m = np.einsum("s,sab->ab", state_pmf, hq)
+    m = _WeightedBounds(q, state_pmf, 0.0, 0.0, 1.0).m
     best = -np.inf
     chunk = max(1, int(2**21 // max(1, grid_a.shape[0] * q.shape[0] * q.shape[3])))
     for j0 in range(0, grid_b.shape[0], chunk):
         gb = grid_b[j0:j0 + chunk]
         u = np.einsum("jb,saby->jsay", gb, q)
         r = np.einsum("ia,jsay->ijsy", grid_a, u, optimize=True)
-        cond = np.einsum("s,ijs->ij", state_pmf, _entropy_last(r))
+        cond = np.einsum("s,ijs->ij", state_pmf, entropy_rows(r))
         values = cond - grid_a @ m @ gb.T
         best = max(best, float(values.max()))
     return best
@@ -327,7 +311,8 @@ def grid_oracle_sum_rate(spec: FsMacSpec, chan: StrategyChannel, resolution: int
     Deterministic strategy channels take an exact collapsed route through
     per-symbol behavioral marginals, which is the same scan with the fibers
     of equal objective value deduplicated; everything else is evaluated
-    pairwise. Guard: at most 4 strategies per sender.
+    pairwise. Guards: at most 4 strategies and ORACLE_GRID_CAP grid points
+    per sender, both checked before any grid is built.
     """
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
@@ -336,7 +321,19 @@ def grid_oracle_sum_rate(spec: FsMacSpec, chan: StrategyChannel, resolution: int
             "grid oracle guard: strategy spaces "
             f"{chan.space_a.count} x {chan.space_b.count} exceed 4 per sender"
         )
-    if bool(np.all(chan.q.max(axis=-1) == 1.0)):
+    deterministic = bool(np.all(chan.q.max(axis=-1) == 1.0))
+    if deterministic:
+        points = (_grid_points(spec.size_xa, resolution) ** spec.size_sa,
+                  _grid_points(spec.size_xb, resolution) ** spec.size_sb)
+    else:
+        points = (_grid_points(chan.space_a.count, resolution),
+                  _grid_points(chan.space_b.count, resolution))
+    if max(points) > ORACLE_GRID_CAP:
+        raise GuardError(
+            f"grid oracle guard: {points[0]} x {points[1]} grid points at resolution "
+            f"{resolution} exceed {ORACLE_GRID_CAP} per sender"
+        )
+    if deterministic:
         return _grid_max_deterministic(spec, resolution)
     return _grid_max_generic(chan.q, spec.state_pmf, resolution)
 

@@ -115,10 +115,15 @@ def entropy(p) -> float:
     return float(-(pos * np.log2(pos)).sum())
 
 
+def log2_floor(p: np.ndarray) -> np.ndarray:
+    """log2 with zero cells read as about -996 instead of -inf."""
+    return np.log2(np.maximum(p, 1e-300))
+
+
 def entropy_rows(p: np.ndarray) -> np.ndarray:
     """Entropy along the last axis, no validation (internal batched helper)."""
-    out = np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
-    return -out.sum(axis=-1)
+    # p * log2_floor(p) is exactly 0 at p == 0, no nan cleanup needed
+    return -(p * log2_floor(p)).sum(axis=-1)
 
 
 def joint_law(spec: FsMacSpec, chan: StrategyChannel, pol: TeamPolicy) -> JointLaw:

@@ -46,14 +46,6 @@ def decode_id(sid: int, obs_size: int, input_size: int) -> np.ndarray:
     return digits
 
 
-def apply_table(table, obs: int) -> int:
-    """Input letter the strategy sends on observation symbol obs."""
-    table = np.asarray(table)
-    if not 0 <= obs < table.shape[0]:
-        raise ValueError(f"observation symbol {obs} out of range for table of length {table.shape[0]}")
-    return int(table[obs])
-
-
 @dataclass(frozen=True)
 class StrategySpace:
     """All strategies for one user, tables stacked in id order."""
@@ -65,11 +57,6 @@ class StrategySpace:
     @property
     def count(self) -> int:
         return self.tables.shape[0]
-
-    def apply(self, sid: int, obs: int) -> int:
-        if not 0 <= sid < self.count:
-            raise ValueError(f"strategy id {sid} out of range, space has {self.count}")
-        return apply_table(self.tables[sid], obs)
 
     def one_hot(self) -> np.ndarray:
         """Indicator tensor e[sid, obs, x] = 1 if tables[sid, obs] == x."""

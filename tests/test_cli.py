@@ -213,6 +213,18 @@ def test_simulate_message_guard_exit1(capsys, two_strategy_policy):
     assert "guard" in err
 
 
+@pytest.mark.parametrize("rates", [
+    ["--n", "2000", "--ra", "1", "--rb", "1"],   # 2.0 ** 2000 overflows a float
+    ["--n", "4", "--ra", "inf", "--rb", "0.2"],
+])
+def test_simulate_overflowing_rates_exit1(capsys, two_strategy_policy, rates):
+    rc, out, err = run(capsys, "simulate", "--spec", MOD2,
+                       "--policy", two_strategy_policy, "--trials", "5", *rates)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("fsmac: error:") and "Traceback" not in err
+
+
 def test_simulate_bad_decoder_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["simulate", "--spec", MOD2, "--n", "4",
@@ -262,6 +274,62 @@ def test_threads_env_default(capsys, monkeypatch, two_strategy_policy):
     assert cli.main(argv + ["--threads", "1"]) == 0
     flag_out = strip_timing(json.loads(capsys.readouterr().out))
     assert env_out == flag_out
+
+
+@pytest.mark.parametrize("command", [
+    ["sumrate"],
+    ["region", "--out", "hull.csv"],
+    ["simulate", "--n", "4", "--ra", "0.2", "--rb", "0.2"],
+])
+@pytest.mark.parametrize("threads", ["0", "-1", "65"])
+def test_threads_out_of_range_exit1(capsys, command, threads):
+    # a missing spec would exit 2: exit 1 shows the count is refused first
+    rc, out, err = run(capsys, *command, "--spec", "/nonexistent/spec.json",
+                       "--threads", threads)
+    assert rc == 1
+    assert out == ""
+    assert f"threads must be in [1, {cli.THREADS_CAP}], got {threads}" in err
+
+
+def test_threads_env_checked_only_where_threads_apply(capsys, monkeypatch):
+    monkeypatch.setenv("FSMAC_THREADS", "0")
+    rc, _, err = run(capsys, "sumrate", "--spec", MOD2)
+    assert rc == 1
+    assert "threads must be in" in err
+    assert run(capsys, "validate", "--spec", MOD2)[0] == 0
+    assert run(capsys, "verify-converse", "--spec", MOD2,
+               "--n", "2", "--trials", "1")[0] == 0
+
+
+# --- manifest ---------------------------------------------------------------
+
+SPEC_OPTIONS = {"spec", "strategy_cap"}
+
+
+def test_manifest_options_echo(tmp_path, capsys, two_strategy_policy):
+    hull = tmp_path / "hull.csv"
+    cases = [
+        (["validate"], SPEC_OPTIONS, None),
+        (["sumrate", "--restarts", "2"],
+         SPEC_OPTIONS | {"restarts", "resolution", "out"}, None),
+        (["region", "--restarts", "2", "--directions", "3", "--out", str(hull)],
+         SPEC_OPTIONS | {"restarts", "directions", "out", "csv"},
+         tmp_path / "hull.csv.json"),
+        (["simulate", "--policy", two_strategy_policy, "--n", "4",
+          "--ra", "0.2", "--rb", "0.2", "--trials", "5"],
+         SPEC_OPTIONS | {"policy", "n", "ra", "rb", "eps", "trials", "decoder",
+                         "out", "csv"}, None),
+        (["verify-converse", "--n", "2", "--trials", "1"],
+         SPEC_OPTIONS | {"n", "trials", "out"}, None),
+    ]
+    for argv, keys, report in cases:
+        rc, out, _ = run(capsys, *argv, "--spec", MOD2, "--seed", "5")
+        assert rc == 0
+        man = json.loads(report.read_text() if report else out)["manifest"]
+        assert man["command"] == argv[0]
+        assert set(man["options"]) == keys, argv[0]
+        assert man["options"]["spec"] == MOD2
+        assert man["seed"] == (0 if argv[0] == "validate" else 5)
 
 
 # --- verify-converse --------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The decoder is cross-checked against the subset-by-subset reference
 predicate on every message pair, and the Wilson interval against the
-statsmodels implementation.
+statsmodels and scipy implementations.
 """
 
 import numpy as np
@@ -55,12 +55,17 @@ def test_config_validation():
         SimConfig(blocklength=0, rate_a=0.1, rate_b=0.1)
     with pytest.raises(ValueError, match="rates"):
         SimConfig(blocklength=4, rate_a=-0.1, rate_b=0.1)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="rates"):
+            SimConfig(blocklength=4, rate_a=0.1, rate_b=bad)
     with pytest.raises(ValueError, match="epsilon"):
         SimConfig(blocklength=4, rate_a=0.1, rate_b=0.1, epsilon=0.0)
     with pytest.raises(ValueError, match="decoder"):
         SimConfig(blocklength=4, rate_a=0.1, rate_b=0.1, decoder="viterbi")
     with pytest.raises(GuardError, match="message guard"):
         SimConfig(blocklength=30, rate_a=1.0, rate_b=0.0)
+    with pytest.raises(GuardError, match="message guard"):
+        SimConfig(blocklength=2000, rate_a=0.0, rate_b=1.0)  # 2.0 ** 2000 overflows
     with pytest.raises(GuardError, match="pair guard"):
         SimConfig(blocklength=15, rate_a=0.9, rate_b=0.9)
 
@@ -76,6 +81,15 @@ def test_wilson_matches_statsmodels():
         )
         assert low == pytest.approx(float(ref_low), abs=1e-12)
         assert high == pytest.approx(float(ref_high), abs=1e-12)
+
+
+def test_wilson_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    for errors, trials in [(0, 50), (50, 50), (7, 200), (1, 3), (123, 1000)]:
+        low, high = wilson_interval(errors, trials)
+        ref = stats.binomtest(errors, trials).proportion_ci(0.95, method="wilson")
+        assert low == pytest.approx(float(ref.low), abs=1e-12)
+        assert high == pytest.approx(float(ref.high), abs=1e-12)
 
 
 def test_wilson_edges_and_validation():

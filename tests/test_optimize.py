@@ -11,11 +11,11 @@ Frozen values used below:
 import numpy as np
 import pytest
 
+import fsmac.optimize as optimize
 from fsmac.errors import GuardError
 from fsmac.examples import load
 from fsmac.model import induced_strategy_channel
 from fsmac.optimize import (
-    INNER_SOLVERS,
     DirectionSupport,
     OptimizerConfig,
     RateRegion,
@@ -63,8 +63,6 @@ def test_optimizer_config_validation():
         OptimizerConfig(max_iters=0)
     with pytest.raises(ValueError, match="rel_tol"):
         OptimizerConfig(rel_tol=0.0)
-    with pytest.raises(ValueError, match="inner_solver"):
-        OptimizerConfig(inner_solver="newton")
 
 
 # ---------------------------------------------------------------- pentagon support
@@ -217,15 +215,6 @@ def test_sum_rate_stateless_adder_hits_frozen_value():
     assert grid_oracle_sum_rate(spec, chan, 200) == pytest.approx(1.5, abs=1e-9)
 
 
-def test_inner_solvers_agree_on_adder():
-    spec = load("mod2-adder-noiseless")
-    chan = induced_strategy_channel(spec)
-    for solver in INNER_SOLVERS:
-        cfg = OptimizerConfig(restarts=6, seed=3, inner_solver=solver)
-        res = maximize_sum_rate(spec, chan, cfg)
-        assert res.value == pytest.approx(1.0, abs=1e-5), solver
-
-
 def test_maximize_is_deterministic_and_thread_invariant():
     spec = load("mod2-adder-bsc01")
     chan = induced_strategy_channel(spec)
@@ -278,6 +267,25 @@ def test_grid_oracle_guard_and_validation():
     three_obs = random_spec(np.random.default_rng(1), sizes=dict(xa=2, xb=2, s=2, sa=3, sb=1, y=2))
     with pytest.raises(GuardError, match="grid oracle"):
         grid_oracle_sum_rate(three_obs, induced_strategy_channel(three_obs), 4)
+
+
+def test_grid_oracle_grid_size_guard_fires_before_any_grid(monkeypatch):
+    # resolution 1000 with 4 strategies per sender is C(1003, 3) ~ 1.7e8 points
+    spec = load("mod2-adder-bsc01")
+    chan = induced_strategy_channel(spec)
+    assert optimize._grid_points(4, 1000) == 167_668_501
+    # the largest scan in use, resolution 60 on this spec, stays admitted
+    assert optimize._grid_points(4, 60) == 39_711 <= optimize.ORACLE_GRID_CAP
+
+    def refuse(*args):
+        raise AssertionError("grid built before the guard")
+
+    monkeypatch.setattr(optimize, "_compositions", refuse)
+    with pytest.raises(GuardError, match="grid oracle guard: 167668501 x 167668501"):
+        grid_oracle_sum_rate(spec, chan, 1000)
+    deterministic = load("mod2-adder-noiseless")
+    with pytest.raises(GuardError, match="grid oracle guard: 1002001 x 1002001"):
+        grid_oracle_sum_rate(deterministic, induced_strategy_channel(deterministic), 1000)
 
 
 # ---------------------------------------------------------------- region tracing

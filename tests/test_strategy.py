@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from fsmac.errors import GuardError
 from fsmac.strategy import (
     DEFAULT_STRATEGY_CAP,
-    apply_table,
     decode_id,
     encode_table,
     enumerate_strategies,
@@ -30,7 +29,6 @@ def test_frozen_id_37():
     table = decode_id(37, obs_size=3, input_size=4)
     assert table.tolist() == [1, 1, 2]
     assert encode_table([1, 1, 2], input_size=4) == 37
-    assert apply_table(table, 2) == 2
 
 
 def test_enumeration_matches_product_oracle():
@@ -73,7 +71,7 @@ def test_one_hot_matches_tables():
     assert e.shape == (9, 2, 3)
     for sid in range(sp.count):
         for obs in range(2):
-            x = sp.apply(sid, obs)
+            x = sp.tables[sid, obs]
             assert e[sid, obs, x] == 1.0
             assert e[sid, obs].sum() == 1.0
 
@@ -90,7 +88,5 @@ def test_guards_and_errors():
         decode_id(4, 2, 2)
     with pytest.raises(ValueError):
         encode_table([0, 2], input_size=2)
-    with pytest.raises(ValueError):
-        apply_table([0, 1], 2)
     with pytest.raises(ValueError):
         strategy_count(0, 2)
