@@ -73,11 +73,17 @@ def _num(value) -> str:
 
 
 def _resolve_threads(args) -> int:
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("FSMAC_THREADS", "1"))
+    if args.threads is not None:
+        if not 1 <= args.threads <= THREADS_CAP:
+            raise ValueError(f"threads must be in [1, {THREADS_CAP}], got {args.threads}")
+        return args.threads
+    raw = os.environ.get("FSMAC_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
     if not 1 <= threads <= THREADS_CAP:
-        raise ValueError(f"threads must be in [1, {THREADS_CAP}], got {threads}")
+        raise ValueError(f"FSMAC_THREADS must be an integer in [1, {THREADS_CAP}], got {raw!r}")
     return threads
 
 

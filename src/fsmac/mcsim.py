@@ -25,6 +25,8 @@ from .rng import ROLE_CODEBOOKS, ROLE_TRIAL, stream
 
 MESSAGE_CAP = 1 << 20
 PAIR_CAP = 1 << 20
+CODEBOOK_CELL_CAP = 1 << 24   # blocklength * (messages_a + messages_b)
+TRIAL_CAP = 1 << 20           # estimate_error submits every trial up front
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
 DECODERS = ("typicality", "max_likelihood")
@@ -60,6 +62,8 @@ class SimConfig:
             raise ValueError(f"epsilon must be in (0, 100], got {self.epsilon}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.trials > TRIAL_CAP:
+            raise GuardError(f"trial guard: {self.trials} trials exceed cap {TRIAL_CAP}")
         if self.decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {DECODERS}")
         for rate in (self.rate_a, self.rate_b):
@@ -68,6 +72,10 @@ class SimConfig:
                 raise GuardError(f"message guard: 2**({self.blocklength} * {rate}) "
                                  f"messages exceed cap {MESSAGE_CAP}")
         ma, mb = self.messages_a, self.messages_b
+        # zero rates pass the exponent check with any blocklength
+        if self.blocklength * (ma + mb) > CODEBOOK_CELL_CAP:
+            raise GuardError(f"codebook guard: {self.blocklength} x ({ma} + {mb}) "
+                             f"codebook cells exceed cap {CODEBOOK_CELL_CAP}")
         if ma * mb > PAIR_CAP:
             raise GuardError(
                 f"decoder pair guard: {ma} x {mb} message pairs exceed cap {PAIR_CAP}"

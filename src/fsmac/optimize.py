@@ -1,13 +1,14 @@
 """Sum-rate maximization, achievable-region tracing, and their grid oracle.
 
-The sum bound as a function of one sender's strategy distribution, the other
-held fixed, is a concave function on the simplex (output-entropy term is
-concave, the table-conditional entropy term is linear). The optimizer
-exploits that with alternating block ascent: fix pi_b, climb in pi_a with a
-multiplicative-weights step and backtracking line search, swap, repeat. The
-directional objectives used for region tracing are nonnegative combinations
-of the three pentagon bounds and are concave per block for the same reason,
-so one engine serves both jobs.
+Both jobs maximize J = wa*bound_a + wb*bound_b + wc*bound_sum over product
+strategy policies: the sum rate is wc alone, a region direction mixes two of
+the three pentagon bounds. With one sender's pmf held fixed, J is concave in
+the other's (Shannon's strategy reduction: output entropies are concave, the
+table-conditional entropy is linear). So the ascent alternates blocks:
+_WeightedBounds.block(own, other) builds that single-sender function once,
+and a multiplicative-weights step with backtracking line search climbs it.
+A probe costs O(S*A*Y), plus one pass over q only when J carries the
+climbing sender's own single-sender bound.
 
 Every restart owns a private random stream; results merge by restart index,
 so runs are reproducible for any thread count.
@@ -30,6 +31,7 @@ _EG_STEPS = 30
 _BACKTRACKS = 40
 _MONOTONE_SLACK = 1e-12
 ORACLE_GRID_CAP = 1 << 16  # grid points per sender the oracle may scan
+DIRECTIONS_CAP = 1 << 12   # region directions, checked before any is allocated
 
 
 @dataclass(frozen=True)
@@ -95,101 +97,93 @@ class RateRegion:
         object.__setattr__(self, "vertices", v)
 
 
+class _Block:
+    """J(x) = x @ lin + wc * H(Y|S) + w_own * H(Y|T_other,S) for one sender's
+    pmf x: u is the output law given (s, own table) mixed over the other
+    sender, lin the two terms linear in x, and H(Y|S) depends on x @ u only."""
+
+    def __init__(self, q, p, m, other, w_own, w_other, wc):
+        self.q, self.p, self.other = q, p, other
+        self.w_own, self.wc = w_own, wc
+        self.u = np.einsum("b,saby->say", other, q)   # (S,A,Y)
+        wsum = w_own + w_other + wc
+        self.lin = -wsum * (m @ other) + w_other * (p @ entropy_rows(self.u))
+
+    def value(self, x: np.ndarray) -> float:
+        out = float(x @ self.lin)
+        if self.wc:
+            out += self.wc * float(self.p @ entropy_rows(x @ self.u))
+        if self.w_own:
+            v = np.einsum("a,saby->sby", x, self.q)   # law given the other's table
+            out += self.w_own * float(self.p @ entropy_rows(v) @ self.other)
+        return out
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        grad = self.lin.copy()
+        if self.wc:
+            lr = -log2_floor(x @ self.u) - _LOG2E
+            grad += self.wc * np.einsum("say,s,sy->a", self.u, self.p, lr)
+        if self.w_own:
+            v = np.einsum("a,saby->sby", x, self.q)
+            lv = -log2_floor(v) - _LOG2E
+            grad += self.w_own * np.einsum("saby,s,b,sby->a", self.q, self.p, self.other, lv)
+        return grad
+
+
 class _WeightedBounds:
     """J = wa*bound_a + wb*bound_b + wc*bound_sum for a fixed channel."""
 
     def __init__(self, q: np.ndarray, state_pmf: np.ndarray, wa: float, wb: float, wc: float):
         self.q = q
         self.p = state_pmf
-        self.wa, self.wb, self.wc = float(wa), float(wb), float(wc)
-        self.wsum = self.wa + self.wb + self.wc
+        self.wc = float(wc)
         self.m = np.einsum("s,sab->ab", state_pmf, entropy_rows(q))   # (A,B)
+        # per sender: q and m with its own axis first, then its own and the other's weight
+        self._sides = {"a": (q, self.m, float(wa), float(wb)),
+                       "b": (q.transpose(0, 2, 1, 3), self.m.T, float(wb), float(wa))}
 
-    def value(self, pa: np.ndarray, pb: np.ndarray) -> float:
-        u = np.einsum("b,saby->say", pb, self.q)
-        r = np.einsum("a,say->sy", pa, u)
-        out = -self.wsum * float(pa @ self.m @ pb)
-        if self.wc:
-            out += self.wc * float(self.p @ entropy_rows(r))
-        if self.wb:
-            out += self.wb * float(np.einsum("s,a,sa->", self.p, pa, entropy_rows(u)))
-        if self.wa:
-            v = np.einsum("a,saby->sby", pa, self.q)
-            out += self.wa * float(np.einsum("s,b,sb->", self.p, pb, entropy_rows(v)))
-        return out
-
-    def _grad(self, pa, pb, block: str) -> np.ndarray:
-        # gradients of the four conditional entropies w.r.t. one block
-        if block == "a":
-            q = self.q
-            own, other = pa, pb
-            m = self.m
-            w_own, w_other = self.wa, self.wb
-        else:
-            q = self.q.transpose(0, 2, 1, 3)
-            own, other = pb, pa
-            m = self.m.T
-            w_own, w_other = self.wb, self.wa
-        u = np.einsum("b,saby->say", other, q)        # mix over the other sender
-        r = np.einsum("a,say->sy", own, u)
-        g_h4 = m @ other                              # d H(Y|Ta,Tb,S)
-        g_lin = self.p @ entropy_rows(u)              # d H(Y|Town,S), linear term
-        grad = -self.wsum * g_h4
-        if self.wc:
-            lr = -log2_floor(r) - _LOG2E
-            grad += self.wc * np.einsum("say,s,sy->a", u, self.p, lr)
-        if w_other:
-            grad += w_other * g_lin
-        if w_own:
-            v = np.einsum("a,saby->sby", own, q)      # law given the other's table
-            lv = -log2_floor(v) - _LOG2E
-            grad += w_own * np.einsum("saby,s,b,sby->a", q, self.p, other, lv)
-        return grad
+    def block(self, own: str, other: np.ndarray) -> _Block:
+        """J as a function of sender own's pmf, the other sender's pmf fixed."""
+        q, m, w_own, w_other = self._sides[own]
+        return _Block(q, self.p, m, other, w_own, w_other, self.wc)
 
 
-def _ascend_block(obj: _WeightedBounds, pa, pb, block: str, tol: float):
+def _ascend_block(f: _Block, x: np.ndarray, tol: float):
     """Climb one block to local stationarity by exponentiated gradient with
     backtracking; returns (new block pmf, value)."""
-    own = pa if block == "a" else pb
-    value = obj.value(pa, pb)
+    value = f.value(x)
     for _ in range(_EG_STEPS):
-        grad = obj._grad(pa, pb, block)
-        accepted = False
+        grad = f.grad(x)
         step = 1.0
         for _ in range(_BACKTRACKS):
-            cand = own * np.exp(step * (grad - grad.max()))
+            cand = x * np.exp(step * (grad - grad.max()))
             total = cand.sum()
             if total > 0 and np.isfinite(total):
                 cand = cand / total
-                cand_value = obj.value(cand, pb) if block == "a" else obj.value(pa, cand)
+                cand_value = f.value(cand)
                 if cand_value > value:
-                    accepted = True
                     break
             step *= 0.5
-        if not accepted:
-            break
-        gain = cand_value - value
-        own, value = cand, cand_value
-        if block == "a":
-            pa = own
         else:
-            pb = own
+            break   # no step improved
+        gain = cand_value - value
+        x, value = cand, cand_value
         if gain <= tol * max(1.0, abs(value)):
             break
-    return own, value
+    return x, value
 
 
 def _run_restart(obj: _WeightedBounds, cfg: OptimizerConfig, item: int):
     rng = stream(cfg.seed, item, ROLE_RESTART)
     pa = rng.dirichlet(np.ones(obj.q.shape[1]))
     pb = rng.dirichlet(np.ones(obj.q.shape[2]))
-    value = obj.value(pa, pb)
+    value = obj.block("a", pb).value(pa)
     history = [value]
     converged = False
     rounds = 0
     for rounds in range(1, cfg.max_iters + 1):
-        pa, _ = _ascend_block(obj, pa, pb, "a", cfg.rel_tol)
-        pb, new_value = _ascend_block(obj, pa, pb, "b", cfg.rel_tol)
+        pa, _ = _ascend_block(obj.block("a", pb), pa, cfg.rel_tol)
+        pb, new_value = _ascend_block(obj.block("b", pa), pb, cfg.rel_tol)
         if new_value < value - _MONOTONE_SLACK * max(1.0, abs(value)):
             raise InternalInvariantError(
                 f"objective decreased from {value!r} to {new_value!r} during ascent"
@@ -391,6 +385,8 @@ def inner_bound_region(spec: FsMacSpec, chan: StrategyChannel,
     cfg = cfg if cfg is not None else OptimizerConfig()
     if directions < 2:
         raise ValueError(f"directions must be >= 2, got {directions}")
+    if directions > DIRECTIONS_CAP:
+        raise GuardError(f"region guard: {directions} directions exceed cap {DIRECTIONS_CAP}")
     thetas = np.linspace(0.0, np.pi / 2.0, directions)
     points = [(0.0, 0.0)]
     supports = []

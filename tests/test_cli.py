@@ -216,6 +216,8 @@ def test_simulate_message_guard_exit1(capsys, two_strategy_policy):
 @pytest.mark.parametrize("rates", [
     ["--n", "2000", "--ra", "1", "--rb", "1"],   # 2.0 ** 2000 overflows a float
     ["--n", "4", "--ra", "inf", "--rb", "0.2"],
+    ["--n", "1000000000", "--ra", "0", "--rb", "0"],   # zero rates, huge codebooks
+    ["--n", "4", "--ra", "0.2", "--rb", "0.2", "--trials", str((1 << 20) + 1)],
 ])
 def test_simulate_overflowing_rates_exit1(capsys, two_strategy_policy, rates):
     rc, out, err = run(capsys, "simulate", "--spec", MOD2,
@@ -291,11 +293,12 @@ def test_threads_out_of_range_exit1(capsys, command, threads):
     assert f"threads must be in [1, {cli.THREADS_CAP}], got {threads}" in err
 
 
-def test_threads_env_checked_only_where_threads_apply(capsys, monkeypatch):
-    monkeypatch.setenv("FSMAC_THREADS", "0")
+@pytest.mark.parametrize("value", ["0", "abc"])
+def test_threads_env_checked_only_where_threads_apply(capsys, monkeypatch, value):
+    monkeypatch.setenv("FSMAC_THREADS", value)
     rc, _, err = run(capsys, "sumrate", "--spec", MOD2)
     assert rc == 1
-    assert "threads must be in" in err
+    assert f"FSMAC_THREADS must be an integer in [1, {cli.THREADS_CAP}], got {value!r}" in err
     assert run(capsys, "validate", "--spec", MOD2)[0] == 0
     assert run(capsys, "verify-converse", "--spec", MOD2,
                "--n", "2", "--trials", "1")[0] == 0

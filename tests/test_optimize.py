@@ -155,20 +155,12 @@ def test_gradients_match_finite_differences(rng):
     pb = rng.dirichlet(np.ones(chan.space_b.count)) + 0.1
     pb /= pb.sum()
     h = 1e-6
-    for block in ("a", "b"):
-        own = pa if block == "a" else pb
-        grad = obj._grad(pa, pb, block)
+    for f, own in ((obj.block("a", pb), pa), (obj.block("b", pa), pb)):
+        grad = f.grad(own)
         for i in range(1, own.size):
             d = np.zeros(own.size)
             d[0], d[i] = -1.0, 1.0
-
-            def value_at(t):
-                shifted = own + t * d
-                if block == "a":
-                    return obj.value(shifted, pb)
-                return obj.value(pa, shifted)
-
-            fd = (value_at(h) - value_at(-h)) / (2 * h)
+            fd = (f.value(own + h * d) - f.value(own - h * d)) / (2 * h)
             assert fd == pytest.approx(float(grad @ d), abs=5e-5)
 
 
@@ -182,7 +174,8 @@ def test_weighted_value_reduces_to_pentagon_combination(rng):
     for wa, wb, wc in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0.3, 0.5, 0.9)]:
         obj = _WeightedBounds(chan.q, spec.state_pmf, wa, wb, wc)
         expect = wa * pent.bound_a + wb * pent.bound_b + wc * pent.bound_sum
-        assert obj.value(pa, pb) == pytest.approx(expect, abs=1e-10)
+        assert obj.block("a", pb).value(pa) == pytest.approx(expect, abs=1e-10)
+        assert obj.block("b", pa).value(pb) == pytest.approx(expect, abs=1e-10)
 
 
 # ---------------------------------------------------------------- sum-rate ascent
@@ -306,7 +299,7 @@ def test_region_of_mod2_adder_is_unit_triangle():
     assert region.supports[-1].direction == (0.0, 1.0)
 
 
-def test_region_validation():
+def test_region_validation(monkeypatch):
     spec = load("null-channel")
     chan = induced_strategy_channel(spec)
     with pytest.raises(ValueError, match="directions"):
@@ -314,6 +307,14 @@ def test_region_validation():
     region = inner_bound_region(spec, chan, OptimizerConfig(restarts=2, seed=4), directions=3)
     assert region.vertices.shape == (1, 2)  # the null channel carries nothing
     np.testing.assert_allclose(region.vertices, [[0.0, 0.0]], atol=1e-9)
+
+    def refuse(*args):
+        raise AssertionError("direction traced before the guard")
+
+    monkeypatch.setattr(optimize, "_maximize_weighted", refuse)
+    with pytest.raises(GuardError, match="region guard"):
+        inner_bound_region(spec, chan, OptimizerConfig(restarts=2),
+                           directions=optimize.DIRECTIONS_CAP + 1)
 
 
 def test_rate_region_rejects_bad_vertex_lists():
