@@ -6,6 +6,16 @@ joint typicality (every nonempty subset of the four per-letter variables
 must have empirical log-likelihood within epsilon of its entropy) or by
 maximum likelihood over message pairs.
 
+The typicality mask is staged. The state and output subsets can reject a
+trial outright; the subsets holding one sender's strategy keep the surviving
+codewords of each sender; the full law is scored on the block of surviving
+rows and columns; and the three other pair subsets are scored only on the
+listed pairs that pass it. Every pair score, the ML decoder's too, adds one
+per-letter table entry at a time in t order and divides by n, the same sum
+as the definition, so a score does not depend on which stage computes it.
+The listed pairs are gathered one letter at a time, so no stage holds an
+array of pairs by letters.
+
 Randomness discipline: the codebooks and every trial own counter-based
 streams keyed by (seed, item, role), so results are bit-identical for any
 thread count and any execution order.
@@ -217,43 +227,79 @@ def _single_side_scores(ctx, combo, s_seq, y_seq, ids):
     return log_t[index].mean(axis=-1)        # (messages,)
 
 
-def _pair_scores(log_t, combo, s_seq, y_seq, ids_a, ids_b):
-    n = s_seq.size
-    acc = np.zeros((ids_a.shape[0], ids_b.shape[0]))
+def _letter_axes(log_t, combo, s_seq, y_seq):
+    """A pair subset's log table on all four axes, the absent ones as
+    singletons, and the (s, y) index of each letter into it."""
+    full = np.expand_dims(log_t, tuple(i for i in (0, 3) if i not in combo))
+    s_idx = s_seq if 0 in combo else np.zeros_like(s_seq)
+    y_idx = y_seq if 3 in combo else np.zeros_like(y_seq)
+    return full, s_idx, y_idx
+
+
+def _pair_scores(log_t, combo, s_seq, y_seq, ids_a, ids_b) -> np.ndarray:
+    """(messages_a, messages_b) mean log-likelihoods, summed in t order.
+
+    Each letter's (A, B) table is cut to the block by two 1-D gathers. Columns
+    go first unless that intermediate is the larger one: copying whole rows
+    second is the cheaper gather, and memory stays near the output's size."""
+    full, s_idx, y_idx = _letter_axes(log_t, combo, s_seq, y_seq)
+    (ma, n), mb = ids_a.shape, ids_b.shape[0]
+    cols_first = full.shape[1] * mb <= ma * full.shape[2]
+    acc = np.zeros((ma, mb))
     for t in range(n):
-        index = tuple(
-            {0: s_seq[t], 1: ids_a[:, t, None], 2: ids_b[None, :, t], 3: y_seq[t]}[axis]
-            for axis in combo
-        )
-        acc += log_t[index]
+        table = full[s_idx[t], :, :, y_idx[t]]
+        if cols_first:
+            acc += table[:, ids_b[:, t]][ids_a[:, t]]
+        else:
+            acc += table[ids_a[:, t]][:, ids_b[:, t]]
     return acc / n
+
+
+def _listed_scores(ctx, combos, s_seq, y_seq, ids_a, ids_b, rows, cols) -> list:
+    """Mean log-likelihoods of the pairs (rows[k], cols[k]), one array per
+    subset, each summed in t order."""
+    axes = [_letter_axes(ctx.tables[combo][0], combo, s_seq, y_seq) for combo in combos]
+    accs = [np.zeros(rows.size) for _ in combos]
+    for t in range(s_seq.size):
+        ia, ib = ids_a[rows, t], ids_b[cols, t]
+        for acc, (full, s_idx, y_idx) in zip(accs, axes):
+            acc += full[s_idx[t], ia, ib, y_idx[t]]
+    return [acc / s_seq.size for acc in accs]
 
 
 def _typical_mask(ctx: _DecodeContext, books: Codebooks, s_seq, y_seq,
                   epsilon: float) -> np.ndarray:
     """Boolean (messages_a, messages_b) mask of jointly typical candidates."""
     ids_a, ids_b = books.ids_a, books.ids_b
-    ma, mb = ids_a.shape[0], ids_b.shape[0]
+    mask = np.zeros((ids_a.shape[0], ids_b.shape[0]), dtype=bool)
+
+    def passes(combo, score):
+        return np.abs(-score - ctx.tables[combo][1]) < epsilon
+
+    def survivors(combos, ids):
+        ok = np.ones(ids.shape[0], dtype=bool)
+        for combo in combos:
+            ok &= passes(combo, _single_side_scores(ctx, combo, s_seq, y_seq, ids))
+        return np.flatnonzero(ok)
+
     for combo in [(0,), (3,), (0, 3)]:
-        log_t, ent = ctx.tables[combo]
         index = tuple({0: s_seq, 3: y_seq}[axis] for axis in combo)
-        if abs(-log_t[index].mean() - ent) >= epsilon:
-            return np.zeros((ma, mb), dtype=bool)
-    ok_a = np.ones(ma, dtype=bool)
-    for combo in [(1,), (0, 1), (1, 3), (0, 1, 3)]:
-        score = _single_side_scores(ctx, combo, s_seq, y_seq, ids_a)
-        ok_a &= np.abs(-score - ctx.tables[combo][1]) < epsilon
-    ok_b = np.ones(mb, dtype=bool)
-    for combo in [(2,), (0, 2), (2, 3), (0, 2, 3)]:
-        score = _single_side_scores(ctx, combo, s_seq, y_seq, ids_b)
-        ok_b &= np.abs(-score - ctx.tables[combo][1]) < epsilon
-    mask = ok_a[:, None] & ok_b[None, :]
-    if not mask.any():
+        if not passes(combo, ctx.tables[combo][0][index].mean()):
+            return mask
+    rows = survivors([(1,), (0, 1), (1, 3), (0, 1, 3)], ids_a)
+    cols = survivors([(2,), (0, 2), (2, 3), (0, 2, 3)], ids_b)
+    if rows.size == 0 or cols.size == 0:
         return mask
-    for combo in [(1, 2), (0, 1, 2), (1, 2, 3), (0, 1, 2, 3)]:
-        log_t, ent = ctx.tables[combo]
-        score = _pair_scores(log_t, combo, s_seq, y_seq, ids_a, ids_b)
-        mask &= np.abs(-score - ent) < epsilon
+    full = (0, 1, 2, 3)
+    # the surviving codebook rows are copied once; the copy is at most the codebook
+    keep_a, keep_b = np.nonzero(passes(full, _pair_scores(
+        ctx.tables[full][0], full, s_seq, y_seq, ids_a[rows], ids_b[cols])))
+    rows, cols = rows[keep_a], cols[keep_b]
+    listed = [(1, 2, 3), (0, 1, 2), (1, 2)]
+    scores = _listed_scores(ctx, listed, s_seq, y_seq, ids_a, ids_b, rows, cols)
+    keep = np.logical_and.reduce([passes(c, score) for c, score in zip(listed, scores)])
+    rows, cols = rows[keep], cols[keep]
+    mask[rows, cols] = True
     return mask
 
 

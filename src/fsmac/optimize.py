@@ -31,6 +31,7 @@ _EG_STEPS = 30
 _BACKTRACKS = 40
 _MONOTONE_SLACK = 1e-12
 ORACLE_GRID_CAP = 1 << 16  # grid points per sender the oracle may scan
+ORACLE_PAIR_CAP = 1 << 31  # policy pairs, which set the oracle's time
 DIRECTIONS_CAP = 1 << 12   # region directions, checked before any is allocated
 
 
@@ -305,8 +306,8 @@ def grid_oracle_sum_rate(spec: FsMacSpec, chan: StrategyChannel, resolution: int
     Deterministic strategy channels take an exact collapsed route through
     per-symbol behavioral marginals, which is the same scan with the fibers
     of equal objective value deduplicated; everything else is evaluated
-    pairwise. Guards: at most 4 strategies and ORACLE_GRID_CAP grid points
-    per sender, both checked before any grid is built.
+    pairwise. Guards: at most 4 strategies, ORACLE_GRID_CAP grid points per
+    sender and ORACLE_PAIR_CAP pairs, all checked before any grid is built.
     """
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
@@ -326,6 +327,11 @@ def grid_oracle_sum_rate(spec: FsMacSpec, chan: StrategyChannel, resolution: int
         raise GuardError(
             f"grid oracle guard: {points[0]} x {points[1]} grid points at resolution "
             f"{resolution} exceed {ORACLE_GRID_CAP} per sender"
+        )
+    if points[0] * points[1] > ORACLE_PAIR_CAP:
+        raise GuardError(
+            f"grid oracle pair guard: {points[0]} x {points[1]} policy pairs at "
+            f"resolution {resolution} exceed {ORACLE_PAIR_CAP}"
         )
     if deterministic:
         return _grid_max_deterministic(spec, resolution)

@@ -5,9 +5,12 @@ predicate on every message pair, and the Wilson interval against the
 statsmodels and scipy implementations.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fsmac import mcsim
 from fsmac.errors import GuardError
 from fsmac.examples import load
 from fsmac.mcsim import (
@@ -17,6 +20,8 @@ from fsmac.mcsim import (
     OUTCOME_WRONG,
     SimConfig,
     _DecodeContext,
+    _listed_scores,
+    _pair_scores,
     _typical_mask,
     estimate_error,
     generate_codebooks,
@@ -26,7 +31,7 @@ from fsmac.mcsim import (
 )
 from fsmac.model import induced_strategy_channel
 from fsmac.rates import TeamPolicy, joint_law
-from fsmac.rng import ROLE_TRIAL, stream
+from fsmac.rng import ROLE_CODEBOOKS, ROLE_TRIAL, stream
 
 from conftest import random_spec
 
@@ -193,28 +198,105 @@ def test_typicality_point_mass_and_huge_epsilon():
         typicality_check(dict(constant, s=np.zeros(2, dtype=int)), base, 0.1)
 
 
-def test_vectorized_mask_matches_reference(rng):
+def test_vectorized_mask_matches_reference(rng, monkeypatch):
     # every (pair, trial) decision must agree with the subset-by-subset path
+    dense = random_spec(rng, sizes=dict(xa=2, xb=2, s=2, sa=2, sb=1, y=3))
+    dense_chan = induced_strategy_channel(dense)
+    dense_policy = TeamPolicy(pi_a=rng.dirichlet(np.ones(dense_chan.space_a.count)),
+                              pi_b=rng.dirichlet(np.ones(dense_chan.space_b.count)))
+    adder = load("mod2-adder-noiseless")
+    constants = np.array([0.5, 0.0, 0.0, 0.5])
+    cases = [
+        (dense, dense_chan, dense_policy, 6, (1 / 3, 1 / 6), 0.5, None),
+        # constant strategies on the noiseless adder: the full-law block prunes
+        (adder, induced_strategy_channel(adder), TeamPolicy(pi_a=constants, pi_b=constants),
+         8, (0.5, 0.5), 0.05, "block"),
+        # the dense spec at eps 0.3: the listed pair stages prune as well
+        (dense, dense_chan, dense_policy, 8, (0.5, 0.5), 0.3, "listed"),
+    ]
+    entering = {}  # pairs that reach the full-law block and the listed stages
+
+    def block(*args):
+        entering.setdefault("block", args[-2].shape[0] * args[-1].shape[0])
+        return _pair_scores(*args)
+
+    def listed(*args):
+        entering.setdefault("listed", args[-2].size)
+        return _listed_scores(*args)
+
+    monkeypatch.setattr(mcsim, "_pair_scores", block)
+    monkeypatch.setattr(mcsim, "_listed_scores", listed)
+    for spec, chan, policy, n, (ra, rb), eps, prunes in cases:
+        cfg = SimConfig(blocklength=n, rate_a=ra, rate_b=rb, epsilon=eps, seed=2)
+        ctx = _DecodeContext(spec, chan, policy)
+        law = joint_law(spec, chan, policy)
+        pruned = 0
+        for trial in range(20):
+            books = generate_codebooks(policy, cfg, stream(2, trial, ROLE_CODEBOOKS))
+            trng = stream(2, trial, ROLE_TRIAL)
+            s_seq = trng.choice(spec.size_s, size=n, p=spec.state_pmf)
+            y_seq = np.array([trng.choice(spec.size_y, p=chan.q[s, a, b]) for s, a, b
+                              in zip(s_seq, books.ids_a[0], books.ids_b[0])])
+            entering.clear()
+            mask = _typical_mask(ctx, books, s_seq, y_seq, eps)
+            for wa in range(cfg.messages_a):
+                for wb in range(cfg.messages_b):
+                    seqs = dict(s=s_seq, ta=books.ids_a[wa], tb=books.ids_b[wb], y=y_seq)
+                    expect = typicality_check(seqs, law, eps)
+                    assert bool(mask[wa, wb]) == expect, (prunes, trial, wa, wb)
+            if prunes and 0 < mask.sum() < entering.get(prunes, 0):
+                pruned += 1
+        assert pruned >= 1 or prunes is None, prunes
+
+
+def test_mask_allocates_no_pair_by_letter_array(rng):
+    # at eps 100 every pair of a fully stochastic spec under uniform policies
+    # reaches the listed stages; scoring them must not hold a (pairs, n) copy
     spec = random_spec(rng, sizes=dict(xa=2, xb=2, s=2, sa=2, sb=1, y=3))
     chan = induced_strategy_channel(spec)
-    pi_a = rng.dirichlet(np.ones(chan.space_a.count))
-    pi_b = rng.dirichlet(np.ones(chan.space_b.count))
-    policy = TeamPolicy(pi_a=pi_a, pi_b=pi_b)
-    cfg = SimConfig(blocklength=6, rate_a=1 / 3, rate_b=1 / 6, seed=5, epsilon=0.5)
+    policy = TeamPolicy(pi_a=np.full(chan.space_a.count, 1 / chan.space_a.count),
+                        pi_b=np.full(chan.space_b.count, 1 / chan.space_b.count))
+    n = 256
+    cfg = SimConfig(blocklength=n, rate_a=6 / n, rate_b=6 / n, epsilon=100, seed=1)
     ctx = _DecodeContext(spec, chan, policy)
     books = generate_codebooks(policy, cfg)
-    for trial in range(20):
-        trng = stream(5, trial, ROLE_TRIAL)
-        s_seq = trng.choice(spec.size_s, size=6, p=spec.state_pmf)
-        y_seq = trng.integers(0, spec.size_y, size=6)
+    trng = stream(1, 0, ROLE_TRIAL)
+    s_seq = trng.choice(spec.size_s, size=n, p=spec.state_pmf)
+    y_seq = trng.integers(0, spec.size_y, size=n)
+    pairs = cfg.messages_a * cfg.messages_b
+    tracemalloc.start()
+    try:
         mask = _typical_mask(ctx, books, s_seq, y_seq, cfg.epsilon)
-        law = joint_law(spec, chan, policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.all() and pairs == 4096
+    assert peak < pairs * n, peak  # one byte per pair and letter; a copy takes 8
+
+
+def test_ml_scores_match_literal_sum(rng):
+    # both gather orders: a long codebook against a short one, and the reverse
+    spec = random_spec(rng, sizes=dict(xa=2, xb=3, s=2, sa=2, sb=1, y=3))
+    chan = induced_strategy_channel(spec)
+    policy = TeamPolicy(pi_a=rng.dirichlet(np.ones(chan.space_a.count)),
+                        pi_b=rng.dirichlet(np.ones(chan.space_b.count)))
+    ctx = _DecodeContext(spec, chan, policy)
+    n = 7
+    for ra, rb in [(1.0, 0.3), (0.3, 1.0)]:
+        cfg = SimConfig(blocklength=n, rate_a=ra, rate_b=rb, seed=4)
+        books = generate_codebooks(policy, cfg)
+        s_seq = rng.choice(spec.size_s, size=n, p=spec.state_pmf)
+        y_seq = rng.integers(0, spec.size_y, size=n)
+        scores = _pair_scores(ctx.logq, (0, 1, 2, 3), s_seq, y_seq,
+                              books.ids_a, books.ids_b)
+        assert scores.shape == (cfg.messages_a, cfg.messages_b)
         for wa in range(cfg.messages_a):
             for wb in range(cfg.messages_b):
-                seqs = dict(s=s_seq, ta=books.ids_a[wa],
-                            tb=books.ids_b[wb], y=y_seq)
-                expect = typicality_check(seqs, law, cfg.epsilon)
-                assert bool(mask[wa, wb]) == expect, (trial, wa, wb)
+                a, b = books.ids_a[wa], books.ids_b[wb]
+                total = 0.0
+                for t in range(n):
+                    total += ctx.logq[s_seq[t], a[t], b[t], y_seq[t]]
+                assert scores[wa, wb] == total / n, (ra, wa, wb)
 
 
 # ---------------------------------------------------------------- trials
@@ -267,6 +349,28 @@ def test_error_decomposition_and_reproducibility():
                            SimConfig(blocklength=4, rate_a=0.5, rate_b=0.5,
                                      trials=120, seed=22, epsilon=0.2))
     assert other != first  # different seed should move something
+
+
+@pytest.mark.parametrize("name, policy, n, rate, eps, counts", [
+    # above the 1-bit cap: every trial is ambiguous for both decoders
+    ("mod2-adder-noiseless", [0.5, 0.0, 0.0, 0.5], 12, 0.7, 0.05,
+     {"typicality": (0, 20, 0), "max_likelihood": (0, 20, 0)}),
+    ("mod2-adder-bsc01", [0.25] * 4, 8, 0.4, 0.3,
+     {"typicality": (1, 12, 3), "max_likelihood": (0, 2, 8)}),
+], ids=["above-cap", "mixed"])
+def test_pinned_outcome_counts(name, policy, n, rate, eps, counts):
+    # (no_typical, ambiguous, wrong), fixed: a faster decoder must not move them
+    spec = load(name)
+    chan = induced_strategy_channel(spec)
+    team = TeamPolicy(pi_a=np.array(policy), pi_b=np.array(policy))
+    for decoder, expect in counts.items():
+        cfg = SimConfig(blocklength=n, rate_a=rate, rate_b=rate, epsilon=eps,
+                        trials=20, seed=0, decoder=decoder)
+        report = estimate_error(spec, chan, team, cfg)
+        got = (report.no_typical_count, report.decoder_ambiguous_count,
+               report.wrong_decode_count)
+        assert got == expect, decoder
+        assert estimate_error(spec, chan, team, cfg, threads=2) == report
 
 
 def test_longer_blocks_decode_better():

@@ -281,6 +281,28 @@ def test_grid_oracle_grid_size_guard_fires_before_any_grid(monkeypatch):
         grid_oracle_sum_rate(deterministic, induced_strategy_channel(deterministic), 1000)
 
 
+def test_grid_oracle_pair_guard_fires_before_any_grid(monkeypatch):
+    # each sender passes the grid-size cap, but the scan covers every pair
+    spec = load("mod2-adder-bsc01")
+    chan = induced_strategy_channel(spec)
+    assert optimize._grid_points(4, 71) == 64_824 <= optimize.ORACLE_GRID_CAP
+    # admitted: resolution 60 here (1.6e9 pairs), 100 on the deterministic adder (1.0e8)
+    assert optimize._grid_points(4, 60) ** 2 <= optimize.ORACLE_PAIR_CAP
+    assert optimize._grid_points(2, 100) ** 4 <= optimize.ORACLE_PAIR_CAP
+
+    def refuse(*args):
+        raise AssertionError("grid built before the guard")
+
+    for builder in ("_compositions", "_simplex_grid", "_behavioral_grid",
+                    "_grid_max_generic", "_grid_max_deterministic"):
+        monkeypatch.setattr(optimize, builder, refuse)
+    with pytest.raises(GuardError, match="pair guard: 64824 x 64824 policy pairs"):
+        grid_oracle_sum_rate(spec, chan, 71)
+    deterministic = load("mod2-adder-noiseless")
+    with pytest.raises(GuardError, match="pair guard: 63001 x 63001 policy pairs"):
+        grid_oracle_sum_rate(deterministic, induced_strategy_channel(deterministic), 250)
+
+
 # ---------------------------------------------------------------- region tracing
 
 def test_region_of_mod2_adder_is_unit_triangle():
