@@ -103,7 +103,7 @@ def _validate(args, spec, chan, threads):
 
 def _sumrate(args, spec, chan, threads):
     cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
-    result = maximize_sum_rate(spec, chan, cfg, threads=threads)
+    result = maximize_sum_rate(spec, chan, cfg)
     payload = {
         "value": float(result.value),
         "policy": result.policy.to_dict(),
@@ -120,9 +120,8 @@ def _sumrate(args, spec, chan, threads):
 
 def _region(args, spec, chan, threads):
     cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
-    region = inner_bound_region(spec, chan, cfg,
-                                directions=args.directions, threads=threads)
-    outer = maximize_sum_rate(spec, chan, cfg, threads=threads)
+    region = inner_bound_region(spec, chan, cfg, directions=args.directions)
+    outer = region.outer_sum
     _write_csv(args.out, ["ra", "rb"],
                [[_num(ra), _num(rb)] for ra, rb in region.vertices])
     if args.csv is not None:
@@ -170,8 +169,7 @@ def _simulate(args, spec, chan, threads):
         policy = load_policy(args.policy)
     else:
         # No policy file: simulate the optimized sum-rate policy.
-        opt = maximize_sum_rate(spec, chan, OptimizerConfig(seed=args.seed),
-                                threads=threads)
+        opt = maximize_sum_rate(spec, chan, OptimizerConfig(seed=args.seed))
         policy = opt.policy
     reports = [estimate_error(spec, chan, policy, cfg, threads=threads) for cfg in configs]
 
@@ -242,7 +240,8 @@ def _run(args) -> int:
     started = time.monotonic()
     started_utc = datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     # only sumrate, region and simulate have --threads; bad counts fail
-    # before the spec is read
+    # before the spec is read. Only simulate's trial pool uses it: sumrate
+    # and region climb every restart as one batch in this thread.
     threads = _resolve_threads(args) if hasattr(args, "threads") else 1
     spec = load_spec(args.spec, strategy_cap=args.strategy_cap)
     chan = (induced_strategy_channel(spec, strategy_cap=args.strategy_cap)
@@ -290,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: FSMAC_THREADS or 1)")
+                   help="accepted and checked like simulate's; the restarts "
+                        "run as one batch in one thread")
     p.add_argument("--resolution", type=int, default=None,
                    help="also run the grid oracle at this resolution")
 
@@ -298,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, out_required=True)
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--directions", type=int, default=33)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted and checked like simulate's; the restarts "
+                        "run as one batch in one thread")
     p.add_argument("--csv", default=None,
                    help="also write the per-direction pentagon table here")
 
@@ -314,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="typicality tolerance")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--decoder", choices=DECODERS, default="typicality")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker threads for the trials (default: FSMAC_THREADS or 1)")
     p.add_argument("--csv", default=None, help="write the per-n sweep table here")
 
     p = sub.add_parser("verify-converse",

@@ -267,11 +267,12 @@ def _listed_scores(ctx, combos, s_seq, y_seq, ids_a, ids_b, rows, cols) -> list:
     return [acc / s_seq.size for acc in accs]
 
 
-def _typical_mask(ctx: _DecodeContext, books: Codebooks, s_seq, y_seq,
-                  epsilon: float) -> np.ndarray:
-    """Boolean (messages_a, messages_b) mask of jointly typical candidates."""
+def _typical_pairs(ctx: _DecodeContext, books: Codebooks, s_seq, y_seq,
+                   epsilon: float) -> tuple:
+    """The jointly typical candidates as (rows, cols) message index arrays,
+    in row-major order."""
     ids_a, ids_b = books.ids_a, books.ids_b
-    mask = np.zeros((ids_a.shape[0], ids_b.shape[0]), dtype=bool)
+    none = (np.zeros(0, dtype=np.intp),) * 2
 
     def passes(combo, score):
         return np.abs(-score - ctx.tables[combo][1]) < epsilon
@@ -285,11 +286,11 @@ def _typical_mask(ctx: _DecodeContext, books: Codebooks, s_seq, y_seq,
     for combo in [(0,), (3,), (0, 3)]:
         index = tuple({0: s_seq, 3: y_seq}[axis] for axis in combo)
         if not passes(combo, ctx.tables[combo][0][index].mean()):
-            return mask
+            return none
     rows = survivors([(1,), (0, 1), (1, 3), (0, 1, 3)], ids_a)
     cols = survivors([(2,), (0, 2), (2, 3), (0, 2, 3)], ids_b)
     if rows.size == 0 or cols.size == 0:
-        return mask
+        return none
     full = (0, 1, 2, 3)
     # the surviving codebook rows are copied once; the copy is at most the codebook
     keep_a, keep_b = np.nonzero(passes(full, _pair_scores(
@@ -298,17 +299,15 @@ def _typical_mask(ctx: _DecodeContext, books: Codebooks, s_seq, y_seq,
     listed = [(1, 2, 3), (0, 1, 2), (1, 2)]
     scores = _listed_scores(ctx, listed, s_seq, y_seq, ids_a, ids_b, rows, cols)
     keep = np.logical_and.reduce([passes(c, score) for c, score in zip(listed, scores)])
-    rows, cols = rows[keep], cols[keep]
-    mask[rows, cols] = True
-    return mask
+    return rows[keep], cols[keep]
 
 
-def _classify(candidates, truth) -> tuple:
-    if len(candidates) == 0:
+def _classify(rows, cols, truth) -> tuple:
+    if rows.size == 0:
         return OUTCOME_NO_TYPICAL, None
-    if len(candidates) > 1:
+    if rows.size > 1:
         return OUTCOME_AMBIGUOUS, None
-    decoded = tuple(int(v) for v in candidates[0])
+    decoded = (int(rows[0]), int(cols[0]))
     if decoded != truth:
         return OUTCOME_WRONG, decoded
     return OUTCOME_OK, decoded
@@ -328,13 +327,12 @@ def _run_trial(ctx: _DecodeContext, books: Codebooks, cfg: SimConfig,
     y_seq = (rng.random(n)[:, None] < edges).argmax(axis=1)
     truth = (wa, wb)
     if cfg.decoder == "typicality":
-        mask = _typical_mask(ctx, books, s_seq, y_seq, cfg.epsilon)
-        outcome, decoded = _classify(np.argwhere(mask), truth)
+        rows, cols = _typical_pairs(ctx, books, s_seq, y_seq, cfg.epsilon)
+        outcome, decoded = _classify(rows, cols, truth)
     else:
         scores = _pair_scores(ctx.logq, (0, 1, 2, 3), s_seq, y_seq,
                               books.ids_a, books.ids_b)
-        winners = np.argwhere(scores == scores.max())
-        outcome, decoded = _classify(winners, truth)
+        outcome, decoded = _classify(*np.nonzero(scores == scores.max()), truth)
         if outcome == OUTCOME_NO_TYPICAL:
             raise AssertionError("ML always has at least one argmax")
     return TrialOutcome(outcome=outcome, truth=truth, decoded=decoded,

@@ -5,18 +5,25 @@ strategy policies: the sum rate is wc alone, a region direction mixes two of
 the three pentagon bounds. With one sender's pmf held fixed, J is concave in
 the other's (Shannon's strategy reduction: output entropies are concave, the
 table-conditional entropy is linear). So the ascent alternates blocks:
-_WeightedBounds.block(own, other) builds that single-sender function once,
-and a multiplicative-weights step with backtracking line search climbs it.
-A probe costs O(S*A*Y), plus one pass over q only when J carries the
-climbing sender's own single-sender bound.
+_Objective.block builds that single-sender function once per block, and a
+multiplicative-weights step with backtracking line search climbs it. A probe
+costs O(S*A*Y), plus one pass over q only when J carries the climbing
+sender's own single-sender bound.
 
-Every restart owns a private random stream; results merge by restart index,
-so runs are reproducible for any thread count.
+All restarts climb together as rows of one array. A row is one (weights,
+restart) pair: the sum rate's restarts, or every restart of every region
+direction plus the sum rate's. Each row follows the single-restart path
+exactly (its own start, steps, backtracks and stopping tests) and leaves the
+batch when it stops; every probe evaluates all rows still searching. Rows
+never mix: each product is taken row by row, so a row gives the same numbers
+in any batch. Rows run in chunks of at most BATCH_CELL_BUDGET cells.
+
+Every restart owns a private random stream and restarts merge by index, so
+results do not depend on how rows are chunked.
 """
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +40,7 @@ _MONOTONE_SLACK = 1e-12
 ORACLE_GRID_CAP = 1 << 16  # grid points per sender the oracle may scan
 ORACLE_PAIR_CAP = 1 << 31  # policy pairs, which set the oracle's time
 DIRECTIONS_CAP = 1 << 12   # region directions, checked before any is allocated
+BATCH_CELL_BUDGET = 1 << 22   # float64 cells one chunk of ascent rows may hold
 
 
 @dataclass(frozen=True)
@@ -78,6 +86,7 @@ class RateRegion:
 
     vertices: np.ndarray  # (k, 2)
     supports: tuple = ()
+    outer_sum: SumRateResult | None = None   # maximize_sum_rate's answer, from the same batch
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=np.float64)
@@ -99,124 +108,205 @@ class RateRegion:
 
 
 class _Block:
-    """J(x) = x @ lin + wc * H(Y|S) + w_own * H(Y|T_other,S) for one sender's
-    pmf x: u is the output law given (s, own table) mixed over the other
-    sender, lin the two terms linear in x, and H(Y|S) depends on x @ u only."""
+    """One sender's block of J for a batch of rows, each with its own weights
+    and the other sender's pmf held fixed: J(x) = x @ lin + wc * H(Y|S) +
+    w_own * H(Y|T_other,S). Row r's u is the output law given (s, own table)
+    mixed over the other sender, lin its two terms linear in x, and H(Y|S)
+    depends on x @ u only. Every product is taken row by row (a stacked
+    matmul, or an einsum over a leading row axis), so a row's numbers do not
+    depend on which rows share its batch."""
 
-    def __init__(self, q, p, m, other, w_own, w_other, wc):
-        self.q, self.p, self.other = q, p, other
+    def __init__(self, q, p, u, lin, other, w_own, wc):
+        self.q, self.p, self.u, self.lin, self.other = q, p, u, lin, other
         self.w_own, self.wc = w_own, wc
-        self.u = np.einsum("b,saby->say", other, q)   # (S,A,Y)
-        wsum = w_own + w_other + wc
-        self.lin = -wsum * (m @ other) + w_other * (p @ entropy_rows(self.u))
+        # only the rows whose own bound carries weight pay the pass over q
+        own = np.flatnonzero(w_own)
+        self.any_own = own.size > 0
+        self.own = slice(None) if own.size == w_own.size else own
+        self.own_other, self.own_weight = other[self.own], w_own[self.own]
 
-    def value(self, x: np.ndarray) -> float:
-        out = float(x @ self.lin)
-        if self.wc:
-            out += self.wc * float(self.p @ entropy_rows(x @ self.u))
-        if self.w_own:
-            v = np.einsum("a,saby->sby", x, self.q)   # law given the other's table
-            out += self.w_own * float(self.p @ entropy_rows(v) @ self.other)
+    def take(self, rows: np.ndarray) -> "_Block":
+        return _Block(self.q, self.p, self.u[rows], self.lin[rows], self.other[rows],
+                      self.w_own[rows], self.wc[rows])
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        out = np.matmul(x[:, None, :], self.lin[:, :, None])[:, 0, 0]
+        xu = np.matmul(x[:, None, None, :], self.u)[:, :, 0]
+        out += self.wc * np.matmul(self.p, entropy_rows(xu)[:, :, None])[:, 0]
+        if self.any_own:
+            v = np.einsum("ra,saby->rsby", x[self.own], self.q)   # law given the other's table
+            h = np.matmul(np.matmul(self.p, entropy_rows(v))[:, None, :],
+                          self.own_other[:, :, None])
+            out[self.own] += self.own_weight * h[:, 0, 0]
         return out
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        grad = self.lin.copy()
-        if self.wc:
-            lr = -log2_floor(x @ self.u) - _LOG2E
-            grad += self.wc * np.einsum("say,s,sy->a", self.u, self.p, lr)
-        if self.w_own:
-            v = np.einsum("a,saby->sby", x, self.q)
+        xu = np.matmul(x[:, None, None, :], self.u)[:, :, 0]
+        lr = -log2_floor(xu) - _LOG2E
+        grad = self.lin + self.wc[:, None] * np.einsum("rsay,s,rsy->ra", self.u, self.p, lr)
+        if self.any_own:
+            v = np.einsum("ra,saby->rsby", x[self.own], self.q)
             lv = -log2_floor(v) - _LOG2E
-            grad += self.w_own * np.einsum("saby,s,b,sby->a", self.q, self.p, self.other, lv)
+            grad[self.own] += self.own_weight[:, None] * np.einsum(
+                "saby,s,rb,rsby->ra", self.q, self.p, self.own_other, lv)
         return grad
 
 
-class _WeightedBounds:
-    """J = wa*bound_a + wb*bound_b + wc*bound_sum for a fixed channel."""
+class _Objective:
+    """J = wa*bound_a + wb*bound_b + wc*bound_sum on a fixed channel, for
+    rows that each carry their own weights (wa, wb, wc)."""
 
-    def __init__(self, q: np.ndarray, state_pmf: np.ndarray, wa: float, wb: float, wc: float):
-        self.q = q
-        self.p = state_pmf
-        self.wc = float(wc)
-        self.m = np.einsum("s,sab->ab", state_pmf, entropy_rows(q))   # (A,B)
-        # per sender: q and m with its own axis first, then its own and the other's weight
-        self._sides = {"a": (q, self.m, float(wa), float(wb)),
-                       "b": (q.transpose(0, 2, 1, 3), self.m.T, float(wb), float(wa))}
+    def __init__(self, q: np.ndarray, state_pmf: np.ndarray):
+        self.p, self.shape = state_pmf, q.shape
+        m = np.einsum("s,sab->ab", state_pmf, entropy_rows(q))   # (A,B)
+        # per sender: q and m with its own axis first, its own and the other's weight column
+        self._sides = ((q, m, 0, 1), (q.transpose(0, 2, 1, 3), m.T, 1, 0))
 
-    def block(self, own: str, other: np.ndarray) -> _Block:
-        """J as a function of sender own's pmf, the other sender's pmf fixed."""
-        q, m, w_own, w_other = self._sides[own]
-        return _Block(q, self.p, m, other, w_own, w_other, self.wc)
+    def row_cells(self, max_iters: int) -> int:
+        """Cells one row holds at most: both blocks, a subset copy and the
+        own-bound temporaries, all O(S*(A+B)*Y), plus its objective trail."""
+        s, a, b, y = self.shape
+        return 4 * s * y * (a + b) + 2 * (max_iters + 1)
+
+    def block(self, own: int, weights: np.ndarray, other: np.ndarray) -> _Block:
+        """J as a function of sender own's pmf (0 for a, 1 for b), row r
+        weighted by weights[r] with the other sender's pmf other[r] fixed."""
+        q, m, i_own, i_other = self._sides[own]
+        w_own, w_other, wc = weights[:, i_own], weights[:, i_other], weights[:, 2]
+        s, a, _, y = q.shape
+        u = np.empty((other.shape[0], s, a, y))
+        for r in range(other.shape[0]):   # row by row: a stacked einsum is slower on big q
+            np.einsum("b,saby->say", other[r], q, out=u[r])
+        wsum = w_own + w_other + wc
+        lin = (-wsum[:, None] * np.matmul(m, other[:, :, None])[:, :, 0]
+               + w_other[:, None] * np.matmul(self.p, entropy_rows(u)))
+        return _Block(q, self.p, u, lin, other, w_own, wc)
 
 
-def _ascend_block(f: _Block, x: np.ndarray, tol: float):
-    """Climb one block to local stationarity by exponentiated gradient with
-    backtracking; returns (new block pmf, value)."""
-    value = f.value(x)
+def _probe(f: _Block, x: np.ndarray, z: np.ndarray, step: float):
+    """The candidate x * exp(step * z) of every row of f, renormalized, with
+    its objective; a row whose candidate vanished reads -inf."""
+    cand = x * np.exp(step * z)
+    total = cand.sum(axis=1)
+    ok = (total > 0) & np.isfinite(total)
+    cand /= np.where(ok, total, 1.0)[:, None]
+    return cand, np.where(ok, f.value(cand), -np.inf)
+
+
+def _line_search(f: _Block, x: np.ndarray, value: np.ndarray, z: np.ndarray):
+    """Halve each row's step from 1 until its objective rises, at most
+    _BACKTRACKS tries; returns (x, value, moved), unmoved rows unchanged."""
+    cand, cand_value = _probe(f, x, z, 1.0)
+    moved = cand_value > value
+    if moved.all():
+        return cand, cand_value, moved
+    x, value = x.copy(), value.copy()
+    x[moved], value[moved] = cand[moved], cand_value[moved]
+    pend, step = np.flatnonzero(~moved), 1.0
+    for _ in range(_BACKTRACKS - 1):
+        step *= 0.5
+        cand, cand_value = _probe(f.take(pend), x[pend], z[pend], step)
+        rose = cand_value > value[pend]
+        x[pend[rose]], value[pend[rose]], moved[pend[rose]] = cand[rose], cand_value[rose], True
+        pend = pend[~rose]
+        if not pend.size:
+            break
+    return x, value, moved
+
+
+def _ascend(f: _Block, x: np.ndarray, value: np.ndarray, tol: float):
+    """Climb every row of one block to local stationarity by exponentiated
+    gradient with backtracking, from x at objective value; returns the new
+    (x, value). Each row steps and stops on its own tests; a row no step
+    improves stops where it is."""
+    x_out, value_out = x.copy(), value.copy()
+    live = np.arange(x.shape[0])   # rows still stepping; f, x and value hold exactly these
     for _ in range(_EG_STEPS):
         grad = f.grad(x)
-        step = 1.0
-        for _ in range(_BACKTRACKS):
-            cand = x * np.exp(step * (grad - grad.max()))
-            total = cand.sum()
-            if total > 0 and np.isfinite(total):
-                cand = cand / total
-                cand_value = f.value(cand)
-                if cand_value > value:
-                    break
-            step *= 0.5
-        else:
-            break   # no step improved
-        gain = cand_value - value
-        x, value = cand, cand_value
-        if gain <= tol * max(1.0, abs(value)):
-            break
-    return x, value
+        new_x, new_value, moved = _line_search(f, x, value, grad - grad.max(axis=1, keepdims=True))
+        go = moved & (new_value - value > tol * np.maximum(1.0, np.abs(new_value)))
+        x, value = new_x, new_value
+        if not go.all():
+            x_out[live], value_out[live] = x, value
+            if not go.any():
+                return x_out, value_out
+            live, x, value, f = live[go], x[go], value[go], f.take(go)
+    x_out[live], value_out[live] = x, value
+    return x_out, value_out
 
 
-def _run_restart(obj: _WeightedBounds, cfg: OptimizerConfig, item: int):
-    rng = stream(cfg.seed, item, ROLE_RESTART)
-    pa = rng.dirichlet(np.ones(obj.q.shape[1]))
-    pb = rng.dirichlet(np.ones(obj.q.shape[2]))
-    value = obj.block("a", pb).value(pa)
-    history = [value]
-    converged = False
-    rounds = 0
-    for rounds in range(1, cfg.max_iters + 1):
-        pa, _ = _ascend_block(obj.block("a", pb), pa, cfg.rel_tol)
-        pb, new_value = _ascend_block(obj.block("b", pa), pb, cfg.rel_tol)
-        if new_value < value - _MONOTONE_SLACK * max(1.0, abs(value)):
+def _climb(obj: _Objective, cfg: OptimizerConfig, weights: np.ndarray, items: np.ndarray):
+    """Alternate the two blocks for one chunk of rows until each converges or
+    runs out of rounds; row r starts from the stream of items[r]. Returns per
+    row (value, pa, pb, rounds, converged) and, per round, the rows still
+    climbing with their objective."""
+    n, (count_a, count_b) = items.size, obj.shape[1:3]
+    pa, pb = np.empty((n, count_a)), np.empty((n, count_b))
+    ones_a, ones_b = np.ones(count_a), np.ones(count_b)
+    for r, item in enumerate(items.tolist()):
+        rng = stream(cfg.seed, item, ROLE_RESTART)
+        pa[r], pb[r] = rng.dirichlet(ones_a), rng.dirichlet(ones_b)
+    value_out, pa_out, pb_out = np.empty(n), np.empty_like(pa), np.empty_like(pb)
+    rounds, converged = np.full(n, cfg.max_iters), np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    blk = obj.block(0, weights, pb)
+    value = start = blk.value(pa)
+    trail = [(live, value)]
+    for k in range(1, cfg.max_iters + 1):
+        pa, _ = _ascend(blk, pa, start, cfg.rel_tol)
+        blk = obj.block(1, weights, pa)
+        pb, new = _ascend(blk, pb, blk.value(pb), cfg.rel_tol)
+        fell = np.flatnonzero(new < value - _MONOTONE_SLACK * np.maximum(1.0, np.abs(value)))
+        if fell.size:
+            i = fell[0]
             raise InternalInvariantError(
-                f"objective decreased from {value!r} to {new_value!r} during ascent"
+                f"objective decreased from {float(value[i])!r} to {float(new[i])!r} during ascent"
             )
-        history.append(new_value)
-        if new_value - value <= cfg.rel_tol * max(1.0, abs(new_value)):
-            value = new_value
-            converged = True
-            break
-        value = new_value
-    return value, pa, pb, rounds, converged, history
+        trail.append((live, new))
+        done = new - value <= cfg.rel_tol * np.maximum(1.0, np.abs(new))
+        value = new
+        stop = done | (k == cfg.max_iters)
+        if stop.any():
+            rows = live[stop]
+            value_out[rows], pa_out[rows], pb_out[rows] = value[stop], pa[stop], pb[stop]
+            rounds[rows], converged[rows] = k, done[stop]
+            keep = ~stop
+            if not keep.any():
+                break
+            live, pa, pb, weights, value = live[keep], pa[keep], pb[keep], weights[keep], value[keep]
+        blk = obj.block(0, weights, pb)
+        start = blk.value(pa)
+    return value_out, pa_out, pb_out, rounds, converged, trail
 
 
-def _maximize_weighted(obj: _WeightedBounds, cfg: OptimizerConfig,
-                       item_base: int, threads: int = 1):
-    items = [item_base + r for r in range(cfg.restarts)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda it: _run_restart(obj, cfg, it), items))
-    else:
-        results = [_run_restart(obj, cfg, it) for it in items]
-    best = max(range(cfg.restarts), key=lambda r: (results[r][0], -r))
-    value, pa, pb, rounds, converged, history = results[best]
-    return value, pa, pb, rounds, converged, best, tuple(history)
+def _maximize(obj: _Objective, cfg: OptimizerConfig, groups: list) -> list:
+    """Multi-start ascent for every group at once. A group is (weights,
+    first item) and owns the restarts first .. first + restarts - 1; its rows
+    run in (group, restart) order, in chunks of at most BATCH_CELL_BUDGET
+    cells. Returns per group the best restart (highest value, then lowest
+    index) as (value, pa, pb, rounds, converged, restart, history)."""
+    weights = np.array([w for w, _ in groups], dtype=np.float64)
+    firsts = np.array([first for _, first in groups], dtype=np.int64)
+    chunk = max(1, BATCH_CELL_BUDGET // obj.row_cells(cfg.max_iters))
+    total = len(groups) * cfg.restarts
+    best = [None] * len(groups)
+    for r0 in range(0, total, chunk):
+        grp, rst = np.divmod(np.arange(r0, min(r0 + chunk, total)), cfg.restarts)
+        value, pa, pb, rounds, converged, trail = _climb(obj, cfg, weights[grp], firsts[grp] + rst)
+        bounds = np.flatnonzero(np.diff(grp)) + 1
+        for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), grp.size]):
+            i = lo + int(np.argmax(value[lo:hi]))
+            g = int(grp[i])
+            if best[g] is None or value[i] > best[g][0]:
+                history = tuple(float(v[np.searchsorted(rows, i)])
+                                for rows, v in trail[:rounds[i] + 1])
+                best[g] = (float(value[i]), pa[i].copy(), pb[i].copy(), int(rounds[i]),
+                           bool(converged[i]), int(rst[i]), history)
+    return best
 
 
-def maximize_sum_rate(spec: FsMacSpec, chan: StrategyChannel,
-                      cfg: OptimizerConfig | None = None, threads: int = 1) -> SumRateResult:
-    """Best sum bound over product strategy policies (multi-start ascent)."""
-    cfg = cfg if cfg is not None else OptimizerConfig()
-    obj = _WeightedBounds(chan.q, spec.state_pmf, 0.0, 0.0, 1.0)
-    value, pa, pb, rounds, converged, best, history = _maximize_weighted(obj, cfg, 0, threads)
+def _sum_rate_result(spec: FsMacSpec, best: tuple) -> SumRateResult:
+    value, pa, pb, rounds, converged, restart, history = best
     cap = np.log2(spec.size_y) + 1e-9
     if not -1e-9 <= value <= cap:
         raise InternalInvariantError(f"sum-rate value {value!r} outside [0, log2 |Y|]")
@@ -225,9 +315,20 @@ def maximize_sum_rate(spec: FsMacSpec, chan: StrategyChannel,
         policy=TeamPolicy(pi_a=pa, pi_b=pb),
         iterations=rounds,
         converged=converged,
-        best_restart=best,
+        best_restart=restart,
         history=history,
     )
+
+
+_SUM_RATE = ((0.0, 0.0, 1.0), 0)   # the sum rate's group: weights and first item
+
+
+def maximize_sum_rate(spec: FsMacSpec, chan: StrategyChannel,
+                      cfg: OptimizerConfig | None = None) -> SumRateResult:
+    """Best sum bound over product strategy policies (multi-start ascent)."""
+    cfg = cfg if cfg is not None else OptimizerConfig()
+    (best,) = _maximize(_Objective(chan.q, spec.state_pmf), cfg, [_SUM_RATE])
+    return _sum_rate_result(spec, best)
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
@@ -286,7 +387,7 @@ def _grid_max_generic(q: np.ndarray, state_pmf: np.ndarray, resolution: int) -> 
     count_a, count_b = q.shape[1], q.shape[2]
     grid_a = _simplex_grid(count_a, resolution)
     grid_b = _simplex_grid(count_b, resolution)
-    m = _WeightedBounds(q, state_pmf, 0.0, 0.0, 1.0).m
+    m = np.einsum("s,sab->ab", state_pmf, entropy_rows(q))
     best = -np.inf
     chunk = max(1, int(2**21 // max(1, grid_a.shape[0] * q.shape[0] * q.shape[3])))
     for j0 in range(0, grid_b.shape[0], chunk):
@@ -384,39 +485,31 @@ def _direction_weights(ca: float, cb: float) -> tuple:
 
 
 def inner_bound_region(spec: FsMacSpec, chan: StrategyChannel,
-                       cfg: OptimizerConfig | None = None, directions: int = 33,
-                       threads: int = 1) -> RateRegion:
+                       cfg: OptimizerConfig | None = None, directions: int = 33) -> RateRegion:
     """Trace the achievable region: maximize the pentagon support along
-    directions spanning the first quadrant, hull the collected corners."""
+    directions spanning the first quadrant, hull the collected corners. The
+    sum rate's restarts climb in the same batch and give outer_sum."""
     cfg = cfg if cfg is not None else OptimizerConfig()
     if directions < 2:
         raise ValueError(f"directions must be >= 2, got {directions}")
     if directions > DIRECTIONS_CAP:
         raise GuardError(f"region guard: {directions} directions exceed cap {DIRECTIONS_CAP}")
     thetas = np.linspace(0.0, np.pi / 2.0, directions)
+    dirs = [(1.0, 0.0), *((float(np.cos(t)), float(np.sin(t))) for t in thetas[1:-1]), (0.0, 1.0)]
+    groups = [(_direction_weights(ca, cb), (k + 1) << 20) for k, (ca, cb) in enumerate(dirs)]
+    *bests, outer = _maximize(_Objective(chan.q, spec.state_pmf), cfg, groups + [_SUM_RATE])
     points = [(0.0, 0.0)]
     supports = []
-    for k, theta in enumerate(thetas):
-        if k == 0:
-            ca, cb = 1.0, 0.0
-        elif k == directions - 1:
-            ca, cb = 0.0, 1.0
-        else:
-            ca, cb = float(np.cos(theta)), float(np.sin(theta))
-        wa, wb, wc = _direction_weights(ca, cb)
-        obj = _WeightedBounds(chan.q, spec.state_pmf, wa, wb, wc)
-        _, pa, pb, _, _, _, _ = _maximize_weighted(obj, cfg, (k + 1) << 20, threads)
+    for direction, (_, pa, pb, *_) in zip(dirs, bests):
         policy = TeamPolicy(pi_a=pa, pi_b=pb)
         pent = pentagon(joint_law(spec, chan, policy))
-        value, point = pentagon_support(pent, (ca, cb))
+        value, point = pentagon_support(pent, direction)
         points.append(point)
-        supports.append(DirectionSupport(direction=(ca, cb), value=value,
+        supports.append(DirectionSupport(direction=direction, value=value,
                                          point=point, pentagon=pent, policy=policy))
-        if k == 0:
-            points.append((pent.bound_a, 0.0))
-        if k == directions - 1:
-            points.append((0.0, pent.bound_b))
+    points += [(supports[0].pentagon.bound_a, 0.0), (0.0, supports[-1].pentagon.bound_b)]
     # near-rel_tol structure is optimizer noise, not geometry; snap it away
     snapped = np.maximum(np.round(np.array(points), 7), 0.0)
     vertices = convex_hull_2d(snapped)
-    return RateRegion(vertices=vertices, supports=tuple(supports))
+    return RateRegion(vertices=vertices, supports=tuple(supports),
+                      outer_sum=_sum_rate_result(spec, outer))

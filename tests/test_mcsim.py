@@ -22,7 +22,7 @@ from fsmac.mcsim import (
     _DecodeContext,
     _listed_scores,
     _pair_scores,
-    _typical_mask,
+    _typical_pairs,
     estimate_error,
     generate_codebooks,
     run_trial,
@@ -238,7 +238,11 @@ def test_vectorized_mask_matches_reference(rng, monkeypatch):
             y_seq = np.array([trng.choice(spec.size_y, p=chan.q[s, a, b]) for s, a, b
                               in zip(s_seq, books.ids_a[0], books.ids_b[0])])
             entering.clear()
-            mask = _typical_mask(ctx, books, s_seq, y_seq, eps)
+            rows, cols = _typical_pairs(ctx, books, s_seq, y_seq, eps)
+            mask = np.zeros((cfg.messages_a, cfg.messages_b), dtype=bool)
+            mask[rows, cols] = True
+            # the list is the mask's pairs in row-major order, each once
+            assert np.array_equal(np.column_stack([rows, cols]), np.argwhere(mask))
             for wa in range(cfg.messages_a):
                 for wb in range(cfg.messages_b):
                     seqs = dict(s=s_seq, ta=books.ids_a[wa], tb=books.ids_b[wb], y=y_seq)
@@ -266,11 +270,11 @@ def test_mask_allocates_no_pair_by_letter_array(rng):
     pairs = cfg.messages_a * cfg.messages_b
     tracemalloc.start()
     try:
-        mask = _typical_mask(ctx, books, s_seq, y_seq, cfg.epsilon)
+        rows, cols = _typical_pairs(ctx, books, s_seq, y_seq, cfg.epsilon)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert mask.all() and pairs == 4096
+    assert rows.size == pairs == 4096
     assert peak < pairs * n, peak  # one byte per pair and letter; a copy takes 8
 
 

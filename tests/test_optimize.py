@@ -8,6 +8,8 @@ Frozen values used below:
     (output law (1/4, 1/2, 1/4)); confirmed by an out-of-repo dense scan.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,14 +25,14 @@ from fsmac.optimize import (
     _compositions,
     _grid_max_deterministic,
     _grid_max_generic,
-    _WeightedBounds,
+    _Objective,
     convex_hull_2d,
     grid_oracle_sum_rate,
     inner_bound_region,
     maximize_sum_rate,
     pentagon_support,
 )
-from fsmac.rates import RatePentagon, joint_law, pentagon
+from fsmac.rates import RatePentagon, TeamPolicy, joint_law, pentagon
 
 from conftest import random_spec
 
@@ -146,36 +148,54 @@ def test_convex_hull_matches_edge_scan_oracle(rng):
 
 # ---------------------------------------------------------------- gradients
 
+# rows with different weights and policies share one batch, so a weight or a
+# pmf that leaks from one row into another changes the numbers
+_MIXED_WEIGHTS = np.array([(0.45, 0.3, 0.7), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0.3, 0.5, 0.9)],
+                          dtype=np.float64)
+
+
+def _mixed_policies(rng, chan, floor=0.0):
+    rows = _MIXED_WEIGHTS.shape[0]
+    pa = rng.dirichlet(np.ones(chan.space_a.count), size=rows) + floor
+    pb = rng.dirichlet(np.ones(chan.space_b.count), size=rows) + floor
+    return pa / pa.sum(axis=1, keepdims=True), pb / pb.sum(axis=1, keepdims=True)
+
+
 def test_gradients_match_finite_differences(rng):
     spec = random_spec(rng)
     chan = induced_strategy_channel(spec)
-    obj = _WeightedBounds(chan.q, spec.state_pmf, 0.45, 0.3, 0.7)
-    pa = rng.dirichlet(np.ones(chan.space_a.count)) + 0.1
-    pa /= pa.sum()
-    pb = rng.dirichlet(np.ones(chan.space_b.count)) + 0.1
-    pb /= pb.sum()
+    obj = _Objective(chan.q, spec.state_pmf)
+    pa, pb = _mixed_policies(rng, chan, floor=0.1)
     h = 1e-6
-    for f, own in ((obj.block("a", pb), pa), (obj.block("b", pa), pb)):
-        grad = f.grad(own)
-        for i in range(1, own.size):
-            d = np.zeros(own.size)
-            d[0], d[i] = -1.0, 1.0
-            fd = (f.value(own + h * d) - f.value(own - h * d)) / (2 * h)
-            assert fd == pytest.approx(float(grad @ d), abs=5e-5)
+    for own, x, other in ((0, pa, pb), (1, pb, pa)):
+        f = obj.block(own, _MIXED_WEIGHTS, other)
+        grad, value = f.grad(x), f.value(x)
+        for r in range(x.shape[0]):
+            # each row alone gives the batch's numbers bit for bit
+            alone = obj.block(own, _MIXED_WEIGHTS[r:r + 1], other[r:r + 1])
+            assert alone.value(x[r:r + 1])[0] == value[r]
+            assert np.array_equal(alone.grad(x[r:r + 1])[0], grad[r])
+            for i in range(1, x.shape[1]):
+                d = np.zeros_like(x)
+                d[r, 0], d[r, i] = -1.0, 1.0
+                fd = (f.value(x + h * d) - f.value(x - h * d)) / (2 * h)
+                assert fd[r] == pytest.approx(float(grad[r] @ d[r]), abs=5e-5)
+                others = np.arange(x.shape[0]) != r
+                assert np.all(fd[others] == 0.0)
 
 
 def test_weighted_value_reduces_to_pentagon_combination(rng):
     spec = random_spec(rng)
     chan = induced_strategy_channel(spec)
-    pa = rng.dirichlet(np.ones(chan.space_a.count))
-    pb = rng.dirichlet(np.ones(chan.space_b.count))
-    from fsmac.rates import TeamPolicy
-    pent = pentagon(joint_law(spec, chan, TeamPolicy(pi_a=pa, pi_b=pb)))
-    for wa, wb, wc in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0.3, 0.5, 0.9)]:
-        obj = _WeightedBounds(chan.q, spec.state_pmf, wa, wb, wc)
+    obj = _Objective(chan.q, spec.state_pmf)
+    pa, pb = _mixed_policies(rng, chan)
+    value_a = obj.block(0, _MIXED_WEIGHTS, pb).value(pa)
+    value_b = obj.block(1, _MIXED_WEIGHTS, pa).value(pb)
+    for r, (wa, wb, wc) in enumerate(_MIXED_WEIGHTS):
+        pent = pentagon(joint_law(spec, chan, TeamPolicy(pi_a=pa[r], pi_b=pb[r])))
         expect = wa * pent.bound_a + wb * pent.bound_b + wc * pent.bound_sum
-        assert obj.block("a", pb).value(pa) == pytest.approx(expect, abs=1e-10)
-        assert obj.block("b", pa).value(pb) == pytest.approx(expect, abs=1e-10)
+        assert value_a[r] == pytest.approx(expect, abs=1e-10)
+        assert value_b[r] == pytest.approx(expect, abs=1e-10)
 
 
 # ---------------------------------------------------------------- sum-rate ascent
@@ -208,17 +228,24 @@ def test_sum_rate_stateless_adder_hits_frozen_value():
     assert grid_oracle_sum_rate(spec, chan, 200) == pytest.approx(1.5, abs=1e-9)
 
 
-def test_maximize_is_deterministic_and_thread_invariant():
+def _same_sum_rate(a, b) -> bool:
+    return (a.value == b.value and a.iterations == b.iterations
+            and a.converged == b.converged and a.best_restart == b.best_restart
+            and a.history == b.history
+            and np.array_equal(a.policy.pi_a, b.policy.pi_a)
+            and np.array_equal(a.policy.pi_b, b.policy.pi_b))
+
+
+def test_maximize_is_deterministic_and_chunk_invariant(monkeypatch):
     spec = load("mod2-adder-bsc01")
     chan = induced_strategy_channel(spec)
     cfg = OptimizerConfig(restarts=5, seed=11)
     first = maximize_sum_rate(spec, chan, cfg)
-    second = maximize_sum_rate(spec, chan, cfg)
-    threaded = maximize_sum_rate(spec, chan, cfg, threads=3)
-    assert first.value == second.value == threaded.value
-    assert np.array_equal(first.policy.pi_a, threaded.policy.pi_a)
-    assert np.array_equal(first.policy.pi_b, threaded.policy.pi_b)
-    assert first.best_restart == threaded.best_restart
+    assert _same_sum_rate(first, maximize_sum_rate(spec, chan, cfg))
+    # chunks of one and of two rows: every restart climbs alone or in a pair
+    for budget in (1, 2 * _Objective(chan.q, spec.state_pmf).row_cells(cfg.max_iters)):
+        monkeypatch.setattr(optimize, "BATCH_CELL_BUDGET", budget)
+        assert _same_sum_rate(first, maximize_sum_rate(spec, chan, cfg))
 
 
 # ---------------------------------------------------------------- grid oracle
@@ -331,12 +358,51 @@ def test_region_validation(monkeypatch):
     np.testing.assert_allclose(region.vertices, [[0.0, 0.0]], atol=1e-9)
 
     def refuse(*args):
-        raise AssertionError("direction traced before the guard")
+        raise AssertionError("rows allocated before the guard")
 
-    monkeypatch.setattr(optimize, "_maximize_weighted", refuse)
+    monkeypatch.setattr(optimize, "_maximize", refuse)
     with pytest.raises(GuardError, match="region guard"):
         inner_bound_region(spec, chan, OptimizerConfig(restarts=2),
                            directions=optimize.DIRECTIONS_CAP + 1)
+
+
+def _region_record(region):
+    return (region.vertices.tolist(),
+            [(s.direction, s.value, s.point, s.pentagon, s.policy.pi_a.tolist(),
+              s.policy.pi_b.tolist()) for s in region.supports])
+
+
+def test_region_batch_is_chunk_invariant_and_carries_the_sum_rate(monkeypatch):
+    spec = load("mod2-adder-bsc01")
+    chan = induced_strategy_channel(spec)
+    cfg = OptimizerConfig(restarts=4, seed=3)
+    region = inner_bound_region(spec, chan, cfg, directions=7)
+    # the outer sum rides in the region's batch with maximize_sum_rate's rows
+    assert _same_sum_rate(region.outer_sum, maximize_sum_rate(spec, chan, cfg))
+    monkeypatch.setattr(optimize, "BATCH_CELL_BUDGET", 1)   # one row per chunk
+    alone = inner_bound_region(spec, chan, cfg, directions=7)
+    assert _region_record(alone) == _region_record(region)
+    assert _same_sum_rate(alone.outer_sum, region.outer_sum)
+
+
+def test_region_rows_run_within_the_cell_budget(monkeypatch):
+    # 3 groups x 4096 restarts, admitted; only a chunk of them may be held at once
+    spec = load("stateless-mac")
+    chan = induced_strategy_channel(spec)
+    cfg = OptimizerConfig(restarts=4096, max_iters=1)
+    budget = 1 << 13
+    row_cells = _Objective(chan.q, spec.state_pmf).row_cells(cfg.max_iters)
+    whole = 3 * cfg.restarts * row_cells * 8   # bytes, were every row held at once
+    inner_bound_region(spec, chan, OptimizerConfig(restarts=2), directions=2)   # warm caches
+    monkeypatch.setattr(optimize, "BATCH_CELL_BUDGET", budget)
+    tracemalloc.start()
+    try:
+        region = inner_bound_region(spec, chan, cfg, directions=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert region.outer_sum.value == pytest.approx(1.5, abs=1e-3)
+    assert peak <= 4 * budget * 8 < whole / 4, (peak, budget * 8, whole)
 
 
 def test_rate_region_rejects_bad_vertex_lists():
