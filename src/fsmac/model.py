@@ -28,6 +28,7 @@ from .strategy import DEFAULT_STRATEGY_CAP, StrategySpace, enumerate_strategies
 
 PMF_ATOL = 1e-9
 STRATEGY_PRODUCT_CAP = 10**7
+Q_CELL_CAP = 1 << 24   # float64 cells of the strategy channel q, S*A*B*Y
 
 _ALPHABET_KEYS = ("xa", "xb", "s", "sa", "sb", "y")
 _TOP_KEYS = {"alphabets", "state_pmf", "obs_a", "obs_b", "channel", "labels"}
@@ -162,9 +163,21 @@ def validate_spec(spec: FsMacSpec, strategy_cap: int = DEFAULT_STRATEGY_CAP) -> 
         raise GuardError(
             f"strategy space cap: sender b has {count_b} strategies, cap is {strategy_cap}"
         )
+    _check_channel_size(spec, count_a, count_b)
+
+
+def _check_channel_size(spec: FsMacSpec, count_a: int, count_b: int) -> None:
+    """Refuse a strategy channel over STRATEGY_PRODUCT_CAP pairs or Q_CELL_CAP
+    cells, counted arithmetically before anything of that size exists."""
     if count_a * count_b > STRATEGY_PRODUCT_CAP:
         raise GuardError(
             f"strategy product cap: {count_a} * {count_b} strategy pairs exceed {STRATEGY_PRODUCT_CAP}"
+        )
+    cells = spec.size_s * count_a * count_b * spec.size_y
+    if cells > Q_CELL_CAP:
+        raise GuardError(
+            f"channel cell cap: S*A*B*Y = {spec.size_s} * {count_a} * {count_b} * {spec.size_y}"
+            f" = {cells} cells exceed {Q_CELL_CAP}"
         )
 
 
@@ -193,10 +206,7 @@ def induced_strategy_channel(spec: FsMacSpec,
     """
     space_a = enumerate_strategies(spec.size_sa, spec.size_xa, cap=strategy_cap)
     space_b = enumerate_strategies(spec.size_sb, spec.size_xb, cap=strategy_cap)
-    if space_a.count * space_b.count > STRATEGY_PRODUCT_CAP:
-        raise GuardError(
-            f"strategy product cap: {space_a.count} * {space_b.count} pairs exceed {STRATEGY_PRODUCT_CAP}"
-        )
+    _check_channel_size(spec, space_a.count, space_b.count)
     hot_a = space_a.one_hot()  # (ta, oa, xa)
     hot_b = space_b.one_hot()
     q = np.empty((spec.size_s, space_a.count, space_b.count, spec.size_y))

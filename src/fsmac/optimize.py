@@ -20,6 +20,13 @@ in any batch. Rows run in chunks of at most BATCH_CELL_BUDGET cells.
 
 Every restart owns a private random stream and restarts merge by index, so
 results do not depend on how rows are chunked.
+
+The grid oracle is the ascent's independent check and never calls it. As q
+factors through each sender's input law given the state, H(Y | S=s) depends
+on a policy pair only through the senders' marginals in state s: _grid_max
+scores each distinct pair of marginals once per chunk of b-points and gathers
+the pair scores. Its point sets are the strategy grids and, for deterministic
+channels, the collapsed per-symbol grids.
 """
 
 import itertools
@@ -39,6 +46,7 @@ _BACKTRACKS = 40
 _MONOTONE_SLACK = 1e-12
 ORACLE_GRID_CAP = 1 << 16  # grid points per sender the oracle may scan
 ORACLE_PAIR_CAP = 1 << 31  # policy pairs, which set the oracle's time
+ORACLE_CELL_BUDGET = 1 << 21   # float64 cells one chunk of oracle b-points may hold
 DIRECTIONS_CAP = 1 << 12   # region directions, checked before any is allocated
 BATCH_CELL_BUDGET = 1 << 22   # float64 cells one chunk of ascent rows may hold
 
@@ -363,39 +371,33 @@ def _behavioral_grid(obs_size: int, input_size: int, resolution: int) -> np.ndar
     return base[idx]                                   # (g**m, m, x)
 
 
-def _grid_max_deterministic(spec: FsMacSpec, resolution: int) -> float:
-    # Exact fiber collapse: when every strategy-channel row is a point mass
-    # the objective only depends on the per-symbol input marginals, and the
-    # image of the strategy-simplex grid is the full product of per-symbol
-    # grids (integer per-column marginals always lift to an integer table).
-    beh_a = _behavioral_grid(spec.size_sa, spec.size_xa, resolution)
-    beh_b = _behavioral_grid(spec.size_sb, spec.size_xb, resolution)
-    mix_a = np.einsum("so,iox->isx", spec.obs_a, beh_a)     # (i, s, xa)
-    mix_b = np.einsum("so,iox->isx", spec.obs_b, beh_b)
-    t = np.einsum("jsz,sxzy->jsxy", mix_b, spec.channel)    # (j, s, xa, y)
-    best = -np.inf
-    chunk = max(1, int(2**22 // max(1, mix_a.shape[0] * spec.size_s * spec.size_y)))
-    for j0 in range(0, t.shape[0], chunk):
-        tj = t[j0:j0 + chunk]
-        r = np.einsum("isx,jsxy->ijsy", mix_a, tj, optimize=True)
-        values = np.einsum("s,ijs->ij", spec.state_pmf, entropy_rows(r))
-        best = max(best, float(values.max()))
-    return best
+def _grid_max(spec: FsMacSpec, beh_a: np.ndarray, beh_b: np.ndarray, cost=None) -> float:
+    """Max over point pairs (i, j) of sum_s p_s * H(Y | S=s), less cost[0][i] @ cost[1][j].
 
-
-def _grid_max_generic(q: np.ndarray, state_pmf: np.ndarray, resolution: int) -> float:
-    count_a, count_b = q.shape[1], q.shape[2]
-    grid_a = _simplex_grid(count_a, resolution)
-    grid_b = _simplex_grid(count_b, resolution)
-    m = np.einsum("s,sab->ab", state_pmf, entropy_rows(q))
+    beh[i] is a point's per-symbol input law. H(Y | S=s) depends on a pair only
+    through each sender's input marginal in state s, so per state each point is
+    keyed to its distinct marginal. Each chunk of b-points (at most
+    ORACLE_CELL_BUDGET cells) scores the keys it holds with one matmul, then
+    gathers; no full (a keys x b keys) table is ever built.
+    """
+    # per sender, per state: the distinct marginals and each point's key
+    keys = [[np.unique(mix[:, s], axis=0, return_inverse=True) for s in range(spec.size_s)]
+            for mix in (np.einsum("so,iox->isx", spec.obs_a, beh_a),
+                        np.einsum("so,iox->isx", spec.obs_b, beh_b))]
+    widest = max(u.shape[0] for u, _ in keys[0])
+    # per b-point: the values and their gathers over a-points, the output law over a keys
+    chunk = max(1, ORACLE_CELL_BUDGET // (4 * (beh_a.shape[0] + widest * (spec.size_y + 1))))
     best = -np.inf
-    chunk = max(1, int(2**21 // max(1, grid_a.shape[0] * q.shape[0] * q.shape[3])))
-    for j0 in range(0, grid_b.shape[0], chunk):
-        gb = grid_b[j0:j0 + chunk]
-        u = np.einsum("jb,saby->jsay", gb, q)
-        r = np.einsum("ia,jsay->ijsy", grid_a, u, optimize=True)
-        cond = np.einsum("s,ijs->ij", state_pmf, entropy_rows(r))
-        values = cond - grid_a @ m @ gb.T
+    for j0 in range(0, beh_b.shape[0], chunk):
+        values = np.zeros((min(chunk, beh_b.shape[0] - j0), beh_a.shape[0]))   # (b, a)
+        for s, ((ua, ka), (ub, kb)) in enumerate(zip(*keys)):
+            present, local = np.unique(kb[j0:j0 + chunk], return_inverse=True)
+            t = np.einsum("jz,xzy->xyj", ub[present], spec.channel[s])
+            r = (ua @ t.reshape(ua.shape[1], -1)).reshape(ua.shape[0], -1, present.size)
+            table = spec.state_pmf[s] * entropy_rows(r.transpose(2, 0, 1))   # (b key, a key)
+            values += table[local][:, ka]
+        if cost is not None:
+            values -= cost[1][j0:j0 + chunk] @ cost[0].T
         best = max(best, float(values.max()))
     return best
 
@@ -403,12 +405,13 @@ def _grid_max_generic(q: np.ndarray, state_pmf: np.ndarray, resolution: int) -> 
 def grid_oracle_sum_rate(spec: FsMacSpec, chan: StrategyChannel, resolution: int) -> float:
     """Exhaustive maximum of the sum bound over the product of simplex grids.
 
-    Scans every pair of policies whose weights are multiples of 1/resolution.
-    Deterministic strategy channels take an exact collapsed route through
-    per-symbol behavioral marginals, which is the same scan with the fibers
-    of equal objective value deduplicated; everything else is evaluated
-    pairwise. Guards: at most 4 strategies, ORACLE_GRID_CAP grid points per
-    sender and ORACLE_PAIR_CAP pairs, all checked before any grid is built.
+    Scans every pair of policies whose weights are multiples of 1/resolution
+    through one evaluator, _grid_max. Generic channels map the strategy grid to
+    per-symbol behaviors and subtract the table-conditional entropy.
+    Deterministic strategy channels have no such term and scan the product of
+    per-symbol grids instead: the strategy grid's exact image, its fibers of
+    equal value collapsed. Guards: at most 4 strategies, ORACLE_GRID_CAP grid
+    points per sender and ORACLE_PAIR_CAP pairs, all checked before any grid is built.
     """
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
@@ -435,8 +438,13 @@ def grid_oracle_sum_rate(spec: FsMacSpec, chan: StrategyChannel, resolution: int
             f"resolution {resolution} exceed {ORACLE_PAIR_CAP}"
         )
     if deterministic:
-        return _grid_max_deterministic(spec, resolution)
-    return _grid_max_generic(chan.q, spec.state_pmf, resolution)
+        return _grid_max(spec, _behavioral_grid(spec.size_sa, spec.size_xa, resolution),
+                         _behavioral_grid(spec.size_sb, spec.size_xb, resolution))
+    grid_a = _simplex_grid(chan.space_a.count, resolution)
+    grid_b = _simplex_grid(chan.space_b.count, resolution)
+    m = np.einsum("s,sab->ab", spec.state_pmf, entropy_rows(chan.q))
+    return _grid_max(spec, np.einsum("ia,aox->iox", grid_a, chan.space_a.one_hot()),
+                     np.einsum("ib,box->iox", grid_b, chan.space_b.one_hot()), (grid_a @ m, grid_b))
 
 
 def pentagon_support(pent: RatePentagon, direction) -> tuple:

@@ -25,6 +25,9 @@ PENTAGON_SLACK = 1e-9
 def _check_pmf(vec: np.ndarray, name: str) -> None:
     if vec.ndim != 1:
         raise ValidationError(f"{name}: must be one-dimensional")
+    bad = np.flatnonzero(~np.isfinite(vec))
+    if bad.size:
+        raise ValidationError(f"{name}: entry {int(bad[0])} is not finite")
     neg = np.argwhere(vec < 0)
     if neg.size:
         raise ValidationError(f"{name}: entry {int(neg[0][0])} is negative")

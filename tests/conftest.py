@@ -30,6 +30,33 @@ def random_spec(rng, sizes=None) -> FsMacSpec:
     return spec_from_dict(doc)
 
 
+def one_hot_rows(rng, shape):
+    """Random deterministic array: every trailing-axis row is a point mass."""
+    return np.eye(shape[-1])[rng.integers(0, shape[-1], size=shape[:-1])]
+
+
+def random_deterministic_spec(rng, sizes=None) -> FsMacSpec:
+    """random_spec with one-hot observation and channel rows, so every
+    strategy-channel row is a point mass; the state pmf stays random."""
+    spec = random_spec(rng, sizes)
+    return spec_with(spec, obs_a=one_hot_rows(rng, spec.obs_a.shape),
+                     obs_b=one_hot_rows(rng, spec.obs_b.shape),
+                     channel=one_hot_rows(rng, spec.channel.shape))
+
+
+def oversized_channel_doc() -> dict:
+    """A spec document of a few kB whose strategy channel q would not fit:
+    4096 x 2048 strategy pairs pass the pair cap, but S*A*B*Y is 2**31 cells."""
+    sizes = {"xa": 2, "xb": 2, "s": 16, "sa": 12, "sb": 11, "y": 16}
+    return {
+        "alphabets": sizes,
+        "state_pmf": np.full(16, 1 / 16).tolist(),
+        "obs_a": np.full((16, 12), 1 / 12).tolist(),
+        "obs_b": np.full((16, 11), 1 / 11).tolist(),
+        "channel": np.full((16, 2, 2, 16), 1 / 16).tolist(),
+    }
+
+
 def spec_with(spec: FsMacSpec, **overrides) -> FsMacSpec:
     """Rebuild a spec with some arrays replaced, revalidating everything."""
     doc = {

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fsmac.cli as cli
+from conftest import oversized_channel_doc
 from fsmac.examples import spec_path
 
 MOD2 = str(spec_path("mod2-adder-noiseless"))
@@ -74,6 +75,20 @@ def test_validate_strategy_cap_exit1(capsys):
     rc, _, err = run(capsys, "validate", "--spec", MOD2, "--strategy-cap", "3")
     assert rc == 1
     assert "cap" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "sumrate"])
+def test_oversized_channel_exit1_before_building_it(tmp_path, capsys, monkeypatch, command):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(oversized_channel_doc()))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("strategy channel built before the guard")
+
+    monkeypatch.setattr(cli, "induced_strategy_channel", refuse)
+    rc, _, err = run(capsys, command, "--spec", str(path))
+    assert rc == 1
+    assert "channel cell cap" in err and "2147483648 cells" in err
 
 
 # --- sumrate ----------------------------------------------------------------

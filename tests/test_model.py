@@ -1,12 +1,14 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import dirichlet_rows, random_spec, spec_with
+from conftest import dirichlet_rows, oversized_channel_doc, random_spec, spec_with
 from fsmac import examples
 from fsmac.errors import GuardError, SpecFormatError, ValidationError
 from fsmac.model import (
+    FsMacSpec,
     induced_strategy_channel,
     load_spec,
     spec_from_dict,
@@ -205,3 +207,25 @@ def test_strategy_cap_guards(rng):
             "channel": dirichlet_rows(gen, (1, 4, 4, 2)).tolist(),
         })
     del big
+
+
+def test_channel_cell_guard_counts_before_any_array():
+    # 4096 x 2048 strategy pairs pass the pair cap, but q would be 2**31 cells (17 GB)
+    doc = oversized_channel_doc()
+    with pytest.raises(GuardError, match=r"channel cell cap: .* = 2147483648 cells exceed 16777216"):
+        spec_from_dict(doc)
+    # a spec built directly skips validation; the channel builder refuses it too
+    sizes = doc["alphabets"]
+    spec = FsMacSpec(
+        size_xa=sizes["xa"], size_xb=sizes["xb"], size_s=sizes["s"],
+        size_sa=sizes["sa"], size_sb=sizes["sb"], size_y=sizes["y"],
+        **{key: np.asarray(doc[key]) for key in ("state_pmf", "obs_a", "obs_b", "channel")},
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardError, match="2147483648 cells"):
+            induced_strategy_channel(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20   # the strategy tables only, nothing of q's size

@@ -23,18 +23,18 @@ from fsmac.optimize import (
     RateRegion,
     _behavioral_grid,
     _compositions,
-    _grid_max_deterministic,
-    _grid_max_generic,
+    _grid_max,
     _Objective,
+    _simplex_grid,
     convex_hull_2d,
     grid_oracle_sum_rate,
     inner_bound_region,
     maximize_sum_rate,
     pentagon_support,
 )
-from fsmac.rates import RatePentagon, TeamPolicy, joint_law, pentagon
+from fsmac.rates import RatePentagon, TeamPolicy, entropy_rows, joint_law, pentagon
 
-from conftest import random_spec
+from conftest import random_deterministic_spec, random_spec
 
 
 # ---------------------------------------------------------------- building blocks
@@ -251,13 +251,72 @@ def test_maximize_is_deterministic_and_chunk_invariant(monkeypatch):
 # ---------------------------------------------------------------- grid oracle
 
 def test_grid_oracle_paths_agree_on_deterministic_channel():
-    # the collapsed route must equal the literal pair scan wherever both run
+    # through the one evaluator, the collapsed point set must give the same
+    # maximum as the strategy-grid point set, linear term included
     spec = load("mod2-adder-noiseless")
     chan = induced_strategy_channel(spec)
-    collapsed = _grid_max_deterministic(spec, 6)
-    literal = _grid_max_generic(chan.q, spec.state_pmf, 6)
+    collapsed = _grid_max(spec, _behavioral_grid(spec.size_sa, spec.size_xa, 6),
+                          _behavioral_grid(spec.size_sb, spec.size_xb, 6))
+    grid_a, grid_b = _simplex_grid(chan.space_a.count, 6), _simplex_grid(chan.space_b.count, 6)
+    m = np.einsum("s,sab->ab", spec.state_pmf, entropy_rows(chan.q))
+    literal = _grid_max(spec, np.einsum("ia,aox->iox", grid_a, chan.space_a.one_hot()),
+                        np.einsum("ib,box->iox", grid_b, chan.space_b.one_hot()),
+                        (grid_a @ m, grid_b))
     assert collapsed == pytest.approx(literal, abs=1e-12)
     assert grid_oracle_sum_rate(spec, chan, 6) == pytest.approx(collapsed, abs=0)
+
+
+def _literal_grid_max(spec, chan, resolution):
+    """The oracle's definition, pair by pair: the best pentagon sum bound over
+    the product of strategy simplex grids."""
+    return max(pentagon(joint_law(spec, chan, TeamPolicy(pi_a=pa, pi_b=pb))).bound_sum
+               for pa in _simplex_grid(chan.space_a.count, resolution)
+               for pb in _simplex_grid(chan.space_b.count, resolution))
+
+
+ORACLE_SIZES = (
+    dict(xa=2, xb=2, s=2, sa=2, sb=2, y=2),
+    dict(xa=2, xb=3, s=3, sa=2, sb=1, y=3),
+    dict(xa=4, xb=2, s=2, sa=1, sb=1, y=3),
+    dict(xa=3, xb=2, s=3, sa=1, sb=2, y=2),
+)
+
+
+@pytest.mark.parametrize("draw", [random_spec, random_deterministic_spec])
+def test_grid_oracle_matches_literal_pentagon_scan(draw):
+    rng = np.random.default_rng(606)
+    for sizes in ORACLE_SIZES:
+        spec = draw(rng, sizes=sizes)
+        chan = induced_strategy_channel(spec)
+        deterministic = bool(np.all(chan.q.max(axis=-1) == 1.0))
+        assert deterministic == (draw is random_deterministic_spec)
+        for resolution in (2, 3, 4):
+            assert grid_oracle_sum_rate(spec, chan, resolution) == pytest.approx(
+                _literal_grid_max(spec, chan, resolution), abs=1e-12), (sizes, resolution)
+
+
+def test_grid_oracle_memory_stays_within_chunk_budget(monkeypatch):
+    # 4 strategies per sender at resolution 20 is 1771 points each; with one
+    # observation symbol every point has its own marginal, so a full (a keys x
+    # b keys) entropy table would hold 3.1e6 cells (25 MB), its output law twice that
+    spec = random_spec(np.random.default_rng(5), sizes=dict(xa=4, xb=4, s=2, sa=1, sb=1, y=2))
+    chan = induced_strategy_channel(spec)
+    grid = _simplex_grid(chan.space_a.count, 20)
+    beh = np.einsum("ia,aox->iox", grid, chan.space_a.one_hot())
+    marginals = np.einsum("so,iox->isx", spec.obs_a, beh)
+    assert all(np.unique(marginals[:, s], axis=0).shape[0] == grid.shape[0] == 1771
+               for s in range(spec.size_s))
+    expected = grid_oracle_sum_rate(spec, chan, 20)
+    budget = 1 << 16
+    monkeypatch.setattr(optimize, "ORACLE_CELL_BUDGET", budget)
+    tracemalloc.start()
+    try:
+        value = grid_oracle_sum_rate(spec, chan, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(expected, abs=1e-12)
+    assert peak <= 4 * 8 * budget, peak
 
 
 def test_grid_oracle_never_beats_ascent():
@@ -320,8 +379,7 @@ def test_grid_oracle_pair_guard_fires_before_any_grid(monkeypatch):
     def refuse(*args):
         raise AssertionError("grid built before the guard")
 
-    for builder in ("_compositions", "_simplex_grid", "_behavioral_grid",
-                    "_grid_max_generic", "_grid_max_deterministic"):
+    for builder in ("_compositions", "_simplex_grid", "_behavioral_grid", "_grid_max"):
         monkeypatch.setattr(optimize, builder, refuse)
     with pytest.raises(GuardError, match="pair guard: 64824 x 64824 policy pairs"):
         grid_oracle_sum_rate(spec, chan, 71)

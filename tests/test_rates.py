@@ -216,3 +216,7 @@ def test_policy_loading(tmp_path):
     path.write_text(json.dumps({"pi_a": [0.5, 0.6], "pi_b": [1.0]}))
     with pytest.raises(ValidationError, match="pi_a"):
         load_policy(path)
+    # abs(nan - 1) > atol is False, so the sum test alone would let NaN through
+    path.write_text(json.dumps({"pi_a": [float("nan"), 1.0], "pi_b": [1.0]}))
+    with pytest.raises(ValidationError, match="pi_a: entry 0 is not finite"):
+        load_policy(path)
