@@ -34,14 +34,15 @@ from .optimize import (
     maximize_sum_rate,
 )
 from .rates import load_policy
-from .rng import ROLE_ENCODER, stream
+from .rng import ROLE_ENCODER, check_seed, stream
 
 # Exit 3 when a random code's letter law strays further than this from the
 # factorized form; anything above it means the reduction itself is broken.
 CONVERSE_TOL = 1e-9
 
-# --threads and FSMAC_THREADS must lie in [1, THREADS_CAP]: every worker is an
-# OS thread, and the simulator's pool would otherwise start one per trial.
+# --threads and FSMAC_THREADS must lie in [1, THREADS_CAP]. They change
+# nothing: restarts, directions and trials all run as rows of arrays in one
+# thread. The range check stays so that scripts passing them keep working.
 THREADS_CAP = 64
 
 
@@ -72,11 +73,11 @@ def _num(value) -> str:
     return format(float(value), ".17g")
 
 
-def _resolve_threads(args) -> int:
+def _check_threads(args) -> None:
     if args.threads is not None:
         if not 1 <= args.threads <= THREADS_CAP:
             raise ValueError(f"threads must be in [1, {THREADS_CAP}], got {args.threads}")
-        return args.threads
+        return
     raw = os.environ.get("FSMAC_THREADS", "1")
     try:
         threads = int(raw)
@@ -84,10 +85,9 @@ def _resolve_threads(args) -> int:
         threads = 0
     if not 1 <= threads <= THREADS_CAP:
         raise ValueError(f"FSMAC_THREADS must be an integer in [1, {THREADS_CAP}], got {raw!r}")
-    return threads
 
 
-def _validate(args, spec, chan, threads):
+def _validate(args, spec, chan):
     count_a = spec.size_xa ** spec.size_sa
     count_b = spec.size_xb ** spec.size_sb
     payload = {
@@ -101,7 +101,7 @@ def _validate(args, spec, chan, threads):
     return payload, f"{args.spec}: ok ({count_a} x {count_b} strategy pairs)", 0
 
 
-def _sumrate(args, spec, chan, threads):
+def _sumrate(args, spec, chan):
     cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     result = maximize_sum_rate(spec, chan, cfg)
     payload = {
@@ -118,7 +118,7 @@ def _sumrate(args, spec, chan, threads):
     return payload, f"C_sum = {result.value:.6f} bits", 0
 
 
-def _region(args, spec, chan, threads):
+def _region(args, spec, chan):
     cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     region = inner_bound_region(spec, chan, cfg, directions=args.directions)
     outer = region.outer_sum
@@ -160,7 +160,7 @@ def _report_dict(rep) -> dict:
     }
 
 
-def _simulate(args, spec, chan, threads):
+def _simulate(args, spec, chan):
     # configs first: their guards reject bad rates before any optimization
     configs = [SimConfig(blocklength=n, rate_a=args.ra, rate_b=args.rb,
                          epsilon=args.eps, trials=args.trials,
@@ -171,7 +171,7 @@ def _simulate(args, spec, chan, threads):
         # No policy file: simulate the optimized sum-rate policy.
         opt = maximize_sum_rate(spec, chan, OptimizerConfig(seed=args.seed))
         policy = opt.policy
-    reports = [estimate_error(spec, chan, policy, cfg, threads=threads) for cfg in configs]
+    reports = [estimate_error(spec, chan, policy, cfg) for cfg in configs]
 
     if args.csv is not None:
         _write_csv(args.csv,
@@ -190,7 +190,7 @@ def _simulate(args, spec, chan, threads):
     return {"reports": [_report_dict(rep) for rep in reports]}, summary, 0
 
 
-def _verify_converse(args, spec, chan, threads):
+def _verify_converse(args, spec, chan):
     worst = 0.0
     worst_t, worst_sigma = 1, ""
     for trial in range(args.trials):
@@ -215,7 +215,7 @@ def _verify_converse(args, spec, chan, threads):
 
 @dataclass(frozen=True)
 class _Command:
-    handler: Callable      # (args, spec, chan, threads) -> (payload, summary, exit code)
+    handler: Callable      # (args, spec, chan) -> (payload, summary, exit code)
     echo: tuple            # option names copied into manifest.options
     channel: bool = True   # False keeps validate O(spec): no strategy enumeration
     seeded: bool = True    # False reports seed 0 whatever --seed says
@@ -240,15 +240,18 @@ def _run(args) -> int:
     started = time.monotonic()
     started_utc = datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     # only sumrate, region and simulate have --threads; bad counts fail
-    # before the spec is read. Only simulate's trial pool uses it: sumrate
-    # and region climb every restart as one batch in this thread.
-    threads = _resolve_threads(args) if hasattr(args, "threads") else 1
+    # before the spec is read, though no command runs more than one thread.
+    # Bad seeds fail here too, before any restart, trial or encoder draws.
+    if hasattr(args, "threads"):
+        _check_threads(args)
+    if cmd.seeded:
+        check_seed(args.seed)
     spec = load_spec(args.spec, strategy_cap=args.strategy_cap)
     chan = (induced_strategy_channel(spec, strategy_cap=args.strategy_cap)
             if cmd.channel else None)
-    payload, summary, code = cmd.handler(args, spec, chan, threads)
-    # Thread count is deliberately absent from the options echo: results are
-    # merged by work-item index, so payload bytes must not depend on it.
+    payload, summary, code = cmd.handler(args, spec, chan)
+    # Thread count is deliberately absent from the options echo: it changes
+    # nothing, so payload bytes must not depend on it.
     payload["manifest"] = {
         "command": args.command,
         "spec_path": args.spec,
@@ -289,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--threads", type=int, default=None,
-                   help="accepted and checked like simulate's; the restarts "
-                        "run as one batch in one thread")
+                   help="accepted and checked, in [1, 64]; changes nothing: "
+                        "the restarts run as one batch in one thread")
     p.add_argument("--resolution", type=int, default=None,
                    help="also run the grid oracle at this resolution")
 
@@ -299,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--directions", type=int, default=33)
     p.add_argument("--threads", type=int, default=None,
-                   help="accepted and checked like simulate's; the restarts "
-                        "run as one batch in one thread")
+                   help="accepted and checked, in [1, 64]; changes nothing: "
+                        "the restarts run as one batch in one thread")
     p.add_argument("--csv", default=None,
                    help="also write the per-direction pentagon table here")
 
@@ -317,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--decoder", choices=DECODERS, default="typicality")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for the trials (default: FSMAC_THREADS or 1)")
+                   help="accepted and checked, in [1, 64] (default: FSMAC_THREADS "
+                        "or 1); changes nothing: the trials run as rows of "
+                        "chunks in one thread")
     p.add_argument("--csv", default=None, help="write the per-n sweep table here")
 
     p = sub.add_parser("verify-converse",

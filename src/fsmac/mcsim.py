@@ -16,14 +16,17 @@ as the definition, so a score does not depend on which stage computes it.
 The listed pairs are gathered one letter at a time, so no stage holds an
 array of pairs by letters.
 
-Randomness discipline: the codebooks and every trial own counter-based
-streams keyed by (seed, item, role), so results are bit-identical for any
-thread count and any execution order.
+Trials run as rows of chunks. Each trial draws its codebooks, states,
+messages and output uniforms from its own counter-based streams keyed by
+(seed, item, role). The channel outputs and every filter except the
+full-law block are then computed once per chunk, and the listed subsets
+score one survivor list that spans the chunk's trials. Scores are
+bit-identical to a trial decoded alone, so results depend on neither the
+chunk size nor ``--threads``, which changes nothing.
 """
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +39,10 @@ from .rng import ROLE_CODEBOOKS, ROLE_TRIAL, stream
 MESSAGE_CAP = 1 << 20
 PAIR_CAP = 1 << 20
 CODEBOOK_CELL_CAP = 1 << 24   # blocklength * (messages_a + messages_b)
-TRIAL_CAP = 1 << 20           # estimate_error submits every trial up front
+TRIAL_CAP = 1 << 20           # a run's time: each trial draws two streams and a codebook pair
+# Cells of codebooks and letters one chunk of trials holds; a chunk's message
+# pairs are held to PAIR_CAP, the most one trial may have.
+TRIAL_CELL_BUDGET = 1 << 16
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
 DECODERS = ("typicality", "max_likelihood")
@@ -45,6 +51,8 @@ OUTCOME_OK = "ok"
 OUTCOME_NO_TYPICAL = "no_typical"
 OUTCOME_AMBIGUOUS = "ambiguous"
 OUTCOME_WRONG = "wrong_single"
+# indexed by outcome code: surviving pairs capped at 2, plus 2 for one wrong pair
+OUTCOMES = (OUTCOME_NO_TYPICAL, OUTCOME_OK, OUTCOME_AMBIGUOUS, OUTCOME_WRONG)
 
 
 def _message_count(blocklength: int, rate: float) -> int:
@@ -224,7 +232,7 @@ def _single_side_scores(ctx, combo, s_seq, y_seq, ids):
     index = tuple(
         {0: s_seq, 3: y_seq}.get(axis, ids) for axis in combo
     )
-    return log_t[index].mean(axis=-1)        # (messages,)
+    return log_t[index].mean(axis=-1)        # (trials, messages)
 
 
 def _letter_axes(log_t, combo, s_seq, y_seq):
@@ -255,120 +263,183 @@ def _pair_scores(log_t, combo, s_seq, y_seq, ids_a, ids_b) -> np.ndarray:
     return acc / n
 
 
-def _listed_scores(ctx, combos, s_seq, y_seq, ids_a, ids_b, rows, cols) -> list:
-    """Mean log-likelihoods of the pairs (rows[k], cols[k]), one array per
-    subset, each summed in t order."""
-    axes = [_letter_axes(ctx.tables[combo][0], combo, s_seq, y_seq) for combo in combos]
-    accs = [np.zeros(rows.size) for _ in combos]
-    for t in range(s_seq.size):
-        ia, ib = ids_a[rows, t], ids_b[cols, t]
-        for acc, (full, s_idx, y_idx) in zip(accs, axes):
-            acc += full[s_idx[t], ia, ib, y_idx[t]]
-    return [acc / s_seq.size for acc in accs]
+def _listed_scores(ctx, combos, s_seq, y_seq, ids_a, ids_b, trial, rows, cols) -> list:
+    """Mean log-likelihoods of the pairs (rows[k], cols[k]) of the chunk's
+    trials trial[k], one array per subset, each summed in t order."""
+    n = s_seq.shape[1]
+    # flat codebook rows, so one letter's gather takes one index array per sender
+    flat_a, flat_b = ids_a.reshape(-1, n), ids_b.reshape(-1, n)
+    at_a, at_b = trial * ids_a.shape[1] + rows, trial * ids_b.shape[1] + cols
+    axes = [(_letter_axes(ctx.tables[combo][0], combo, s_seq, y_seq)[0],
+             0 in combo, 3 in combo) for combo in combos]
+    accs = [np.zeros(trial.size) for _ in combos]
+    for t in range(n):
+        ia, ib = flat_a[at_a, t], flat_b[at_b, t]
+        s_t, y_t = s_seq[trial, t], y_seq[trial, t]
+        for acc, (full, has_s, has_y) in zip(accs, axes):
+            acc += full[s_t if has_s else 0, ia, ib, y_t if has_y else 0]
+    return [acc / n for acc in accs]
 
 
-def _typical_pairs(ctx: _DecodeContext, books: Codebooks, s_seq, y_seq,
-                   epsilon: float) -> tuple:
-    """The jointly typical candidates as (rows, cols) message index arrays,
-    in row-major order."""
-    ids_a, ids_b = books.ids_a, books.ids_b
-    none = (np.zeros(0, dtype=np.intp),) * 2
+def _concat(found) -> tuple:
+    """Per-trial (trial, rows, cols) pieces joined into one survivor list."""
+    if not found:
+        return (np.zeros(0, dtype=np.intp),) * 3
+    return tuple(np.concatenate(part) for part in zip(*found))
 
+
+def _typical_survivors(ctx: _DecodeContext, ids_a, ids_b, s_seq, y_seq,
+                       epsilon: float) -> tuple:
+    """The jointly typical candidates of a chunk of trials as (trial, row,
+    col) index arrays, in trial order and row-major within a trial.
+
+    Codebooks are (trials, messages, n) and letters (trials, n). The state,
+    output and single-sender filters score the whole chunk at once; the
+    full-law block is scored per trial; the listed subsets score one
+    flattened survivor list."""
     def passes(combo, score):
         return np.abs(-score - ctx.tables[combo][1]) < epsilon
 
     def survivors(combos, ids):
-        ok = np.ones(ids.shape[0], dtype=bool)
+        ok = np.ones(ids.shape[:2], dtype=bool)
         for combo in combos:
-            ok &= passes(combo, _single_side_scores(ctx, combo, s_seq, y_seq, ids))
-        return np.flatnonzero(ok)
+            ok &= passes(combo, _single_side_scores(ctx, combo, s_seq[:, None],
+                                                    y_seq[:, None], ids))
+        return ok
 
+    live = np.ones(s_seq.shape[0], dtype=bool)
     for combo in [(0,), (3,), (0, 3)]:
         index = tuple({0: s_seq, 3: y_seq}[axis] for axis in combo)
-        if not passes(combo, ctx.tables[combo][0][index].mean()):
-            return none
-    rows = survivors([(1,), (0, 1), (1, 3), (0, 1, 3)], ids_a)
-    cols = survivors([(2,), (0, 2), (2, 3), (0, 2, 3)], ids_b)
-    if rows.size == 0 or cols.size == 0:
-        return none
+        live &= passes(combo, ctx.tables[combo][0][index].mean(axis=-1))
+    ok_a = survivors([(1,), (0, 1), (1, 3), (0, 1, 3)], ids_a)
+    ok_b = survivors([(2,), (0, 2), (2, 3), (0, 2, 3)], ids_b)
     full = (0, 1, 2, 3)
-    # the surviving codebook rows are copied once; the copy is at most the codebook
-    keep_a, keep_b = np.nonzero(passes(full, _pair_scores(
-        ctx.tables[full][0], full, s_seq, y_seq, ids_a[rows], ids_b[cols])))
-    rows, cols = rows[keep_a], cols[keep_b]
+    found = []
+    for k in np.flatnonzero(live & ok_a.any(axis=1) & ok_b.any(axis=1)):
+        rows, cols = np.flatnonzero(ok_a[k]), np.flatnonzero(ok_b[k])
+        # the surviving codebook rows are copied once; the copy is at most the codebook
+        keep_a, keep_b = np.nonzero(passes(full, _pair_scores(
+            ctx.tables[full][0], full, s_seq[k], y_seq[k], ids_a[k, rows], ids_b[k, cols])))
+        found.append((np.full(keep_a.size, k), rows[keep_a], cols[keep_b]))
+    trial, rows, cols = _concat(found)
     listed = [(1, 2, 3), (0, 1, 2), (1, 2)]
-    scores = _listed_scores(ctx, listed, s_seq, y_seq, ids_a, ids_b, rows, cols)
+    scores = _listed_scores(ctx, listed, s_seq, y_seq, ids_a, ids_b, trial, rows, cols)
     keep = np.logical_and.reduce([passes(c, score) for c, score in zip(listed, scores)])
-    return rows[keep], cols[keep]
+    return trial[keep], rows[keep], cols[keep]
 
 
-def _classify(rows, cols, truth) -> tuple:
-    if rows.size == 0:
-        return OUTCOME_NO_TYPICAL, None
-    if rows.size > 1:
-        return OUTCOME_AMBIGUOUS, None
-    decoded = (int(rows[0]), int(cols[0]))
-    if decoded != truth:
-        return OUTCOME_WRONG, decoded
-    return OUTCOME_OK, decoded
+def _ml_survivors(ctx: _DecodeContext, ids_a, ids_b, s_seq, y_seq) -> tuple:
+    """Every trial's maximum-likelihood pairs, as _typical_survivors lists them."""
+    found = []
+    for k in range(s_seq.shape[0]):
+        scores = _pair_scores(ctx.logq, (0, 1, 2, 3), s_seq[k], y_seq[k],
+                              ids_a[k], ids_b[k])
+        rows, cols = np.nonzero(scores == scores.max())
+        if rows.size == 0:
+            raise AssertionError("ML always has at least one argmax")
+        found.append((np.full(rows.size, k), rows, cols))
+    return _concat(found)
 
 
-def _run_trial(ctx: _DecodeContext, books: Codebooks, cfg: SimConfig,
-               rng: np.random.Generator) -> TrialOutcome:
+def _classify(trial, rows, cols, wa, wb) -> tuple:
+    """Each trial's outcome, as an index into OUTCOMES, and its decoded pair
+    (-1, -1 unless exactly one pair survived), from the chunk's survivors."""
+    count = np.bincount(trial, minlength=wa.size)
+    first = np.cumsum(count) - count  # survivors come in trial order
+    one = count == 1
+    decoded = np.full((wa.size, 2), -1, dtype=np.intp)
+    decoded[one, 0], decoded[one, 1] = rows[first[one]], cols[first[one]]
+    wrong = one & ((decoded[:, 0] != wa) | (decoded[:, 1] != wb))
+    return np.minimum(count, 2) + 2 * wrong, decoded
+
+
+def _draw_trial(ctx: _DecodeContext, cfg: SimConfig, rng: np.random.Generator) -> tuple:
+    """One trial's states, messages and output uniforms, in stream order."""
     n = cfg.blocklength
     s_seq = rng.choice(ctx.state_pmf.size, size=n, p=ctx.state_pmf)
-    wa = int(rng.integers(cfg.messages_a))
-    wb = int(rng.integers(cfg.messages_b))
-    a_true = books.ids_a[wa]
-    b_true = books.ids_b[wb]
-    probs = ctx.q[s_seq, a_true, b_true]            # (n, Y)
-    edges = probs.cumsum(axis=1)
-    edges[:, -1] = 1.0  # rounding must not leave a dead zone above the last bin
-    y_seq = (rng.random(n)[:, None] < edges).argmax(axis=1)
-    truth = (wa, wb)
+    wa = rng.integers(cfg.messages_a)
+    wb = rng.integers(cfg.messages_b)
+    return s_seq, wa, wb, rng.random(n)
+
+
+def _decode_chunk(ctx: _DecodeContext, cfg: SimConfig, ids_a, ids_b, s_seq,
+                  wa, wb, uniforms) -> tuple:
+    """Outcome codes, decoded pairs and output sequences of a chunk of trials
+    from their draws: codebooks (trials, messages, n), states and uniforms
+    (trials, n), messages (trials,)."""
+    k = np.arange(wa.size)
+    probs = ctx.q[s_seq, ids_a[k, wa], ids_b[k, wb]]   # (trials, n, Y)
+    edges = probs.cumsum(axis=-1)
+    edges[..., -1] = 1.0  # rounding must not leave a dead zone above the last bin
+    y_seq = (uniforms[..., None] < edges).argmax(axis=-1)
     if cfg.decoder == "typicality":
-        rows, cols = _typical_pairs(ctx, books, s_seq, y_seq, cfg.epsilon)
-        outcome, decoded = _classify(rows, cols, truth)
+        found = _typical_survivors(ctx, ids_a, ids_b, s_seq, y_seq, cfg.epsilon)
     else:
-        scores = _pair_scores(ctx.logq, (0, 1, 2, 3), s_seq, y_seq,
-                              books.ids_a, books.ids_b)
-        outcome, decoded = _classify(*np.nonzero(scores == scores.max()), truth)
-        if outcome == OUTCOME_NO_TYPICAL:
-            raise AssertionError("ML always has at least one argmax")
-    return TrialOutcome(outcome=outcome, truth=truth, decoded=decoded,
-                        s_seq=s_seq, y_seq=y_seq)
+        found = _ml_survivors(ctx, ids_a, ids_b, s_seq, y_seq)
+    codes, decoded = _classify(*found, wa, wb)
+    return codes, decoded, y_seq
 
 
 def run_trial(spec: FsMacSpec, chan: StrategyChannel, books: Codebooks,
               cfg: SimConfig, rng: np.random.Generator) -> TrialOutcome:
-    """One trial of a fixed codebook pair; estimate_error redraws codebooks."""
-    return _run_trial(_DecodeContext(spec, chan, books.policy), books, cfg, rng)
+    """One trial of a fixed codebook pair, decoded as a chunk of one;
+    estimate_error redraws codebooks."""
+    ctx = _DecodeContext(spec, chan, books.policy)
+    s_seq, wa, wb, uniforms = _draw_trial(ctx, cfg, rng)
+    codes, decoded, y_seq = _decode_chunk(
+        ctx, cfg, books.ids_a[None], books.ids_b[None], s_seq[None],
+        np.array([wa]), np.array([wb]), uniforms[None])
+    pair = (int(decoded[0, 0]), int(decoded[0, 1]))
+    return TrialOutcome(outcome=OUTCOMES[codes[0]], truth=(int(wa), int(wb)),
+                        decoded=None if pair[0] < 0 else pair,
+                        s_seq=s_seq, y_seq=y_seq[0])
+
+
+def _trial_cells(spec: FsMacSpec, cfg: SimConfig) -> int:
+    """Cells one trial adds to a chunk: its codebooks and its letters
+    (states, uniforms, outputs and their per-letter pmfs)."""
+    n, ma, mb = cfg.blocklength, cfg.messages_a, cfg.messages_b
+    return n * (ma + mb + 3 + spec.size_y)
+
+
+def _chunk_trials(spec: FsMacSpec, cfg: SimConfig) -> int:
+    """Trials per chunk: as many as TRIAL_CELL_BUDGET cells hold, with at
+    most PAIR_CAP message pairs in all, so a chunk's survivor lists never
+    outgrow the largest pair block one trial may score; at least one."""
+    pairs = cfg.messages_a * cfg.messages_b
+    return max(1, min(TRIAL_CELL_BUDGET // _trial_cells(spec, cfg), PAIR_CAP // pairs))
 
 
 def estimate_error(spec: FsMacSpec, chan: StrategyChannel, policy: TeamPolicy,
-                   cfg: SimConfig, threads: int = 1) -> SimReport:
+                   cfg: SimConfig) -> SimReport:
     """Monte Carlo block-error estimate with a Wilson 95% interval.
 
     Every trial draws a fresh codebook pair, so the estimate targets the
     random-coding ensemble average rather than the error of one lucky or
     unlucky code (use run_trial in a loop to study a fixed code).
+
+    Trials decode as rows of chunks (see _chunk_trials). Each trial draws
+    from its own streams and its scores do not depend on its chunk, so the
+    outcome counts do not depend on the chunk size.
     """
     ctx = _DecodeContext(spec, chan, policy)
-
-    def one(trial: int) -> str:
-        books = generate_codebooks(policy, cfg,
-                                   stream(cfg.seed, trial, ROLE_CODEBOOKS))
-        return _run_trial(ctx, books, cfg,
-                          stream(cfg.seed, trial, ROLE_TRIAL)).outcome
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, range(cfg.trials)))
-    else:
-        outcomes = [one(t) for t in range(cfg.trials)]
-    no_typical = outcomes.count(OUTCOME_NO_TYPICAL)
-    ambiguous = outcomes.count(OUTCOME_AMBIGUOUS)
-    wrong = outcomes.count(OUTCOME_WRONG)
+    size = _chunk_trials(spec, cfg)
+    counts = np.zeros(len(OUTCOMES), dtype=np.int64)
+    for start in range(0, cfg.trials, size):
+        # the draws go straight into chunk arrays, so no trial's objects outlive it
+        count, n = min(size, cfg.trials - start), cfg.blocklength
+        ids_a = np.empty((count, cfg.messages_a, n), dtype=np.intp)
+        ids_b = np.empty((count, cfg.messages_b, n), dtype=np.intp)
+        s_seq, uniforms = np.empty((count, n), dtype=np.intp), np.empty((count, n))
+        wa, wb = np.empty(count, dtype=np.intp), np.empty(count, dtype=np.intp)
+        for j, item in enumerate(range(start, start + count)):
+            books = generate_codebooks(policy, cfg, stream(cfg.seed, item, ROLE_CODEBOOKS))
+            ids_a[j], ids_b[j] = books.ids_a, books.ids_b
+            s_seq[j], wa[j], wb[j], uniforms[j] = _draw_trial(
+                ctx, cfg, stream(cfg.seed, item, ROLE_TRIAL))
+        codes, _, _ = _decode_chunk(ctx, cfg, ids_a, ids_b, s_seq, wa, wb, uniforms)
+        counts += np.bincount(codes, minlength=len(OUTCOMES))
+    no_typical, _, ambiguous, wrong = (int(c) for c in counts)
     errors = no_typical + ambiguous + wrong
     low, high = wilson_interval(errors, cfg.trials)
     return SimReport(config=cfg, trials=cfg.trials, errors=errors,

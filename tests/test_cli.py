@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -379,3 +380,34 @@ def test_verify_converse_seed_changes_codes(capsys):
                      "--n", "3", "--trials", "3", "--seed", "7")
     assert rc == 0
     assert payload_of(out)["max_deviation"] < 1e-12
+
+
+# --- seeds ------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", [
+    ["sumrate"],
+    ["region", "--out", "hull.csv"],
+    ["simulate", "--n", "4", "--ra", "0.2", "--rb", "0.2"],
+    ["verify-converse"],
+])
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_seed_out_of_range_exit1_before_any_draw(capsys, monkeypatch, command, seed):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work drawn from a seed outside [0, 2**64)")
+
+    for name in ("maximize_sum_rate", "inner_bound_region", "estimate_error",
+                 "random_encoders", "load_spec"):
+        monkeypatch.setattr(cli, name, refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, *command, "--spec", MOD2, "--seed", str(seed))
+    assert rc == 1
+    assert out == ""
+    assert f"seed must be in [0, 2**64), got {seed}" in err
+
+
+def test_largest_seed_runs(capsys):
+    rc, out, _ = run(capsys, "verify-converse", "--spec", MOD2, "--n", "2",
+                     "--trials", "2", "--seed", str(2**64 - 1))
+    assert rc == 0
+    assert payload_of(out)["manifest"]["seed"] == 2**64 - 1

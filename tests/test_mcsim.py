@@ -22,7 +22,8 @@ from fsmac.mcsim import (
     _DecodeContext,
     _listed_scores,
     _pair_scores,
-    _typical_pairs,
+    _single_side_scores,
+    _typical_survivors,
     estimate_error,
     generate_codebooks,
     run_trial,
@@ -231,6 +232,7 @@ def test_vectorized_mask_matches_reference(rng, monkeypatch):
         ctx = _DecodeContext(spec, chan, policy)
         law = joint_law(spec, chan, policy)
         pruned = 0
+        draws, singles = [], []
         for trial in range(20):
             books = generate_codebooks(policy, cfg, stream(2, trial, ROLE_CODEBOOKS))
             trng = stream(2, trial, ROLE_TRIAL)
@@ -238,7 +240,10 @@ def test_vectorized_mask_matches_reference(rng, monkeypatch):
             y_seq = np.array([trng.choice(spec.size_y, p=chan.q[s, a, b]) for s, a, b
                               in zip(s_seq, books.ids_a[0], books.ids_b[0])])
             entering.clear()
-            rows, cols = _typical_pairs(ctx, books, s_seq, y_seq, eps)
+            _, rows, cols = _typical_survivors(ctx, books.ids_a[None], books.ids_b[None],
+                                               s_seq[None], y_seq[None], eps)
+            draws.append((books.ids_a, books.ids_b, s_seq, y_seq))
+            singles.append(np.column_stack([np.full(rows.size, trial), rows, cols]))
             mask = np.zeros((cfg.messages_a, cfg.messages_b), dtype=bool)
             mask[rows, cols] = True
             # the list is the mask's pairs in row-major order, each once
@@ -251,6 +256,9 @@ def test_vectorized_mask_matches_reference(rng, monkeypatch):
             if prunes and 0 < mask.sum() < entering.get(prunes, 0):
                 pruned += 1
         assert pruned >= 1 or prunes is None, prunes
+        # the 20 trials decoded as one chunk list the same pairs, trial by trial
+        chunk = _typical_survivors(ctx, *(np.stack(part) for part in zip(*draws)), eps)
+        assert np.array_equal(np.column_stack(chunk), np.concatenate(singles)), prunes
 
 
 def test_mask_allocates_no_pair_by_letter_array(rng):
@@ -270,7 +278,8 @@ def test_mask_allocates_no_pair_by_letter_array(rng):
     pairs = cfg.messages_a * cfg.messages_b
     tracemalloc.start()
     try:
-        rows, cols = _typical_pairs(ctx, books, s_seq, y_seq, cfg.epsilon)
+        _, rows, cols = _typical_survivors(ctx, books.ids_a[None], books.ids_b[None],
+                                           s_seq[None], y_seq[None], cfg.epsilon)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -301,6 +310,51 @@ def test_ml_scores_match_literal_sum(rng):
                 for t in range(n):
                     total += ctx.logq[s_seq[t], a[t], b[t], y_seq[t]]
                 assert scores[wa, wb] == total / n, (ra, wa, wb)
+
+
+def test_chunk_means_match_per_trial_means(rng):
+    # a mean over the last axis of a trial chunk is the 1-D mean of each row,
+    # bit for bit, so no filter score depends on the trials beside it
+    for shape in [(1, 1), (5, 1), (7, 3), (4, 8), (3, 9), (6, 13), (2, 130), (9, 1000)]:
+        rows = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        chunk = rows.mean(axis=-1)
+        for k in range(shape[0]):
+            assert chunk[k] == rows[k].mean(), (shape, k)
+        stacked = rows[:, None, :].repeat(3, axis=1)
+        assert np.array_equal(stacked.mean(axis=-1), chunk[:, None].repeat(3, axis=1))
+
+
+def test_chunk_scores_match_per_trial_scores(rng):
+    # single-sender, listed and pair scores of a chunk equal each trial's own
+    spec = random_spec(rng, sizes=dict(xa=2, xb=3, s=3, sa=2, sb=1, y=3))
+    chan = induced_strategy_channel(spec)
+    policy = TeamPolicy(pi_a=rng.dirichlet(np.ones(chan.space_a.count)),
+                        pi_b=rng.dirichlet(np.ones(chan.space_b.count)))
+    ctx = _DecodeContext(spec, chan, policy)
+    cfg = SimConfig(blocklength=11, rate_a=0.3, rate_b=0.25, seed=8)
+    books = [generate_codebooks(policy, cfg, stream(8, k, ROLE_CODEBOOKS)) for k in range(6)]
+    ids_a = np.stack([b.ids_a for b in books])
+    ids_b = np.stack([b.ids_b for b in books])
+    s_seq = rng.choice(spec.size_s, size=(6, 11), p=spec.state_pmf)
+    y_seq = rng.integers(0, spec.size_y, size=(6, 11))
+    for combo, ids in [((1,), ids_a), ((0, 1, 3), ids_a), ((2, 3), ids_b), ((0, 2), ids_b)]:
+        chunk = _single_side_scores(ctx, combo, s_seq[:, None], y_seq[:, None], ids)
+        for k in range(6):
+            one = _single_side_scores(ctx, combo, s_seq[k], y_seq[k], ids[k])
+            assert np.array_equal(chunk[k], one), (combo, k)
+    trial, rows, cols = (a.ravel() for a in np.meshgrid(
+        np.arange(6), np.arange(cfg.messages_a), np.arange(cfg.messages_b), indexing="ij"))
+    listed = [(1, 2, 3), (0, 1, 2), (1, 2), (0, 1, 2, 3)]
+    chunk = _listed_scores(ctx, listed, s_seq, y_seq, ids_a, ids_b, trial, rows, cols)
+    for k in range(6):
+        at = trial == k
+        one = _listed_scores(ctx, listed, s_seq[k:k + 1], y_seq[k:k + 1], ids_a[k:k + 1],
+                             ids_b[k:k + 1], trial[at] * 0, rows[at], cols[at])
+        for combo, c, o in zip(listed, chunk, one):
+            assert np.array_equal(c[at], o), (combo, k)
+            pair = _pair_scores(ctx.tables[combo][0], combo, s_seq[k], y_seq[k],
+                                ids_a[k], ids_b[k])
+            assert np.array_equal(c[at], pair.ravel()), (combo, k)
 
 
 # ---------------------------------------------------------------- trials
@@ -336,7 +390,7 @@ def test_trial_outcome_fields():
         assert out.decoded == out.truth
 
 
-def test_error_decomposition_and_reproducibility():
+def test_error_decomposition_and_reproducibility(monkeypatch):
     spec = load("mod2-adder-noiseless")
     chan = induced_strategy_channel(spec)
     policy = two_strategy_policy()
@@ -344,8 +398,10 @@ def test_error_decomposition_and_reproducibility():
                     epsilon=0.2)
     first = estimate_error(spec, chan, policy, cfg)
     second = estimate_error(spec, chan, policy, cfg)
-    threaded = estimate_error(spec, chan, policy, cfg, threads=3)
-    assert first == second == threaded
+    with monkeypatch.context() as patch:
+        patch.setattr(mcsim, "TRIAL_CELL_BUDGET", 1)  # one trial per chunk
+        one_by_one = estimate_error(spec, chan, policy, cfg)
+    assert first == second == one_by_one
     assert first.errors == first.no_typical_count + first.decoder_ambiguous_count + first.wrong_decode_count
     assert first.error_rate == first.errors / cfg.trials
     assert first.wilson_low <= first.error_rate <= first.wilson_high
@@ -362,7 +418,7 @@ def test_error_decomposition_and_reproducibility():
     ("mod2-adder-bsc01", [0.25] * 4, 8, 0.4, 0.3,
      {"typicality": (1, 12, 3), "max_likelihood": (0, 2, 8)}),
 ], ids=["above-cap", "mixed"])
-def test_pinned_outcome_counts(name, policy, n, rate, eps, counts):
+def test_pinned_outcome_counts(name, policy, n, rate, eps, counts, monkeypatch):
     # (no_typical, ambiguous, wrong), fixed: a faster decoder must not move them
     spec = load(name)
     chan = induced_strategy_channel(spec)
@@ -374,7 +430,88 @@ def test_pinned_outcome_counts(name, policy, n, rate, eps, counts):
         got = (report.no_typical_count, report.decoder_ambiguous_count,
                report.wrong_decode_count)
         assert got == expect, decoder
-        assert estimate_error(spec, chan, team, cfg, threads=2) == report
+        with monkeypatch.context() as patch:
+            patch.setattr(mcsim, "TRIAL_CELL_BUDGET", 1)  # one trial per chunk
+            assert estimate_error(spec, chan, team, cfg) == report
+
+
+def test_trials_are_chunk_invariant(rng, monkeypatch):
+    # one-trial chunks, small chunks and the default budget give every trial
+    # the outcome it has as a chunk of one, and the same report
+    dense = random_spec(rng, sizes=dict(xa=2, xb=2, s=2, sa=2, sb=1, y=3))
+    dense_chan = induced_strategy_channel(dense)
+    uniform = np.array([0.25] * 4)
+    cases = [
+        # the pinned above-cap and mixed cases of test_pinned_outcome_counts
+        (load("mod2-adder-noiseless"), None, np.array([0.5, 0.0, 0.0, 0.5]), 12, 0.7, 0.05),
+        (load("mod2-adder-bsc01"), None, uniform, 8, 0.4, 0.3),
+        (dense, dense_chan, None, 6, 0.5, 0.3),
+    ]
+    recorded = []
+
+    def record(*args):
+        out = decode(*args)
+        recorded.append(out[0])
+        return out
+
+    decode = mcsim._decode_chunk
+    monkeypatch.setattr(mcsim, "_decode_chunk", record)
+    for spec, chan, pi, n, rate, eps in cases:
+        chan = chan or induced_strategy_channel(spec)
+        if pi is None:
+            team = TeamPolicy(pi_a=rng.dirichlet(np.ones(chan.space_a.count)),
+                              pi_b=rng.dirichlet(np.ones(chan.space_b.count)))
+        else:
+            team = TeamPolicy(pi_a=pi, pi_b=pi.copy())
+        for decoder in mcsim.DECODERS:
+            cfg = SimConfig(blocklength=n, rate_a=rate, rate_b=rate, epsilon=eps,
+                            trials=20, seed=0, decoder=decoder)
+            alone = [run_trial(spec, chan, generate_codebooks(team, cfg, stream(0, k, ROLE_CODEBOOKS)),
+                               cfg, stream(0, k, ROLE_TRIAL)).outcome for k in range(cfg.trials)]
+            cells = mcsim._trial_cells(spec, cfg)
+            reports = []
+            for budget, size in [(1, 1), (3 * cells, 3), (mcsim.TRIAL_CELL_BUDGET, None)]:
+                recorded.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(mcsim, "TRIAL_CELL_BUDGET", budget)
+                    reports.append(estimate_error(spec, chan, team, cfg))
+                if size is not None:
+                    sizes = [size] * (20 // size) + [20 % size] * (20 % size > 0)
+                    assert [c.size for c in recorded] == sizes
+                assert [mcsim.OUTCOMES[c] for c in np.concatenate(recorded)] == alone, \
+                    (spec.size_y, decoder, budget)
+            assert reports[0] == reports[1] == reports[2], decoder
+            assert reports[0].errors == sum(o != OUTCOME_OK for o in alone)
+
+
+def test_trial_chunks_stay_within_their_budget(rng, monkeypatch):
+    # at eps 100 every pair survives every stage, the most a chunk holds. With
+    # the cell budget and the pair cap patched to 8 trials' worth, 512 trials
+    # run in 64 chunks, and the peak stays within ten 8-byte values per budget
+    # cell and thirty per capped pair (the listed stage's temporaries); one
+    # chunk of all trials would take about 64 times that.
+    spec = random_spec(rng, sizes=dict(xa=2, xb=2, s=2, sa=2, sb=1, y=3))
+    chan = induced_strategy_channel(spec)
+    policy = TeamPolicy(pi_a=np.full(chan.space_a.count, 1 / chan.space_a.count),
+                        pi_b=np.full(chan.space_b.count, 1 / chan.space_b.count))
+    # (n, rate): 16 messages each, over 16 letters or over 4, where the pairs
+    # outweigh the codebooks
+    for decoder, n, rate in [(d, n, r) for d in mcsim.DECODERS for n, r in [(16, 0.25), (4, 1.0)]]:
+        cfg = SimConfig(blocklength=n, rate_a=rate, rate_b=rate, epsilon=100,
+                        trials=512, seed=1, decoder=decoder)
+        budget = 8 * mcsim._trial_cells(spec, cfg)
+        pair_cap = 8 * cfg.messages_a * cfg.messages_b
+        monkeypatch.setattr(mcsim, "TRIAL_CELL_BUDGET", budget)
+        monkeypatch.setattr(mcsim, "PAIR_CAP", pair_cap)
+        assert mcsim._chunk_trials(spec, cfg) == 8
+        tracemalloc.start()
+        try:
+            report = estimate_error(spec, chan, policy, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.trials == 512
+        assert peak < 8 * (10 * budget + 30 * pair_cap), (decoder, n, peak)
 
 
 def test_longer_blocks_decode_better():
