@@ -29,6 +29,7 @@ from .mcsim import DECODERS, SimConfig, estimate_error
 from .model import DEFAULT_STRATEGY_CAP, induced_strategy_channel, load_spec
 from .optimize import (
     OptimizerConfig,
+    check_grid_oracle,
     grid_oracle_sum_rate,
     inner_bound_region,
     maximize_sum_rate,
@@ -103,6 +104,9 @@ def _validate(args, spec, chan):
 
 def _sumrate(args, spec, chan):
     cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
+    if args.resolution is not None:
+        # a scan the oracle refuses fails before the ascent, not after it
+        check_grid_oracle(spec, chan, args.resolution)
     result = maximize_sum_rate(spec, chan, cfg)
     payload = {
         "value": float(result.value),
@@ -246,6 +250,10 @@ def _run(args) -> int:
         _check_threads(args)
     if cmd.seeded:
         check_seed(args.seed)
+    # simulate and verify-converse take --trials; an audit of no codes would
+    # report a clean zero deviation
+    if hasattr(args, "trials") and args.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {args.trials}")
     spec = load_spec(args.spec, strategy_cap=args.strategy_cap)
     chan = (induced_strategy_channel(spec, strategy_cap=args.strategy_cap)
             if cmd.channel else None)
@@ -330,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--n", type=int, default=2, help="blocklength")
     p.add_argument("--trials", type=int, default=50,
-                   help="number of random encoder pairs")
+                   help="number of random encoder pairs, at least 1")
 
     return parser
 

@@ -20,6 +20,7 @@ to 1 within PMF_ATOL.
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,16 +54,35 @@ class FsMacSpec:
 
 @dataclass(frozen=True)
 class StrategyChannel:
-    """Per-state channel from strategy pairs to the output.
+    """Per-state channel from strategy pairs to the output, kept in factors.
 
+    mix_a[s, ta, xa] is the probability that strategy ta sends xa in state s,
+    with sender a's observation averaged out; mix_b likewise. The channel
     q[s, ta, tb, y] is the probability of output y when the state is s and
-    the senders committed to strategies ta and tb, with the senders'
-    observations already averaged out.
+    the senders committed to strategies ta and tb:
+
+        q[s, ta, tb, y] = sum over (xa, xb) of
+            mix_a[s, ta, xa] * mix_b[s, tb, xb] * channel[s, xa, xb, y].
+
+    q is built on first access and cached; the optimizer works on the
+    factors alone and never builds it.
     """
 
-    q: np.ndarray  # (s, count_a, count_b, y)
+    mix_a: np.ndarray    # (s, count_a, xa)
+    mix_b: np.ndarray    # (s, count_b, xb)
+    channel: np.ndarray  # (s, xa, xb, y), the transfer law
     space_a: StrategySpace
     space_b: StrategySpace
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        """The full (s, count_a, count_b, y) tensor, read-only."""
+        size_s, _, _, size_y = self.channel.shape
+        q = np.empty((size_s, self.space_a.count, self.space_b.count, size_y))
+        for s in range(size_s):
+            q[s] = np.einsum("tx,vz,xzy->tvy", self.mix_a[s], self.mix_b[s], self.channel[s])
+        q.setflags(write=False)
+        return q
 
 
 def _check_pmf_rows(arr: np.ndarray, name: str) -> None:
@@ -201,18 +221,18 @@ def induced_strategy_channel(spec: FsMacSpec,
         q(y | s, ta, tb) = sum over (oa, ob) of
             obs_a[s, oa] * obs_b[s, ob] * channel[s, ta(oa), tb(ob), y].
 
-    Computed by first collapsing each strategy to its per-state input
-    distribution and then contracting with the transfer law.
+    Only the factors are computed here: each strategy collapsed to its
+    per-state input distribution. The channel's q contracts them with the
+    transfer law when first read.
     """
     space_a = enumerate_strategies(spec.size_sa, spec.size_xa, cap=strategy_cap)
     space_b = enumerate_strategies(spec.size_sb, spec.size_xb, cap=strategy_cap)
     _check_channel_size(spec, space_a.count, space_b.count)
     hot_a = space_a.one_hot()  # (ta, oa, xa)
     hot_b = space_b.one_hot()
-    q = np.empty((spec.size_s, space_a.count, space_b.count, spec.size_y))
-    for s in range(spec.size_s):
-        mix_a = np.einsum("u,tux->tx", spec.obs_a[s], hot_a)  # (ta, xa)
-        mix_b = np.einsum("u,tux->tx", spec.obs_b[s], hot_b)
-        q[s] = np.einsum("tx,vz,xzy->tvy", mix_a, mix_b, spec.channel[s])
-    q.setflags(write=False)
-    return StrategyChannel(q=q, space_a=space_a, space_b=space_b)
+    mix_a = np.stack([np.einsum("u,tux->tx", spec.obs_a[s], hot_a) for s in range(spec.size_s)])
+    mix_b = np.stack([np.einsum("u,tux->tx", spec.obs_b[s], hot_b) for s in range(spec.size_s)])
+    mix_a.setflags(write=False)
+    mix_b.setflags(write=False)
+    return StrategyChannel(mix_a=mix_a, mix_b=mix_b, channel=spec.channel,
+                           space_a=space_a, space_b=space_b)

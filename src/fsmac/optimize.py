@@ -6,9 +6,13 @@ the three pentagon bounds. With one sender's pmf held fixed, J is concave in
 the other's (Shannon's strategy reduction: output entropies are concave, the
 table-conditional entropy is linear). So the ascent alternates blocks:
 _Objective.block builds that single-sender function once per block, and a
-multiplicative-weights step with backtracking line search climbs it. A probe
-costs O(S*A*Y), plus one pass over q only when J carries the climbing
-sender's own single-sender bound.
+multiplicative-weights step with backtracking line search climbs it.
+
+The ascent never builds the strategy channel q. It works on q's factors,
+each sender's per-state input law and the transfer law, so a block's laws
+and a probe cost O(S*(A*Xa + B*Xb)*Y) per row, the own-bound pass included.
+Only the table-conditional entropy m needs strategy pairs: it is (A, B),
+built once per objective, per state in chunks of a-rows.
 
 All restarts climb together as rows of one array. A row is one (weights,
 restart) pair: the sum rate's restarts, or every restart of every region
@@ -115,6 +119,40 @@ class RateRegion:
         object.__setattr__(self, "vertices", v)
 
 
+@dataclass(frozen=True)
+class _Sender:
+    """One sender's factors of the strategy channel q."""
+
+    mix: np.ndarray    # (S, T, X): the input law of each strategy in each state
+    rows: np.ndarray   # (T, S*X): mix with the strategy axis first
+    law: np.ndarray    # (S, X, X_other*Y): the transfer law with this sender's input first
+
+    @classmethod
+    def of(cls, mix: np.ndarray, law: np.ndarray) -> "_Sender":
+        size_s, count, size_x = mix.shape
+        rows = mix.transpose(1, 0, 2).reshape(count, size_s * size_x)
+        return cls(mix, rows, law.reshape(size_s, size_x, -1))
+
+
+def _law_given(x: np.ndarray, src: _Sender, dst: _Sender) -> np.ndarray:
+    """sum_t x[r, t] * q[s, t, t', y] over src's strategies t: the output law
+    given (s, dst's strategy t'), (rows, S, T', Y). Three products, each
+    taken row by row: x through src's mix, then the transfer law, then dst's mix."""
+    n, size_s = x.shape[0], src.mix.shape[0]
+    letters = np.matmul(x[:, None, :], src.rows).reshape(n, size_s, 1, -1)
+    per_input = np.matmul(letters, src.law).reshape(n, size_s, dst.mix.shape[2], -1)
+    return np.matmul(dst.mix, per_input)
+
+
+def _pull_back(c: np.ndarray, src: _Sender, dst: _Sender) -> np.ndarray:
+    """The adjoint of _law_given: sum over (s, t', y) of q[s, t, t', y] * c[r, s, t', y],
+    (rows, T), through the same three factors in reverse."""
+    n, size_s = c.shape[:2]
+    per_input = np.matmul(dst.mix.transpose(0, 2, 1), c).reshape(n, size_s, -1, 1)
+    letters = np.matmul(src.law, per_input).reshape(n, -1, 1)
+    return np.matmul(src.rows, letters)[:, :, 0]
+
+
 class _Block:
     """One sender's block of J for a batch of rows, each with its own weights
     and the other sender's pmf held fixed: J(x) = x @ lin + wc * H(Y|S) +
@@ -124,26 +162,30 @@ class _Block:
     matmul, or an einsum over a leading row axis), so a row's numbers do not
     depend on which rows share its batch."""
 
-    def __init__(self, q, p, u, lin, other, w_own, wc):
-        self.q, self.p, self.u, self.lin, self.other = q, p, u, lin, other
+    def __init__(self, own_sender, other_sender, p, u, lin, other, w_own, wc):
+        self.own_sender, self.other_sender = own_sender, other_sender
+        self.p, self.u, self.lin, self.other = p, u, lin, other
         self.w_own, self.wc = w_own, wc
-        # only the rows whose own bound carries weight pay the pass over q
-        own = np.flatnonzero(w_own)
-        self.any_own = own.size > 0
-        self.own = slice(None) if own.size == w_own.size else own
+        # only the rows whose own bound carries weight pay the own-bound pass
+        own_rows = np.flatnonzero(w_own)
+        self.any_own = own_rows.size > 0
+        self.own = slice(None) if own_rows.size == w_own.size else own_rows
         self.own_other, self.own_weight = other[self.own], w_own[self.own]
 
     def take(self, rows: np.ndarray) -> "_Block":
-        return _Block(self.q, self.p, self.u[rows], self.lin[rows], self.other[rows],
-                      self.w_own[rows], self.wc[rows])
+        return _Block(self.own_sender, self.other_sender, self.p, self.u[rows], self.lin[rows],
+                      self.other[rows], self.w_own[rows], self.wc[rows])
+
+    def _own_law(self, x: np.ndarray) -> np.ndarray:
+        """The output law given (s, the other's table), own pmf mixed in."""
+        return _law_given(x[self.own], self.own_sender, self.other_sender)
 
     def value(self, x: np.ndarray) -> np.ndarray:
         out = np.matmul(x[:, None, :], self.lin[:, :, None])[:, 0, 0]
         xu = np.matmul(x[:, None, None, :], self.u)[:, :, 0]
         out += self.wc * np.matmul(self.p, entropy_rows(xu)[:, :, None])[:, 0]
         if self.any_own:
-            v = np.einsum("ra,saby->rsby", x[self.own], self.q)   # law given the other's table
-            h = np.matmul(np.matmul(self.p, entropy_rows(v))[:, None, :],
+            h = np.matmul(np.matmul(self.p, entropy_rows(self._own_law(x)))[:, None, :],
                           self.own_other[:, :, None])
             out[self.own] += self.own_weight * h[:, 0, 0]
         return out
@@ -153,22 +195,36 @@ class _Block:
         lr = -log2_floor(xu) - _LOG2E
         grad = self.lin + self.wc[:, None] * np.einsum("rsay,s,rsy->ra", self.u, self.p, lr)
         if self.any_own:
-            v = np.einsum("ra,saby->rsby", x[self.own], self.q)
-            lv = -log2_floor(v) - _LOG2E
-            grad[self.own] += self.own_weight[:, None] * np.einsum(
-                "saby,s,rb,rsby->ra", self.q, self.p, self.own_other, lv)
+            lv = -log2_floor(self._own_law(x)) - _LOG2E
+            lv *= self.p[:, None, None] * self.own_other[:, None, :, None]
+            grad[self.own] += self.own_weight[:, None] * _pull_back(
+                lv, self.own_sender, self.other_sender)
         return grad
 
 
 class _Objective:
     """J = wa*bound_a + wb*bound_b + wc*bound_sum on a fixed channel, for
-    rows that each carry their own weights (wa, wb, wc)."""
+    rows that each carry their own weights (wa, wb, wc). Works on the
+    channel's factors; only m, the table-conditional entropy of every
+    strategy pair, is (A, B)."""
 
-    def __init__(self, q: np.ndarray, state_pmf: np.ndarray):
-        self.p, self.shape = state_pmf, q.shape
-        m = np.einsum("s,sab->ab", state_pmf, entropy_rows(q))   # (A,B)
-        # per sender: q and m with its own axis first, its own and the other's weight column
-        self._sides = ((q, m, 0, 1), (q.transpose(0, 2, 1, 3), m.T, 1, 0))
+    def __init__(self, chan: StrategyChannel, state_pmf: np.ndarray):
+        mix_a, mix_b, w = chan.mix_a, chan.mix_b, chan.channel
+        (size_s, count_a, _), (_, count_b, size_xb), size_y = mix_a.shape, mix_b.shape, w.shape[3]
+        self.p, self.shape = state_pmf, (size_s, count_a, count_b, size_y)
+        # m[a, b] = sum_s p_s H(q[s, a, b, :]), per state in chunks of a-rows;
+        # an a-row holds its output law, entropy_rows' temporaries and its letter law
+        m = np.zeros((count_a, count_b))
+        chunk = max(1, BATCH_CELL_BUDGET // (4 * count_b * size_y + size_xb * size_y))
+        for s in range(size_s):
+            for a0 in range(0, count_a, chunk):
+                law = mix_b[s] @ np.einsum("tx,xzy->tzy", mix_a[s, a0:a0 + chunk], w[s])
+                m[a0:a0 + chunk] += state_pmf[s] * entropy_rows(law)
+        sender_a = _Sender.of(mix_a, w)
+        sender_b = _Sender.of(mix_b, w.transpose(0, 2, 1, 3))
+        # per sender: its factors, the other's, m with its own axis first,
+        # its own and the other's weight column
+        self._sides = ((sender_a, sender_b, m, 0, 1), (sender_b, sender_a, m.T, 1, 0))
 
     def row_cells(self, max_iters: int) -> int:
         """Cells one row holds at most: both blocks, a subset copy and the
@@ -179,16 +235,13 @@ class _Objective:
     def block(self, own: int, weights: np.ndarray, other: np.ndarray) -> _Block:
         """J as a function of sender own's pmf (0 for a, 1 for b), row r
         weighted by weights[r] with the other sender's pmf other[r] fixed."""
-        q, m, i_own, i_other = self._sides[own]
+        own_sender, other_sender, m, i_own, i_other = self._sides[own]
         w_own, w_other, wc = weights[:, i_own], weights[:, i_other], weights[:, 2]
-        s, a, _, y = q.shape
-        u = np.empty((other.shape[0], s, a, y))
-        for r in range(other.shape[0]):   # row by row: a stacked einsum is slower on big q
-            np.einsum("b,saby->say", other[r], q, out=u[r])
+        u = _law_given(other, other_sender, own_sender)
         wsum = w_own + w_other + wc
         lin = (-wsum[:, None] * np.matmul(m, other[:, :, None])[:, :, 0]
                + w_other[:, None] * np.matmul(self.p, entropy_rows(u)))
-        return _Block(q, self.p, u, lin, other, w_own, wc)
+        return _Block(own_sender, other_sender, self.p, u, lin, other, w_own, wc)
 
 
 def _probe(f: _Block, x: np.ndarray, z: np.ndarray, step: float):
@@ -335,7 +388,7 @@ def maximize_sum_rate(spec: FsMacSpec, chan: StrategyChannel,
                       cfg: OptimizerConfig | None = None) -> SumRateResult:
     """Best sum bound over product strategy policies (multi-start ascent)."""
     cfg = cfg if cfg is not None else OptimizerConfig()
-    (best,) = _maximize(_Objective(chan.q, spec.state_pmf), cfg, [_SUM_RATE])
+    (best,) = _maximize(_Objective(chan, spec.state_pmf), cfg, [_SUM_RATE])
     return _sum_rate_result(spec, best)
 
 
@@ -402,17 +455,11 @@ def _grid_max(spec: FsMacSpec, beh_a: np.ndarray, beh_b: np.ndarray, cost=None) 
     return best
 
 
-def grid_oracle_sum_rate(spec: FsMacSpec, chan: StrategyChannel, resolution: int) -> float:
-    """Exhaustive maximum of the sum bound over the product of simplex grids.
-
-    Scans every pair of policies whose weights are multiples of 1/resolution
-    through one evaluator, _grid_max. Generic channels map the strategy grid to
-    per-symbol behaviors and subtract the table-conditional entropy.
-    Deterministic strategy channels have no such term and scan the product of
-    per-symbol grids instead: the strategy grid's exact image, its fibers of
-    equal value collapsed. Guards: at most 4 strategies, ORACLE_GRID_CAP grid
-    points per sender and ORACLE_PAIR_CAP pairs, all checked before any grid is built.
-    """
+def check_grid_oracle(spec: FsMacSpec, chan: StrategyChannel, resolution: int) -> bool:
+    """Refuse a grid-oracle scan before anything of its size exists: resolution
+    below 1, more than 4 strategies per sender, over ORACLE_GRID_CAP grid
+    points per sender or over ORACLE_PAIR_CAP pairs. Returns whether the
+    strategy channel is deterministic, which picks the scan's point set."""
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     if chan.space_a.count > 4 or chan.space_b.count > 4:
@@ -437,7 +484,20 @@ def grid_oracle_sum_rate(spec: FsMacSpec, chan: StrategyChannel, resolution: int
             f"grid oracle pair guard: {points[0]} x {points[1]} policy pairs at "
             f"resolution {resolution} exceed {ORACLE_PAIR_CAP}"
         )
-    if deterministic:
+    return deterministic
+
+
+def grid_oracle_sum_rate(spec: FsMacSpec, chan: StrategyChannel, resolution: int) -> float:
+    """Exhaustive maximum of the sum bound over the product of simplex grids.
+
+    Scans every pair of policies whose weights are multiples of 1/resolution
+    through one evaluator, _grid_max. Generic channels map the strategy grid to
+    per-symbol behaviors and subtract the table-conditional entropy.
+    Deterministic strategy channels have no such term and scan the product of
+    per-symbol grids instead: the strategy grid's exact image, its fibers of
+    equal value collapsed. check_grid_oracle's guards run before any grid is built.
+    """
+    if check_grid_oracle(spec, chan, resolution):
         return _grid_max(spec, _behavioral_grid(spec.size_sa, spec.size_xa, resolution),
                          _behavioral_grid(spec.size_sb, spec.size_xb, resolution))
     grid_a = _simplex_grid(chan.space_a.count, resolution)
@@ -505,7 +565,7 @@ def inner_bound_region(spec: FsMacSpec, chan: StrategyChannel,
     thetas = np.linspace(0.0, np.pi / 2.0, directions)
     dirs = [(1.0, 0.0), *((float(np.cos(t)), float(np.sin(t))) for t in thetas[1:-1]), (0.0, 1.0)]
     groups = [(_direction_weights(ca, cb), (k + 1) << 20) for k, (ca, cb) in enumerate(dirs)]
-    *bests, outer = _maximize(_Objective(chan.q, spec.state_pmf), cfg, groups + [_SUM_RATE])
+    *bests, outer = _maximize(_Objective(chan, spec.state_pmf), cfg, groups + [_SUM_RATE])
     points = [(0.0, 0.0)]
     supports = []
     for direction, (_, pa, pb, *_) in zip(dirs, bests):

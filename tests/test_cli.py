@@ -125,6 +125,39 @@ def test_sumrate_out_file(tmp_path, capsys):
     assert doc["value"] == pytest.approx(1.0, abs=1e-6)
 
 
+def _strategy_spec_256(tmp_path) -> str:
+    """A spec with 256 x 256 strategies: admitted, but far over the oracle's 4."""
+    sizes = {"xa": 2, "xb": 2, "s": 4, "sa": 8, "sb": 8, "y": 4}
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({
+        "alphabets": sizes,
+        "state_pmf": [0.25] * 4,
+        "obs_a": np.full((4, 8), 1 / 8).tolist(),
+        "obs_b": np.full((4, 8), 1 / 8).tolist(),
+        "channel": np.full((4, 2, 2, 4), 1 / 4).tolist(),
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("resolution, spec, message", [
+    ("0", MOD2, "resolution must be >= 1, got 0"),
+    ("10", None, "strategy spaces 256 x 256 exceed 4 per sender"),
+    ("1000", MOD2, "grid oracle guard: 1002001 x 1002001 grid points"),
+    ("250", MOD2, "pair guard: 63001 x 63001 policy pairs"),
+], ids=["resolution", "strategies", "grid-points", "pairs"])
+def test_sumrate_oracle_guards_exit1_before_the_ascent(tmp_path, capsys, monkeypatch,
+                                                        resolution, spec, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ascent run before the oracle's guards")
+
+    monkeypatch.setattr(cli, "maximize_sum_rate", refuse)
+    rc, out, err = run(capsys, "sumrate", "--spec", spec or _strategy_spec_256(tmp_path),
+                       "--resolution", resolution)
+    assert rc == 1
+    assert out == ""
+    assert message in err
+
+
 # --- region -----------------------------------------------------------------
 
 def test_region_files(tmp_path, capsys):
@@ -380,6 +413,23 @@ def test_verify_converse_seed_changes_codes(capsys):
                      "--n", "3", "--trials", "3", "--seed", "7")
     assert rc == 0
     assert payload_of(out)["max_deviation"] < 1e-12
+
+
+@pytest.mark.parametrize("command", [
+    ["verify-converse"],
+    ["simulate", "--n", "4", "--ra", "0.2", "--rb", "0.2"],
+], ids=["verify-converse", "simulate"])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_nonpositive_trials_exit1_before_the_spec(capsys, monkeypatch, command, trials):
+    # verify-converse --trials 0 used to pass an audit of no codes
+    def refuse(*args, **kwargs):
+        raise AssertionError("spec read before the trial count was checked")
+
+    monkeypatch.setattr(cli, "load_spec", refuse)
+    rc, out, err = run(capsys, *command, "--spec", MOD2, "--trials", trials)
+    assert rc == 1
+    assert out == ""
+    assert f"trials must be >= 1, got {trials}" in err
 
 
 # --- seeds ------------------------------------------------------------------

@@ -121,6 +121,32 @@ def test_degraded_observation_two_evaluation_orders(rng):
     np.testing.assert_allclose(path1, path2, atol=ORACLE_ATOL)
 
 
+def eager_q(spec):
+    """The strategy channel as it was built eagerly, one einsum per state."""
+    hot_a = enumerate_strategies(spec.size_sa, spec.size_xa).one_hot()
+    hot_b = enumerate_strategies(spec.size_sb, spec.size_xb).one_hot()
+    q = np.empty((spec.size_s, hot_a.shape[0], hot_b.shape[0], spec.size_y))
+    for s in range(spec.size_s):
+        mix_a = np.einsum("u,tux->tx", spec.obs_a[s], hot_a)
+        mix_b = np.einsum("u,tux->tx", spec.obs_b[s], hot_b)
+        q[s] = np.einsum("tx,vz,xzy->tvy", mix_a, mix_b, spec.channel[s])
+    return q
+
+
+def test_q_is_built_lazily_and_equals_the_eager_build(rng):
+    sizes = [None] * 6 + [{"xa": 2, "xb": 3, "s": 1, "sa": 3, "sb": 2, "y": 4},
+                          {"xa": 2, "xb": 2, "s": 4, "sa": 8, "sb": 8, "y": 4}]
+    for size in sizes:
+        spec = random_spec(rng, sizes=size)
+        chan = induced_strategy_channel(spec)
+        assert "q" not in vars(chan)
+        assert chan.mix_a.shape == (spec.size_s, chan.space_a.count, spec.size_xa)
+        assert chan.mix_b.shape == (spec.size_s, chan.space_b.count, spec.size_xb)
+        q = chan.q
+        assert np.array_equal(q, eager_q(spec))
+        assert chan.q is q and not q.flags.writeable
+
+
 def test_big_strategy_table_accepted():
     # 4 inputs, 3 observation symbols: 64 tables, well under the default cap
     rng = np.random.default_rng(7)

@@ -164,7 +164,7 @@ def _mixed_policies(rng, chan, floor=0.0):
 def test_gradients_match_finite_differences(rng):
     spec = random_spec(rng)
     chan = induced_strategy_channel(spec)
-    obj = _Objective(chan.q, spec.state_pmf)
+    obj = _Objective(chan, spec.state_pmf)
     pa, pb = _mixed_policies(rng, chan, floor=0.1)
     h = 1e-6
     for own, x, other in ((0, pa, pb), (1, pb, pa)):
@@ -187,7 +187,7 @@ def test_gradients_match_finite_differences(rng):
 def test_weighted_value_reduces_to_pentagon_combination(rng):
     spec = random_spec(rng)
     chan = induced_strategy_channel(spec)
-    obj = _Objective(chan.q, spec.state_pmf)
+    obj = _Objective(chan, spec.state_pmf)
     pa, pb = _mixed_policies(rng, chan)
     value_a = obj.block(0, _MIXED_WEIGHTS, pb).value(pa)
     value_b = obj.block(1, _MIXED_WEIGHTS, pa).value(pb)
@@ -196,6 +196,104 @@ def test_weighted_value_reduces_to_pentagon_combination(rng):
         expect = wa * pent.bound_a + wb * pent.bound_b + wc * pent.bound_sum
         assert value_a[r] == pytest.approx(expect, abs=1e-10)
         assert value_b[r] == pytest.approx(expect, abs=1e-10)
+
+
+def _literal_block(q, p, weights, other, x):
+    """One sender's block as literal sums over the strategy channel q, that
+    sender's strategy axis first: m, u, lin, value and gradient per row."""
+    log2e = 1.0 / np.log(2.0)
+    w_own, w_other, wc = weights[:, 0], weights[:, 1], weights[:, 2]
+    m = np.einsum("s,sab->ab", p, entropy_rows(q))
+    u = np.einsum("rb,saby->rsay", other, q)
+    lin = (-(w_own + w_other + wc)[:, None] * np.einsum("ab,rb->ra", m, other)
+           + w_other[:, None] * np.einsum("s,rsa->ra", p, entropy_rows(u)))
+    xu = np.einsum("ra,rsay->rsy", x, u)
+    v = np.einsum("ra,saby->rsby", x, q)
+    value = (np.einsum("ra,ra->r", x, lin) + wc * np.einsum("s,rs->r", p, entropy_rows(xu))
+             + w_own * np.einsum("s,rb,rsb->r", p, other, entropy_rows(v)))
+    grad = (lin + wc[:, None] * np.einsum("rsay,s,rsy->ra", u, p, -np.log2(xu) - log2e)
+            + w_own[:, None] * np.einsum("saby,s,rb,rsby->ra", q, p, other, -np.log2(v) - log2e))
+    return m, u, lin, value, grad
+
+
+FACTOR_SIZES = (
+    None, None, None,
+    dict(xa=2, xb=3, s=3, sa=2, sb=1, y=3),   # the senders' input alphabets differ
+    dict(xa=3, xb=2, s=1, sa=2, sb=2, y=4),   # one state
+)
+
+
+def test_factorized_objective_matches_literal_q_sums(rng):
+    # every _MIXED_WEIGHTS row: the own-bound pass runs for both senders
+    for sizes in FACTOR_SIZES:
+        spec = random_spec(rng, sizes=sizes)
+        chan = induced_strategy_channel(spec)
+        obj = _Objective(chan, spec.state_pmf)
+        pa, pb = _mixed_policies(rng, chan)
+        for own, x, other, q in ((0, pa, pb, chan.q), (1, pb, pa, chan.q.transpose(0, 2, 1, 3))):
+            weights = _MIXED_WEIGHTS[:, [own, 1 - own, 2]]
+            m, u, lin, value, grad = _literal_block(q, spec.state_pmf, weights, other, x)
+            f = obj.block(own, _MIXED_WEIGHTS, other)
+            np.testing.assert_allclose(obj._sides[own][2], m, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(f.u, u, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(f.lin, lin, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(f.value(x), value, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(f.grad(x), grad, rtol=0, atol=1e-12)
+
+
+def _large_spec():
+    """256 x 256 strategies, S = Y = 4: q would hold 2**20 cells, 8 MB."""
+    return random_spec(np.random.default_rng(8), sizes=dict(xa=2, xb=2, s=4, sa=8, sb=8, y=4))
+
+
+def test_objective_memory_stays_far_below_q(monkeypatch):
+    spec = _large_spec()
+    chan = induced_strategy_channel(spec)
+    q_bytes = 8 * spec.size_s * chan.space_a.count * chan.space_b.count * spec.size_y
+    assert q_bytes == 8 << 20
+    pa, pb = _mixed_policies(np.random.default_rng(9), chan)
+    monkeypatch.setattr(optimize, "BATCH_CELL_BUDGET", 1 << 15)
+    tracemalloc.start()
+    try:
+        obj = _Objective(chan, spec.state_pmf)
+        f = obj.block(0, _MIXED_WEIGHTS, pb)
+        f.value(pa), f.grad(pa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < q_bytes / 4, peak
+    assert "q" not in vars(chan)
+
+
+def test_ascent_never_builds_q(monkeypatch):
+    cfg = OptimizerConfig(restarts=2, seed=4)
+    built = []   # per region joint law: was q built before it?
+
+    def law_after_ascent(spec, chan, policy):
+        built.append("q" in vars(chan))
+        return joint_law(spec, chan, policy)
+
+    monkeypatch.setattr(optimize, "joint_law", law_after_ascent)
+    for spec in (load("mod2-adder-bsc01"), load("stateless-mac"), random_spec(np.random.default_rng(3))):
+        chan = induced_strategy_channel(spec)
+        maximize_sum_rate(spec, chan, cfg)
+        assert "q" not in vars(chan)
+        # the region's joint laws read q, but only once every row has climbed
+        built.clear()
+        inner_bound_region(spec, chan, cfg, directions=3)
+        assert built == [False, True, True]
+    # the large spec's whole sum-rate run stays under a quarter of q's bytes
+    spec = _large_spec()
+    chan = induced_strategy_channel(spec)
+    monkeypatch.setattr(optimize, "BATCH_CELL_BUDGET", 1 << 15)
+    tracemalloc.start()
+    try:
+        maximize_sum_rate(spec, chan, OptimizerConfig(restarts=1, max_iters=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * chan.mix_a.shape[1] * chan.mix_b.shape[1] * spec.size_s * spec.size_y / 4
+    assert "q" not in vars(chan)
 
 
 # ---------------------------------------------------------------- sum-rate ascent
@@ -243,7 +341,7 @@ def test_maximize_is_deterministic_and_chunk_invariant(monkeypatch):
     first = maximize_sum_rate(spec, chan, cfg)
     assert _same_sum_rate(first, maximize_sum_rate(spec, chan, cfg))
     # chunks of one and of two rows: every restart climbs alone or in a pair
-    for budget in (1, 2 * _Objective(chan.q, spec.state_pmf).row_cells(cfg.max_iters)):
+    for budget in (1, 2 * _Objective(chan, spec.state_pmf).row_cells(cfg.max_iters)):
         monkeypatch.setattr(optimize, "BATCH_CELL_BUDGET", budget)
         assert _same_sum_rate(first, maximize_sum_rate(spec, chan, cfg))
 
@@ -449,7 +547,7 @@ def test_region_rows_run_within_the_cell_budget(monkeypatch):
     chan = induced_strategy_channel(spec)
     cfg = OptimizerConfig(restarts=4096, max_iters=1)
     budget = 1 << 13
-    row_cells = _Objective(chan.q, spec.state_pmf).row_cells(cfg.max_iters)
+    row_cells = _Objective(chan, spec.state_pmf).row_cells(cfg.max_iters)
     whole = 3 * cfg.restarts * row_cells * 8   # bytes, were every row held at once
     inner_bound_region(spec, chan, OptimizerConfig(restarts=2), directions=2)   # warm caches
     monkeypatch.setattr(optimize, "BATCH_CELL_BUDGET", budget)
