@@ -13,8 +13,13 @@ rows and columns; and the three other pair subsets are scored only on the
 listed pairs that pass it. Every pair score, the ML decoder's too, adds one
 per-letter table entry at a time in t order and divides by n, the same sum
 as the definition, so a score does not depend on which stage computes it.
-The listed pairs are gathered one letter at a time, so no stage holds an
-array of pairs by letters.
+The full-law block is summed a block of rows at a time (PAIR_BLOCK_CELLS
+pairs at most) in one reused buffer, each letter added while the block is
+in cache, and tested as soon as it is summed, so its survivors come out in
+row-major order with no pair-sized array made per letter or per trial. The
+ML decoder copies the blocks into one score array per trial, which its
+exact argmax ties read. The listed pairs are gathered one letter at a
+time, so no stage holds an array of pairs by letters.
 
 Trials run as rows of chunks. Each trial draws its codebooks, states,
 messages and output uniforms from its own counter-based streams keyed by
@@ -28,6 +33,7 @@ chunk size nor ``--threads``, which changes nothing.
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +49,9 @@ TRIAL_CAP = 1 << 20           # a run's time: each trial draws two streams and a
 # Cells of codebooks and letters one chunk of trials holds; a chunk's message
 # pairs are held to PAIR_CAP, the most one trial may have.
 TRIAL_CELL_BUDGET = 1 << 16
+# Message pairs one block of a trial's pair scores holds (256 kB of float64),
+# so every letter is added to a block while it is still in cache.
+PAIR_BLOCK_CELLS = 1 << 15
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
 DECODERS = ("typicality", "max_likelihood")
@@ -179,7 +188,6 @@ class _DecodeContext:
 
     def __init__(self, spec: FsMacSpec, chan: StrategyChannel, policy: TeamPolicy):
         self.q = chan.q
-        self.logq = log2_floor(chan.q)
         self.state_pmf = spec.state_pmf
         law = joint_law(spec, chan, policy).p
         self.tables = {}
@@ -188,6 +196,11 @@ class _DecodeContext:
             marg = law.sum(axis=drop)
             log_t = log2_floor(marg)
             self.tables[combo] = (log_t, float(-(marg * log_t).sum()))
+
+    @cached_property
+    def logq(self) -> np.ndarray:
+        """The channel's log table, which only the ML decoder reads."""
+        return log2_floor(self.q)
 
 
 def typicality_check(seqs, law, epsilon: float) -> bool:
@@ -244,23 +257,52 @@ def _letter_axes(log_t, combo, s_seq, y_seq):
     return full, s_idx, y_idx
 
 
-def _pair_scores(log_t, combo, s_seq, y_seq, ids_a, ids_b) -> np.ndarray:
-    """(messages_a, messages_b) mean log-likelihoods, summed in t order.
+def _pair_blocks(log_t, combo, s_seq, y_seq, ids_a, ids_b):
+    """Yield (first row, block) for whole-row blocks of the (messages_a,
+    messages_b) sums of per-letter log-likelihoods. A block holds at most
+    PAIR_BLOCK_CELLS pairs and gets every letter added in t order while it
+    is in cache; each block is a view of one buffer that the next reuses.
 
-    Each letter's (A, B) table is cut to the block by two 1-D gathers. Columns
-    go first unless that intermediate is the larger one: copying whole rows
-    second is the cheaper gather, and memory stays near the output's size."""
+    Each letter's (A, B) table is cut to a block by two 1-D gathers, through
+    the smaller of the (A, messages_b) and (messages_a, B) intermediates, as
+    a whole-codebook gather would choose. Column cuts serve every block, so
+    they are made once per letter when all letters' cuts together fit in a
+    block, and once per block and letter otherwise: no call holds every
+    letter's intermediate."""
     full, s_idx, y_idx = _letter_axes(log_t, combo, s_seq, y_seq)
-    (ma, n), mb = ids_a.shape, ids_b.shape[0]
-    cols_first = full.shape[1] * mb <= ma * full.shape[2]
-    acc = np.zeros((ma, mb))
-    for t in range(n):
-        table = full[s_idx[t], :, :, y_idx[t]]
-        if cols_first:
-            acc += table[:, ids_b[:, t]][ids_a[:, t]]
-        else:
-            acc += table[ids_a[:, t]][:, ids_b[:, t]]
-    return acc / n
+    (ma, n), (count_a, count_b), mb = ids_a.shape, full.shape[1:3], ids_b.shape[0]
+    tables = [full[s, :, :, y] for s, y in zip(s_idx.tolist(), y_idx.tolist())]
+    # each letter's ids in one contiguous row, a copy of the codebook's size
+    at_a, at_b = np.ascontiguousarray(ids_a.T), np.ascontiguousarray(ids_b.T)
+    if count_a * mb > ma * count_b:          # rows first
+        def cut(table, ia, ib):
+            return table.take(ia, axis=0).take(ib, axis=1)
+    elif n * count_a * mb > PAIR_BLOCK_CELLS:  # columns first, per block
+        def cut(table, ia, ib):
+            return table.take(ib, axis=1).take(ia, axis=0)
+    else:                                     # columns first, once
+        tables = [table.take(ib, axis=1) for table, ib in zip(tables, at_b)]
+
+        def cut(table, ia, ib):
+            return table.take(ia, axis=0)
+    rows = max(1, PAIR_BLOCK_CELLS // mb)
+    buf = np.empty((min(rows, ma), mb))
+    for r0 in range(0, ma, rows):
+        block = buf[:min(rows, ma - r0)]
+        letters = zip(tables, at_a[:, r0:r0 + rows], at_b)
+        # copied in, not added to zeros: log2_floor never gives -0.0, so this is 0.0 + it
+        np.copyto(block, cut(*next(letters)))
+        for letter in letters:
+            block += cut(*letter)
+        yield r0, block
+
+
+def _pair_scores(log_t, combo, s_seq, y_seq, ids_a, ids_b) -> np.ndarray:
+    """(messages_a, messages_b) mean log-likelihoods, summed in t order."""
+    scores = np.empty((ids_a.shape[0], ids_b.shape[0]))
+    for r0, block in _pair_blocks(log_t, combo, s_seq, y_seq, ids_a, ids_b):
+        np.divide(block, ids_a.shape[1], out=scores[r0:r0 + block.shape[0]])
+    return scores
 
 
 def _listed_scores(ctx, combos, s_seq, y_seq, ids_a, ids_b, trial, rows, cols) -> list:
@@ -314,13 +356,15 @@ def _typical_survivors(ctx: _DecodeContext, ids_a, ids_b, s_seq, y_seq,
     ok_a = survivors([(1,), (0, 1), (1, 3), (0, 1, 3)], ids_a)
     ok_b = survivors([(2,), (0, 2), (2, 3), (0, 2, 3)], ids_b)
     full = (0, 1, 2, 3)
+    n = s_seq.shape[1]
     found = []
     for k in np.flatnonzero(live & ok_a.any(axis=1) & ok_b.any(axis=1)):
         rows, cols = np.flatnonzero(ok_a[k]), np.flatnonzero(ok_b[k])
         # the surviving codebook rows are copied once; the copy is at most the codebook
-        keep_a, keep_b = np.nonzero(passes(full, _pair_scores(
-            ctx.tables[full][0], full, s_seq[k], y_seq[k], ids_a[k, rows], ids_b[k, cols])))
-        found.append((np.full(keep_a.size, k), rows[keep_a], cols[keep_b]))
+        for r0, block in _pair_blocks(ctx.tables[full][0], full, s_seq[k], y_seq[k],
+                                      ids_a[k, rows], ids_b[k, cols]):
+            keep_a, keep_b = np.nonzero(passes(full, np.divide(block, n, out=block)))
+            found.append((np.full(keep_a.size, k), rows[r0 + keep_a], cols[keep_b]))
     trial, rows, cols = _concat(found)
     listed = [(1, 2, 3), (0, 1, 2), (1, 2)]
     scores = _listed_scores(ctx, listed, s_seq, y_seq, ids_a, ids_b, trial, rows, cols)

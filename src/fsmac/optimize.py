@@ -441,14 +441,18 @@ def _grid_max(spec: FsMacSpec, beh_a: np.ndarray, beh_b: np.ndarray, cost=None) 
     # per b-point: the values and their gathers over a-points, the output law over a keys
     chunk = max(1, ORACLE_CELL_BUDGET // (4 * (beh_a.shape[0] + widest * (spec.size_y + 1))))
     best = -np.inf
+    buf = np.empty((min(chunk, beh_b.shape[0]), beh_a.shape[0]))   # (b, a), one per call
     for j0 in range(0, beh_b.shape[0], chunk):
-        values = np.zeros((min(chunk, beh_b.shape[0] - j0), beh_a.shape[0]))   # (b, a)
+        values = buf[:min(chunk, beh_b.shape[0] - j0)]
         for s, ((ua, ka), (ub, kb)) in enumerate(zip(*keys)):
             present, local = np.unique(kb[j0:j0 + chunk], return_inverse=True)
             t = np.einsum("jz,xzy->xyj", ub[present], spec.channel[s])
             r = (ua @ t.reshape(ua.shape[1], -1)).reshape(ua.shape[0], -1, present.size)
             table = spec.state_pmf[s] * entropy_rows(r.transpose(2, 0, 1))   # (b key, a key)
-            values += table[local][:, ka]
+            if s:
+                values += table[local].take(ka, axis=1)
+            else:   # written, not added to zeros; adding 0.0 still turns -0.0 into 0.0
+                (table[local] + 0.0).take(ka, axis=1, out=values)
         if cost is not None:
             values -= cost[1][j0:j0 + chunk] @ cost[0].T
         best = max(best, float(values.max()))

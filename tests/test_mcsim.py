@@ -21,6 +21,8 @@ from fsmac.mcsim import (
     SimConfig,
     _DecodeContext,
     _listed_scores,
+    _ml_survivors,
+    _pair_blocks,
     _pair_scores,
     _single_side_scores,
     _typical_survivors,
@@ -31,7 +33,7 @@ from fsmac.mcsim import (
     wilson_interval,
 )
 from fsmac.model import induced_strategy_channel
-from fsmac.rates import TeamPolicy, joint_law
+from fsmac.rates import TeamPolicy, joint_law, log2_floor
 from fsmac.rng import ROLE_CODEBOOKS, ROLE_TRIAL, stream
 
 from conftest import random_spec
@@ -219,13 +221,13 @@ def test_vectorized_mask_matches_reference(rng, monkeypatch):
 
     def block(*args):
         entering.setdefault("block", args[-2].shape[0] * args[-1].shape[0])
-        return _pair_scores(*args)
+        return _pair_blocks(*args)
 
     def listed(*args):
         entering.setdefault("listed", args[-2].size)
         return _listed_scores(*args)
 
-    monkeypatch.setattr(mcsim, "_pair_scores", block)
+    monkeypatch.setattr(mcsim, "_pair_blocks", block)
     monkeypatch.setattr(mcsim, "_listed_scores", listed)
     for spec, chan, policy, n, (ra, rb), eps, prunes in cases:
         cfg = SimConfig(blocklength=n, rate_a=ra, rate_b=rb, epsilon=eps, seed=2)
@@ -355,6 +357,108 @@ def test_chunk_scores_match_per_trial_scores(rng):
             pair = _pair_scores(ctx.tables[combo][0], combo, s_seq[k], y_seq[k],
                                 ids_a[k], ids_b[k])
             assert np.array_equal(c[at], pair.ravel()), (combo, k)
+
+
+def test_pair_blocks_are_budget_invariant(rng, monkeypatch):
+    # one-row blocks, and blocks of 3 rows or more (3 on whole codebooks,
+    # which 3 rows divide in none of these cases), give the default budget's
+    # pair scores bit for bit and the same survivor lists
+    dense = random_spec(rng, sizes=dict(xa=2, xb=2, s=2, sa=2, sb=1, y=3))
+    dense_chan = induced_strategy_channel(dense)
+    cases = [
+        # the pinned above-cap and mixed cases of test_pinned_outcome_counts
+        (load("mod2-adder-noiseless"), None, np.array([0.5, 0.0, 0.0, 0.5]), 12, 0.7, 0.05, 8),
+        (load("mod2-adder-bsc01"), None, np.array([0.25] * 4), 8, 0.4, 0.3, 20),
+        (dense, dense_chan, None, 6, 0.5, 0.3, 20),
+    ]
+    for spec, chan, pi, n, rate, eps, trials in cases:
+        chan = chan or induced_strategy_channel(spec)
+        if pi is None:
+            team = TeamPolicy(pi_a=rng.dirichlet(np.ones(chan.space_a.count)),
+                              pi_b=rng.dirichlet(np.ones(chan.space_b.count)))
+        else:
+            team = TeamPolicy(pi_a=pi, pi_b=pi.copy())
+        ctx = _DecodeContext(spec, chan, team)
+        for decoder, stage in [("typicality", "_typical_survivors"),
+                               ("max_likelihood", "_ml_survivors")]:
+            cfg = SimConfig(blocklength=n, rate_a=rate, rate_b=rate, epsilon=eps,
+                            trials=trials, seed=0, decoder=decoder)
+            assert cfg.messages_a % 3 != 0
+            calls = []
+
+            def record(*args, survivors=getattr(mcsim, stage)):
+                calls.append((args, survivors(*args)))
+                return calls[-1][1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(mcsim, stage, record)
+                estimate_error(spec, chan, team, cfg)
+            assert calls
+            for args, found in calls:
+                ids_a, ids_b, s_seq, y_seq = args[1:5]
+
+                def trial_scores():
+                    return [_pair_scores(log_t, (0, 1, 2, 3), s_seq[k], y_seq[k], ids_a[k],
+                                         ids_b[k]).tobytes()
+                            for log_t in (ctx.logq, ctx.tables[(0, 1, 2, 3)][0])
+                            for k in range(s_seq.shape[0])]
+
+                default = trial_scores()
+                for budget in (1, 3 * cfg.messages_b):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(mcsim, "PAIR_BLOCK_CELLS", budget)
+                        got = getattr(mcsim, stage)(*args)
+                        assert trial_scores() == default, (decoder, budget)
+                    assert all(np.array_equal(g, f) for g, f in zip(got, found)), \
+                        (decoder, budget)
+
+
+@pytest.mark.parametrize("many", ["a", "b"])
+def test_pair_kernel_never_holds_every_letters_intermediate(rng, many):
+    # 256 strategies and one message on one side, 64 messages and 4 strategies
+    # on the other, over 256 letters. Gathering through the smaller
+    # intermediate never builds the large one; holding every letter's large
+    # intermediate, (256, 64) cells each, would take 32 MiB.
+    sizes = dict(xa=2, xb=2, s=2, y=2, sa=1, sb=1) | {"s" + many: 8}
+    spec = random_spec(rng, sizes=sizes)
+    chan = induced_strategy_channel(spec)
+    policy = TeamPolicy(pi_a=np.full(chan.space_a.count, 1 / chan.space_a.count),
+                        pi_b=np.full(chan.space_b.count, 1 / chan.space_b.count))
+    n = 256
+    rate_a, rate_b = (0.0, 6 / n) if many == "a" else (6 / n, 0.0)
+    cfg = SimConfig(blocklength=n, rate_a=rate_a, rate_b=rate_b, epsilon=100, seed=1)
+    ctx = _DecodeContext(spec, chan, policy)
+    ctx.logq  # the ML decoder's lazy log table, built before tracing starts
+    books = generate_codebooks(policy, cfg)
+    trng = stream(1, 0, ROLE_TRIAL)
+    s_seq = trng.choice(spec.size_s, size=n, p=spec.state_pmf)
+    y_seq = trng.integers(0, spec.size_y, size=n)
+    held = n * 256 * 64 * 8
+    draws = (books.ids_a[None], books.ids_b[None], s_seq[None], y_seq[None])
+    for stage in (lambda: _typical_survivors(ctx, *draws, cfg.epsilon),
+                  lambda: _ml_survivors(ctx, *draws)):
+        tracemalloc.start()
+        try:
+            _, rows, cols = stage()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.size >= 1
+        assert peak < held / 32, (many, peak)
+
+
+def test_only_the_ml_decoder_builds_the_channel_log_table():
+    spec = load("mod2-adder-bsc01")
+    chan = induced_strategy_channel(spec)
+    ctx = _DecodeContext(spec, chan, two_strategy_policy())
+    cfg = SimConfig(blocklength=6, rate_a=0.5, rate_b=0.5, seed=2)
+    books = generate_codebooks(two_strategy_policy(), cfg)
+    draws = (books.ids_a[None], books.ids_b[None], np.zeros((1, 6), dtype=int),
+             np.zeros((1, 6), dtype=int))
+    _typical_survivors(ctx, *draws, 100.0)
+    assert "logq" not in vars(ctx)
+    _ml_survivors(ctx, *draws)
+    assert np.array_equal(ctx.logq, log2_floor(chan.q))
 
 
 # ---------------------------------------------------------------- trials

@@ -34,7 +34,7 @@ from fsmac.optimize import (
 )
 from fsmac.rates import RatePentagon, TeamPolicy, entropy_rows, joint_law, pentagon
 
-from conftest import random_deterministic_spec, random_spec
+from conftest import random_deterministic_spec, random_spec, spec_with
 
 
 # ---------------------------------------------------------------- building blocks
@@ -415,6 +415,19 @@ def test_grid_oracle_memory_stays_within_chunk_budget(monkeypatch):
         tracemalloc.stop()
     assert value == pytest.approx(expected, abs=1e-12)
     assert peak <= 4 * 8 * budget, peak
+
+
+def test_grid_oracle_zero_is_positive_zero():
+    # a constant output makes every entropy in the scan -0.0; the scan's first
+    # state is written into its buffer, not added to zeros, and must still
+    # report 0.0 as the sum from zeros did
+    for s in (1, 2):
+        spec = random_spec(np.random.default_rng(s), sizes=dict(xa=2, xb=2, s=s, sa=1, sb=1, y=2))
+        constant = np.zeros(spec.channel.shape)
+        constant[..., 0] = 1.0
+        spec = spec_with(spec, channel=constant)
+        value = grid_oracle_sum_rate(spec, induced_strategy_channel(spec), 4)
+        assert value == 0.0 and np.copysign(1.0, value) == 1.0, (s, value)
 
 
 def test_grid_oracle_never_beats_ascent():
