@@ -16,7 +16,6 @@ import argparse
 import csv
 import datetime
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -41,9 +40,9 @@ from .rng import ROLE_ENCODER, check_seed, stream
 # factorized form; anything above it means the reduction itself is broken.
 CONVERSE_TOL = 1e-9
 
-# --threads and FSMAC_THREADS must lie in [1, THREADS_CAP]. They change
-# nothing: restarts, directions and trials all run as rows of arrays in one
-# thread. The range check stays so that scripts passing them keep working.
+# --threads must lie in [1, THREADS_CAP]. It changes nothing: restarts,
+# directions and trials all run as rows of arrays in one thread. The range
+# check stays so that scripts passing it keep working.
 THREADS_CAP = 64
 
 
@@ -75,17 +74,8 @@ def _num(value) -> str:
 
 
 def _check_threads(args) -> None:
-    if args.threads is not None:
-        if not 1 <= args.threads <= THREADS_CAP:
-            raise ValueError(f"threads must be in [1, {THREADS_CAP}], got {args.threads}")
-        return
-    raw = os.environ.get("FSMAC_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if not 1 <= threads <= THREADS_CAP:
-        raise ValueError(f"FSMAC_THREADS must be an integer in [1, {THREADS_CAP}], got {raw!r}")
+    if args.threads is not None and not 1 <= args.threads <= THREADS_CAP:
+        raise ValueError(f"threads must be in [1, {THREADS_CAP}], got {args.threads}")
 
 
 def _validate(args, spec, chan):
@@ -328,9 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--decoder", choices=DECODERS, default="typicality")
     p.add_argument("--threads", type=int, default=None,
-                   help="accepted and checked, in [1, 64] (default: FSMAC_THREADS "
-                        "or 1); changes nothing: the trials run as rows of "
-                        "chunks in one thread")
+                   help="accepted and checked, in [1, 64]; changes nothing: "
+                        "the trials run as rows of chunks in one thread")
     p.add_argument("--csv", default=None, help="write the per-n sweep table here")
 
     p = sub.add_parser("verify-converse",
@@ -347,7 +336,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (SpecFormatError, OSError, json.JSONDecodeError) as exc:
+    except (SpecFormatError, OSError) as exc:
         print(f"fsmac: error: {exc}", file=sys.stderr)
         return 2
     except (ValidationError, GuardError, ValueError) as exc:

@@ -86,20 +86,21 @@ def sigma_string(digits) -> str:
     """Serialize a past-state sequence, oldest first ('' if empty).
 
     Digits are concatenated while they are single characters; any state
-    symbol above 9 switches the whole string to comma-joined form so it
-    stays unambiguous.
+    symbol above 9 switches the whole string to comma-joined form, which
+    always holds a comma ('12,' for the one-state past (12,)), so it never
+    reads as a string of digits.
     """
     digits = [int(d) for d in digits]
     if any(d < 0 for d in digits):
         raise ValueError(f"state digits must be nonnegative, got {digits}")
     if any(d > 9 for d in digits):
-        return ",".join(str(d) for d in digits)
+        return ",".join(str(d) for d in digits) + ("," if len(digits) == 1 else "")
     return "".join(str(d) for d in digits)
 
 
 def sigma_digits(text: str) -> tuple:
     if "," in text:
-        return tuple(int(c) for c in text.split(","))
+        return tuple(int(c) for c in text.removesuffix(",").split(","))
     return tuple(int(c) for c in text)
 
 

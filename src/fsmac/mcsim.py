@@ -6,6 +6,11 @@ joint typicality (every nonempty subset of the four per-letter variables
 must have empirical log-likelihood within epsilon of its entropy) or by
 maximum likelihood over message pairs.
 
+Every subset's log table keeps the four axes (s, ta, tb, y) of the joint
+law, with a singleton on each axis the subset lacks, so one index rule
+serves every stage: a letter reads its own axis of a subset's table and 0
+on a singleton.
+
 The typicality mask is staged. The state and output subsets can reject a
 trial outright; the subsets holding one sender's strategy keep the surviving
 codewords of each sender; the full law is scored on the block of surviving
@@ -182,7 +187,8 @@ def _axis_subsets():
 
 
 class _DecodeContext:
-    """Subset marginals, their entropies, and log tables for one policy law.
+    """Log tables of the subset marginals of one policy law, shaped like q,
+    and the subsets' entropies.
 
     Codebook independent, so one context serves every trial of a run."""
 
@@ -193,7 +199,7 @@ class _DecodeContext:
         self.tables = {}
         for combo in _axis_subsets():
             drop = tuple(i for i in range(4) if i not in combo)
-            marg = law.sum(axis=drop)
+            marg = law.sum(axis=drop, keepdims=True)
             log_t = log2_floor(marg)
             self.tables[combo] = (log_t, float(-(marg * log_t).sum()))
 
@@ -240,21 +246,11 @@ def typicality_check(seqs, law, epsilon: float) -> bool:
     return True
 
 
-def _single_side_scores(ctx, combo, s_seq, y_seq, ids):
-    log_t, _ = ctx.tables[combo]
-    index = tuple(
-        {0: s_seq, 3: y_seq}.get(axis, ids) for axis in combo
-    )
-    return log_t[index].mean(axis=-1)        # (trials, messages)
-
-
-def _letter_axes(log_t, combo, s_seq, y_seq):
-    """A pair subset's log table on all four axes, the absent ones as
-    singletons, and the (s, y) index of each letter into it."""
-    full = np.expand_dims(log_t, tuple(i for i in (0, 3) if i not in combo))
-    s_idx = s_seq if 0 in combo else np.zeros_like(s_seq)
-    y_idx = y_seq if 3 in combo else np.zeros_like(y_seq)
-    return full, s_idx, y_idx
+def _index(combo, s, a, b, y) -> tuple:
+    """The index of letters (s, a, b, y) into a subset's table: the letter
+    on each axis the subset has, 0 on each singleton axis it lacks."""
+    return (s if 0 in combo else 0, a if 1 in combo else 0,
+            b if 2 in combo else 0, y if 3 in combo else 0)
 
 
 def _pair_blocks(log_t, combo, s_seq, y_seq, ids_a, ids_b):
@@ -269,9 +265,9 @@ def _pair_blocks(log_t, combo, s_seq, y_seq, ids_a, ids_b):
     they are made once per letter when all letters' cuts together fit in a
     block, and once per block and letter otherwise: no call holds every
     letter's intermediate."""
-    full, s_idx, y_idx = _letter_axes(log_t, combo, s_seq, y_seq)
-    (ma, n), (count_a, count_b), mb = ids_a.shape, full.shape[1:3], ids_b.shape[0]
-    tables = [full[s, :, :, y] for s, y in zip(s_idx.tolist(), y_idx.tolist())]
+    (ma, n), (count_a, count_b), mb = ids_a.shape, log_t.shape[1:3], ids_b.shape[0]
+    tables = [log_t[_index(combo, s, slice(None), slice(None), y)]
+              for s, y in zip(s_seq.tolist(), y_seq.tolist())]
     # each letter's ids in one contiguous row, a copy of the codebook's size
     at_a, at_b = np.ascontiguousarray(ids_a.T), np.ascontiguousarray(ids_b.T)
     if count_a * mb > ma * count_b:          # rows first
@@ -312,14 +308,11 @@ def _listed_scores(ctx, combos, s_seq, y_seq, ids_a, ids_b, trial, rows, cols) -
     # flat codebook rows, so one letter's gather takes one index array per sender
     flat_a, flat_b = ids_a.reshape(-1, n), ids_b.reshape(-1, n)
     at_a, at_b = trial * ids_a.shape[1] + rows, trial * ids_b.shape[1] + cols
-    axes = [(_letter_axes(ctx.tables[combo][0], combo, s_seq, y_seq)[0],
-             0 in combo, 3 in combo) for combo in combos]
     accs = [np.zeros(trial.size) for _ in combos]
     for t in range(n):
-        ia, ib = flat_a[at_a, t], flat_b[at_b, t]
-        s_t, y_t = s_seq[trial, t], y_seq[trial, t]
-        for acc, (full, has_s, has_y) in zip(accs, axes):
-            acc += full[s_t if has_s else 0, ia, ib, y_t if has_y else 0]
+        letters = s_seq[trial, t], flat_a[at_a, t], flat_b[at_b, t], y_seq[trial, t]
+        for acc, combo in zip(accs, combos):
+            acc += ctx.tables[combo][0][_index(combo, *letters)]
     return [acc / n for acc in accs]
 
 
@@ -342,19 +335,16 @@ def _typical_survivors(ctx: _DecodeContext, ids_a, ids_b, s_seq, y_seq,
     def passes(combo, score):
         return np.abs(-score - ctx.tables[combo][1]) < epsilon
 
-    def survivors(combos, ids):
-        ok = np.ones(ids.shape[:2], dtype=bool)
-        for combo in combos:
-            ok &= passes(combo, _single_side_scores(ctx, combo, s_seq[:, None],
-                                                    y_seq[:, None], ids))
-        return ok
+    def survivors(combos, *letters):
+        # letters broadcast to (..., n); each subset's mean is over that n
+        return np.logical_and.reduce([
+            passes(combo, ctx.tables[combo][0][_index(combo, *letters)].mean(axis=-1))
+            for combo in combos])
 
-    live = np.ones(s_seq.shape[0], dtype=bool)
-    for combo in [(0,), (3,), (0, 3)]:
-        index = tuple({0: s_seq, 3: y_seq}[axis] for axis in combo)
-        live &= passes(combo, ctx.tables[combo][0][index].mean(axis=-1))
-    ok_a = survivors([(1,), (0, 1), (1, 3), (0, 1, 3)], ids_a)
-    ok_b = survivors([(2,), (0, 2), (2, 3), (0, 2, 3)], ids_b)
+    s, y = s_seq[:, None], y_seq[:, None]
+    live = survivors([(0,), (3,), (0, 3)], s_seq, 0, 0, y_seq)
+    ok_a = survivors([(1,), (0, 1), (1, 3), (0, 1, 3)], s, ids_a, 0, y)
+    ok_b = survivors([(2,), (0, 2), (2, 3), (0, 2, 3)], s, 0, ids_b, y)
     full = (0, 1, 2, 3)
     n = s_seq.shape[1]
     found = []

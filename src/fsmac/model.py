@@ -99,11 +99,16 @@ def _check_pmf_rows(arr: np.ndarray, name: str) -> None:
         )
 
 
-def _as_float_array(value, name: str, shape: tuple) -> np.ndarray:
+def float_array(value, name: str) -> np.ndarray:
+    """value as a float64 array; anything else raises ValidationError naming it."""
     try:
-        arr = np.asarray(value, dtype=np.float64)
+        return np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name}: not a numeric array ({exc})") from None
+
+
+def _as_float_array(value, name: str, shape: tuple) -> np.ndarray:
+    arr = float_array(value, name)
     if arr.shape != shape:
         raise ValidationError(f"{name}: shape {arr.shape} does not match alphabets, expected {shape}")
     if not np.all(np.isfinite(arr)):
@@ -201,15 +206,25 @@ def _check_channel_size(spec: FsMacSpec, count_a: int, count_b: int) -> None:
         )
 
 
-def load_spec(path, strategy_cap: int = DEFAULT_STRATEGY_CAP) -> FsMacSpec:
-    """Read a spec JSON file. Parse failures raise SpecFormatError."""
+def read_json_object(path, what: str) -> dict:
+    """The object a JSON file holds. Bytes that do not decode, bad JSON,
+    nesting too deep to parse and any other top-level value raise
+    SpecFormatError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SpecFormatError(f"{path}: {exc}") from None
-    return spec_from_dict(doc, strategy_cap=strategy_cap)
+    if not isinstance(doc, dict):
+        raise SpecFormatError(
+            f"{path}: {what} document must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def load_spec(path, strategy_cap: int = DEFAULT_STRATEGY_CAP) -> FsMacSpec:
+    """Read a spec JSON file. Parse failures raise SpecFormatError."""
+    return spec_from_dict(read_json_object(path, "spec"), strategy_cap=strategy_cap)
 
 
 def induced_strategy_channel(spec: FsMacSpec,

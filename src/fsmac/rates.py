@@ -9,13 +9,12 @@ All logs are base 2. Cells with zero probability contribute exactly zero;
 there is no epsilon smoothing anywhere.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInvariantError, SpecFormatError, ValidationError
-from .model import PMF_ATOL, FsMacSpec, StrategyChannel
+from .errors import InternalInvariantError, ValidationError
+from .model import PMF_ATOL, FsMacSpec, StrategyChannel, float_array, read_json_object
 
 AXES = {"s": 0, "ta": 1, "tb": 2, "y": 3}
 MI_FLOOR = -1e-12
@@ -59,22 +58,15 @@ class TeamPolicy:
 
 def load_policy(path) -> TeamPolicy:
     """Read a policy JSON file {"pi_a": [...], "pi_b": [...]}."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"{path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SpecFormatError(f"{path}: policy document must be a JSON object")
+    doc = read_json_object(path, "policy")
     unknown = set(doc) - {"pi_a", "pi_b"}
     if unknown:
         raise ValidationError(f"unknown policy key {sorted(unknown)[0]!r}")
     for key in ("pi_a", "pi_b"):
         if key not in doc:
             raise ValidationError(f"missing policy key {key!r}")
-    return TeamPolicy(pi_a=np.asarray(doc["pi_a"], dtype=np.float64),
-                      pi_b=np.asarray(doc["pi_b"], dtype=np.float64))
+    return TeamPolicy(pi_a=float_array(doc["pi_a"], "pi_a"),
+                      pi_b=float_array(doc["pi_b"], "pi_b"))
 
 
 @dataclass(frozen=True)

@@ -293,6 +293,66 @@ def test_simulate_bad_policy_key_exit1(tmp_path, capsys):
     assert "extra" in err
 
 
+# --- malformed input --------------------------------------------------------
+
+def _spec_doc(**changes) -> bytes:
+    return json.dumps(json.loads(spec_path("mod2-adder-noiseless").read_text())
+                      | changes).encode()
+
+
+UNDECODABLE = b"\xff\xfe\xfa\x00\x01"  # a UTF-16 mark, then an odd byte count
+TOO_DEEP = b"[" * 100_000 + b"]" * 100_000  # beyond the JSON parser's recursion limit
+SPEC_INPUTS = {             # malformed spec bytes and the exit code they earn
+    "undecodable": (UNDECODABLE, 2),
+    "too-deep": (TOO_DEEP, 2),
+    "not-an-object": (b"[1, 2]", 2),
+    "non-numeric": (_spec_doc(state_pmf=["a", "b"]), 1),
+}
+POLICY_INPUTS = {
+    "undecodable": (UNDECODABLE, 2),
+    "too-deep": (TOO_DEEP, 2),
+    "not-an-object": (b'"policy"', 2),
+    "non-numeric": (json.dumps({"pi_a": ["a", 0, 0, 1], "pi_b": [1, 0, 0, 0]}).encode(), 1),
+    "dict-pmf": (json.dumps({"pi_a": {"x": 1}, "pi_b": [1, 0, 0, 0]}).encode(), 1),
+}
+SIMULATE = ["simulate", "--n", "4", "--ra", "0.2", "--rb", "0.2", "--trials", "5"]
+
+
+def _one_error_line(err: str) -> bool:
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("fsmac: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"], ["sumrate"], ["region", "--out", "hull.csv"], SIMULATE,
+    ["verify-converse", "--trials", "2"],
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("kind", SPEC_INPUTS)
+def test_bad_spec_never_tracebacks(tmp_path, capsys, monkeypatch, command, kind):
+    # an exception escaping main would print a traceback; main must turn
+    # every malformed input into one error line and exit 1 or 2
+    monkeypatch.chdir(tmp_path)
+    raw, code = SPEC_INPUTS[kind]
+    (tmp_path / "spec.json").write_bytes(raw)
+    rc, out, err = run(capsys, *command, "--spec", "spec.json")
+    assert (rc, out) == (code, "")
+    assert _one_error_line(err), err
+    if kind == "non-numeric":
+        assert "state_pmf: not a numeric array" in err
+
+
+@pytest.mark.parametrize("kind", POLICY_INPUTS)
+def test_bad_policy_never_tracebacks(tmp_path, capsys, kind):
+    raw, code = POLICY_INPUTS[kind]
+    path = tmp_path / "policy.json"
+    path.write_bytes(raw)
+    rc, out, err = run(capsys, *SIMULATE, "--spec", MOD2, "--policy", str(path))
+    assert (rc, out) == (code, "")
+    assert _one_error_line(err), err
+    if kind in ("non-numeric", "dict-pmf"):
+        assert "pi_a: not a numeric array" in err
+
+
 # --- determinism ------------------------------------------------------------
 
 def test_reports_byte_identical_across_runs_and_threads(capsys, two_strategy_policy):
@@ -315,18 +375,6 @@ def test_sumrate_byte_identical_across_threads(capsys):
     assert outs[0] == outs[1]
 
 
-def test_threads_env_default(capsys, monkeypatch, two_strategy_policy):
-    argv = ["simulate", "--spec", MOD2, "--policy", two_strategy_policy,
-            "--n", "4", "--ra", "0.25", "--rb", "0.25", "--trials", "20"]
-    monkeypatch.setenv("FSMAC_THREADS", "2")
-    assert cli.main(argv) == 0
-    env_out = strip_timing(json.loads(capsys.readouterr().out))
-    monkeypatch.delenv("FSMAC_THREADS")
-    assert cli.main(argv + ["--threads", "1"]) == 0
-    flag_out = strip_timing(json.loads(capsys.readouterr().out))
-    assert env_out == flag_out
-
-
 @pytest.mark.parametrize("command", [
     ["sumrate"],
     ["region", "--out", "hull.csv"],
@@ -340,17 +388,6 @@ def test_threads_out_of_range_exit1(capsys, command, threads):
     assert rc == 1
     assert out == ""
     assert f"threads must be in [1, {cli.THREADS_CAP}], got {threads}" in err
-
-
-@pytest.mark.parametrize("value", ["0", "abc"])
-def test_threads_env_checked_only_where_threads_apply(capsys, monkeypatch, value):
-    monkeypatch.setenv("FSMAC_THREADS", value)
-    rc, _, err = run(capsys, "sumrate", "--spec", MOD2)
-    assert rc == 1
-    assert f"FSMAC_THREADS must be an integer in [1, {cli.THREADS_CAP}], got {value!r}" in err
-    assert run(capsys, "validate", "--spec", MOD2)[0] == 0
-    assert run(capsys, "verify-converse", "--spec", MOD2,
-               "--n", "2", "--trials", "1")[0] == 0
 
 
 # --- manifest ---------------------------------------------------------------

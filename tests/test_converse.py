@@ -35,15 +35,25 @@ from fsmac.rng import ROLE_ENCODER, stream
 from conftest import random_spec
 
 
-def test_sigma_string_roundtrip():
+def test_sigma_string_roundtrip(rng):
     assert sigma_string(()) == ""
     assert sigma_string((0, 1, 2)) == "012"
     assert sigma_digits("012") == (0, 1, 2)
     assert sigma_digits("") == ()
     assert sigma_string((11, 3)) == "11,3"
     assert sigma_digits("11,3") == (11, 3)
+    # a one-state past above 9 must not read as two single-digit states
+    assert sigma_string((12,)) == "12,"
+    assert sigma_string((1, 2)) == "12"
+    for digits in [(12,), (1, 2), (12, 1), (1, 12), (10,), (0,)]:
+        assert sigma_digits(sigma_string(digits)) == digits
     with pytest.raises(ValueError, match="nonnegative"):
         sigma_string((-1,))
+    # every (time, past) of 13 states keeps its own key: 1 + 13 + 13**2 pasts
+    spec = random_spec(rng, sizes=dict(xa=2, xb=2, s=13, sa=1, sb=1, y=2))
+    weights = alpha_sigma_weights(spec, 3)
+    assert len(weights) == 1 + 13 + 169
+    assert sum(weights.values()) == pytest.approx(1.0)
 
 
 def test_alpha_weights_frozen_binary_example():

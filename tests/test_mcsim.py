@@ -20,11 +20,11 @@ from fsmac.mcsim import (
     OUTCOME_WRONG,
     SimConfig,
     _DecodeContext,
+    _index,
     _listed_scores,
     _ml_survivors,
     _pair_blocks,
     _pair_scores,
-    _single_side_scores,
     _typical_survivors,
     estimate_error,
     generate_codebooks,
@@ -327,7 +327,7 @@ def test_chunk_means_match_per_trial_means(rng):
 
 
 def test_chunk_scores_match_per_trial_scores(rng):
-    # single-sender, listed and pair scores of a chunk equal each trial's own
+    # filter, listed and pair scores of a chunk equal each trial's own
     spec = random_spec(rng, sizes=dict(xa=2, xb=3, s=3, sa=2, sb=1, y=3))
     chan = induced_strategy_channel(spec)
     policy = TeamPolicy(pi_a=rng.dirichlet(np.ones(chan.space_a.count)),
@@ -339,10 +339,24 @@ def test_chunk_scores_match_per_trial_scores(rng):
     ids_b = np.stack([b.ids_b for b in books])
     s_seq = rng.choice(spec.size_s, size=(6, 11), p=spec.state_pmf)
     y_seq = rng.integers(0, spec.size_y, size=(6, 11))
-    for combo, ids in [((1,), ids_a), ((0, 1, 3), ids_a), ((2, 3), ids_b), ((0, 2), ids_b)]:
-        chunk = _single_side_scores(ctx, combo, s_seq[:, None], y_seq[:, None], ids)
+    assert all(log_t.ndim == 4 for log_t, _ in ctx.tables.values())
+
+    def filter_scores(combo, *letters):
+        # as _typical_survivors scores a filter: the mean over the last axis
+        return ctx.tables[combo][0][_index(combo, *letters)].mean(axis=-1)
+
+    s, y = s_seq[:, None], y_seq[:, None]
+    for combo, chunk_letters, trial_letters in [
+        ((0,), (s_seq, 0, 0, y_seq), lambda k: (s_seq[k], 0, 0, y_seq[k])),
+        ((0, 3), (s_seq, 0, 0, y_seq), lambda k: (s_seq[k], 0, 0, y_seq[k])),
+        ((1,), (s, ids_a, 0, y), lambda k: (s_seq[k], ids_a[k], 0, y_seq[k])),
+        ((0, 1, 3), (s, ids_a, 0, y), lambda k: (s_seq[k], ids_a[k], 0, y_seq[k])),
+        ((2, 3), (s, 0, ids_b, y), lambda k: (s_seq[k], 0, ids_b[k], y_seq[k])),
+        ((0, 2), (s, 0, ids_b, y), lambda k: (s_seq[k], 0, ids_b[k], y_seq[k])),
+    ]:
+        chunk = filter_scores(combo, *chunk_letters)
         for k in range(6):
-            one = _single_side_scores(ctx, combo, s_seq[k], y_seq[k], ids[k])
+            one = filter_scores(combo, *trial_letters(k))
             assert np.array_equal(chunk[k], one), (combo, k)
     trial, rows, cols = (a.ravel() for a in np.meshgrid(
         np.arange(6), np.arange(cfg.messages_a), np.arange(cfg.messages_b), indexing="ij"))
