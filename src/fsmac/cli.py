@@ -47,7 +47,10 @@ THREADS_CAP = 64
 
 
 def _canonical(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise InternalInvariantError(f"report holds a NaN or infinity ({exc})") from None
 
 
 def _emit(payload: dict, out: str | None, summary: str) -> None:

@@ -163,12 +163,9 @@ def _history_weights(obs_rows: np.ndarray, sigma) -> np.ndarray:
     return reduce(np.kron, reversed(vectors), np.ones(1))
 
 
-def induced_sigma_policy(spec: FsMacSpec, maps: EncoderMaps, t: int, sigma) -> TeamPolicy:
-    """Distribution of both senders' time-t tables given the past states.
-
-    Counts over uniform messages, mixing observation histories with their
-    probability given the state sequence.
-    """
+def _time_and_past(spec: FsMacSpec, maps: EncoderMaps, t: int, sigma) -> tuple:
+    """sigma as a tuple of ints, once t is a time of the code and sigma a
+    past of t - 1 states of the alphabet; ValueError otherwise."""
     sigma = tuple(int(s) for s in sigma)
     if not 1 <= t <= maps.blocklength:
         raise ValueError(f"time {t} outside 1..{maps.blocklength}")
@@ -176,6 +173,16 @@ def induced_sigma_policy(spec: FsMacSpec, maps: EncoderMaps, t: int, sigma) -> T
         raise ValueError(f"time {t} needs {t - 1} past states, got {len(sigma)}")
     if any(not 0 <= s < spec.size_s for s in sigma):
         raise ValueError(f"past state sequence {sigma} outside the state alphabet")
+    return sigma
+
+
+def induced_sigma_policy(spec: FsMacSpec, maps: EncoderMaps, t: int, sigma) -> TeamPolicy:
+    """Distribution of both senders' time-t tables given the past states.
+
+    Counts over uniform messages, mixing observation histories with their
+    probability given the state sequence.
+    """
+    sigma = _time_and_past(spec, maps, t, sigma)
 
     def one_side(phi, obs_rows, input_size, messages):
         powers = input_size ** np.arange(phi.shape[2])
@@ -199,11 +206,7 @@ def brute_force_conditional(spec: FsMacSpec, maps: EncoderMaps, t: int, sigma) -
     construction; tables are identified by re-deriving their id digit by
     digit.
     """
-    sigma = tuple(int(s) for s in sigma)
-    if not 1 <= t <= maps.blocklength:
-        raise ValueError(f"time {t} outside 1..{maps.blocklength}")
-    if len(sigma) != t - 1:
-        raise ValueError(f"time {t} needs {t - 1} past states, got {len(sigma)}")
+    sigma = _time_and_past(spec, maps, t, sigma)
     count_a = spec.size_xa ** spec.size_sa
     count_b = spec.size_xb ** spec.size_sb
     out = np.zeros((count_a, count_b, spec.size_y, spec.size_s))

@@ -30,6 +30,11 @@ from .strategy import DEFAULT_STRATEGY_CAP, StrategySpace, enumerate_strategies
 PMF_ATOL = 1e-9
 STRATEGY_PRODUCT_CAP = 10**7
 Q_CELL_CAP = 1 << 24   # float64 cells of the strategy channel q, S*A*B*Y
+# Bytes a spec or policy file may hold. A spec's largest array, the transfer
+# law, has at most Q_CELL_CAP cells once the guards pass (Sa = Sb = 1 reaches
+# it), and a JSON double with sign, exponent and separator takes at most 26
+# bytes; 32 per cell leaves room for brackets and spaces.
+SPEC_BYTE_CAP = 32 * Q_CELL_CAP
 
 _ALPHABET_KEYS = ("xa", "xb", "s", "sa", "sb", "y")
 _TOP_KEYS = {"alphabets", "state_pmf", "obs_a", "obs_b", "channel", "labels"}
@@ -207,11 +212,13 @@ def _check_channel_size(spec: FsMacSpec, count_a: int, count_b: int) -> None:
 
 
 def read_json_object(path, what: str) -> dict:
-    """The object a JSON file holds. Bytes that do not decode, bad JSON,
-    nesting too deep to parse and any other top-level value raise
-    SpecFormatError."""
+    """The object a JSON file holds. A file over SPEC_BYTE_CAP bytes, bytes
+    that do not decode, bad JSON, nesting too deep to parse and any other
+    top-level value raise SpecFormatError."""
     with open(path, "rb") as fh:
-        raw = fh.read()
+        raw = fh.read(SPEC_BYTE_CAP + 1)
+    if len(raw) > SPEC_BYTE_CAP:
+        raise SpecFormatError(f"{path}: {what} file exceeds {SPEC_BYTE_CAP} bytes")
     try:
         doc = json.loads(raw)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:

@@ -8,11 +8,14 @@ table-conditional entropy is linear). So the ascent alternates blocks:
 _Objective.block builds that single-sender function once per block, and a
 multiplicative-weights step with backtracking line search climbs it.
 
-The ascent never builds the strategy channel q. It works on q's factors,
-each sender's per-state input law and the transfer law, so a block's laws
-and a probe cost O(S*(A*Xa + B*Xb)*Y) per row, the own-bound pass included.
-Only the table-conditional entropy m needs strategy pairs: it is (A, B),
-built once per objective, per state in chunks of a-rows.
+Neither the ascent nor the region builds the strategy channel q. They work
+on q's factors, each sender's per-state input law and the transfer law, so a
+block's laws and a probe cost O(S*(A*Xa + B*Xb)*Y) per row, the own-bound
+pass included. Only the table-conditional entropy m needs strategy pairs: it
+is (A, B), built once per objective, per state in chunks of a-rows. The
+region reads each winning policy's pentagon off the objective it climbed: J
+at the unit weights (1, 0, 0), (0, 1, 0) and (0, 0, 1) is bound_a, bound_b
+and bound_sum.
 
 All restarts climb together as rows of one array. A row is one (weights,
 restart) pair: the sum rate's restarts, or every restart of every region
@@ -41,7 +44,7 @@ import numpy as np
 
 from .errors import GuardError, InternalInvariantError
 from .model import FsMacSpec, StrategyChannel
-from .rates import RatePentagon, TeamPolicy, entropy_rows, joint_law, log2_floor, pentagon
+from .rates import RatePentagon, TeamPolicy, checked_pentagon, entropy_rows, log2_floor
 from .rng import ROLE_RESTART, stream
 
 _LOG2E = 1.0 / np.log(2.0)
@@ -104,6 +107,8 @@ class RateRegion:
         v = np.asarray(self.vertices, dtype=np.float64)
         if v.ndim != 2 or v.shape[1] != 2:
             raise ValueError(f"vertices must be (k, 2), got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise InternalInvariantError("rate region vertex is not finite")
         if np.any(v < -1e-12):
             raise InternalInvariantError("rate region vertex outside the nonnegative quadrant")
         if not (abs(v[0, 0]) <= 1e-12 and abs(v[0, 1]) <= 1e-12):
@@ -569,12 +574,15 @@ def inner_bound_region(spec: FsMacSpec, chan: StrategyChannel,
     thetas = np.linspace(0.0, np.pi / 2.0, directions)
     dirs = [(1.0, 0.0), *((float(np.cos(t)), float(np.sin(t))) for t in thetas[1:-1]), (0.0, 1.0)]
     groups = [(_direction_weights(ca, cb), (k + 1) << 20) for k, (ca, cb) in enumerate(dirs)]
-    *bests, outer = _maximize(_Objective(chan, spec.state_pmf), cfg, groups + [_SUM_RATE])
+    obj = _Objective(chan, spec.state_pmf)
+    *bests, outer = _maximize(obj, cfg, groups + [_SUM_RATE])
     points = [(0.0, 0.0)]
     supports = []
     for direction, (_, pa, pb, *_) in zip(dirs, bests):
         policy = TeamPolicy(pi_a=pa, pi_b=pb)
-        pent = pentagon(joint_law(spec, chan, policy))
+        # J at unit weights is each bound alone: rows a, b and sum, one policy
+        bounds = obj.block(0, np.eye(3), np.tile(pb, (3, 1))).value(np.tile(pa, (3, 1)))
+        pent = checked_pentagon(*bounds, spec.size_y)
         value, point = pentagon_support(pent, direction)
         points.append(point)
         supports.append(DirectionSupport(direction=direction, value=value,

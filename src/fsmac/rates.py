@@ -147,6 +147,8 @@ def conditional_mutual_information(law, x, y, z=()) -> float:
     x, y, z name disjoint groups of axes from {"s", "ta", "tb", "y"};
     axes in none of the groups are marginalized out. law may be a JointLaw
     or a plain 4-axis array (any sizes, e.g. a composite state axis).
+    The value is the raw sum, so rounding may leave it a few ulps below 0;
+    checked_pentagon checks and clamps it.
     """
     p = law.p if isinstance(law, JointLaw) else np.asarray(law, dtype=np.float64)
     if p.ndim != 4:
@@ -167,25 +169,28 @@ def conditional_mutual_information(law, x, y, z=()) -> float:
     p_yz = _marginal(p_xyz, ax_y + ax_z)
     p_z = _marginal(p_xyz, ax_z)
 
+    p_xyz, p_xz, p_yz, p_z = np.broadcast_arrays(p_xyz, p_xz, p_yz, p_z)
     mask = p_xyz > 0
-    # single log of the full ratio keeps cancellation error at the ulp level
-    num = p_xyz * p_z
-    den = p_xz * p_yz
-    ratio = np.where(mask, num / np.where(mask, den, 1.0), 1.0)
-    value = float((p_xyz[mask] * np.log2(ratio[mask])).sum())
-    if value < MI_FLOOR:
+    p_pos = p_xyz[mask]
+    # a ratio of conditionals, (p_xyz / p_xz) / (p_yz / p_z): every factor is
+    # at least p_xyz, so it stays finite where p_xyz * p_z and p_xz * p_yz
+    # would underflow to 0 / 0; a single log keeps cancellation at the ulp level
+    return float((p_pos * np.log2((p_pos / p_xz[mask]) / (p_yz[mask] / p_z[mask]))).sum())
+
+
+def checked_pentagon(bound_a, bound_b, bound_sum, size_y: int) -> RatePentagon:
+    """The pentagon of three bounds after the checks every route shares:
+    each finite and at least MI_FLOOR (then clamped at 0), bound_sum at most
+    log2 |Y|, and max(bound_a, bound_b) <= bound_sum <= bound_a + bound_b,
+    all within PENTAGON_SLACK."""
+    bounds = (float(bound_a), float(bound_b), float(bound_sum))
+    if not all(np.isfinite(bounds)):
+        raise InternalInvariantError(f"non-finite rate bound in {bounds!r}")
+    if min(bounds) < MI_FLOOR:
         raise InternalInvariantError(
-            f"conditional mutual information {value!r} below {MI_FLOOR}"
+            f"rate bound {min(bounds)!r} below {MI_FLOOR}"
         )
-    return max(value, 0.0)
-
-
-def pentagon(law: JointLaw) -> RatePentagon:
-    """Evaluate the three bounds a policy supports and check their ordering."""
-    bound_a = conditional_mutual_information(law, x="ta", y="y", z=("tb", "s"))
-    bound_b = conditional_mutual_information(law, x="tb", y="y", z=("ta", "s"))
-    bound_sum = conditional_mutual_information(law, x=("ta", "tb"), y="y", z="s")
-    size_y = law.p.shape[3]
+    bound_a, bound_b, bound_sum = (max(v, 0.0) for v in bounds)
     if bound_sum > np.log2(size_y) + PENTAGON_SLACK:
         raise InternalInvariantError(
             f"bound_sum {bound_sum!r} exceeds log2 |Y| = {np.log2(size_y)!r}"
@@ -200,3 +205,13 @@ def pentagon(law: JointLaw) -> RatePentagon:
             f"= {bound_a + bound_b!r}"
         )
     return RatePentagon(bound_a=bound_a, bound_b=bound_b, bound_sum=bound_sum)
+
+
+def pentagon(law: JointLaw) -> RatePentagon:
+    """The three bounds a policy supports, read off its joint law and checked."""
+    return checked_pentagon(
+        conditional_mutual_information(law, x="ta", y="y", z=("tb", "s")),
+        conditional_mutual_information(law, x="tb", y="y", z=("ta", "s")),
+        conditional_mutual_information(law, x=("ta", "tb"), y="y", z="s"),
+        law.p.shape[3],
+    )

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line front end."""
 
 import csv
+import dataclasses
 import json
 import warnings
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import fsmac.cli as cli
+import fsmac.model as model
 from conftest import oversized_channel_doc
 from fsmac.examples import spec_path
 
@@ -307,6 +309,7 @@ SPEC_INPUTS = {             # malformed spec bytes and the exit code they earn
     "too-deep": (TOO_DEEP, 2),
     "not-an-object": (b"[1, 2]", 2),
     "non-numeric": (_spec_doc(state_pmf=["a", "b"]), 1),
+    "oversized": (_spec_doc(), 2),   # a good spec, one byte over a cap patched small
 }
 POLICY_INPUTS = {
     "undecodable": (UNDECODABLE, 2),
@@ -334,11 +337,15 @@ def test_bad_spec_never_tracebacks(tmp_path, capsys, monkeypatch, command, kind)
     monkeypatch.chdir(tmp_path)
     raw, code = SPEC_INPUTS[kind]
     (tmp_path / "spec.json").write_bytes(raw)
+    if kind == "oversized":
+        monkeypatch.setattr(model, "SPEC_BYTE_CAP", len(raw) - 1)
     rc, out, err = run(capsys, *command, "--spec", "spec.json")
     assert (rc, out) == (code, "")
     assert _one_error_line(err), err
     if kind == "non-numeric":
         assert "state_pmf: not a numeric array" in err
+    if kind == "oversized":
+        assert f"spec file exceeds {len(raw) - 1} bytes" in err
 
 
 @pytest.mark.parametrize("kind", POLICY_INPUTS)
@@ -443,6 +450,19 @@ def test_verify_converse_breach_exit3(capsys, monkeypatch):
     assert rc == 3
     assert "EXCEEDS" in err
     assert payload_of(out)["trials"] == 2  # report still emitted
+
+
+def test_non_finite_report_exits3(tmp_path, capsys, monkeypatch):
+    # a NaN reaching a report is a bug upstream: the dump refuses it, so no
+    # report carries a bare NaN token that strict JSON parsers reject
+    optimum = cli.maximize_sum_rate
+    monkeypatch.setattr(cli, "maximize_sum_rate", lambda *args: dataclasses.replace(
+        optimum(*args), value=float("nan")))
+    path = tmp_path / "report.json"
+    rc, out, err = run(capsys, "sumrate", "--spec", MOD2, "--restarts", "1", "--out", str(path))
+    assert (rc, out) == (3, "")
+    assert err.startswith("fsmac: internal invariant violated: report holds a NaN"), err
+    assert not path.exists()
 
 
 def test_verify_converse_seed_changes_codes(capsys):

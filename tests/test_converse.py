@@ -148,6 +148,9 @@ def test_policy_argument_validation(rng):
         induced_sigma_policy(spec, maps, 2, (5,))
     with pytest.raises(ValueError, match="past states"):
         brute_force_conditional(spec, maps, 1, (0,))
+    for past in ((-1,), (2,)):   # (-1,) once read the last state's law
+        with pytest.raises(ValueError, match="state alphabet"):
+            brute_force_conditional(spec, maps, 2, past)
 
 
 def test_brute_force_law_is_a_pmf(rng):

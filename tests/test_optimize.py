@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import fsmac.optimize as optimize
-from fsmac.errors import GuardError
-from fsmac.examples import load
+from fsmac.errors import GuardError, InternalInvariantError
+from fsmac.examples import NAMES, load
 from fsmac.model import induced_strategy_channel
 from fsmac.optimize import (
     DirectionSupport,
@@ -241,9 +241,12 @@ def test_factorized_objective_matches_literal_q_sums(rng):
             np.testing.assert_allclose(f.grad(x), grad, rtol=0, atol=1e-12)
 
 
-def _large_spec():
+LARGE_SIZES = dict(xa=2, xb=2, s=4, sa=8, sb=8, y=4)
+
+
+def _large_spec(seed=8):
     """256 x 256 strategies, S = Y = 4: q would hold 2**20 cells, 8 MB."""
-    return random_spec(np.random.default_rng(8), sizes=dict(xa=2, xb=2, s=4, sa=8, sb=8, y=4))
+    return random_spec(np.random.default_rng(seed), sizes=LARGE_SIZES)
 
 
 def test_objective_memory_stays_far_below_q(monkeypatch):
@@ -267,21 +270,13 @@ def test_objective_memory_stays_far_below_q(monkeypatch):
 
 def test_ascent_never_builds_q(monkeypatch):
     cfg = OptimizerConfig(restarts=2, seed=4)
-    built = []   # per region joint law: was q built before it?
-
-    def law_after_ascent(spec, chan, policy):
-        built.append("q" in vars(chan))
-        return joint_law(spec, chan, policy)
-
-    monkeypatch.setattr(optimize, "joint_law", law_after_ascent)
-    for spec in (load("mod2-adder-bsc01"), load("stateless-mac"), random_spec(np.random.default_rng(3))):
+    for spec in (*map(load, NAMES), random_spec(np.random.default_rng(3))):
         chan = induced_strategy_channel(spec)
         maximize_sum_rate(spec, chan, cfg)
         assert "q" not in vars(chan)
-        # the region's joint laws read q, but only once every row has climbed
-        built.clear()
+        # the region reads its pentagons off the objective, not a joint law
         inner_bound_region(spec, chan, cfg, directions=3)
-        assert built == [False, True, True]
+        assert "q" not in vars(chan)
     # the large spec's whole sum-rate run stays under a quarter of q's bytes
     spec = _large_spec()
     chan = induced_strategy_channel(spec)
@@ -513,6 +508,10 @@ def test_region_of_mod2_adder_is_unit_triangle():
         assert isinstance(rec, DirectionSupport)
         ca, cb = rec.direction
         assert rec.value == pytest.approx(ca * rec.point[0] + cb * rec.point[1], abs=1e-12)
+        ref = pentagon(joint_law(spec, chan, rec.policy))   # the joint-law route
+        np.testing.assert_allclose(
+            [rec.pentagon.bound_a, rec.pentagon.bound_b, rec.pentagon.bound_sum],
+            [ref.bound_a, ref.bound_b, ref.bound_sum], rtol=0, atol=1e-12)
     assert region.supports[0].direction == (1.0, 0.0)
     assert region.supports[-1].direction == (0.0, 1.0)
 
@@ -574,8 +573,23 @@ def test_region_rows_run_within_the_cell_budget(monkeypatch):
     assert peak <= 4 * budget * 8 < whole / 4, (peak, budget * 8, whole)
 
 
+def test_region_stays_finite_where_policy_weights_underflow():
+    # seed 0 draws the benchmark's sumrate-large spec; its optima hold
+    # strategy weights so small that a product of two marginals underflows
+    spec = _large_spec(seed=0)
+    chan = induced_strategy_channel(spec)
+    region = inner_bound_region(spec, chan, OptimizerConfig(restarts=1), directions=3)
+    assert min(min(s.policy.pi_a.min(), s.policy.pi_b.min()) for s in region.supports) < 1e-150
+    bounds = [(s.pentagon.bound_a, s.pentagon.bound_b, s.pentagon.bound_sum)
+              for s in region.supports]
+    assert np.all(np.isfinite(bounds)) and np.all(np.isfinite(region.vertices))
+    assert region.vertices.sum(axis=1).max() <= region.outer_sum.value + 1e-6
+    assert "q" not in vars(chan)
+
+
 def test_rate_region_rejects_bad_vertex_lists():
-    from fsmac.errors import InternalInvariantError
+    with pytest.raises(InternalInvariantError, match="not finite"):
+        RateRegion(vertices=np.array([[0.0, 0.0], [np.nan, 0.5]]))
     with pytest.raises(InternalInvariantError, match="origin"):
         RateRegion(vertices=np.array([[0.5, 0.0], [1.0, 0.0]]))
     with pytest.raises(InternalInvariantError, match="quadrant"):

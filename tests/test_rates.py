@@ -6,11 +6,13 @@ import pytest
 
 from conftest import dirichlet_rows, random_spec
 from fsmac import examples
-from fsmac.errors import ValidationError
+from fsmac.errors import InternalInvariantError, ValidationError
 from fsmac.model import induced_strategy_channel
 from fsmac.rates import (
     JointLaw,
+    RatePentagon,
     TeamPolicy,
+    checked_pentagon,
     conditional_mutual_information,
     entropy,
     joint_law,
@@ -165,6 +167,37 @@ def test_pentagon_null_channel_all_zero():
     chan = induced_strategy_channel(spec)
     pent = pentagon(joint_law(spec, chan, uniform_policy(chan)))
     assert pent.bound_a == 0.0 and pent.bound_b == 0.0 and pent.bound_sum == 0.0
+
+
+def test_pentagon_is_finite_at_policy_weights_near_1e_200(rng):
+    # a product of two such marginals underflows, and p_xyz * p_z over
+    # p_xz * p_yz read 0 / 0; the bounds are those of the weights set to 0
+    spec = examples.load("mod2-adder-bsc01")
+    chan = induced_strategy_channel(spec)
+    pi_a = dirichlet_rows(rng, (4,))
+    tiny = pentagon(joint_law(spec, chan, TeamPolicy(pi_a=pi_a, pi_b=[0.5, 1e-200, 1e-200, 0.5])))
+    zero = pentagon(joint_law(spec, chan, TeamPolicy(pi_a=pi_a, pi_b=[0.5, 0.0, 0.0, 0.5])))
+    for name in ("bound_a", "bound_b", "bound_sum"):
+        assert math.isfinite(getattr(tiny, name))
+        assert getattr(tiny, name) == pytest.approx(getattr(zero, name), abs=1e-12)
+
+
+@pytest.mark.parametrize("bounds, message", [
+    ((math.nan, 0.5, 0.5), "non-finite"),
+    ((0.5, math.inf, 0.5), "non-finite"),
+    ((0.5, 0.5, -math.inf), "non-finite"),
+    ((-1e-9, 0.5, 0.5), "below"),
+    ((1.0, 1.0, 1.5), "exceeds log2"),
+    ((0.8, 0.2, 0.5), "max"),
+    ((0.2, 0.2, 0.5), "bound_a \\+ bound_b"),
+])
+def test_checked_pentagon_refuses_impossible_bounds(bounds, message):
+    with pytest.raises(InternalInvariantError, match=message):
+        checked_pentagon(*bounds, 2)
+
+
+def test_checked_pentagon_clamps_rounding_below_zero():
+    assert checked_pentagon(-1e-13, 0.5, 0.5, 2) == RatePentagon(0.0, 0.5, 0.5)
 
 
 def test_pentagon_inequalities_and_chain_rule_fuzz(rng):
