@@ -188,22 +188,17 @@ def _simulate(args, spec, chan):
 
 
 def _verify_converse(args, spec, chan):
-    worst = 0.0
-    worst_t, worst_sigma = 1, ""
-    for trial in range(args.trials):
-        maps = random_encoders(spec, args.n, 2, 2,
-                               stream(args.seed, trial, ROLE_ENCODER))
-        audit = verify_factorization(spec, maps, chan)
-        if audit.max_deviation > worst:
-            worst = audit.max_deviation
-            worst_t, worst_sigma = audit.worst_t, audit.worst_sigma
+    audits = (verify_factorization(spec, random_encoders(
+                  spec, args.n, 2, 2, stream(args.seed, trial, ROLE_ENCODER)), chan)
+              for trial in range(args.trials))
+    worst = max(audits, key=lambda audit: audit.max_deviation)
     payload = {
-        "max_deviation": worst,
+        "max_deviation": worst.max_deviation,
         "trials": args.trials,
-        "worst_case": {"t": worst_t, "sigma": worst_sigma},
+        "worst_case": {"t": worst.worst_t, "sigma": worst.worst_sigma},
     }
-    breached = worst > CONVERSE_TOL
-    summary = (f"converse factorization: max deviation {worst:.3e} "
+    breached = worst.max_deviation > CONVERSE_TOL
+    summary = (f"converse factorization: max deviation {worst.max_deviation:.3e} "
                f"over {args.trials} codes (n={args.n})")
     if breached:
         summary += f", EXCEEDS {CONVERSE_TOL:g}"

@@ -13,7 +13,9 @@ assembles the conditional letter law straight from the code tables with
 nothing but literal sums, ``induced_sigma_policy`` builds the claimed table
 distributions by counting, and ``verify_factorization`` compares the two
 across every time and past-state sequence. ``sigma_average_pentagon``
-assembles the time-shared outer bounds the factorization licenses.
+averages the outer bounds the factorization licenses over the same (time,
+past) slices, holding one slice's letter law at a time. One sweep,
+``_pasts``, walks those slices for every function here.
 """
 
 import itertools
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import GuardError
 from .model import FsMacSpec, StrategyChannel, induced_strategy_channel
-from .rates import JointLaw, RatePentagon, TeamPolicy, joint_law, pentagon
+from .rates import RatePentagon, TeamPolicy, checked_pentagon, joint_law, pentagon
 
 MAP_CELL_CAP = 1_000_000
 HISTORY_CAP = 4096
@@ -104,12 +106,30 @@ def sigma_digits(text: str) -> tuple:
     return tuple(int(c) for c in text)
 
 
-def _check_history_budget(spec: FsMacSpec, blocklength: int):
-    total = sum(spec.size_s ** (t - 1) for t in range(1, blocklength + 1))
-    if total > HISTORY_CAP:
-        raise GuardError(
-            f"history sweep guard: {total} past-state sequences exceed cap {HISTORY_CAP}"
-        )
+def _pasts(spec: FsMacSpec, blocklength: int):
+    """Every (t, sigma, alpha): a time, a past of t - 1 states (oldest first)
+    and alpha = P(sigma) / blocklength, its weight under a uniformly drawn
+    time; the weights sum to one. The blocklength and the history budget are
+    checked on the call, before the first triple is drawn; the budget count
+    stops at HISTORY_CAP."""
+    if blocklength < 1:
+        raise ValueError(f"blocklength must be >= 1, got {blocklength}")
+    total = 0
+    for t in range(1, blocklength + 1):
+        total += spec.size_s ** (t - 1)
+        if total > HISTORY_CAP:
+            raise GuardError(f"history sweep guard: blocklength {blocklength} needs "
+                             f"more than {HISTORY_CAP} past-state sequences")
+
+    def sweep():
+        for t in range(1, blocklength + 1):
+            for sigma in itertools.product(range(spec.size_s), repeat=t - 1):
+                prob = 1.0
+                for s in sigma:
+                    prob *= spec.state_pmf[s]
+                yield t, sigma, prob / blocklength
+
+    return sweep()
 
 
 def alpha_sigma_weights(spec: FsMacSpec, blocklength: int) -> dict:
@@ -118,18 +138,7 @@ def alpha_sigma_weights(spec: FsMacSpec, blocklength: int) -> dict:
     Keys are sigma strings; values are P(past states) / blocklength. The
     weights over all times and pasts sum to one.
     """
-    if blocklength < 1:
-        raise ValueError(f"blocklength must be >= 1, got {blocklength}")
-    _check_history_budget(spec, blocklength)
-    weights = {}
-    for t in range(1, blocklength + 1):
-        for sigma in itertools.product(range(spec.size_s), repeat=t - 1):
-            prob = 1.0
-            for s in sigma:
-                prob *= spec.state_pmf[s]
-            weights[sigma_string(sigma)] = weights.get(sigma_string(sigma), 0.0) \
-                + prob / blocklength
-    return weights
+    return {sigma_string(sigma): alpha for _, sigma, alpha in _pasts(spec, blocklength)}
 
 
 def random_encoders(spec: FsMacSpec, blocklength: int, messages_a: int,
@@ -139,13 +148,12 @@ def random_encoders(spec: FsMacSpec, blocklength: int, messages_a: int,
         raise ValueError(f"blocklength must be >= 1, got {blocklength}")
     if messages_a < 1 or messages_b < 1:
         raise ValueError("message counts must be >= 1")
-    cells = sum(
-        m * base ** (t - 1) * base
-        for m, base in ((messages_a, spec.size_sa), (messages_b, spec.size_sb))
-        for t in range(1, blocklength + 1)
-    )
-    if cells > MAP_CELL_CAP:
-        raise GuardError(f"encoder map guard: {cells} table cells exceed cap {MAP_CELL_CAP}")
+    cells = 0
+    for t in range(1, blocklength + 1):
+        cells += messages_a * spec.size_sa ** t + messages_b * spec.size_sb ** t
+        if cells > MAP_CELL_CAP:
+            raise GuardError(f"encoder map guard: blocklength {blocklength} needs more "
+                             f"than {MAP_CELL_CAP} table cells")
     phi_a = tuple(
         rng.integers(0, spec.size_xa, size=(messages_a, spec.size_sa ** k, spec.size_sa))
         for k in range(blocklength)
@@ -260,47 +268,40 @@ def verify_factorization(spec: FsMacSpec, maps: EncoderMaps,
     Sweeps every time step and every past-state sequence; returns the largest
     absolute entry difference and where it occurred.
     """
-    _check_history_budget(spec, maps.blocklength)
+    pasts = _pasts(spec, maps.blocklength)
     if chan is None:
         chan = induced_strategy_channel(spec)
     worst = -1.0
     worst_t, worst_sigma = 1, ""
     checks = 0
-    for t in range(1, maps.blocklength + 1):
-        for sigma in itertools.product(range(spec.size_s), repeat=t - 1):
-            literal = brute_force_conditional(spec, maps, t, sigma)
-            policy = induced_sigma_policy(spec, maps, t, sigma)
-            dev = float(np.abs(literal - factorized_conditional(spec, chan, policy)).max())
-            checks += 1
-            if dev > worst:
-                worst, worst_t, worst_sigma = dev, t, sigma_string(sigma)
+    for t, sigma, _ in pasts:
+        literal = brute_force_conditional(spec, maps, t, sigma)
+        policy = induced_sigma_policy(spec, maps, t, sigma)
+        dev = float(np.abs(literal - factorized_conditional(spec, chan, policy)).max())
+        checks += 1
+        if dev > worst:
+            worst, worst_t, worst_sigma = dev, t, sigma_string(sigma)
     return ConverseAudit(max_deviation=worst, checks=checks,
                          worst_t=worst_t, worst_sigma=worst_sigma)
 
 
 def sigma_average_pentagon(spec: FsMacSpec, maps: EncoderMaps,
                            chan: StrategyChannel | None = None) -> RatePentagon:
-    """Outer bounds for the code: bounds of the time- and past-averaged law.
+    """Outer bounds for the code: the alpha-weighted average of the bounds of
+    its per-(time, past) letter laws.
 
-    Stacks the per-(time, past) letter laws along a composite conditioning
-    axis weighted by alpha_sigma_weights, then reads the three bounds off
-    the stacked law. Conditioning on the composite axis is exactly the
-    weighted average of the per-slice bounds.
+    The pair (t, sigma) acts as a time-sharing variable, so each bound of the
+    averaged law is the weighted sum of the per-slice bounds. The slices are
+    visited one at a time, so the sweep holds one letter law, not all of
+    them; the sum is checked once as a pentagon.
     """
-    _check_history_budget(spec, maps.blocklength)
+    pasts = _pasts(spec, maps.blocklength)
     if chan is None:
         chan = induced_strategy_channel(spec)
-    n = maps.blocklength
-    blocks = []
-    for t in range(1, n + 1):
-        for sigma in itertools.product(range(spec.size_s), repeat=t - 1):
-            prob = 1.0
-            for s in sigma:
-                prob *= spec.state_pmf[s]
-            alpha = prob / n
-            if alpha == 0.0:
-                continue
-            policy = induced_sigma_policy(spec, maps, t, sigma)
-            blocks.append(alpha * joint_law(spec, chan, policy).p)
-    stacked = np.concatenate(blocks, axis=0)     # composite axis (t, sigma, s)
-    return pentagon(JointLaw(p=stacked))
+    bounds = np.zeros(3)
+    for t, sigma, alpha in pasts:
+        if alpha == 0.0:
+            continue
+        pent = pentagon(joint_law(spec, chan, induced_sigma_policy(spec, maps, t, sigma)))
+        bounds += alpha * np.array([pent.bound_a, pent.bound_b, pent.bound_sum])
+    return checked_pentagon(*bounds, spec.size_y)

@@ -141,18 +141,14 @@ def _marginal(p: np.ndarray, keep: tuple) -> np.ndarray:
     return m
 
 
-def conditional_mutual_information(law, x, y, z=()) -> float:
-    """I(X; Y | Z) in bits from a 4-axis joint law.
+def conditional_mutual_information(law: JointLaw, x, y, z=()) -> float:
+    """I(X; Y | Z) in bits from a joint law.
 
     x, y, z name disjoint groups of axes from {"s", "ta", "tb", "y"};
-    axes in none of the groups are marginalized out. law may be a JointLaw
-    or a plain 4-axis array (any sizes, e.g. a composite state axis).
+    axes in none of the groups are marginalized out.
     The value is the raw sum, so rounding may leave it a few ulps below 0;
     checked_pentagon checks and clamps it.
     """
-    p = law.p if isinstance(law, JointLaw) else np.asarray(law, dtype=np.float64)
-    if p.ndim != 4:
-        raise ValidationError(f"law must have 4 axes, got {p.ndim}")
     groups = []
     for part in (x, y, z):
         if isinstance(part, str):
@@ -164,7 +160,7 @@ def conditional_mutual_information(law, x, y, z=()) -> float:
     if not ax_x or not ax_y:
         raise ValueError("x and y groups must be nonempty")
 
-    p_xyz = _marginal(p, ax_x + ax_y + ax_z)
+    p_xyz = _marginal(law.p, ax_x + ax_y + ax_z)
     p_xz = _marginal(p_xyz, ax_x + ax_z)
     p_yz = _marginal(p_xyz, ax_y + ax_z)
     p_z = _marginal(p_xyz, ax_z)

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import time
 import warnings
 
 import numpy as np
@@ -463,6 +464,18 @@ def test_non_finite_report_exits3(tmp_path, capsys, monkeypatch):
     assert (rc, out) == (3, "")
     assert err.startswith("fsmac: internal invariant violated: report holds a NaN"), err
     assert not path.exists()
+
+
+def test_verify_converse_huge_blocklength_exit1_fast(capsys):
+    # the guard counts stop at their caps: n = 10**5 once took 37 s, and from
+    # n of about 15,000 up the error was an integer-to-string conversion limit
+    started = time.monotonic()
+    rc, out, err = run(capsys, "verify-converse", "--spec", MOD2,
+                       "--n", "1000000", "--trials", "1")
+    assert time.monotonic() - started < 1.0
+    assert (rc, out) == (1, "")
+    assert err.count("\n") == 1, err
+    assert "encoder map guard: blocklength 1000000" in err
 
 
 def test_verify_converse_seed_changes_codes(capsys):

@@ -8,10 +8,15 @@ agreement at 1e-12 is evidence, not tautology.
 """
 
 import itertools
+import runpy
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fsmac.converse as converse
 from fsmac.converse import (
     ConverseAudit,
     EncoderMaps,
@@ -70,6 +75,11 @@ def test_alpha_weights_sum_to_one(rng):
     assert len(weights) == 1 + spec.size_s + spec.size_s ** 2
     with pytest.raises(ValueError, match="blocklength"):
         alpha_sigma_weights(spec, 0)
+    # the count stops at the cap: a huge blocklength is refused at once,
+    # not after summing ever larger integers
+    with pytest.raises(GuardError, match="history sweep guard: blocklength 1000000 "
+                                         "needs more than 4096"):
+        alpha_sigma_weights(spec, 10**6)
 
 
 def test_encoder_maps_validation(rng):
@@ -90,6 +100,22 @@ def test_encoder_maps_validation(rng):
         random_encoders(spec, 2, 0, 2, rng)
     with pytest.raises(GuardError, match="encoder map guard"):
         random_encoders(spec, 25, 2, 2, rng)
+    with pytest.raises(GuardError, match="encoder map guard: blocklength 1000000 "
+                                         "needs more than 1000000"):
+        random_encoders(spec, 10**6, 2, 2, rng)
+
+
+def test_history_guard_trips_before_the_channel_is_built(monkeypatch):
+    spec = load("mod2-adder-noiseless")
+    maps = random_encoders(spec, 13, 2, 2, stream(5, 0, ROLE_ENCODER))   # 8191 pasts
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("strategy channel built before the history guard")
+
+    monkeypatch.setattr(converse, "induced_strategy_channel", refuse)
+    for sweep in (verify_factorization, sigma_average_pentagon):
+        with pytest.raises(GuardError, match="history sweep guard: blocklength 13 "):
+            sweep(spec, maps)
 
 
 def test_induced_policy_matches_dict_counting_oracle(rng):
@@ -199,7 +225,7 @@ def test_sigma_average_matches_manual_average(rng):
     spec = random_spec(rng)
     chan = induced_strategy_channel(spec)
     maps = random_encoders(spec, 3, 2, 2, stream(19, 0, ROLE_ENCODER))
-    stacked = sigma_average_pentagon(spec, maps, chan)
+    averaged = sigma_average_pentagon(spec, maps, chan)
     avg_a = avg_b = avg_sum = 0.0
     for t in range(1, maps.blocklength + 1):
         for sigma in itertools.product(range(spec.size_s), repeat=t - 1):
@@ -211,9 +237,34 @@ def test_sigma_average_matches_manual_average(rng):
             avg_a += alpha * pent.bound_a
             avg_b += alpha * pent.bound_b
             avg_sum += alpha * pent.bound_sum
-    assert stacked.bound_a == pytest.approx(avg_a, abs=1e-10)
-    assert stacked.bound_b == pytest.approx(avg_b, abs=1e-10)
-    assert stacked.bound_sum == pytest.approx(avg_sum, abs=1e-10)
+    assert averaged.bound_a == pytest.approx(avg_a, abs=1e-10)
+    assert averaged.bound_b == pytest.approx(avg_b, abs=1e-10)
+    assert averaged.bound_sum == pytest.approx(avg_sum, abs=1e-10)
+
+
+def test_sigma_average_holds_one_slice_at_a_time():
+    # 21 (time, past) slices at n = 3; stacking their laws took 79 laws' bytes
+    spec = random_spec(np.random.default_rng(0),
+                       sizes=dict(xa=2, xb=2, s=4, sa=6, sb=6, y=4))
+    chan = induced_strategy_channel(spec)
+    law_bytes = chan.q.nbytes   # q is as large as one letter law; built before tracing
+    maps = random_encoders(spec, 3, 2, 2, stream(31, 0, ROLE_ENCODER))
+    tracemalloc.start()
+    try:
+        sigma_average_pentagon(spec, maps, chan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * law_bytes, (peak, law_bytes)
+
+
+def test_converse_audit_demo_runs(capsys, monkeypatch):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "converse_audit.py"
+    monkeypatch.setattr(sys, "argv", [str(demo)])
+    runpy.run_path(str(demo), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "avg sum bound" in out
+    assert "BOUND BROKEN" not in out
 
 
 def test_code_bounds_never_exceed_the_policy_optimum():
