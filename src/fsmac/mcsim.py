@@ -28,11 +28,15 @@ time, so no stage holds an array of pairs by letters.
 
 Trials run as rows of chunks. Each trial draws its codebooks, states,
 messages and output uniforms from its own counter-based streams keyed by
-(seed, item, role). The channel outputs and every filter except the
-full-law block are then computed once per chunk, and the listed subsets
-score one survivor list that spans the chunk's trials. Scores are
-bit-identical to a trial decoded alone, so results depend on neither the
-chunk size nor ``--threads``, which changes nothing.
+(seed, item, role); a run keeps one generator and re-keys it to each
+stream in turn, which draws exactly what a fresh stream would. Every
+categorical draw searches a cdf built once per run with uniforms from the
+stream, the same steps and the same values as ``Generator.choice``. The
+channel outputs and every filter except the full-law block are then
+computed once per chunk, and the listed subsets score one survivor list
+that spans the chunk's trials. Scores are bit-identical to a trial decoded
+alone, so results depend on neither the chunk size nor ``--threads``,
+which changes nothing.
 """
 
 import itertools
@@ -45,12 +49,12 @@ import numpy as np
 from .errors import GuardError
 from .model import FsMacSpec, StrategyChannel
 from .rates import JointLaw, TeamPolicy, joint_law, log2_floor
-from .rng import ROLE_CODEBOOKS, ROLE_TRIAL, stream
+from .rng import ROLE_CODEBOOKS, ROLE_TRIAL, rekey, stream
 
 MESSAGE_CAP = 1 << 20
 PAIR_CAP = 1 << 20
 CODEBOOK_CELL_CAP = 1 << 24   # blocklength * (messages_a + messages_b)
-TRIAL_CAP = 1 << 20           # a run's time: each trial draws two streams and a codebook pair
+TRIAL_CAP = 1 << 20           # a run's time: each trial re-keys two streams, draws two codebooks
 # Cells of codebooks and letters one chunk of trials holds; a chunk's message
 # pairs are held to PAIR_CAP, the most one trial may have.
 TRIAL_CELL_BUDGET = 1 << 16
@@ -167,15 +171,31 @@ def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> tuple:
     return low, high
 
 
+def _cdf(pmf: np.ndarray) -> np.ndarray:
+    """The cdf that ``Generator.choice`` builds from ``p=pmf``, by its own steps."""
+    cdf = pmf.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(rng: np.random.Generator, cdf: np.ndarray, size) -> np.ndarray:
+    """Symbols drawn from a ``_cdf``: ``rng.choice(cdf.size, size, p=pmf)``,
+    draw for draw, without re-checking the pmf and rebuilding its cdf."""
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
+def _draw_codebooks(rng: np.random.Generator, cdf_a, cdf_b, cfg: SimConfig) -> tuple:
+    """Both codebooks' strategy ids from one stream, sender a first."""
+    n = cfg.blocklength
+    return _draw(rng, cdf_a, (cfg.messages_a, n)), _draw(rng, cdf_b, (cfg.messages_b, n))
+
+
 def generate_codebooks(policy: TeamPolicy, cfg: SimConfig,
                        rng: np.random.Generator | None = None) -> Codebooks:
     """Draw both codebooks from one stream, sender a first."""
     if rng is None:
         rng = stream(cfg.seed, 0, ROLE_CODEBOOKS)
-    ids_a = rng.choice(policy.pi_a.size, size=(cfg.messages_a, cfg.blocklength),
-                       p=policy.pi_a)
-    ids_b = rng.choice(policy.pi_b.size, size=(cfg.messages_b, cfg.blocklength),
-                       p=policy.pi_b)
+    ids_a, ids_b = _draw_codebooks(rng, _cdf(policy.pi_a), _cdf(policy.pi_b), cfg)
     ids_a.setflags(write=False)
     ids_b.setflags(write=False)
     return Codebooks(policy=policy, ids_a=ids_a, ids_b=ids_b)
@@ -188,13 +208,14 @@ def _axis_subsets():
 
 class _DecodeContext:
     """Log tables of the subset marginals of one policy law, shaped like q,
-    and the subsets' entropies.
+    the subsets' entropies, and the cdfs of the state and strategy draws.
 
     Codebook independent, so one context serves every trial of a run."""
 
     def __init__(self, spec: FsMacSpec, chan: StrategyChannel, policy: TeamPolicy):
         self.q = chan.q
-        self.state_pmf = spec.state_pmf
+        self.cdf_s = _cdf(spec.state_pmf)
+        self.cdf_a, self.cdf_b = _cdf(policy.pi_a), _cdf(policy.pi_b)
         law = joint_law(spec, chan, policy).p
         self.tables = {}
         for combo in _axis_subsets():
@@ -390,7 +411,7 @@ def _classify(trial, rows, cols, wa, wb) -> tuple:
 def _draw_trial(ctx: _DecodeContext, cfg: SimConfig, rng: np.random.Generator) -> tuple:
     """One trial's states, messages and output uniforms, in stream order."""
     n = cfg.blocklength
-    s_seq = rng.choice(ctx.state_pmf.size, size=n, p=ctx.state_pmf)
+    s_seq = _draw(rng, ctx.cdf_s, n)
     wa = rng.integers(cfg.messages_a)
     wb = rng.integers(cfg.messages_b)
     return s_seq, wa, wb, rng.random(n)
@@ -458,6 +479,7 @@ def estimate_error(spec: FsMacSpec, chan: StrategyChannel, policy: TeamPolicy,
     """
     ctx = _DecodeContext(spec, chan, policy)
     size = _chunk_trials(spec, cfg)
+    rng = stream(cfg.seed)  # re-keyed to each trial's streams in turn
     counts = np.zeros(len(OUTCOMES), dtype=np.int64)
     for start in range(0, cfg.trials, size):
         # the draws go straight into chunk arrays, so no trial's objects outlive it
@@ -467,10 +489,11 @@ def estimate_error(spec: FsMacSpec, chan: StrategyChannel, policy: TeamPolicy,
         s_seq, uniforms = np.empty((count, n), dtype=np.intp), np.empty((count, n))
         wa, wb = np.empty(count, dtype=np.intp), np.empty(count, dtype=np.intp)
         for j, item in enumerate(range(start, start + count)):
-            books = generate_codebooks(policy, cfg, stream(cfg.seed, item, ROLE_CODEBOOKS))
-            ids_a[j], ids_b[j] = books.ids_a, books.ids_b
-            s_seq[j], wa[j], wb[j], uniforms[j] = _draw_trial(
-                ctx, cfg, stream(cfg.seed, item, ROLE_TRIAL))
+            # each stream's draws end before the next re-key, so no draw aliases
+            rekey(rng, cfg.seed, item, ROLE_CODEBOOKS)
+            ids_a[j], ids_b[j] = _draw_codebooks(rng, ctx.cdf_a, ctx.cdf_b, cfg)
+            rekey(rng, cfg.seed, item, ROLE_TRIAL)
+            s_seq[j], wa[j], wb[j], uniforms[j] = _draw_trial(ctx, cfg, rng)
         codes, _, _ = _decode_chunk(ctx, cfg, ids_a, ids_b, s_seq, wa, wb, uniforms)
         counts += np.bincount(codes, minlength=len(OUTCOMES))
     no_typical, _, ambiguous, wrong = (int(c) for c in counts)

@@ -5,7 +5,10 @@ predicate on every message pair, and the Wilson interval against the
 statsmodels and scipy implementations.
 """
 
+import runpy
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,8 @@ from fsmac.mcsim import (
     OUTCOME_WRONG,
     SimConfig,
     _DecodeContext,
+    _cdf,
+    _draw,
     _index,
     _listed_scores,
     _ml_survivors,
@@ -127,6 +132,39 @@ def test_codebooks_deterministic_and_policy_shaped():
     assert first.ids_a.shape == (cfg.messages_a, 16)
     assert set(np.unique(first.ids_a)) <= {1, 2}  # support of the policy only
     assert not first.ids_a.flags.writeable
+
+
+def test_draw_equals_generator_choice():
+    # _draw rests on Generator.choice's own algorithm (cumsum, normalize by
+    # the last entry, searchsorted of uniforms); if numpy changes it, this
+    # fails rather than every stream moving silently
+    cases = np.random.default_rng(12)
+    for case in range(3000):
+        k = int(cases.integers(2, 301))
+        pmf = cases.random(k) ** float(cases.choice([1.0, 8.0]))
+        if case % 3 == 0:  # zero entries, at the ends in turn
+            pmf[cases.random(k) < 0.5] = 0.0
+            pmf[[0, -1, case % k][case % 9 // 3]] = 0.0
+            if not pmf.any():
+                pmf[k // 2] = 1.0
+        pmf /= pmf.sum()
+        size = (int(cases.integers(1, 9)), int(cases.integers(1, 9)))
+        size = size if case % 2 else size[0] * size[1]
+        key = (int(cases.integers(2**64, dtype=np.uint64)), case, case % 4)
+        mine, numpy = stream(*key), stream(*key)
+        drawn = _draw(mine, _cdf(pmf), size)
+        assert np.array_equal(drawn, numpy.choice(k, size=size, p=pmf)), (case, k)
+        assert np.array_equal(mine.random(3), numpy.random(3)), case  # the stream goes on alike
+
+
+def test_codebooks_draw_what_choice_draws():
+    # a codebook is sender a's ids, then sender b's, from one stream
+    pi_a, pi_b = np.array([0.0, 0.5, 0.25, 0.25]), np.array([0.1, 0.2, 0.3, 0.4])
+    cfg = SimConfig(blocklength=7, rate_a=0.5, rate_b=0.3, seed=5)
+    books = generate_codebooks(TeamPolicy(pi_a=pi_a, pi_b=pi_b), cfg)
+    rng = stream(5, 0, ROLE_CODEBOOKS)
+    assert np.array_equal(books.ids_a, rng.choice(4, size=(cfg.messages_a, 7), p=pi_a))
+    assert np.array_equal(books.ids_b, rng.choice(4, size=(cfg.messages_b, 7), p=pi_b))
 
 
 def test_codebook_frequencies_match_policy():
@@ -641,6 +679,34 @@ def test_longer_blocks_decode_better():
     long = estimate_error(spec, chan, policy, SimConfig(
         blocklength=12, rate_a=0.2, rate_b=0.2, trials=300, seed=6, epsilon=0.2))
     assert long.error_rate < short.error_rate
+
+
+# The coding demo's stdout, pinned: a change to any draw or stream key moves it.
+CODING_DEMO_OUT = """
+rates (R_a, R_b) = (0.2, 0.2), sum 0.4 bits vs 1.0 bit cap
+   n  messages  err rate       95% interval no-typical ambiguous  wrong
+   4       2x2    0.1850   [0.1622, 0.2103]          0       185      0
+   8       4x4    0.0610   [0.0478, 0.0776]          0        61      0
+  12       6x6    0.0090   [0.0047, 0.0170]          0         9      0
+  16     10x10    0.0020   [0.0005, 0.0073]          0         2      0
+
+rates (R_a, R_b) = (0.7, 0.7), sum 1.4 bits vs 1.0 bit cap
+   n  messages  err rate       95% interval no-typical ambiguous  wrong
+   4       7x7    0.9525   [0.9270, 0.9694]          0       381      0
+   8     49x49    1.0000   [0.9905, 1.0000]          0       400      0
+  12   338x338    1.0000   [0.9905, 1.0000]          0       400      0
+
+Below the cap the error rate decays roughly like 2^-n; above it
+the impostor count grows faster than typicality can filter, and
+the decoder drowns.
+"""
+
+
+def test_coding_demo_prints_its_pinned_table(capsys, monkeypatch):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "coding_simulation.py"
+    monkeypatch.setattr(sys, "argv", [str(demo)])
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out == CODING_DEMO_OUT
 
 
 def test_sampled_letters_match_conditional_law():

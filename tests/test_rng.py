@@ -1,9 +1,10 @@
-"""Counter-based streams: pinned draws, distinct keys and the seed range."""
+"""Counter-based streams: pinned draws, distinct keys, the seed range, and
+re-keying one generator into the fresh stream of another work item."""
 
 import numpy as np
 import pytest
 
-from fsmac.rng import ROLE_CODEBOOKS, ROLE_TRIAL, stream
+from fsmac.rng import ROLE_CODEBOOKS, ROLE_TRIAL, rekey, stream
 
 # Draws at the two ends of the signed 64-bit seeds, before the key became an
 # explicit uint64 array; every seed in [0, 2**63) keeps its stream bit for bit.
@@ -32,17 +33,81 @@ def test_large_seeds_give_distinct_streams():
     assert len(draws) == len(seeds)
 
 
+def _rekeyed(seed, item=0, role=0):
+    gen = stream(5, 6, ROLE_TRIAL)
+    rekey(gen, seed, item, role)
+    return gen
+
+
 @pytest.mark.parametrize("seed", [-1, -(2**63), 2**64, 2**65])
 def test_stream_refuses_seeds_outside_64_bits(seed):
-    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
-        stream(seed)
+    for make in (stream, _rekeyed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            make(seed)
 
 
 def test_stream_refuses_bad_items_and_roles():
-    with pytest.raises(ValueError, match="item"):
-        stream(0, -1)
-    with pytest.raises(ValueError, match="item"):
-        stream(0, 2**56)
-    with pytest.raises(ValueError, match="role"):
-        stream(0, 0, 256)
-    assert isinstance(stream(0, 2**56 - 1, 255), np.random.Generator)
+    for make in (stream, _rekeyed):
+        with pytest.raises(ValueError, match="item"):
+            make(0, -1)
+        with pytest.raises(ValueError, match="item"):
+            make(0, 2**56)
+        with pytest.raises(ValueError, match="role"):
+            make(0, 0, 256)
+        assert isinstance(make(0, 2**56 - 1, 255), np.random.Generator)
+
+
+def test_refused_rekey_leaves_the_generator_as_it_was():
+    gen = stream(5, 6, ROLE_TRIAL)
+    gen.random(3)
+    before = gen.bit_generator.state
+    with pytest.raises(ValueError, match="seed"):
+        rekey(gen, 2**64, 0, ROLE_TRIAL)
+    assert _same_state(gen.bit_generator.state, before)
+
+
+def _same_state(got, want):
+    return (got["state"]["key"].tolist() == want["state"]["key"].tolist()
+            and got["state"]["counter"].tolist() == want["state"]["counter"].tolist()
+            and got["buffer"].tolist() == want["buffer"].tolist()
+            and all(got[k] == want[k] for k in ("buffer_pos", "has_uint32", "uinteger")))
+
+
+def _mixed_draws(gen, plan):
+    """Draws of a plan of ("random" | "integers" | "choice", size) steps."""
+    out = []
+    for kind, size in plan:
+        if kind == "random":
+            out.append(gen.random(size))
+        elif kind == "integers":
+            out.append(gen.integers(2**31, size=size, dtype=np.int32))
+        else:
+            out.append(gen.choice(7, size=size, p=[0.0, 0.1, 0.2, 0.0, 0.3, 0.4, 0.0]))
+    return [a.tolist() for a in out]
+
+
+def test_rekey_equals_a_fresh_stream():
+    # The generator is left in every kind of mid-stream state before each
+    # re-key: mid-buffer, and holding the cached upper half of a 64-bit word
+    # (has_uint32 = 1) after an odd count of 32-bit draws. A re-key must drop
+    # all of it and draw, step for step, what a fresh stream draws.
+    plans = np.random.default_rng(8)
+    kinds = ("random", "integers", "choice")
+    gen = stream(0)
+    held = set()
+    for case in range(60):
+        seed = int(plans.integers(2**64, dtype=np.uint64))
+        item, role = int(plans.integers(2**56)), int(plans.integers(256))
+        key = [(seed, item, role), (case, case, case % 4)][case % 2]
+        plan = [(kinds[int(plans.integers(3))], int(plans.integers(1, 12)))
+                for _ in range(int(plans.integers(1, 6)))]
+        gen.integers(2**31, size=int(plans.integers(1, 8)), dtype=np.int32)
+        state = gen.bit_generator.state
+        held.add((state["has_uint32"], state["buffer_pos"] < 4))
+        rekey(gen, *key)
+        fresh = stream(*key)
+        assert _same_state(gen.bit_generator.state, fresh.bit_generator.state), key
+        assert _mixed_draws(gen, plan) == _mixed_draws(fresh, plan), (key, plan)
+        assert gen.random() == fresh.random()
+    # both halves of the cached word and a part-read buffer were re-keyed over
+    assert {(1, True), (0, True)} <= held
