@@ -18,7 +18,6 @@ from .errors import (
 from .rng import stream
 from .strategy import StrategySpace, decode_id, encode_table, enumerate_strategies
 from .model import (
-    DEFAULT_STRATEGY_CAP,
     FsMacSpec,
     StrategyChannel,
     induced_strategy_channel,
@@ -78,7 +77,7 @@ __all__ = [
     "ValidationError",
     "stream",
     "StrategySpace", "decode_id", "encode_table", "enumerate_strategies",
-    "DEFAULT_STRATEGY_CAP", "FsMacSpec", "StrategyChannel",
+    "FsMacSpec", "StrategyChannel",
     "induced_strategy_channel", "load_spec", "spec_from_dict", "validate_spec",
     "JointLaw", "RatePentagon", "TeamPolicy", "conditional_mutual_information",
     "entropy", "joint_law", "load_policy", "pentagon",

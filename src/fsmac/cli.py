@@ -24,8 +24,8 @@ from typing import Callable
 from . import __version__
 from .converse import random_encoders, verify_factorization
 from .errors import GuardError, InternalInvariantError, SpecFormatError, ValidationError
-from .mcsim import DECODERS, SimConfig, estimate_error
-from .model import DEFAULT_STRATEGY_CAP, induced_strategy_channel, load_spec
+from .mcsim import DECODERS, TRIAL_CAP, SimConfig, estimate_error
+from .model import induced_strategy_channel, load_spec
 from .optimize import (
     OptimizerConfig,
     check_grid_oracle,
@@ -214,16 +214,14 @@ class _Command:
     sidecar: bool = False  # the report goes to <out>.json; --out holds the hull CSV
 
 
-_SPEC_OPTIONS = ("spec", "strategy_cap")
-
 _COMMANDS = {
-    "validate": _Command(_validate, _SPEC_OPTIONS, channel=False, seeded=False),
-    "sumrate": _Command(_sumrate, _SPEC_OPTIONS + ("restarts", "resolution", "out")),
-    "region": _Command(_region, _SPEC_OPTIONS + ("restarts", "directions", "out", "csv"),
+    "validate": _Command(_validate, ("spec",), channel=False, seeded=False),
+    "sumrate": _Command(_sumrate, ("spec", "restarts", "resolution", "out")),
+    "region": _Command(_region, ("spec", "restarts", "directions", "out", "csv"),
                        sidecar=True),
-    "simulate": _Command(_simulate, _SPEC_OPTIONS + (
-        "policy", "n", "ra", "rb", "eps", "trials", "decoder", "out", "csv")),
-    "verify-converse": _Command(_verify_converse, _SPEC_OPTIONS + ("n", "trials", "out")),
+    "simulate": _Command(_simulate, (
+        "spec", "policy", "n", "ra", "rb", "eps", "trials", "decoder", "out", "csv")),
+    "verify-converse": _Command(_verify_converse, ("spec", "n", "trials", "out")),
 }
 
 
@@ -239,12 +237,14 @@ def _run(args) -> int:
     if cmd.seeded:
         check_seed(args.seed)
     # simulate and verify-converse take --trials; an audit of no codes would
-    # report a clean zero deviation
-    if hasattr(args, "trials") and args.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {args.trials}")
-    spec = load_spec(args.spec, strategy_cap=args.strategy_cap)
-    chan = (induced_strategy_channel(spec, strategy_cap=args.strategy_cap)
-            if cmd.channel else None)
+    # report a clean zero deviation, and each trial costs time
+    if hasattr(args, "trials"):
+        if args.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {args.trials}")
+        if args.trials > TRIAL_CAP:
+            raise GuardError(f"trial guard: {args.trials} trials exceed cap {TRIAL_CAP}")
+    spec = load_spec(args.spec)
+    chan = induced_strategy_channel(spec) if cmd.channel else None
     payload, summary, code = cmd.handler(args, spec, chan)
     # Thread count is deliberately absent from the options echo: it changes
     # nothing, so payload bytes must not depend on it.
@@ -276,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, out_required=False):
         p.add_argument("--spec", required=True, help="model spec JSON file")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--strategy-cap", type=int, default=DEFAULT_STRATEGY_CAP,
-                       help="refuse specs with more per-sender strategies")
         p.add_argument("--out", required=out_required,
                        help="write the JSON report here instead of stdout")
 
@@ -325,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--n", type=int, default=2, help="blocklength")
     p.add_argument("--trials", type=int, default=50,
-                   help="number of random encoder pairs, at least 1")
+                   help="number of random encoder pairs, in [1, 2**20]")
 
     return parser
 

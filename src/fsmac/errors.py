@@ -19,7 +19,7 @@ class ValidationError(FsmacError):
 
 
 class GuardError(FsmacError):
-    """A resource guard tripped (strategy-space cap, enumeration cap, ...)."""
+    """A resource guard tripped (channel cell cap, trial cap, ...)."""
 
 
 class InternalInvariantError(FsmacError):

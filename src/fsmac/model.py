@@ -24,17 +24,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GuardError, SpecFormatError, ValidationError
-from .strategy import DEFAULT_STRATEGY_CAP, StrategySpace, enumerate_strategies
+from .errors import SpecFormatError, ValidationError
+from .strategy import CELL_CAP, StrategySpace, check_cells, enumerate_strategies, strategy_count
 
 PMF_ATOL = 1e-9
-STRATEGY_PRODUCT_CAP = 10**7
-Q_CELL_CAP = 1 << 24   # float64 cells of the strategy channel q, S*A*B*Y
 # Bytes a spec or policy file may hold. A spec's largest array, the transfer
-# law, has at most Q_CELL_CAP cells once the guards pass (Sa = Sb = 1 reaches
+# law, has at most CELL_CAP cells once the guard passes (Sa = Sb = 1 reaches
 # it), and a JSON double with sign, exponent and separator takes at most 26
 # bytes; 32 per cell leaves room for brackets and spaces.
-SPEC_BYTE_CAP = 32 * Q_CELL_CAP
+SPEC_BYTE_CAP = 32 * CELL_CAP
 
 _ALPHABET_KEYS = ("xa", "xb", "s", "sa", "sb", "y")
 _TOP_KEYS = {"alphabets", "state_pmf", "obs_a", "obs_b", "channel", "labels"}
@@ -90,10 +88,13 @@ class StrategyChannel:
         return q
 
 
-def _check_pmf_rows(arr: np.ndarray, name: str) -> None:
-    if np.any(arr < 0):
-        idx = tuple(int(i) for i in np.argwhere(arr < 0)[0])
-        raise ValidationError(f"{name}: entry {idx} is negative ({arr[idx]!r})")
+def check_pmf(arr: np.ndarray, name: str) -> None:
+    """Raise ValidationError naming arr's first entry that is not finite or is
+    negative, else its first last-axis row not summing to 1 within PMF_ATOL."""
+    for bad, what in ((~np.isfinite(arr), "is not finite"), (arr < 0, "is negative")):
+        if np.any(bad):
+            idx = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise ValidationError(f"{name}: entry {idx[0] if len(idx) == 1 else idx} {what}")
     sums = arr.sum(axis=-1)
     bad = np.abs(sums - 1.0) > PMF_ATOL
     if np.any(bad):
@@ -122,7 +123,7 @@ def _as_float_array(value, name: str, shape: tuple) -> np.ndarray:
     return arr
 
 
-def spec_from_dict(doc: dict, strategy_cap: int = DEFAULT_STRATEGY_CAP) -> FsMacSpec:
+def spec_from_dict(doc: dict) -> FsMacSpec:
     """Build and validate a model instance from a parsed JSON document."""
     if not isinstance(doc, dict):
         raise SpecFormatError(f"spec document must be a JSON object, got {type(doc).__name__}")
@@ -165,50 +166,37 @@ def spec_from_dict(doc: dict, strategy_cap: int = DEFAULT_STRATEGY_CAP) -> FsMac
         state_pmf=state_pmf, obs_a=obs_a, obs_b=obs_b, channel=channel,
         labels=labels,
     )
-    validate_spec(spec, strategy_cap=strategy_cap)
+    validate_spec(spec)
     for arr in (state_pmf, obs_a, obs_b, channel):
         arr.setflags(write=False)
     return spec
 
 
-def validate_spec(spec: FsMacSpec, strategy_cap: int = DEFAULT_STRATEGY_CAP) -> None:
+def validate_spec(spec: FsMacSpec) -> None:
     """Raise ValidationError or GuardError on the first violated invariant."""
-    _check_pmf_rows(spec.state_pmf, "state_pmf")
-    _check_pmf_rows(spec.obs_a, "obs_a")
-    _check_pmf_rows(spec.obs_b, "obs_b")
-    _check_pmf_rows(spec.channel, "channel")
+    check_pmf(spec.state_pmf, "state_pmf")
+    check_pmf(spec.obs_a, "obs_a")
+    check_pmf(spec.obs_b, "obs_b")
+    check_pmf(spec.channel, "channel")
 
     if spec.labels is not None:
         for key, names in spec.labels.items():
             if key not in _ALPHABET_KEYS:
                 raise ValidationError(f"labels: unknown alphabet {key!r}")
 
-    count_a = spec.size_xa**spec.size_sa
-    count_b = spec.size_xb**spec.size_sb
-    if count_a > strategy_cap:
-        raise GuardError(
-            f"strategy space cap: sender a has {count_a} strategies, cap is {strategy_cap}"
-        )
-    if count_b > strategy_cap:
-        raise GuardError(
-            f"strategy space cap: sender b has {count_b} strategies, cap is {strategy_cap}"
-        )
-    _check_channel_size(spec, count_a, count_b)
+    check_channel_cells(spec)
 
 
-def _check_channel_size(spec: FsMacSpec, count_a: int, count_b: int) -> None:
-    """Refuse a strategy channel over STRATEGY_PRODUCT_CAP pairs or Q_CELL_CAP
-    cells, counted arithmetically before anything of that size exists."""
-    if count_a * count_b > STRATEGY_PRODUCT_CAP:
-        raise GuardError(
-            f"strategy product cap: {count_a} * {count_b} strategy pairs exceed {STRATEGY_PRODUCT_CAP}"
-        )
-    cells = spec.size_s * count_a * count_b * spec.size_y
-    if cells > Q_CELL_CAP:
-        raise GuardError(
-            f"channel cell cap: S*A*B*Y = {spec.size_s} * {count_a} * {count_b} * {spec.size_y}"
-            f" = {cells} cells exceed {Q_CELL_CAP}"
-        )
+def check_channel_cells(spec: FsMacSpec) -> None:
+    """Refuse a strategy channel whose build would make an array over CELL_CAP
+    cells: a sender's one-hot table (A*Sa*Xa, B*Sb*Xb), its per-state input
+    law (S*A*Xa, S*B*Xb) or q (S*A*B*Y). Counted on the sizes alone, before
+    anything of that size exists; each strategy count stops past the cap."""
+    count_a = strategy_count(spec.size_sa, spec.size_xa, "sender a")
+    count_b = strategy_count(spec.size_sb, spec.size_xb, "sender b")
+    check_cells("sender a's input law S*A*Xa", (spec.size_s, count_a, spec.size_xa))
+    check_cells("sender b's input law S*B*Xb", (spec.size_s, count_b, spec.size_xb))
+    check_cells("S*A*B*Y", (spec.size_s, count_a, count_b, spec.size_y))
 
 
 def read_json_object(path, what: str) -> dict:
@@ -229,13 +217,12 @@ def read_json_object(path, what: str) -> dict:
     return doc
 
 
-def load_spec(path, strategy_cap: int = DEFAULT_STRATEGY_CAP) -> FsMacSpec:
+def load_spec(path) -> FsMacSpec:
     """Read a spec JSON file. Parse failures raise SpecFormatError."""
-    return spec_from_dict(read_json_object(path, "spec"), strategy_cap=strategy_cap)
+    return spec_from_dict(read_json_object(path, "spec"))
 
 
-def induced_strategy_channel(spec: FsMacSpec,
-                             strategy_cap: int = DEFAULT_STRATEGY_CAP) -> StrategyChannel:
+def induced_strategy_channel(spec: FsMacSpec) -> StrategyChannel:
     """Average the senders' observations out of the transfer law.
 
     For each state s the observation channels and a strategy pair induce
@@ -245,11 +232,12 @@ def induced_strategy_channel(spec: FsMacSpec,
 
     Only the factors are computed here: each strategy collapsed to its
     per-state input distribution. The channel's q contracts them with the
-    transfer law when first read.
+    transfer law when first read. The cell guard runs again first: a spec
+    built directly skips validate_spec.
     """
-    space_a = enumerate_strategies(spec.size_sa, spec.size_xa, cap=strategy_cap)
-    space_b = enumerate_strategies(spec.size_sb, spec.size_xb, cap=strategy_cap)
-    _check_channel_size(spec, space_a.count, space_b.count)
+    check_channel_cells(spec)
+    space_a = enumerate_strategies(spec.size_sa, spec.size_xa)
+    space_b = enumerate_strategies(spec.size_sb, spec.size_xb)
     hot_a = space_a.one_hot()  # (ta, oa, xa)
     hot_b = space_b.one_hot()
     mix_a = np.stack([np.einsum("u,tux->tx", spec.obs_a[s], hot_a) for s in range(spec.size_s)])

@@ -14,25 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariantError, ValidationError
-from .model import PMF_ATOL, FsMacSpec, StrategyChannel, float_array, read_json_object
+from .model import PMF_ATOL, FsMacSpec, StrategyChannel, check_pmf, float_array, read_json_object
 
 AXES = {"s": 0, "ta": 1, "tb": 2, "y": 3}
 MI_FLOOR = -1e-12
 PENTAGON_SLACK = 1e-9
-
-
-def _check_pmf(vec: np.ndarray, name: str) -> None:
-    if vec.ndim != 1:
-        raise ValidationError(f"{name}: must be one-dimensional")
-    bad = np.flatnonzero(~np.isfinite(vec))
-    if bad.size:
-        raise ValidationError(f"{name}: entry {int(bad[0])} is not finite")
-    neg = np.argwhere(vec < 0)
-    if neg.size:
-        raise ValidationError(f"{name}: entry {int(neg[0][0])} is negative")
-    total = vec.sum()
-    if abs(total - 1.0) > PMF_ATOL:
-        raise ValidationError(f"{name}: sums to {total!r}, expected 1 within {PMF_ATOL}")
 
 
 @dataclass(frozen=True)
@@ -45,8 +31,10 @@ class TeamPolicy:
     def __post_init__(self):
         pi_a = np.asarray(self.pi_a, dtype=np.float64)
         pi_b = np.asarray(self.pi_b, dtype=np.float64)
-        _check_pmf(pi_a, "pi_a")
-        _check_pmf(pi_b, "pi_b")
+        for pi, name in ((pi_a, "pi_a"), (pi_b, "pi_b")):
+            if pi.ndim != 1:
+                raise ValidationError(f"{name}: must be one-dimensional")
+            check_pmf(pi, name)
         pi_a.setflags(write=False)
         pi_b.setflags(write=False)
         object.__setattr__(self, "pi_a", pi_a)
@@ -105,7 +93,7 @@ class RatePentagon:
 def entropy(p) -> float:
     """Shannon entropy in bits. Zero cells are skipped exactly."""
     p = np.asarray(p, dtype=np.float64)
-    _check_pmf(p.reshape(-1), "entropy argument")
+    check_pmf(p.reshape(-1), "entropy argument")
     pos = p[p > 0]
     return float(-(pos * np.log2(pos)).sum())
 

@@ -7,19 +7,41 @@ id 0 is the all-zeros table and the first observation symbol is the least
 significant digit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GuardError
 
-DEFAULT_STRATEGY_CAP = 4096
+# float64 cells in any one array a strategy channel build makes: a sender's
+# one-hot table, its per-state input law, or q.
+CELL_CAP = 1 << 24
 
 
-def strategy_count(obs_size: int, input_size: int) -> int:
+def check_cells(what: str, dims: tuple) -> None:
+    """Refuse an array of shape dims over CELL_CAP cells before it exists."""
+    cells = math.prod(dims)
+    if cells > CELL_CAP:
+        raise GuardError(f"channel cell cap: {what} = {' * '.join(map(str, dims))}"
+                         f" = {cells} cells exceed {CELL_CAP}")
+
+
+def strategy_count(obs_size: int, input_size: int, who: str = "the strategy space") -> int:
+    """input_size ** obs_size, once its one-hot table (count * obs_size *
+    input_size cells) passes check_cells. The count multiplies by input_size
+    and stops past CELL_CAP, so a refusal takes at most log2(CELL_CAP) + 1
+    steps whatever the sizes are, and no huge integer is built."""
     if obs_size < 1 or input_size < 1:
         raise ValueError(f"alphabet sizes must be >= 1, got obs={obs_size} input={input_size}")
-    return input_size**obs_size
+    count = 1
+    for _ in range(obs_size if input_size > 1 else 0):
+        count *= input_size
+        if count > CELL_CAP:
+            raise GuardError(f"channel cell cap: {who} has {input_size}**{obs_size} "
+                             f"strategies, more than {CELL_CAP}")
+    check_cells(f"{who}'s one-hot table", (count, obs_size, input_size))
+    return count
 
 
 def encode_table(table, input_size: int) -> int:
@@ -36,7 +58,8 @@ def encode_table(table, input_size: int) -> int:
 
 
 def decode_id(sid: int, obs_size: int, input_size: int) -> np.ndarray:
-    """Table for a strategy id, little-endian digits of sid in base input_size."""
+    """Table for a strategy id, little-endian digits of sid in base input_size,
+    in a space strategy_count admits."""
     if not 0 <= sid < strategy_count(obs_size, input_size):
         raise ValueError(f"strategy id {sid} out of range for {input_size}**{obs_size} tables")
     digits = np.empty(obs_size, dtype=np.int64)
@@ -64,18 +87,13 @@ class StrategySpace:
         return eye[self.tables]
 
 
-def enumerate_strategies(obs_size: int, input_size: int,
-                         cap: int = DEFAULT_STRATEGY_CAP) -> StrategySpace:
+def enumerate_strategies(obs_size: int, input_size: int) -> StrategySpace:
     """Enumerate the full strategy space in id order.
 
-    Guard: refuses spaces larger than cap (default 4096) so callers cannot
-    accidentally materialize astronomically many tables.
+    Guard: strategy_count refuses a space whose one-hot table would exceed
+    CELL_CAP cells before any table exists.
     """
     count = strategy_count(obs_size, input_size)
-    if count > cap:
-        raise GuardError(
-            f"strategy space cap: {input_size}**{obs_size} = {count} tables exceeds cap {cap}"
-        )
     ids = np.arange(count, dtype=np.int64)
     tables = np.empty((count, obs_size), dtype=np.int64)
     for i in range(obs_size):

@@ -46,7 +46,8 @@ def random_deterministic_spec(rng, sizes=None) -> FsMacSpec:
 
 def oversized_channel_doc() -> dict:
     """A spec document of a few kB whose strategy channel q would not fit:
-    4096 x 2048 strategy pairs pass the pair cap, but S*A*B*Y is 2**31 cells."""
+    both senders' one-hot tables and input laws fit the cell cap, but
+    S*A*B*Y is 2**31 cells."""
     sizes = {"xa": 2, "xb": 2, "s": 16, "sa": 12, "sb": 11, "y": 16}
     return {
         "alphabets": sizes,

@@ -75,10 +75,11 @@ def test_validate_malformed_json_exit2(tmp_path, capsys):
     assert rc == 2
 
 
-def test_validate_strategy_cap_exit1(capsys):
-    rc, _, err = run(capsys, "validate", "--spec", MOD2, "--strategy-cap", "3")
-    assert rc == 1
-    assert "cap" in err
+def test_strategy_cap_is_a_usage_error(capsys):
+    # the channel cell cap is the only strategy-space guard, and it has no knob
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate", "--spec", MOD2, "--strategy-cap", "10000000"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("command", ["validate", "sumrate"])
@@ -305,12 +306,28 @@ def _spec_doc(**changes) -> bytes:
 
 UNDECODABLE = b"\xff\xfe\xfa\x00\x01"  # a UTF-16 mark, then an odd byte count
 TOO_DEEP = b"[" * 100_000 + b"]" * 100_000  # beyond the JSON parser's recursion limit
+def _uniform_spec(xa, s, sa) -> bytes:
+    """A valid spec with sender b and the output trivial: xb = sb = y = 1."""
+    return json.dumps({
+        "alphabets": {"xa": xa, "xb": 1, "s": s, "sa": sa, "sb": 1, "y": 1},
+        "state_pmf": [1 / s] * s,
+        "obs_a": [[1 / sa] * sa] * s,
+        "obs_b": [[1.0]] * s,
+        "channel": [[[[1.0]]] * xa] * s,
+    }).encode()
+
+
 SPEC_INPUTS = {             # malformed spec bytes and the exit code they earn
     "undecodable": (UNDECODABLE, 2),
     "too-deep": (TOO_DEEP, 2),
     "not-an-object": (b"[1, 2]", 2),
     "non-numeric": (_spec_doc(state_pmf=["a", "b"]), 1),
     "oversized": (_spec_doc(), 2),   # a good spec, one byte over a cap patched small
+    # 2000**2000 strategies: a count of 6,603 digits, never built or printed
+    "huge-alphabets": (_uniform_spec(2000, 1, 2000), 1),
+    # 1025 strategies and a q of 16,400 cells, but sender a's input law
+    # S*A*Xa is 16 * 1025 * 1025 cells
+    "input-law": (_uniform_spec(1025, 16, 1), 1),
 }
 POLICY_INPUTS = {
     "undecodable": (UNDECODABLE, 2),
@@ -342,7 +359,9 @@ def test_bad_spec_never_tracebacks(tmp_path, capsys, monkeypatch, command, kind)
         monkeypatch.setattr(model, "SPEC_BYTE_CAP", len(raw) - 1)
     rc, out, err = run(capsys, *command, "--spec", "spec.json")
     assert (rc, out) == (code, "")
-    assert _one_error_line(err), err
+    assert _one_error_line(err) and len(err.splitlines()[0]) <= 300, err
+    if kind in ("huge-alphabets", "input-law"):
+        assert err.startswith("fsmac: error: channel cell cap: "), err
     if kind == "non-numeric":
         assert "state_pmf: not a numeric array" in err
     if kind == "oversized":
@@ -400,7 +419,7 @@ def test_threads_out_of_range_exit1(capsys, command, threads):
 
 # --- manifest ---------------------------------------------------------------
 
-SPEC_OPTIONS = {"spec", "strategy_cap"}
+SPEC_OPTIONS = {"spec"}
 
 
 def test_manifest_options_echo(tmp_path, capsys, two_strategy_policy):
@@ -500,6 +519,23 @@ def test_nonpositive_trials_exit1_before_the_spec(capsys, monkeypatch, command, 
     assert rc == 1
     assert out == ""
     assert f"trials must be >= 1, got {trials}" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["verify-converse"],
+    ["simulate", "--n", "4", "--ra", "0.2", "--rb", "0.2"],
+], ids=["verify-converse", "simulate"])
+def test_trials_over_cap_exit1_before_the_spec(capsys, monkeypatch, command):
+    # verify-converse once took any count, at about 5 ms a trial
+    def refuse(*args, **kwargs):
+        raise AssertionError("spec read before the trial count was checked")
+
+    monkeypatch.setattr(cli, "load_spec", refuse)
+    trials = 100_000_000_000_000
+    rc, out, err = run(capsys, *command, "--spec", MOD2, "--trials", str(trials))
+    assert (rc, out) == (1, "")
+    assert _one_error_line(err), err
+    assert f"trial guard: {trials} trials exceed cap {cli.TRIAL_CAP}" in err
 
 
 # --- seeds ------------------------------------------------------------------

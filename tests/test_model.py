@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from fsmac import examples
 from fsmac.errors import GuardError, SpecFormatError, ValidationError
 from fsmac.model import (
     FsMacSpec,
+    check_channel_cells,
     induced_strategy_channel,
     load_spec,
     spec_from_dict,
@@ -215,28 +217,59 @@ def test_load_spec_parse_and_io_errors(tmp_path):
     load_spec(good)
 
 
-def test_strategy_cap_guards(rng):
-    spec = random_spec(rng, sizes={"xa": 2, "xb": 2, "s": 2, "sa": 2, "sb": 2, "y": 2})
-    with pytest.raises(GuardError, match="strategy space cap"):
-        validate_spec(spec, strategy_cap=3)
-    # per-user caps fine but the pair product can still trip
-    big = random_spec(rng, sizes={"xa": 2, "xb": 2, "s": 2, "sa": 2, "sb": 2, "y": 2})
-    with pytest.raises(GuardError, match="strategy product cap"):
-        doc_sizes = {"xa": 4, "xb": 4, "s": 1, "sa": 6, "sb": 6, "y": 2}
-        # 4**6 = 4096 per user, product 1.6e7 > 1e7; rows built to match shapes
-        gen = np.random.default_rng(0)
-        spec_from_dict({
-            "alphabets": doc_sizes,
-            "state_pmf": [1.0],
-            "obs_a": dirichlet_rows(gen, (1, 6)).tolist(),
-            "obs_b": dirichlet_rows(gen, (1, 6)).tolist(),
-            "channel": dirichlet_rows(gen, (1, 4, 4, 2)).tolist(),
-        })
-    del big
+def _sized_spec(xa, xb, s, sa, sb, y) -> FsMacSpec:
+    """A spec built directly, without validation, with uniform rows."""
+    return FsMacSpec(
+        size_xa=xa, size_xb=xb, size_s=s, size_sa=sa, size_sb=sb, size_y=y,
+        state_pmf=np.full(s, 1 / s), obs_a=np.full((s, sa), 1 / sa),
+        obs_b=np.full((s, sb), 1 / sb), channel=np.full((s, xa, xb, y), 1 / y),
+    )
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ((2, 2, 1, 25, 1, 2), r"sender a has 2\*\*25 strategies, more than 16777216"),
+    ((2, 2, 1, 1, 25, 2), r"sender b has 2\*\*25 strategies, more than 16777216"),
+    ((2, 1, 1, 23, 1, 2), r"sender a's one-hot table = 8388608 \* 23 \* 2 = 385875968 cells"),
+    ((2, 2, 1, 1, 23, 2), r"sender b's one-hot table = 8388608 \* 23 \* 2 = 385875968 cells"),
+    ((4096, 1, 16, 1, 1, 1), r"sender a's input law S\*A\*Xa = 16 \* 4096 \* 4096 = 268435456"),
+    ((1, 4096, 2, 1, 1, 1), r"sender b's input law S\*B\*Xb = 2 \* 4096 \* 4096 = 33554432"),
+    ((4, 4, 1, 6, 6, 2), r"S\*A\*B\*Y = 1 \* 4096 \* 4096 \* 2 = 33554432 cells"),
+], ids=["count-a", "count-b", "one-hot-a", "one-hot-b", "input-law-a", "input-law-b", "q"])
+def test_cell_guard_counts_every_array_the_build_makes(sizes, message):
+    # sizes (xa, xb, s, sa, sb, y). input-law-a once passed every guard (4096
+    # strategies, q of 65,536 cells) while its input law would take 2.1 GB.
+    spec = _sized_spec(*sizes)
+    tracemalloc.start()
+    try:
+        for check in (validate_spec, induced_strategy_channel):
+            with pytest.raises(GuardError, match="channel cell cap: " + message):
+                check(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20   # refused before any table exists
+
+
+def test_cell_guard_admits_arrays_at_the_cap():
+    # q at exactly 2**24 cells, and a one-hot table at exactly 2**24 cells
+    validate_spec(_sized_spec(2, 2, 1, 12, 11, 2**24 // (4096 * 2048)))
+    validate_spec(_sized_spec(4096, 1, 1, 1, 1, 1))
+
+
+def test_huge_alphabets_refused_in_a_few_steps():
+    # 10**6 ** 10**6 strategies: the count stops at the first power past the
+    # cap, so no six-million-digit integer is built or printed
+    spec = _sized_spec(10**6, 1, 1, 10**6, 1, 1)
+    started = time.perf_counter()
+    with pytest.raises(GuardError) as exc:
+        check_channel_cells(spec)
+    assert time.perf_counter() - started < 0.1
+    assert str(exc.value) == ("channel cell cap: sender a has 1000000**1000000 "
+                              "strategies, more than 16777216")
 
 
 def test_channel_cell_guard_counts_before_any_array():
-    # 4096 x 2048 strategy pairs pass the pair cap, but q would be 2**31 cells (17 GB)
+    # both senders' tables and input laws fit, but q would be 2**31 cells (17 GB)
     doc = oversized_channel_doc()
     with pytest.raises(GuardError, match=r"channel cell cap: .* = 2147483648 cells exceed 16777216"):
         spec_from_dict(doc)
@@ -254,4 +287,4 @@ def test_channel_cell_guard_counts_before_any_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 << 20   # the strategy tables only, nothing of q's size
+    assert peak < 4 << 20   # the guard runs before any table is built

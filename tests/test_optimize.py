@@ -8,11 +8,16 @@ Frozen values used below:
     (output law (1/4, 1/2, 1/4)); confirmed by an out-of-repo dense scan.
 """
 
+import re
+import runpy
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fsmac
 import fsmac.optimize as optimize
 from fsmac.errors import GuardError, InternalInvariantError
 from fsmac.examples import NAMES, load
@@ -598,3 +603,17 @@ def test_rate_region_rejects_bad_vertex_lists():
         RateRegion(vertices=np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
     region = RateRegion(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     assert not region.vertices.flags.writeable
+
+
+def test_capacity_bounds_demo_runs(capsys, monkeypatch):
+    # the demo's resolution-60 oracle takes most of half a minute; resolution 8
+    # exercises the same path
+    demo = Path(__file__).resolve().parents[1] / "demos" / "capacity_bounds.py"
+    monkeypatch.setattr(fsmac, "grid_oracle_sum_rate",
+                        lambda spec, chan, resolution: grid_oracle_sum_rate(spec, chan, 8))
+    monkeypatch.setattr(sys, "argv", [str(demo)])
+    runpy.run_path(str(demo), run_name="__main__")
+    out = capsys.readouterr().out
+    rates = [float(v) for v in re.findall(r"optimized sum rate: (\S+) bits", out)]
+    assert rates == pytest.approx([1.0, 1.0, 1.5, 0.0], abs=1e-6)
+    assert out.count("grid oracle (resolution 60)") == 4

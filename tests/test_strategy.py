@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from fsmac.errors import GuardError
 from fsmac.strategy import (
-    DEFAULT_STRATEGY_CAP,
     decode_id,
     encode_table,
     enumerate_strategies,
@@ -77,10 +76,13 @@ def test_one_hot_matches_tables():
 
 
 def test_guards_and_errors():
-    with pytest.raises(GuardError, match="strategy space cap"):
-        enumerate_strategies(13, 2)
-    # 4**6 == 4096 sits exactly at the default cap
-    assert enumerate_strategies(6, 4).count == DEFAULT_STRATEGY_CAP
+    # the one-hot table is the guarded array: 4096 * 1 * 4096 cells sit
+    # exactly at the cap, 4097 * 1 * 4097 are over it
+    assert enumerate_strategies(1, 4096).count == 4096
+    with pytest.raises(GuardError, match=r"one-hot table = 4097 \* 1 \* 4097 = 16785409"):
+        enumerate_strategies(1, 4097)
+    with pytest.raises(GuardError, match=r"has 1000000\*\*1000000 strategies, more than"):
+        enumerate_strategies(10**6, 10**6)
 
     with pytest.raises(ValueError):
         decode_id(-1, 2, 2)
