@@ -14,8 +14,8 @@ nothing but literal sums, ``induced_sigma_policy`` builds the claimed table
 distributions by counting, and ``verify_factorization`` compares the two
 across every time and past-state sequence. ``sigma_average_pentagon``
 averages the outer bounds the factorization licenses over the same (time,
-past) slices, holding one slice's letter law at a time. One sweep,
-``_pasts``, walks those slices for every function here.
+past) slices through the optimizer's factored objective, with no letter law.
+One sweep, ``_pasts``, walks those slices for every function here.
 """
 
 import itertools
@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import GuardError
 from .model import FsMacSpec, StrategyChannel, induced_strategy_channel
-from .rates import RatePentagon, TeamPolicy, checked_pentagon, joint_law, pentagon
+from .optimize import _Objective
+from .rates import RatePentagon, TeamPolicy, checked_pentagon, joint_law
 
 MAP_CELL_CAP = 1_000_000
 HISTORY_CAP = 4096
@@ -291,17 +292,18 @@ def sigma_average_pentagon(spec: FsMacSpec, maps: EncoderMaps,
     its per-(time, past) letter laws.
 
     The pair (t, sigma) acts as a time-sharing variable, so each bound of the
-    averaged law is the weighted sum of the per-slice bounds. The slices are
-    visited one at a time, so the sweep holds one letter law, not all of
-    them; the sum is checked once as a pentagon.
+    averaged law is the weighted sum of the per-slice bounds. Each slice's
+    induced policy is read through one objective on the channel's factors,
+    so no letter law is built; the sum is checked once as a pentagon.
     """
     pasts = _pasts(spec, maps.blocklength)
     if chan is None:
         chan = induced_strategy_channel(spec)
+    obj = _Objective(chan, spec.state_pmf)
     bounds = np.zeros(3)
     for t, sigma, alpha in pasts:
         if alpha == 0.0:
             continue
-        pent = pentagon(joint_law(spec, chan, induced_sigma_policy(spec, maps, t, sigma)))
+        pent = obj.pentagon(induced_sigma_policy(spec, maps, t, sigma))
         bounds += alpha * np.array([pent.bound_a, pent.bound_b, pent.bound_sum])
     return checked_pentagon(*bounds, spec.size_y)

@@ -51,6 +51,7 @@ from .model import FsMacSpec, StrategyChannel
 from .rates import JointLaw, TeamPolicy, joint_law, log2_floor
 from .rng import ROLE_CODEBOOKS, ROLE_TRIAL, rekey, stream
 
+BLOCKLENGTH_CAP = 1 << 16     # the decoder holds about 240 bytes per letter per trial
 MESSAGE_CAP = 1 << 20
 PAIR_CAP = 1 << 20
 CODEBOOK_CELL_CAP = 1 << 24   # blocklength * (messages_a + messages_b)
@@ -91,6 +92,9 @@ class SimConfig:
     def __post_init__(self):
         if self.blocklength < 1:
             raise ValueError(f"blocklength must be >= 1, got {self.blocklength}")
+        if self.blocklength > BLOCKLENGTH_CAP:
+            raise GuardError(f"blocklength guard: n = {self.blocklength} "
+                             f"exceeds cap {BLOCKLENGTH_CAP}")
         for rate in (self.rate_a, self.rate_b):
             if not (math.isfinite(rate) and rate >= 0):
                 raise ValueError(f"rates must be finite and nonnegative, got {rate}")
@@ -108,7 +112,6 @@ class SimConfig:
                 raise GuardError(f"message guard: 2**({self.blocklength} * {rate}) "
                                  f"messages exceed cap {MESSAGE_CAP}")
         ma, mb = self.messages_a, self.messages_b
-        # zero rates pass the exponent check with any blocklength
         if self.blocklength * (ma + mb) > CODEBOOK_CELL_CAP:
             raise GuardError(f"codebook guard: {self.blocklength} x ({ma} + {mb}) "
                              f"codebook cells exceed cap {CODEBOOK_CELL_CAP}")

@@ -88,13 +88,18 @@ class StrategyChannel:
         return q
 
 
-def check_pmf(arr: np.ndarray, name: str) -> None:
+def check_entries(arr: np.ndarray, name: str) -> None:
     """Raise ValidationError naming arr's first entry that is not finite or is
-    negative, else its first last-axis row not summing to 1 within PMF_ATOL."""
+    negative."""
     for bad, what in ((~np.isfinite(arr), "is not finite"), (arr < 0, "is negative")):
         if np.any(bad):
             idx = tuple(int(i) for i in np.argwhere(bad)[0])
             raise ValidationError(f"{name}: entry {idx[0] if len(idx) == 1 else idx} {what}")
+
+
+def check_pmf(arr: np.ndarray, name: str) -> None:
+    """check_entries, then the first last-axis row not summing to 1 within PMF_ATOL."""
+    check_entries(arr, name)
     sums = arr.sum(axis=-1)
     bad = np.abs(sums - 1.0) > PMF_ATOL
     if np.any(bad):
@@ -117,9 +122,6 @@ def _as_float_array(value, name: str, shape: tuple) -> np.ndarray:
     arr = float_array(value, name)
     if arr.shape != shape:
         raise ValidationError(f"{name}: shape {arr.shape} does not match alphabets, expected {shape}")
-    if not np.all(np.isfinite(arr)):
-        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
-        raise ValidationError(f"{name}: entry {idx} is not finite")
     return arr
 
 
@@ -240,8 +242,8 @@ def induced_strategy_channel(spec: FsMacSpec) -> StrategyChannel:
     space_b = enumerate_strategies(spec.size_sb, spec.size_xb)
     hot_a = space_a.one_hot()  # (ta, oa, xa)
     hot_b = space_b.one_hot()
-    mix_a = np.stack([np.einsum("u,tux->tx", spec.obs_a[s], hot_a) for s in range(spec.size_s)])
-    mix_b = np.stack([np.einsum("u,tux->tx", spec.obs_b[s], hot_b) for s in range(spec.size_s)])
+    mix_a = np.einsum("su,tux->stx", spec.obs_a, hot_a)
+    mix_b = np.einsum("su,tux->stx", spec.obs_b, hot_b)
     mix_a.setflags(write=False)
     mix_b.setflags(write=False)
     return StrategyChannel(mix_a=mix_a, mix_b=mix_b, channel=spec.channel,

@@ -13,9 +13,9 @@ on q's factors, each sender's per-state input law and the transfer law, so a
 block's laws and a probe cost O(S*(A*Xa + B*Xb)*Y) per row, the own-bound
 pass included. Only the table-conditional entropy m needs strategy pairs: it
 is (A, B), built once per objective, per state in chunks of a-rows. The
-region reads each winning policy's pentagon off the objective it climbed: J
-at the unit weights (1, 0, 0), (0, 1, 0) and (0, 0, 1) is bound_a, bound_b
-and bound_sum.
+region and the converse's outer bound read each product policy's pentagon off
+the objective: J at the unit weights (1, 0, 0), (0, 1, 0) and (0, 0, 1) is
+bound_a, bound_b and bound_sum.
 
 All restarts climb together as rows of one array. A row is one (weights,
 restart) pair: the sum rate's restarts, or every restart of every region
@@ -56,22 +56,18 @@ ORACLE_PAIR_CAP = 1 << 31  # policy pairs, which set the oracle's time
 ORACLE_CELL_BUDGET = 1 << 21   # float64 cells one chunk of oracle b-points may hold
 DIRECTIONS_CAP = 1 << 12   # region directions, checked before any is allocated
 BATCH_CELL_BUDGET = 1 << 22   # float64 cells one chunk of ascent rows may hold
+MAX_ITERS = 500   # alternating rounds a restart may climb
+REL_TOL = 1e-9    # a round or a step that gains less than this, relative, stops
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 16
-    max_iters: int = 500
-    rel_tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
         if not 1 <= self.restarts <= 1 << 20:
             raise ValueError(f"restarts must be in [1, 2**20], got {self.restarts}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
 
 
 @dataclass(frozen=True)
@@ -231,11 +227,11 @@ class _Objective:
         # its own and the other's weight column
         self._sides = ((sender_a, sender_b, m, 0, 1), (sender_b, sender_a, m.T, 1, 0))
 
-    def row_cells(self, max_iters: int) -> int:
+    def row_cells(self) -> int:
         """Cells one row holds at most: both blocks, a subset copy and the
         own-bound temporaries, all O(S*(A+B)*Y), plus its objective trail."""
         s, a, b, y = self.shape
-        return 4 * s * y * (a + b) + 2 * (max_iters + 1)
+        return 4 * s * y * (a + b) + 2 * (MAX_ITERS + 1)
 
     def block(self, own: int, weights: np.ndarray, other: np.ndarray) -> _Block:
         """J as a function of sender own's pmf (0 for a, 1 for b), row r
@@ -247,6 +243,12 @@ class _Objective:
         lin = (-wsum[:, None] * np.matmul(m, other[:, :, None])[:, :, 0]
                + w_other[:, None] * np.matmul(self.p, entropy_rows(u)))
         return _Block(own_sender, other_sender, self.p, u, lin, other, w_own, wc)
+
+    def pentagon(self, policy: TeamPolicy) -> RatePentagon:
+        """The checked pentagon of a product policy: J at the unit weights is
+        each bound alone, rows a, b and sum of one 3-row block."""
+        pa, pb = (np.tile(pi, (3, 1)) for pi in (policy.pi_a, policy.pi_b))
+        return checked_pentagon(*self.block(0, np.eye(3), pb).value(pa), self.shape[3])
 
 
 def _probe(f: _Block, x: np.ndarray, z: np.ndarray, step: float):
@@ -313,15 +315,15 @@ def _climb(obj: _Objective, cfg: OptimizerConfig, weights: np.ndarray, items: np
         rng = stream(cfg.seed, item, ROLE_RESTART)
         pa[r], pb[r] = rng.dirichlet(ones_a), rng.dirichlet(ones_b)
     value_out, pa_out, pb_out = np.empty(n), np.empty_like(pa), np.empty_like(pb)
-    rounds, converged = np.full(n, cfg.max_iters), np.zeros(n, dtype=bool)
+    rounds, converged = np.full(n, MAX_ITERS), np.zeros(n, dtype=bool)
     live = np.arange(n)
     blk = obj.block(0, weights, pb)
     value = start = blk.value(pa)
     trail = [(live, value)]
-    for k in range(1, cfg.max_iters + 1):
-        pa, _ = _ascend(blk, pa, start, cfg.rel_tol)
+    for k in range(1, MAX_ITERS + 1):
+        pa, _ = _ascend(blk, pa, start, REL_TOL)
         blk = obj.block(1, weights, pa)
-        pb, new = _ascend(blk, pb, blk.value(pb), cfg.rel_tol)
+        pb, new = _ascend(blk, pb, blk.value(pb), REL_TOL)
         fell = np.flatnonzero(new < value - _MONOTONE_SLACK * np.maximum(1.0, np.abs(value)))
         if fell.size:
             i = fell[0]
@@ -329,9 +331,9 @@ def _climb(obj: _Objective, cfg: OptimizerConfig, weights: np.ndarray, items: np
                 f"objective decreased from {float(value[i])!r} to {float(new[i])!r} during ascent"
             )
         trail.append((live, new))
-        done = new - value <= cfg.rel_tol * np.maximum(1.0, np.abs(new))
+        done = new - value <= REL_TOL * np.maximum(1.0, np.abs(new))
         value = new
-        stop = done | (k == cfg.max_iters)
+        stop = done | (k == MAX_ITERS)
         if stop.any():
             rows = live[stop]
             value_out[rows], pa_out[rows], pb_out[rows] = value[stop], pa[stop], pb[stop]
@@ -353,7 +355,7 @@ def _maximize(obj: _Objective, cfg: OptimizerConfig, groups: list) -> list:
     index) as (value, pa, pb, rounds, converged, restart, history)."""
     weights = np.array([w for w, _ in groups], dtype=np.float64)
     firsts = np.array([first for _, first in groups], dtype=np.int64)
-    chunk = max(1, BATCH_CELL_BUDGET // obj.row_cells(cfg.max_iters))
+    chunk = max(1, BATCH_CELL_BUDGET // obj.row_cells())
     total = len(groups) * cfg.restarts
     best = [None] * len(groups)
     for r0 in range(0, total, chunk):
@@ -580,15 +582,13 @@ def inner_bound_region(spec: FsMacSpec, chan: StrategyChannel,
     supports = []
     for direction, (_, pa, pb, *_) in zip(dirs, bests):
         policy = TeamPolicy(pi_a=pa, pi_b=pb)
-        # J at unit weights is each bound alone: rows a, b and sum, one policy
-        bounds = obj.block(0, np.eye(3), np.tile(pb, (3, 1))).value(np.tile(pa, (3, 1)))
-        pent = checked_pentagon(*bounds, spec.size_y)
+        pent = obj.pentagon(policy)
         value, point = pentagon_support(pent, direction)
         points.append(point)
         supports.append(DirectionSupport(direction=direction, value=value,
                                          point=point, pentagon=pent, policy=policy))
     points += [(supports[0].pentagon.bound_a, 0.0), (0.0, supports[-1].pentagon.bound_b)]
-    # near-rel_tol structure is optimizer noise, not geometry; snap it away
+    # near-REL_TOL structure is optimizer noise, not geometry; snap it away
     snapped = np.maximum(np.round(np.array(points), 7), 0.0)
     vertices = convex_hull_2d(snapped)
     return RateRegion(vertices=vertices, supports=tuple(supports),

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariantError, ValidationError
-from .model import PMF_ATOL, FsMacSpec, StrategyChannel, check_pmf, float_array, read_json_object
+from .model import (PMF_ATOL, FsMacSpec, StrategyChannel, check_entries, check_pmf, float_array,
+                    read_json_object)
 
 AXES = {"s": 0, "ta": 1, "tb": 2, "y": 3}
 MI_FLOOR = -1e-12
@@ -59,7 +60,7 @@ def load_policy(path) -> TeamPolicy:
 
 @dataclass(frozen=True)
 class JointLaw:
-    """Joint pmf over (s, ta, tb, y); total mass 1 within PMF_ATOL."""
+    """Joint pmf over (s, ta, tb, y): finite, nonnegative, total mass 1 within PMF_ATOL."""
 
     p: np.ndarray
 
@@ -67,9 +68,7 @@ class JointLaw:
         p = np.asarray(self.p, dtype=np.float64)
         if p.ndim != 4:
             raise ValidationError(f"joint law must have 4 axes, got {p.ndim}")
-        if np.any(p < 0):
-            idx = tuple(int(i) for i in np.argwhere(p < 0)[0])
-            raise ValidationError(f"joint law: entry {idx} is negative")
+        check_entries(p, "joint law")
         total = p.sum()
         if abs(total - 1.0) > PMF_ATOL:
             raise ValidationError(f"joint law: total mass {total!r}, expected 1 within {PMF_ATOL}")

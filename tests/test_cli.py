@@ -269,7 +269,9 @@ def test_simulate_message_guard_exit1(capsys, two_strategy_policy):
 @pytest.mark.parametrize("rates", [
     ["--n", "2000", "--ra", "1", "--rb", "1"],   # 2.0 ** 2000 overflows a float
     ["--n", "4", "--ra", "inf", "--rb", "0.2"],
-    ["--n", "1000000000", "--ra", "0", "--rb", "0"],   # zero rates, huge codebooks
+    ["--n", "1000000000", "--ra", "0", "--rb", "0"],   # zero rates, over the blocklength cap
+    # within the codebook cap, but a trial would hold about 2 GB of letters
+    ["--n", "8388608", "--ra", "0", "--rb", "0", "--trials", "1"],
     ["--n", "4", "--ra", "0.2", "--rb", "0.2", "--trials", str((1 << 20) + 1)],
 ])
 def test_simulate_overflowing_rates_exit1(capsys, two_strategy_policy, rates):
@@ -278,6 +280,7 @@ def test_simulate_overflowing_rates_exit1(capsys, two_strategy_policy, rates):
     assert rc == 1
     assert out == ""
     assert err.startswith("fsmac: error:") and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 def test_simulate_bad_decoder_usage_error(capsys):

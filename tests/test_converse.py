@@ -33,7 +33,7 @@ from fsmac.converse import (
 from fsmac.errors import GuardError
 from fsmac.examples import load
 from fsmac.model import induced_strategy_channel
-from fsmac.optimize import OptimizerConfig, maximize_sum_rate
+from fsmac.optimize import OptimizerConfig, _Objective, maximize_sum_rate
 from fsmac.rates import joint_law, pentagon
 from fsmac.rng import ROLE_ENCODER, stream
 
@@ -226,6 +226,8 @@ def test_sigma_average_matches_manual_average(rng):
     chan = induced_strategy_channel(spec)
     maps = random_encoders(spec, 3, 2, 2, stream(19, 0, ROLE_ENCODER))
     averaged = sigma_average_pentagon(spec, maps, chan)
+    assert "q" not in vars(chan)   # the outer bound reads the channel's factors alone
+    obj = _Objective(chan, spec.state_pmf)
     avg_a = avg_b = avg_sum = 0.0
     for t in range(1, maps.blocklength + 1):
         for sigma in itertools.product(range(spec.size_s), repeat=t - 1):
@@ -233,7 +235,11 @@ def test_sigma_average_matches_manual_average(rng):
             for s in sigma:
                 prob *= spec.state_pmf[s]
             alpha = prob / maps.blocklength
-            pent = pentagon(joint_law(spec, chan, induced_sigma_policy(spec, maps, t, sigma)))
+            policy = induced_sigma_policy(spec, maps, t, sigma)
+            pent = pentagon(joint_law(spec, chan, policy))
+            factored = obj.pentagon(policy)
+            for bound in ("bound_a", "bound_b", "bound_sum"):
+                assert abs(getattr(factored, bound) - getattr(pent, bound)) < 1e-12
             avg_a += alpha * pent.bound_a
             avg_b += alpha * pent.bound_b
             avg_sum += alpha * pent.bound_sum
@@ -246,8 +252,10 @@ def test_sigma_average_holds_one_slice_at_a_time():
     # 21 (time, past) slices at n = 3; stacking their laws took 79 laws' bytes
     spec = random_spec(np.random.default_rng(0),
                        sizes=dict(xa=2, xb=2, s=4, sa=6, sb=6, y=4))
+    # q is as large as one letter law; read off a second channel, so the
+    # traced one never builds it
+    law_bytes = induced_strategy_channel(spec).q.nbytes
     chan = induced_strategy_channel(spec)
-    law_bytes = chan.q.nbytes   # q is as large as one letter law; built before tracing
     maps = random_encoders(spec, 3, 2, 2, stream(31, 0, ROLE_ENCODER))
     tracemalloc.start()
     try:
@@ -255,7 +263,8 @@ def test_sigma_average_holds_one_slice_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * law_bytes, (peak, law_bytes)
+    assert peak < 2 * law_bytes, (peak, law_bytes)
+    assert "q" not in vars(chan)
 
 
 def test_converse_audit_demo_runs(capsys, monkeypatch):

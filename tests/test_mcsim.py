@@ -81,8 +81,13 @@ def test_config_validation():
         SimConfig(blocklength=2000, rate_a=0.0, rate_b=1.0)  # 2.0 ** 2000 overflows
     with pytest.raises(GuardError, match="pair guard"):
         SimConfig(blocklength=15, rate_a=0.9, rate_b=0.9)
-    with pytest.raises(GuardError, match="codebook guard"):
+    with pytest.raises(GuardError, match="blocklength guard"):
         SimConfig(blocklength=10**9, rate_a=0.0, rate_b=0.0)
+    with pytest.raises(GuardError, match="blocklength guard"):
+        SimConfig(blocklength=(1 << 16) + 1, rate_a=0.0, rate_b=0.0)
+    SimConfig(blocklength=1 << 16, rate_a=0.0, rate_b=0.0)
+    with pytest.raises(GuardError, match="codebook guard"):
+        SimConfig(blocklength=20, rate_a=1.0, rate_b=0.0)   # 20 x (2**20 + 1) cells
     with pytest.raises(GuardError, match="trial guard"):
         SimConfig(blocklength=4, rate_a=0.1, rate_b=0.1, trials=(1 << 20) + 1)
 

@@ -199,6 +199,12 @@ def test_schema_rejections():
         spec_from_dict({**doc, "state_pmf": [0.5, 0.5]})
     with pytest.raises(ValidationError, match="not a numeric array"):
         spec_from_dict({**doc, "state_pmf": ["a"]})
+    for bad in (float("nan"), float("inf")):
+        channel = [[[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, bad]]]]
+        with pytest.raises(ValidationError, match=r"channel: entry \(0, 1, 1, 1\) is not finite"):
+            spec_from_dict({**doc, "channel": channel})
+    with pytest.raises(ValidationError, match="state_pmf: entry 0 is not finite"):
+        spec_from_dict({**doc, "state_pmf": [float("nan")]})
     with pytest.raises(ValidationError, match="labels: unknown alphabet"):
         spec_from_dict({**doc, "labels": {"zz": ["?"]}})
     with pytest.raises(SpecFormatError):
@@ -288,3 +294,16 @@ def test_channel_cell_guard_counts_before_any_array():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20   # the guard runs before any table is built
+
+
+def test_channel_build_holds_one_input_law_beside_its_one_hot_table():
+    # S = Sa = 1: the one-hot table and mix_a are the same size, so a build
+    # that also stacked per-state slices would peak at 3x mix_a
+    spec = _sized_spec(512, 1, 1, 1, 1, 1)
+    tracemalloc.start()
+    try:
+        chan = induced_strategy_channel(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * chan.mix_a.nbytes, (peak, chan.mix_a.nbytes)

@@ -66,10 +66,6 @@ def test_behavioral_grid_is_full_product():
 def test_optimizer_config_validation():
     with pytest.raises(ValueError, match="restarts"):
         OptimizerConfig(restarts=0)
-    with pytest.raises(ValueError, match="max_iters"):
-        OptimizerConfig(max_iters=0)
-    with pytest.raises(ValueError, match="rel_tol"):
-        OptimizerConfig(rel_tol=0.0)
 
 
 # ---------------------------------------------------------------- pentagon support
@@ -286,9 +282,10 @@ def test_ascent_never_builds_q(monkeypatch):
     spec = _large_spec()
     chan = induced_strategy_channel(spec)
     monkeypatch.setattr(optimize, "BATCH_CELL_BUDGET", 1 << 15)
+    monkeypatch.setattr(optimize, "MAX_ITERS", 3)
     tracemalloc.start()
     try:
-        maximize_sum_rate(spec, chan, OptimizerConfig(restarts=1, max_iters=3))
+        maximize_sum_rate(spec, chan, OptimizerConfig(restarts=1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -341,7 +338,7 @@ def test_maximize_is_deterministic_and_chunk_invariant(monkeypatch):
     first = maximize_sum_rate(spec, chan, cfg)
     assert _same_sum_rate(first, maximize_sum_rate(spec, chan, cfg))
     # chunks of one and of two rows: every restart climbs alone or in a pair
-    for budget in (1, 2 * _Objective(chan, spec.state_pmf).row_cells(cfg.max_iters)):
+    for budget in (1, 2 * _Objective(chan, spec.state_pmf).row_cells()):
         monkeypatch.setattr(optimize, "BATCH_CELL_BUDGET", budget)
         assert _same_sum_rate(first, maximize_sum_rate(spec, chan, cfg))
 
@@ -562,12 +559,13 @@ def test_region_rows_run_within_the_cell_budget(monkeypatch):
     # 3 groups x 4096 restarts, admitted; only a chunk of them may be held at once
     spec = load("stateless-mac")
     chan = induced_strategy_channel(spec)
-    cfg = OptimizerConfig(restarts=4096, max_iters=1)
+    cfg = OptimizerConfig(restarts=4096)
     budget = 1 << 13
-    row_cells = _Objective(chan, spec.state_pmf).row_cells(cfg.max_iters)
-    whole = 3 * cfg.restarts * row_cells * 8   # bytes, were every row held at once
     inner_bound_region(spec, chan, OptimizerConfig(restarts=2), directions=2)   # warm caches
+    monkeypatch.setattr(optimize, "MAX_ITERS", 1)
     monkeypatch.setattr(optimize, "BATCH_CELL_BUDGET", budget)
+    row_cells = _Objective(chan, spec.state_pmf).row_cells()
+    whole = 3 * cfg.restarts * row_cells * 8   # bytes, were every row held at once
     tracemalloc.start()
     try:
         region = inner_bound_region(spec, chan, cfg, directions=2)

@@ -134,6 +134,18 @@ def test_cmi_group_validation():
         conditional_mutual_information(law, x=(), y="y")
 
 
+def test_joint_law_refuses_non_finite_entries():
+    # NaN compares False with everything, so the mass check alone let these
+    # through: all-NaN then read as a (0, 0, 0) pentagon, and [0.5, nan] broke
+    # an invariant inside pentagon
+    with pytest.raises(ValidationError, match=r"joint law: entry \(0, 0, 0, 0\) is not finite"):
+        JointLaw(p=np.full((1, 1, 1, 2), np.nan))
+    with pytest.raises(ValidationError, match=r"joint law: entry \(0, 0, 0, 1\) is not finite"):
+        JointLaw(p=np.array([0.5, np.nan]).reshape(1, 1, 1, 2))
+    with pytest.raises(ValidationError, match=r"joint law: entry \(0, 0, 0, 1\) is negative"):
+        JointLaw(p=np.array([1.5, -0.5]).reshape(1, 1, 1, 2))
+
+
 def test_pentagon_mod2_point_mass_policies():
     spec = examples.load("mod2-adder-noiseless")
     chan = induced_strategy_channel(spec)
