@@ -13,18 +13,24 @@ on a singleton.
 
 The typicality mask is staged. The state and output subsets can reject a
 trial outright; the subsets holding one sender's strategy keep the surviving
-codewords of each sender; the full law is scored on the block of surviving
-rows and columns; and the three other pair subsets are scored only on the
-listed pairs that pass it. Every pair score, the ML decoder's too, adds one
-per-letter table entry at a time in t order and divides by n, the same sum
-as the definition, so a score does not depend on which stage computes it.
-The full-law block is summed a block of rows at a time (PAIR_BLOCK_CELLS
-pairs at most) in one reused buffer, each letter added while the block is
-in cache, and tested as soon as it is summed, so its survivors come out in
-row-major order with no pair-sized array made per letter or per trial. The
-ML decoder copies the blocks into one score array per trial, which its
-exact argmax ties read. The listed pairs are gathered one letter at a
-time, so no stage holds an array of pairs by letters.
+codewords of each sender; the full law is scored on each trial's block of
+surviving rows and columns; and the three other pair subsets are scored only
+on the listed pairs that pass it. Every pair score, the ML decoder's too,
+adds one per-letter table entry at a time in t order and divides by n, the
+same sum as the definition, so a score does not depend on which stage
+computes it.
+
+The full-law blocks of a chunk's trials are stacked into one matrix: each
+trial gives its surviving rows, and its surviving columns are padded to the
+chunk's widest trial, the pads masked out. That matrix is summed a block of
+rows at a time (PAIR_BLOCK_CELLS pairs at most, across trial boundaries) in
+one reused buffer, each letter added while the block is in cache, and tested
+as soon as it is summed. Survivors come out in trial order and row-major
+within a trial, with no pair-sized array made per letter or per trial and no
+loop over trials. The ML decoder stacks every pair the same way and keeps
+each trial's best score so far and its exact ties block by block. The
+listed pairs are gathered one letter at a time, so no stage holds an array
+of pairs by letters.
 
 Trials run as rows of chunks. Each trial draws its codebooks, states,
 messages and output uniforms from its own counter-based streams keyed by
@@ -32,11 +38,10 @@ messages and output uniforms from its own counter-based streams keyed by
 stream in turn, which draws exactly what a fresh stream would. Every
 categorical draw searches a cdf built once per run with uniforms from the
 stream, the same steps and the same values as ``Generator.choice``. The
-channel outputs and every filter except the full-law block are then
-computed once per chunk, and the listed subsets score one survivor list
-that spans the chunk's trials. Scores are bit-identical to a trial decoded
-alone, so results depend on neither the chunk size nor ``--threads``,
-which changes nothing.
+channel outputs and every filter are then computed once per chunk, and the
+listed subsets score one survivor list that spans the chunk's trials.
+Scores are bit-identical to a trial decoded alone, so results depend on
+neither the chunk size nor ``--threads``, which changes nothing.
 """
 
 import itertools
@@ -59,8 +64,8 @@ TRIAL_CAP = 1 << 20           # a run's time: each trial re-keys two streams, dr
 # Cells of codebooks and letters one chunk of trials holds; a chunk's message
 # pairs are held to PAIR_CAP, the most one trial may have.
 TRIAL_CELL_BUDGET = 1 << 16
-# Message pairs one block of a trial's pair scores holds (256 kB of float64),
-# so every letter is added to a block while it is still in cache.
+# Message pairs one block of a chunk's stacked pair scores holds (256 kB of
+# float64), so every letter is added to a block while it is still in cache.
 PAIR_BLOCK_CELLS = 1 << 15
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -120,11 +125,13 @@ class SimConfig:
                 f"decoder pair guard: {ma} x {mb} message pairs exceed cap {PAIR_CAP}"
             )
 
-    @property
+    # computed once per config; the cache sits outside the fields, so
+    # equality, hashing and repr are the fields' alone
+    @cached_property
     def messages_a(self) -> int:
         return _message_count(self.blocklength, self.rate_a)
 
-    @property
+    @cached_property
     def messages_b(self) -> int:
         return _message_count(self.blocklength, self.rate_b)
 
@@ -223,7 +230,8 @@ class _DecodeContext:
         self.tables = {}
         for combo in _axis_subsets():
             drop = tuple(i for i in range(4) if i not in combo)
-            marg = law.sum(axis=drop, keepdims=True)
+            # the full subset's marginal is the law itself, not a copy of it
+            marg = law.sum(axis=drop, keepdims=True) if drop else law
             log_t = log2_floor(marg)
             self.tables[combo] = (log_t, float(-(marg * log_t).sum()))
 
@@ -277,52 +285,95 @@ def _index(combo, s, a, b, y) -> tuple:
             b if 2 in combo else 0, y if 3 in combo else 0)
 
 
-def _pair_blocks(log_t, combo, s_seq, y_seq, ids_a, ids_b):
-    """Yield (first row, block) for whole-row blocks of the (messages_a,
-    messages_b) sums of per-letter log-likelihoods. A block holds at most
-    PAIR_BLOCK_CELLS pairs and gets every letter added in t order while it
-    is in cache; each block is a view of one buffer that the next reuses.
+def _stack(ok_a, ok_b) -> tuple:
+    """The layout of a chunk's stacked pair matrix, from its trials'
+    surviving codebook rows ok_a (trials, messages_a) and columns ok_b
+    (trials, messages_b): the trials with survivors on both sides; each
+    stacked row's trial (an index into those) and codebook row, in trial
+    order and row order; each trial's surviving columns in order, padded
+    with other columns to the widest trial's count; and those counts."""
+    trials = np.flatnonzero(ok_a.any(axis=1) & ok_b.any(axis=1))
+    row_trial, row_ids = np.nonzero(ok_a[trials])
+    ok_b = ok_b[trials]
+    widths = ok_b.sum(axis=1)
+    # a stable sort puts each trial's surviving columns first, in order
+    col_ids = np.argsort(~ok_b, axis=1, kind="stable")[:, :widths.max(initial=0)]
+    return trials, row_trial, row_ids, col_ids, widths
 
-    Each letter's (A, B) table is cut to a block by two 1-D gathers, through
-    the smaller of the (A, messages_b) and (messages_a, B) intermediates, as
-    a whole-codebook gather would choose. Column cuts serve every block, so
-    they are made once per letter when all letters' cuts together fit in a
-    block, and once per block and letter otherwise: no call holds every
-    letter's intermediate."""
-    (ma, n), (count_a, count_b), mb = ids_a.shape, log_t.shape[1:3], ids_b.shape[0]
-    tables = [log_t[_index(combo, s, slice(None), slice(None), y)]
-              for s, y in zip(s_seq.tolist(), y_seq.tolist())]
-    # each letter's ids in one contiguous row, a copy of the codebook's size
-    at_a, at_b = np.ascontiguousarray(ids_a.T), np.ascontiguousarray(ids_b.T)
-    if count_a * mb > ma * count_b:          # rows first
-        def cut(table, ia, ib):
-            return table.take(ia, axis=0).take(ib, axis=1)
-    elif n * count_a * mb > PAIR_BLOCK_CELLS:  # columns first, per block
-        def cut(table, ia, ib):
-            return table.take(ib, axis=1).take(ia, axis=0)
-    else:                                     # columns first, once
-        tables = [table.take(ib, axis=1) for table, ib in zip(tables, at_b)]
 
-        def cut(table, ia, ib):
-            return table.take(ia, axis=0)
-    rows = max(1, PAIR_BLOCK_CELLS // mb)
-    buf = np.empty((min(rows, ma), mb))
-    for r0 in range(0, ma, rows):
-        block = buf[:min(rows, ma - r0)]
-        letters = zip(tables, at_a[:, r0:r0 + rows], at_b)
+def _pair_blocks(log_t, s_seq, y_seq, ids_a, ids_b, stack):
+    """Yield (first row, block) for row blocks of a chunk's stacked (trial,
+    row) x column matrix (see _stack) of sums of per-letter log-likelihoods
+    from a full (S, A, B, Y) log table; a pad column's sum is some other
+    pair's. A block holds at most PAIR_BLOCK_CELLS pairs, may straddle
+    trials, and gets every letter added in t order while it is in cache;
+    each block is a view of one buffer that the next reuses.
+
+    Each letter's (A, B) table is cut to a block by two 1-D gathers. A
+    block inside one trial goes through the smaller of the row and column
+    intermediates, as a whole-codebook gather would choose; any other goes
+    columns first: each trial's (A, width) column cut is gathered from the
+    flat table and the block's rows from the cuts. The cuts of every letter
+    of as many trials as fit in one block are made at once, by one gather,
+    and those of a block whose trials do not fit once per letter, so no
+    call holds every letter's intermediate. Every cut spans the chunk's
+    widest column count, so a narrower trial's pads are gathered and summed
+    too. Only the block's rows and its trials' columns are copied, as
+    flat-table offsets with a letter per column."""
+    trials, row_trial, row_ids, col_ids, _ = stack
+    (total,), (count, width), n = row_trial.shape, col_ids.shape, s_seq.shape[1]
+    if total == 0:
+        return
+    _, count_a, count_b, size_y = log_t.shape
+    flat, step_a = log_t.reshape(-1), count_b * size_y
+    step = np.arange(count_a)[:, None] * step_a
+    # flat codebook rows of the stacked rows and of each trial's columns
+    flat_a, flat_b = ids_a.reshape(-1, n), ids_b.reshape(-1, n)
+    rows_at = trials[row_trial] * ids_a.shape[1] + row_ids
+    cols_at = (trials * ids_b.shape[1])[:, None] + col_ids
+    letter_key = s_seq[trials] * (count_a * step_a) + y_seq[trials]
+
+    def col_keys(k0, k1):
+        # (trials, width, n) flat-table offsets of the trials' columns, less their rows'
+        keys = flat_b.take(cols_at[k0:k1], axis=0)
+        keys *= size_y
+        keys += letter_key[k0:k1, None]
+        return keys
+
+    first = np.searchsorted(row_trial, np.arange(count + 1))
+    span = PAIR_BLOCK_CELLS // (n * count_a * width)  # trials whose cuts fit in a block
+    rows = max(1, PAIR_BLOCK_CELLS // width)
+    buf = np.empty((min(rows, total), width))
+    hoisted = 0, 0, None
+    for r0 in range(0, total, rows):
+        r1 = min(total, r0 + rows)
+        k0, k1 = row_trial[r0], row_trial[r1 - 1] + 1
+        ia = flat_a.take(rows_at[r0:r1], axis=0)  # a letter's ids are a column
+        if k1 - k0 == 1 and count_a * width > (first[k1] - first[k0]) * count_b:  # rows first
+            k = trials[k0]
+            letters = zip(s_seq[k].tolist(), y_seq[k].tolist(), ia.T,
+                          flat_b.take(cols_at[k0], axis=0).T)
+            cuts = (log_t[s, :, :, y].take(a, axis=0).take(b, axis=1)
+                    for s, y, a, b in letters)
+        else:  # columns first
+            c0, c1, tables = hoisted
+            if k1 - k0 > span:
+                c0, keys = k0, col_keys(k0, k1)
+                tables = (flat.take(keys[:, None, :, t] + step).reshape(-1, width)
+                          for t in range(n))
+            elif not c0 <= k0 < k1 <= c1:
+                c0, c1 = k0, min(count, k0 + span)
+                keys = col_keys(c0, c1).transpose(2, 0, 1)[:, :, None]
+                tables = flat.take(keys + step).reshape(n, -1, width)
+                hoisted = c0, c1, tables
+            ia += ((row_trial[r0:r1] - c0) * count_a)[:, None]
+            cuts = (table.take(key, axis=0) for table, key in zip(tables, ia.T))
+        block = buf[:r1 - r0]
         # copied in, not added to zeros: log2_floor never gives -0.0, so this is 0.0 + it
-        np.copyto(block, cut(*next(letters)))
-        for letter in letters:
-            block += cut(*letter)
+        np.copyto(block, next(cuts))
+        for cut in cuts:
+            block += cut
         yield r0, block
-
-
-def _pair_scores(log_t, combo, s_seq, y_seq, ids_a, ids_b) -> np.ndarray:
-    """(messages_a, messages_b) mean log-likelihoods, summed in t order."""
-    scores = np.empty((ids_a.shape[0], ids_b.shape[0]))
-    for r0, block in _pair_blocks(log_t, combo, s_seq, y_seq, ids_a, ids_b):
-        np.divide(block, ids_a.shape[1], out=scores[r0:r0 + block.shape[0]])
-    return scores
 
 
 def _listed_scores(ctx, combos, s_seq, y_seq, ids_a, ids_b, trial, rows, cols) -> list:
@@ -340,11 +391,12 @@ def _listed_scores(ctx, combos, s_seq, y_seq, ids_a, ids_b, trial, rows, cols) -
     return [acc / n for acc in accs]
 
 
-def _concat(found) -> tuple:
-    """Per-trial (trial, rows, cols) pieces joined into one survivor list."""
-    if not found:
-        return (np.zeros(0, dtype=np.intp),) * 3
-    return tuple(np.concatenate(part) for part in zip(*found))
+def _stacked_pairs(stack, hits) -> tuple:
+    """(trial, row, col) index arrays of the stacked (row, column) hits."""
+    trials, row_trial, row_ids, col_ids, _ = stack
+    at, col = np.concatenate(hits).T
+    k = row_trial[at]
+    return trials[k], row_ids[at], col_ids[k, col]
 
 
 def _typical_survivors(ctx: _DecodeContext, ids_a, ids_b, s_seq, y_seq,
@@ -353,9 +405,9 @@ def _typical_survivors(ctx: _DecodeContext, ids_a, ids_b, s_seq, y_seq,
     col) index arrays, in trial order and row-major within a trial.
 
     Codebooks are (trials, messages, n) and letters (trials, n). The state,
-    output and single-sender filters score the whole chunk at once; the
-    full-law block is scored per trial; the listed subsets score one
-    flattened survivor list."""
+    output and single-sender filters score the whole chunk at once, the
+    full law the stacked block of their survivors, and the listed subsets
+    one flattened survivor list."""
     def passes(combo, score):
         return np.abs(-score - ctx.tables[combo][1]) < epsilon
 
@@ -369,17 +421,16 @@ def _typical_survivors(ctx: _DecodeContext, ids_a, ids_b, s_seq, y_seq,
     live = survivors([(0,), (3,), (0, 3)], s_seq, 0, 0, y_seq)
     ok_a = survivors([(1,), (0, 1), (1, 3), (0, 1, 3)], s, ids_a, 0, y)
     ok_b = survivors([(2,), (0, 2), (2, 3), (0, 2, 3)], s, 0, ids_b, y)
-    full = (0, 1, 2, 3)
-    n = s_seq.shape[1]
-    found = []
-    for k in np.flatnonzero(live & ok_a.any(axis=1) & ok_b.any(axis=1)):
-        rows, cols = np.flatnonzero(ok_a[k]), np.flatnonzero(ok_b[k])
-        # the surviving codebook rows are copied once; the copy is at most the codebook
-        for r0, block in _pair_blocks(ctx.tables[full][0], full, s_seq[k], y_seq[k],
-                                      ids_a[k, rows], ids_b[k, cols]):
-            keep_a, keep_b = np.nonzero(passes(full, np.divide(block, n, out=block)))
-            found.append((np.full(keep_a.size, k), rows[r0 + keep_a], cols[keep_b]))
-    trial, rows, cols = _concat(found)
+    full, n = (0, 1, 2, 3), s_seq.shape[1]
+    stack = _stack(ok_a & live[:, None], ok_b)
+    _, row_trial, _, col_ids, widths = stack
+    pad = np.arange(col_ids.shape[1]) >= widths[:, None]
+    hits = [np.zeros((0, 2), dtype=np.intp)]
+    for r0, block in _pair_blocks(ctx.tables[full][0], s_seq, y_seq, ids_a, ids_b, stack):
+        hit = passes(full, np.divide(block, n, out=block))
+        hit &= ~pad[row_trial[r0:r0 + block.shape[0]]]
+        hits.append(np.argwhere(hit) + (r0, 0))
+    trial, rows, cols = _stacked_pairs(stack, hits)
     listed = [(1, 2, 3), (0, 1, 2), (1, 2)]
     scores = _listed_scores(ctx, listed, s_seq, y_seq, ids_a, ids_b, trial, rows, cols)
     keep = np.logical_and.reduce([passes(c, score) for c, score in zip(listed, scores)])
@@ -387,16 +438,29 @@ def _typical_survivors(ctx: _DecodeContext, ids_a, ids_b, s_seq, y_seq,
 
 
 def _ml_survivors(ctx: _DecodeContext, ids_a, ids_b, s_seq, y_seq) -> tuple:
-    """Every trial's maximum-likelihood pairs, as _typical_survivors lists them."""
-    found = []
-    for k in range(s_seq.shape[0]):
-        scores = _pair_scores(ctx.logq, (0, 1, 2, 3), s_seq[k], y_seq[k],
-                              ids_a[k], ids_b[k])
-        rows, cols = np.nonzero(scores == scores.max())
-        if rows.size == 0:
-            raise AssertionError("ML always has at least one argmax")
-        found.append((np.full(rows.size, k), rows, cols))
-    return _concat(found)
+    """Every trial's maximum-likelihood pairs, as _typical_survivors lists
+    them. Every pair is stacked; each trial's best score so far and the
+    pairs that tie it are kept block by block, so no pair-sized score
+    array is held."""
+    stack = _stack(np.ones(ids_a.shape[:2], dtype=bool), np.ones(ids_b.shape[:2], dtype=bool))
+    _, row_trial, _, _, _ = stack
+    n = s_seq.shape[1]
+    best = np.full(s_seq.shape[0], -np.inf)
+    hits, ties = [np.zeros((0, 2), dtype=np.intp)], [np.zeros(0)]
+    for r0, block in _pair_blocks(ctx.logq, s_seq, y_seq, ids_a, ids_b, stack):
+        k = row_trial[r0:r0 + block.shape[0]]
+        row_best = np.divide(block, n, out=block).max(axis=1)
+        np.maximum.at(best, k, row_best)
+        # only a row that holds its trial's best so far is searched for ties
+        top = np.flatnonzero(row_best == best[k])
+        at, col = np.nonzero(block[top] == row_best[top, None])
+        hits.append(np.column_stack([r0 + top[at], col]))
+        ties.append(row_best[top[at]])
+    trial, rows, cols = _stacked_pairs(stack, hits)
+    keep = np.concatenate(ties) == best[trial]  # a tie that a later block beat goes
+    if not np.bincount(trial[keep], minlength=best.size).all():
+        raise AssertionError("ML always has at least one argmax")
+    return trial[keep], rows[keep], cols[keep]
 
 
 def _classify(trial, rows, cols, wa, wb) -> tuple:

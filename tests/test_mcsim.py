@@ -5,6 +5,7 @@ predicate on every message pair, and the Wilson interval against the
 statsmodels and scipy implementations.
 """
 
+import itertools
 import runpy
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fsmac import mcsim
+from fsmac import mcsim, strategy
 from fsmac.errors import GuardError
 from fsmac.examples import load
 from fsmac.mcsim import (
@@ -29,7 +30,7 @@ from fsmac.mcsim import (
     _listed_scores,
     _ml_survivors,
     _pair_blocks,
-    _pair_scores,
+    _stack,
     _typical_survivors,
     estimate_error,
     generate_codebooks,
@@ -37,7 +38,7 @@ from fsmac.mcsim import (
     typicality_check,
     wilson_interval,
 )
-from fsmac.model import induced_strategy_channel
+from fsmac.model import FsMacSpec, check_channel_cells, induced_strategy_channel
 from fsmac.rates import TeamPolicy, joint_law, log2_floor
 from fsmac.rng import ROLE_CODEBOOKS, ROLE_TRIAL, stream
 
@@ -53,7 +54,7 @@ def two_strategy_policy():
 
 # ---------------------------------------------------------------- config
 
-def test_message_counts():
+def test_message_counts(monkeypatch):
     cfg = SimConfig(blocklength=12, rate_a=0.2, rate_b=0.2)
     assert cfg.messages_a == 6  # ceil(2**2.4)
     assert cfg.messages_b == 6
@@ -61,6 +62,16 @@ def test_message_counts():
     assert SimConfig(blocklength=4, rate_a=0.2, rate_b=0.0).messages_b == 1
     assert SimConfig(blocklength=3, rate_a=1.0, rate_b=0.0).messages_a == 8
     assert SimConfig(blocklength=6, rate_a=1 / 3, rate_b=0.0).messages_a == 4
+    # each count is computed once per config, and the cache is no field:
+    # configs still compare, hash and print by their fields alone
+    calls = []
+    count = mcsim._message_count
+    monkeypatch.setattr(mcsim, "_message_count", lambda *args: calls.append(args) or count(*args))
+    cfg = SimConfig(blocklength=12, rate_a=0.2, rate_b=0.3)
+    assert [cfg.messages_a + cfg.messages_b for _ in range(5)] == [6 + 13] * 5
+    assert calls == [(12, 0.2), (12, 0.3)]
+    fresh = SimConfig(blocklength=12, rate_a=0.2, rate_b=0.3)
+    assert fresh == cfg and hash(fresh) == hash(cfg) and repr(fresh) == repr(cfg)
 
 
 def test_config_validation():
@@ -263,7 +274,9 @@ def test_vectorized_mask_matches_reference(rng, monkeypatch):
     entering = {}  # pairs that reach the full-law block and the listed stages
 
     def block(*args):
-        entering.setdefault("block", args[-2].shape[0] * args[-1].shape[0])
+        trials, row_trial, _, _, widths = args[-1]
+        pairs = np.bincount(row_trial, minlength=trials.size) @ widths
+        entering.setdefault("block", int(pairs))
         return _pair_blocks(*args)
 
     def listed(*args):
@@ -332,29 +345,64 @@ def test_mask_allocates_no_pair_by_letter_array(rng):
     assert peak < pairs * n, peak  # one byte per pair and letter; a copy takes 8
 
 
+def literal_sums(log_t, combo, s_seq, y_seq, ids_a, ids_b) -> np.ndarray:
+    """(trials, messages_a, messages_b) sums of a subset's per-letter
+    log-likelihoods, added one letter at a time in t order."""
+    (count, ma, n), mb = ids_a.shape, ids_b.shape[1]
+    sums = np.empty((count, ma, mb))
+    for k, wa, wb in np.ndindex(count, ma, mb):
+        total = 0.0
+        for t in range(n):
+            total += log_t[_index(combo, s_seq[k, t], ids_a[k, wa, t], ids_b[k, wb, t],
+                                  y_seq[k, t])]
+        sums[k, wa, wb] = total
+    return sums
+
+
+def stacked_sums(log_t, s_seq, y_seq, ids_a, ids_b, stack) -> tuple:
+    """The pair kernel's sums placed on a (trials, messages_a, messages_b)
+    grid, NaN off the stack, and the number of blocks that straddled trials."""
+    trials, row_trial, row_ids, col_ids, widths = stack
+    sums = np.full(ids_a.shape[:2] + ids_b.shape[1:2], np.nan)
+    straddled = 0
+    for r0, block in _pair_blocks(log_t, s_seq, y_seq, ids_a, ids_b, stack):
+        k = row_trial[r0:r0 + block.shape[0]]
+        straddled += k[0] != k[-1]
+        i, j = np.nonzero(np.arange(block.shape[1]) < widths[k][:, None])  # pads dropped
+        sums[trials[k[i]], row_ids[r0 + i], col_ids[k[i], j]] = block[i, j]
+    return sums, straddled
+
+
+def every_pair(ids_a, ids_b) -> tuple:
+    return _stack(np.ones(ids_a.shape[:2], dtype=bool), np.ones(ids_b.shape[:2], dtype=bool))
+
+
 def test_ml_scores_match_literal_sum(rng):
-    # both gather orders: a long codebook against a short one, and the reverse
+    # both gather orders: a long codebook against a short one, and the reverse,
+    # for a trial alone and for a chunk of three, whose blocks straddle trials
     spec = random_spec(rng, sizes=dict(xa=2, xb=3, s=2, sa=2, sb=1, y=3))
     chan = induced_strategy_channel(spec)
     policy = TeamPolicy(pi_a=rng.dirichlet(np.ones(chan.space_a.count)),
                         pi_b=rng.dirichlet(np.ones(chan.space_b.count)))
     ctx = _DecodeContext(spec, chan, policy)
     n = 7
-    for ra, rb in [(1.0, 0.3), (0.3, 1.0)]:
+    for (ra, rb), count in itertools.product([(1.0, 0.3), (0.3, 1.0)], [1, 3]):
         cfg = SimConfig(blocklength=n, rate_a=ra, rate_b=rb, seed=4)
-        books = generate_codebooks(policy, cfg)
-        s_seq = rng.choice(spec.size_s, size=n, p=spec.state_pmf)
-        y_seq = rng.integers(0, spec.size_y, size=n)
-        scores = _pair_scores(ctx.logq, (0, 1, 2, 3), s_seq, y_seq,
-                              books.ids_a, books.ids_b)
-        assert scores.shape == (cfg.messages_a, cfg.messages_b)
-        for wa in range(cfg.messages_a):
-            for wb in range(cfg.messages_b):
-                a, b = books.ids_a[wa], books.ids_b[wb]
-                total = 0.0
-                for t in range(n):
-                    total += ctx.logq[s_seq[t], a[t], b[t], y_seq[t]]
-                assert scores[wa, wb] == total / n, (ra, wa, wb)
+        books = [generate_codebooks(policy, cfg, stream(4, k, ROLE_CODEBOOKS))
+                 for k in range(count)]
+        ids_a, ids_b = np.stack([b.ids_a for b in books]), np.stack([b.ids_b for b in books])
+        s_seq = rng.choice(spec.size_s, size=(count, n), p=spec.state_pmf)
+        y_seq = rng.integers(0, spec.size_y, size=(count, n))
+        sums, straddled = stacked_sums(ctx.logq, s_seq, y_seq, ids_a, ids_b,
+                                       every_pair(ids_a, ids_b))
+        assert straddled == (count > 1)
+        literal = literal_sums(ctx.logq, (0, 1, 2, 3), s_seq, y_seq, ids_a, ids_b)
+        assert np.array_equal(sums, literal), (ra, count)
+        # the ML decoder keeps each trial's exact argmax pairs of these sums over n
+        scores = literal / n
+        best = np.argwhere(scores == scores.max(axis=(1, 2), keepdims=True))
+        found = _ml_survivors(ctx, ids_a, ids_b, s_seq, y_seq)
+        assert np.array_equal(np.column_stack(found), best), (ra, count)
 
 
 def test_chunk_means_match_per_trial_means(rng):
@@ -411,15 +459,18 @@ def test_chunk_scores_match_per_trial_scores(rng):
                              ids_b[k:k + 1], trial[at] * 0, rows[at], cols[at])
         for combo, c, o in zip(listed, chunk, one):
             assert np.array_equal(c[at], o), (combo, k)
-            pair = _pair_scores(ctx.tables[combo][0], combo, s_seq[k], y_seq[k],
-                                ids_a[k], ids_b[k])
+            pair = literal_sums(ctx.tables[combo][0], combo, s_seq[k:k + 1], y_seq[k:k + 1],
+                                ids_a[k:k + 1], ids_b[k:k + 1]) / cfg.blocklength
             assert np.array_equal(c[at], pair.ravel()), (combo, k)
 
 
 def test_pair_blocks_are_budget_invariant(rng, monkeypatch):
-    # one-row blocks, and blocks of 3 rows or more (3 on whole codebooks,
-    # which 3 rows divide in none of these cases), give the default budget's
-    # pair scores bit for bit and the same survivor lists
+    # one-pair blocks, blocks of a prime number of pairs of 3 rows or more
+    # (3 rows divide no codebook here, so blocks straddle trials), and one
+    # block larger than the whole chunk give the default budget's pair sums
+    # bit for bit and the same survivor lists. The sums are checked on every
+    # pair of each recorded chunk and on a ragged stack, whose first trial
+    # keeps a single column and whose others keep random rows and columns.
     dense = random_spec(rng, sizes=dict(xa=2, xb=2, s=2, sa=2, sb=1, y=3))
     dense_chan = induced_strategy_channel(dense)
     cases = [
@@ -440,7 +491,9 @@ def test_pair_blocks_are_budget_invariant(rng, monkeypatch):
                                ("max_likelihood", "_ml_survivors")]:
             cfg = SimConfig(blocklength=n, rate_a=rate, rate_b=rate, epsilon=eps,
                             trials=trials, seed=0, decoder=decoder)
-            assert cfg.messages_a % 3 != 0
+            ma, mb = cfg.messages_a, cfg.messages_b
+            assert ma % 3 != 0
+            prime = next(p for p in itertools.count(3 * mb) if all(p % d for d in range(2, p)))
             calls = []
 
             def record(*args, survivors=getattr(mcsim, stage)):
@@ -453,21 +506,28 @@ def test_pair_blocks_are_budget_invariant(rng, monkeypatch):
             assert calls
             for args, found in calls:
                 ids_a, ids_b, s_seq, y_seq = args[1:5]
+                count = s_seq.shape[0]
+                ok_a, ok_b = rng.random((count, ma)) < 0.7, rng.random((count, mb)) < 0.7
+                ok_a[:, 0] = ok_b[:, 0] = True
+                ok_b[0, 1:] = False
+                stacks = [every_pair(ids_a, ids_b), _stack(ok_a, ok_b)]
 
-                def trial_scores():
-                    return [_pair_scores(log_t, (0, 1, 2, 3), s_seq[k], y_seq[k], ids_a[k],
-                                         ids_b[k]).tobytes()
+                def sums():
+                    return [stacked_sums(log_t, s_seq, y_seq, ids_a, ids_b, stack)
                             for log_t in (ctx.logq, ctx.tables[(0, 1, 2, 3)][0])
-                            for k in range(s_seq.shape[0])]
+                            for stack in stacks]
 
-                default = trial_scores()
-                for budget in (1, 3 * cfg.messages_b):
+                default = [grid.tobytes() for grid, _ in sums()]
+                for budget in (1, prime, count * ma * mb + 1):
                     with monkeypatch.context() as patch:
                         patch.setattr(mcsim, "PAIR_BLOCK_CELLS", budget)
                         got = getattr(mcsim, stage)(*args)
-                        assert trial_scores() == default, (decoder, budget)
+                        now = sums()
+                    assert [grid.tobytes() for grid, _ in now] == default, (decoder, budget)
                     assert all(np.array_equal(g, f) for g, f in zip(got, found)), \
                         (decoder, budget)
+                    if budget == prime and count > 1:
+                        assert all(straddled for _, straddled in now), decoder
 
 
 @pytest.mark.parametrize("many", ["a", "b"])
@@ -516,6 +576,35 @@ def test_only_the_ml_decoder_builds_the_channel_log_table():
     assert "logq" not in vars(ctx)
     _ml_survivors(ctx, *draws)
     assert np.array_equal(ctx.logq, log2_floor(chan.q))
+
+
+def test_decode_context_holds_no_copy_of_the_law(monkeypatch):
+    # q of 2 * 32 * 32 * 4 cells sits at the cell cap, patched down to 2**13.
+    # The full subset's table is read off the law itself, so the build peaks
+    # in joint_law (the law and its einsum's temporaries, about 4 q); a copy
+    # of the law beside it, its log table and their product took 5.1 q.
+    monkeypatch.setattr(strategy, "CELL_CAP", 1 << 13)
+    s, sa, sb, y = 2, 5, 5, 4
+    spec = FsMacSpec(size_xa=2, size_xb=2, size_s=s, size_sa=sa, size_sb=sb, size_y=y,
+                     state_pmf=np.full(s, 1 / s), obs_a=np.full((s, sa), 1 / sa),
+                     obs_b=np.full((s, sb), 1 / sb), channel=np.full((s, 2, 2, y), 1 / y))
+    check_channel_cells(spec)
+    chan = induced_strategy_channel(spec)
+    assert chan.q.size == strategy.CELL_CAP
+    policy = TeamPolicy(pi_a=np.full(32, 1 / 32), pi_b=np.full(32, 1 / 32))
+    tracemalloc.start()
+    try:
+        ctx = _DecodeContext(spec, chan, policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * chan.q.nbytes, peak / chan.q.nbytes
+    # every table and entropy is the one a summed marginal gives, byte for byte
+    law = joint_law(spec, chan, policy).p
+    for combo, (log_t, ent) in ctx.tables.items():
+        marg = law.sum(axis=tuple(i for i in range(4) if i not in combo), keepdims=True)
+        assert log_t.tobytes() == log2_floor(marg).tobytes(), combo
+        assert ent == float(-(marg * log2_floor(marg)).sum()), combo
 
 
 # ---------------------------------------------------------------- trials
@@ -578,7 +667,10 @@ def test_error_decomposition_and_reproducibility(monkeypatch):
      {"typicality": (0, 20, 0), "max_likelihood": (0, 20, 0)}),
     ("mod2-adder-bsc01", [0.25] * 4, 8, 0.4, 0.3,
      {"typicality": (1, 12, 3), "max_likelihood": (0, 2, 8)}),
-], ids=["above-cap", "mixed"])
+    # 2x2 codebooks: chunks of many small trials share the pair kernel's blocks
+    ("mod2-adder-noiseless", [0.5, 0.0, 0.0, 0.5], 4, 0.2, 0.05,
+     {"typicality": (0, 3, 0), "max_likelihood": (0, 3, 0)}),
+], ids=["above-cap", "mixed", "below-cap"])
 def test_pinned_outcome_counts(name, policy, n, rate, eps, counts, monkeypatch):
     # (no_typical, ambiguous, wrong), fixed: a faster decoder must not move them
     spec = load(name)
