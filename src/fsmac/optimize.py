@@ -33,7 +33,10 @@ factors through each sender's input law given the state, H(Y | S=s) depends
 on a policy pair only through the senders' marginals in state s: _grid_max
 scores each distinct pair of marginals once per chunk of b-points and gathers
 the pair scores. Its point sets are the strategy grids and, for deterministic
-channels, the collapsed per-symbol grids.
+channels, the collapsed per-symbol grids. The scan is an exact branch and
+bound: a b-point is gathered only if its bound, the sum over states of its
+row's best score, beats the running maximum, and the result is the full
+scan's, bit for bit (see _grid_max).
 """
 
 import itertools
@@ -437,31 +440,48 @@ def _grid_max(spec: FsMacSpec, beh_a: np.ndarray, beh_b: np.ndarray, cost=None) 
     beh[i] is a point's per-symbol input law. H(Y | S=s) depends on a pair only
     through each sender's input marginal in state s, so per state each point is
     keyed to its distinct marginal. Each chunk of b-points (at most
-    ORACLE_CELL_BUDGET cells) scores the keys it holds with one matmul, then
-    gathers; no full (a keys x b keys) table is ever built.
+    ORACLE_CELL_BUDGET cells) scores the keys it holds with one matmul into a
+    (b key x a key) table per state; no full (a keys x b keys) table is ever built.
+
+    The scan then gathers only the b-points that can beat the running maximum
+    (branch and bound). A b-point's bound is the sum over states of its
+    table row's maximum, added in the gather's own order. Rounding is
+    monotone, so no pair of that b-point sums above the bound, and the cost,
+    which is >= 0, only lowers a pair's value. A b-point whose bound does not
+    exceed the running maximum holds no pair that would raise it, so skipping
+    it leaves the maximum unchanged, bit for bit.
     """
     # per sender, per state: the distinct marginals and each point's key
     keys = [[np.unique(mix[:, s], axis=0, return_inverse=True) for s in range(spec.size_s)]
             for mix in (np.einsum("so,iox->isx", spec.obs_a, beh_a),
                         np.einsum("so,iox->isx", spec.obs_b, beh_b))]
     widest = max(u.shape[0] for u, _ in keys[0])
-    # per b-point: the values and their gathers over a-points, the output law over a keys
-    chunk = max(1, ORACLE_CELL_BUDGET // (4 * (beh_a.shape[0] + widest * (spec.size_y + 1))))
+    # per b-point: the values and their gathers over a-points, the output law
+    # over a keys, and every state's table row, all kept until the gather
+    chunk = max(1, ORACLE_CELL_BUDGET // (4 * (beh_a.shape[0] + widest * (spec.size_y + 1))
+                                          + spec.size_s * widest))
     best = -np.inf
     buf = np.empty((min(chunk, beh_b.shape[0]), beh_a.shape[0]))   # (b, a), one per call
     for j0 in range(0, beh_b.shape[0], chunk):
-        values = buf[:min(chunk, beh_b.shape[0] - j0)]
-        for s, ((ua, ka), (ub, kb)) in enumerate(zip(*keys)):
+        tables, bound = [], 0.0   # the bound adds its states as the gather does below
+        for s, ((ua, _), (ub, kb)) in enumerate(zip(*keys)):
             present, local = np.unique(kb[j0:j0 + chunk], return_inverse=True)
             t = np.einsum("jz,xzy->xyj", ub[present], spec.channel[s])
             r = (ua @ t.reshape(ua.shape[1], -1)).reshape(ua.shape[0], -1, present.size)
             table = spec.state_pmf[s] * entropy_rows(r.transpose(2, 0, 1))   # (b key, a key)
+            tables.append((table, local))
+            bound += table.max(axis=1)[local]
+        rows = np.flatnonzero(bound > best)
+        if not rows.size:
+            continue
+        values = buf[:rows.size]
+        for s, ((table, local), (_, ka)) in enumerate(zip(tables, keys[0])):
             if s:
-                values += table[local].take(ka, axis=1)
+                values += table[local[rows]].take(ka, axis=1)
             else:   # written, not added to zeros; adding 0.0 still turns -0.0 into 0.0
-                (table[local] + 0.0).take(ka, axis=1, out=values)
+                (table[local[rows]] + 0.0).take(ka, axis=1, out=values)
         if cost is not None:
-            values -= cost[1][j0:j0 + chunk] @ cost[0].T
+            values -= cost[1][j0 + rows] @ cost[0].T
         best = max(best, float(values.max()))
     return best
 

@@ -118,8 +118,10 @@ def joint_law(spec: FsMacSpec, chan: StrategyChannel, pol: TeamPolicy) -> JointL
         raise ValidationError(
             f"pi_b: length {pol.pi_b.shape[0]} does not match {chan.space_b.count} strategies"
         )
-    p = np.einsum("s,a,b,saby->saby", spec.state_pmf, pol.pi_a, pol.pi_b, chan.q)
-    return JointLaw(p=p)
+    # p_s * pi_a * pi_b in the four-operand einsum's order, then one multiply
+    # into q: the einsum's bits without its operand buffers
+    weights = (spec.state_pmf[:, None] * pol.pi_a)[:, :, None] * pol.pi_b
+    return JointLaw(p=chan.q * weights[..., None])
 
 
 def _marginal(p: np.ndarray, keep: tuple) -> np.ndarray:

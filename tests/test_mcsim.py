@@ -581,8 +581,9 @@ def test_only_the_ml_decoder_builds_the_channel_log_table():
 def test_decode_context_holds_no_copy_of_the_law(monkeypatch):
     # q of 2 * 32 * 32 * 4 cells sits at the cell cap, patched down to 2**13.
     # The full subset's table is read off the law itself, so the build peaks
-    # in joint_law (the law and its einsum's temporaries, about 4 q); a copy
-    # of the law beside it, its log table and their product took 5.1 q.
+    # at that subset's entropy (the law, the other subsets' tables, the law's
+    # log table with log2_floor's temporary and their product, about 4 q); a
+    # copy of the law beside it, its log table and their product took 5.1 q.
     monkeypatch.setattr(strategy, "CELL_CAP", 1 << 13)
     s, sa, sb, y = 2, 5, 5, 4
     spec = FsMacSpec(size_xa=2, size_xb=2, size_s=s, size_sa=sa, size_sb=sb, size_y=y,

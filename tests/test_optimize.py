@@ -390,28 +390,118 @@ def test_grid_oracle_matches_literal_pentagon_scan(draw):
                 _literal_grid_max(spec, chan, resolution), abs=1e-12), (sizes, resolution)
 
 
+def _unpruned_grid_max(spec, beh_a, beh_b, cost=None):
+    """_grid_max as it was before the scan pruned: every chunk gathers every
+    pair, and its chunk size does not count the per-state tables."""
+    keys = [[np.unique(mix[:, s], axis=0, return_inverse=True) for s in range(spec.size_s)]
+            for mix in (np.einsum("so,iox->isx", spec.obs_a, beh_a),
+                        np.einsum("so,iox->isx", spec.obs_b, beh_b))]
+    widest = max(u.shape[0] for u, _ in keys[0])
+    chunk = max(1, optimize.ORACLE_CELL_BUDGET
+                // (4 * (beh_a.shape[0] + widest * (spec.size_y + 1))))
+    best = -np.inf
+    buf = np.empty((min(chunk, beh_b.shape[0]), beh_a.shape[0]))
+    for j0 in range(0, beh_b.shape[0], chunk):
+        values = buf[:min(chunk, beh_b.shape[0] - j0)]
+        for s, ((ua, ka), (ub, kb)) in enumerate(zip(*keys)):
+            present, local = np.unique(kb[j0:j0 + chunk], return_inverse=True)
+            t = np.einsum("jz,xzy->xyj", ub[present], spec.channel[s])
+            r = (ua @ t.reshape(ua.shape[1], -1)).reshape(ua.shape[0], -1, present.size)
+            table = spec.state_pmf[s] * entropy_rows(r.transpose(2, 0, 1))
+            if s:
+                values += table[local].take(ka, axis=1)
+            else:
+                (table[local] + 0.0).take(ka, axis=1, out=values)
+        if cost is not None:
+            values -= cost[1][j0:j0 + chunk] @ cost[0].T
+        best = max(best, float(values.max()))
+    return best
+
+
+def _same_float(a: float, b: float) -> bool:
+    return a == b and np.copysign(1.0, a) == np.copysign(1.0, b)
+
+
+@pytest.mark.parametrize("draw", [random_spec, random_deterministic_spec])
+def test_pruned_grid_oracle_matches_unpruned_scan_bit_for_bit(draw, monkeypatch):
+    # a small budget cuts each scan into many chunks, so most of them run
+    # against a running maximum that an earlier chunk set
+    rng = np.random.default_rng(909)
+    monkeypatch.setattr(optimize, "ORACLE_CELL_BUDGET", 1 << 14)
+    for sizes in ORACLE_SIZES:
+        spec = draw(rng, sizes=sizes)
+        chan = induced_strategy_channel(spec)
+        for resolution in range(1, 9):
+            pruned = grid_oracle_sum_rate(spec, chan, resolution)
+            with monkeypatch.context() as m:
+                m.setattr(optimize, "_grid_max", _unpruned_grid_max)
+                unpruned = grid_oracle_sum_rate(spec, chan, resolution)
+            assert _same_float(pruned, unpruned), (sizes, resolution, pruned.hex(), unpruned.hex())
+
+
+class _CountingNumpy:
+    """numpy, with every flatnonzero call's input and output sizes recorded:
+    the scan picks the b-points it gathers with one call per chunk."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def flatnonzero(self, a):
+        out = np.flatnonzero(a)
+        self.calls.append((a.size, out.size))
+        return out
+
+
+def test_grid_oracle_gathers_few_b_points_on_the_noiseless_adder(monkeypatch):
+    # resolution 30 is 961 collapsed points per sender; the first chunk's
+    # maximum is already 1 bit, the sum bound's cap, so no later b-point can
+    # beat it. The budget is cut so that the scan has many chunks.
+    spec = load("mod2-adder-noiseless")
+    chan = induced_strategy_channel(spec)
+    monkeypatch.setattr(optimize, "ORACLE_CELL_BUDGET", 1 << 16)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(optimize, "np", counting)
+    value = grid_oracle_sum_rate(spec, chan, 30)
+    assert value == 1.0
+    scanned = sum(size for size, _ in counting.calls)
+    gathered = sum(kept for _, kept in counting.calls)
+    assert scanned == 961 and len(counting.calls) > 10
+    assert gathered <= scanned // 10, (gathered, scanned)
+    monkeypatch.setattr(optimize, "np", np)
+    monkeypatch.setattr(optimize, "_grid_max", _unpruned_grid_max)
+    assert _same_float(value, grid_oracle_sum_rate(spec, chan, 30))
+
+
 def test_grid_oracle_memory_stays_within_chunk_budget(monkeypatch):
     # 4 strategies per sender at resolution 20 is 1771 points each; with one
     # observation symbol every point has its own marginal, so a full (a keys x
-    # b keys) entropy table would hold 3.1e6 cells (25 MB), its output law twice that
-    spec = random_spec(np.random.default_rng(5), sizes=dict(xa=4, xb=4, s=2, sa=1, sb=1, y=2))
-    chan = induced_strategy_channel(spec)
-    grid = _simplex_grid(chan.space_a.count, 20)
-    beh = np.einsum("ia,aox->iox", grid, chan.space_a.one_hot())
-    marginals = np.einsum("so,iox->isx", spec.obs_a, beh)
-    assert all(np.unique(marginals[:, s], axis=0).shape[0] == grid.shape[0] == 1771
-               for s in range(spec.size_s))
-    expected = grid_oracle_sum_rate(spec, chan, 20)
-    budget = 1 << 16
-    monkeypatch.setattr(optimize, "ORACLE_CELL_BUDGET", budget)
-    tracemalloc.start()
-    try:
-        value = grid_oracle_sum_rate(spec, chan, 20)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert value == pytest.approx(expected, abs=1e-12)
-    assert peak <= 4 * 8 * budget, peak
+    # b keys) entropy table would hold 3.1e6 cells (25 MB), its output law twice that.
+    # The scan keeps every state's (b key x a key) table of a chunk until it
+    # gathers; at the larger budget a chunk holds dozens of b-points.
+    for states in (2, 3):
+        spec = random_spec(np.random.default_rng(5),
+                           sizes=dict(xa=4, xb=4, s=states, sa=1, sb=1, y=2))
+        chan = induced_strategy_channel(spec)
+        grid = _simplex_grid(chan.space_a.count, 20)
+        beh = np.einsum("ia,aox->iox", grid, chan.space_a.one_hot())
+        marginals = np.einsum("so,iox->isx", spec.obs_a, beh)
+        assert all(np.unique(marginals[:, s], axis=0).shape[0] == grid.shape[0] == 1771
+                   for s in range(spec.size_s))
+        expected = grid_oracle_sum_rate(spec, chan, 20)
+        for budget in (1 << 16, 1 << 20):
+            monkeypatch.setattr(optimize, "ORACLE_CELL_BUDGET", budget)
+            tracemalloc.start()
+            try:
+                value = grid_oracle_sum_rate(spec, chan, 20)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            monkeypatch.undo()
+            assert _same_float(value, expected), (states, budget, value.hex(), expected.hex())
+            assert peak <= 4 * 8 * budget, (states, budget, peak)
 
 
 def test_grid_oracle_zero_is_positive_zero():
@@ -604,8 +694,8 @@ def test_rate_region_rejects_bad_vertex_lists():
 
 
 def test_capacity_bounds_demo_runs(capsys, monkeypatch):
-    # the demo's resolution-60 oracle takes most of half a minute; resolution 8
-    # exercises the same path
+    # the demo's resolution-60 oracles take about 16 s, 12 s of it on the null
+    # channel, where nothing prunes; resolution 8 exercises the same path
     demo = Path(__file__).resolve().parents[1] / "demos" / "capacity_bounds.py"
     monkeypatch.setattr(fsmac, "grid_oracle_sum_rate",
                         lambda spec, chan, resolution: grid_oracle_sum_rate(spec, chan, 8))

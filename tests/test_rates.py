@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from conftest import dirichlet_rows, random_spec
 from fsmac import examples
 from fsmac.errors import InternalInvariantError, ValidationError
-from fsmac.model import induced_strategy_channel
+from fsmac.model import FsMacSpec, induced_strategy_channel
 from fsmac.rates import (
     JointLaw,
     RatePentagon,
@@ -91,6 +92,46 @@ def test_joint_law_against_six_fold_oracle(rng):
         law = joint_law(spec, chan, pol)
         np.testing.assert_allclose(law.p, oracle_joint_law(spec, pol), atol=ORACLE_ATOL)
         assert abs(law.p.sum() - 1.0) < 1e-9
+
+
+def test_joint_law_is_the_four_operand_einsum_bit_for_bit(rng):
+    # the weights p_s * pi_a * pi_b are multiplied in the einsum's own order,
+    # then into q, so every cell keeps its bits, tiny policy weights included
+    for k in range(12):
+        spec = random_spec(rng)
+        chan = induced_strategy_channel(spec)
+        pi_a = dirichlet_rows(rng, (chan.space_a.count,))
+        pi_b = dirichlet_rows(rng, (chan.space_b.count,))
+        if k % 3 == 0:
+            pi_a[0], pi_b[-1] = 1e-300, 1e-200
+        pol = TeamPolicy(pi_a=pi_a / pi_a.sum(), pi_b=pi_b / pi_b.sum())
+        einsum = np.einsum("s,a,b,saby->saby", spec.state_pmf, pol.pi_a, pol.pi_b, chan.q)
+        law = joint_law(spec, chan, pol).p
+        assert law.shape == einsum.shape and law.tobytes() == einsum.tobytes(), k
+
+
+def test_joint_law_holds_no_einsum_operand_buffers(rng):
+    # 32 strategies per sender, S = 2 and Y = 4: q is 8192 cells (64 kB).
+    # The four-operand einsum's buffers (about 190 kB at any size of q) took
+    # its peak to about 4 q here; the law, its (S, A, B) weights and the
+    # multiply's own buffer stay under 2.5 q
+    s, sa, sb, y = 2, 5, 5, 4
+    spec = FsMacSpec(size_xa=2, size_xb=2, size_s=s, size_sa=sa, size_sb=sb, size_y=y,
+                     state_pmf=dirichlet_rows(rng, (s,)), obs_a=dirichlet_rows(rng, (s, sa)),
+                     obs_b=dirichlet_rows(rng, (s, sb)),
+                     channel=dirichlet_rows(rng, (s, 2, 2, y)))
+    chan = induced_strategy_channel(spec)
+    q = chan.q   # built before tracing starts
+    assert q.shape == (2, 32, 32, 4)
+    pol = TeamPolicy(pi_a=dirichlet_rows(rng, (32,)), pi_b=dirichlet_rows(rng, (32,)))
+    tracemalloc.start()
+    try:
+        law = joint_law(spec, chan, pol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert law.p.shape == q.shape
+    assert peak < 2.5 * q.nbytes, peak / q.nbytes
 
 
 def test_joint_law_point_mass_support():
