@@ -15,22 +15,28 @@ The typicality mask is staged. The state and output subsets can reject a
 trial outright; the subsets holding one sender's strategy keep the surviving
 codewords of each sender; the full law is scored on each trial's block of
 surviving rows and columns; and the three other pair subsets are scored only
-on the listed pairs that pass it. Every pair score, the ML decoder's too,
-adds one per-letter table entry at a time in t order and divides by n, the
-same sum as the definition, so a score does not depend on which stage
-computes it.
+on the listed pairs that pass it. Every subset score, the filters' and the
+ML decoder's too, adds one per-letter table entry at a time in t order and
+divides by n, the sum typicality_check makes, so the mask is the
+definition's bit for bit and a score does not depend on which stage or
+chunk computes it. The filters and the listed subsets share one scorer; the
+full law's pair sums, and ML's, come from the pair kernel below. A zero
+cell reads as -2^40 in every table, so a candidate that visits one fails
+every admitted epsilon and loses to every pair of positive likelihood, as
+the definition rejects it outright.
 
 The full-law blocks of a chunk's trials are stacked into one matrix: each
 trial gives its surviving rows, and its surviving columns are padded to the
 chunk's widest trial, the pads masked out. That matrix is summed a block of
-rows at a time (PAIR_BLOCK_CELLS pairs at most, across trial boundaries) in
+rows at a time (PAIR_BLOCK_CELLS pairs at most, across trial boundaries,
+and no more trials than one letter's column cuts fit in as many cells) in
 one reused buffer, each letter added while the block is in cache, and tested
 as soon as it is summed. Survivors come out in trial order and row-major
 within a trial, with no pair-sized array made per letter or per trial and no
 loop over trials. The ML decoder stacks every pair the same way and keeps
-each trial's best score so far and its exact ties block by block. The
-listed pairs are gathered one letter at a time, so no stage holds an array
-of pairs by letters.
+each trial's best score so far and its exact ties block by block. Every
+stage gathers one letter at a time, so none holds an array of candidates by
+letters.
 
 Trials run as rows of chunks. Each trial draws its codebooks, states,
 messages and output uniforms from its own counter-based streams keyed by
@@ -53,7 +59,7 @@ import numpy as np
 
 from .errors import GuardError
 from .model import FsMacSpec, StrategyChannel
-from .rates import JointLaw, TeamPolicy, joint_law, log2_floor
+from .rates import JointLaw, TeamPolicy, _marginal, joint_law, log2_floor
 from .rng import ROLE_CODEBOOKS, ROLE_TRIAL, rekey, stream
 
 BLOCKLENGTH_CAP = 1 << 16     # the decoder holds about 240 bytes per letter per trial
@@ -216,29 +222,46 @@ def _axis_subsets():
         yield from itertools.combinations(range(4), r)
 
 
+def _log_table(p: np.ndarray) -> np.ndarray:
+    """log2_floor(p) with each zero cell read as -2^40. A letter on a
+    positive cell reads at least log2_floor's -996.6, so over at most
+    BLOCKLENGTH_CAP = 2^16 letters a sum holding a zero cell scores below
+    -2^24 per letter: it fails every epsilon up to 100 and loses to every
+    pair of positive likelihood, as the definition rejects it outright."""
+    log_t = log2_floor(p)
+    log_t[p == 0.0] = -2.0 ** 40
+    return log_t
+
+
 class _DecodeContext:
-    """Log tables of the subset marginals of one policy law, shaped like q,
-    the subsets' entropies, and the cdfs of the state and strategy draws.
+    """The cdfs of one policy's state and strategy draws, and the log tables
+    each decoder scores with, each built on first read.
 
     Codebook independent, so one context serves every trial of a run."""
 
     def __init__(self, spec: FsMacSpec, chan: StrategyChannel, policy: TeamPolicy):
+        self.spec, self.chan, self.policy = spec, chan, policy
         self.q = chan.q
         self.cdf_s = _cdf(spec.state_pmf)
         self.cdf_a, self.cdf_b = _cdf(policy.pi_a), _cdf(policy.pi_b)
-        law = joint_law(spec, chan, policy).p
-        self.tables = {}
+
+    @cached_property
+    def tables(self) -> dict:
+        """Each subset's log table, shaped like q, and its entropy, from the
+        policy's joint law; only the typicality decoder reads them."""
+        law = joint_law(self.spec, self.chan, self.policy).p
+        tables = {}
         for combo in _axis_subsets():
-            drop = tuple(i for i in range(4) if i not in combo)
             # the full subset's marginal is the law itself, not a copy of it
-            marg = law.sum(axis=drop, keepdims=True) if drop else law
-            log_t = log2_floor(marg)
-            self.tables[combo] = (log_t, float(-(marg * log_t).sum()))
+            marg = _marginal(law, combo)
+            log_t = _log_table(marg)
+            tables[combo] = (log_t, float(-(marg * log_t).sum()))
+        return tables
 
     @cached_property
     def logq(self) -> np.ndarray:
         """The channel's log table, which only the ML decoder reads."""
-        return log2_floor(self.q)
+        return _log_table(self.q)
 
 
 def typicality_check(seqs, law, epsilon: float) -> bool:
@@ -307,7 +330,10 @@ def _pair_blocks(log_t, s_seq, y_seq, ids_a, ids_b, stack):
     from a full (S, A, B, Y) log table; a pad column's sum is some other
     pair's. A block holds at most PAIR_BLOCK_CELLS pairs, may straddle
     trials, and gets every letter added in t order while it is in cache;
-    each block is a view of one buffer that the next reuses.
+    each block is a view of one buffer that the next reuses. A block also
+    ends at a trial boundary once it holds max(1, PAIR_BLOCK_CELLS // (A *
+    width)) trials, so one letter's column cuts (below) of its trials take
+    at most PAIR_BLOCK_CELLS cells, or one trial's cut if that is larger.
 
     Each letter's (A, B) table is cut to a block by two 1-D gathers. A
     block inside one trial goes through the smaller of the row and column
@@ -342,12 +368,15 @@ def _pair_blocks(log_t, s_seq, y_seq, ids_a, ids_b, stack):
 
     first = np.searchsorted(row_trial, np.arange(count + 1))
     span = PAIR_BLOCK_CELLS // (n * count_a * width)  # trials whose cuts fit in a block
+    limit = max(1, PAIR_BLOCK_CELLS // (count_a * width))  # trials whose one-letter cuts do
     rows = max(1, PAIR_BLOCK_CELLS // width)
     buf = np.empty((min(rows, total), width))
     hoisted = 0, 0, None
-    for r0 in range(0, total, rows):
-        r1 = min(total, r0 + rows)
-        k0, k1 = row_trial[r0], row_trial[r1 - 1] + 1
+    r1 = 0
+    while r1 < total:
+        r0, k0 = r1, row_trial[r1]
+        r1 = min(total, r0 + rows, first[min(count, k0 + limit)])
+        k1 = row_trial[r1 - 1] + 1
         ia = flat_a.take(rows_at[r0:r1], axis=0)  # a letter's ids are a column
         if k1 - k0 == 1 and count_a * width > (first[k1] - first[k0]) * count_b:  # rows first
             k = trials[k0]
@@ -376,27 +405,25 @@ def _pair_blocks(log_t, s_seq, y_seq, ids_a, ids_b, stack):
         yield r0, block
 
 
-def _listed_scores(ctx, combos, s_seq, y_seq, ids_a, ids_b, trial, rows, cols) -> list:
-    """Mean log-likelihoods of the pairs (rows[k], cols[k]) of the chunk's
-    trials trial[k], one array per subset, each summed in t order."""
-    n = s_seq.shape[1]
-    # flat codebook rows, so one letter's gather takes one index array per sender
-    flat_a, flat_b = ids_a.reshape(-1, n), ids_b.reshape(-1, n)
-    at_a, at_b = trial * ids_a.shape[1] + rows, trial * ids_b.shape[1] + cols
-    accs = [np.zeros(trial.size) for _ in combos]
-    for t in range(n):
-        letters = s_seq[trial, t], flat_a[at_a, t], flat_b[at_b, t], y_seq[trial, t]
-        for acc, combo in zip(accs, combos):
-            acc += ctx.tables[combo][0][_index(combo, *letters)]
-    return [acc / n for acc in accs]
-
-
 def _stacked_pairs(stack, hits) -> tuple:
     """(trial, row, col) index arrays of the stacked (row, column) hits."""
     trials, row_trial, row_ids, col_ids, _ = stack
     at, col = np.concatenate(hits).T
     k = row_trial[at]
     return trials[k], row_ids[at], col_ids[k, col]
+
+
+def _subset_scores(ctx: _DecodeContext, combos, shape, letter, n: int) -> list:
+    """Mean log-likelihoods of an array of candidates, one array of the
+    given shape per subset: letter(t) gives letter t's (s, a, b, y) indices,
+    which broadcast to that shape, and each table entry is added in t
+    order, the sum typicality_check makes, before the sum is divided by n."""
+    sums = [np.zeros(shape) for _ in combos]
+    for t in range(n):
+        letters = letter(t)
+        for acc, combo in zip(sums, combos):
+            acc += ctx.tables[combo][0][_index(combo, *letters)]
+    return [acc / n for acc in sums]
 
 
 def _typical_survivors(ctx: _DecodeContext, ids_a, ids_b, s_seq, y_seq,
@@ -411,18 +438,18 @@ def _typical_survivors(ctx: _DecodeContext, ids_a, ids_b, s_seq, y_seq,
     def passes(combo, score):
         return np.abs(-score - ctx.tables[combo][1]) < epsilon
 
-    def survivors(combos, *letters):
-        # letters broadcast to (..., n); each subset's mean is over that n
-        return np.logical_and.reduce([
-            passes(combo, ctx.tables[combo][0][_index(combo, *letters)].mean(axis=-1))
-            for combo in combos])
+    def typical(combos, shape, letter):
+        scores = _subset_scores(ctx, combos, shape, letter, n)
+        return np.logical_and.reduce([passes(c, score) for c, score in zip(combos, scores)])
 
-    s, y = s_seq[:, None], y_seq[:, None]
-    live = survivors([(0,), (3,), (0, 3)], s_seq, 0, 0, y_seq)
-    ok_a = survivors([(1,), (0, 1), (1, 3), (0, 1, 3)], s, ids_a, 0, y)
-    ok_b = survivors([(2,), (0, 2), (2, 3), (0, 2, 3)], s, 0, ids_b, y)
+    s, y = s_seq[:, :, None], y_seq[:, :, None]
     full, n = (0, 1, 2, 3), s_seq.shape[1]
-    stack = _stack(ok_a & live[:, None], ok_b)
+    live = typical([(0,), (3,), (0, 3)], (len(s), 1), lambda t: (s[:, t], 0, 0, y[:, t]))
+    ok_a = typical([(1,), (0, 1), (1, 3), (0, 1, 3)], ids_a.shape[:2],
+                   lambda t: (s[:, t], ids_a[:, :, t], 0, y[:, t]))
+    ok_b = typical([(2,), (0, 2), (2, 3), (0, 2, 3)], ids_b.shape[:2],
+                   lambda t: (s[:, t], 0, ids_b[:, :, t], y[:, t]))
+    stack = _stack(ok_a & live, ok_b)
     _, row_trial, _, col_ids, widths = stack
     pad = np.arange(col_ids.shape[1]) >= widths[:, None]
     hits = [np.zeros((0, 2), dtype=np.intp)]
@@ -431,9 +458,11 @@ def _typical_survivors(ctx: _DecodeContext, ids_a, ids_b, s_seq, y_seq,
         hit &= ~pad[row_trial[r0:r0 + block.shape[0]]]
         hits.append(np.argwhere(hit) + (r0, 0))
     trial, rows, cols = _stacked_pairs(stack, hits)
-    listed = [(1, 2, 3), (0, 1, 2), (1, 2)]
-    scores = _listed_scores(ctx, listed, s_seq, y_seq, ids_a, ids_b, trial, rows, cols)
-    keep = np.logical_and.reduce([passes(c, score) for c, score in zip(listed, scores)])
+    # flat codebook rows, so one letter's gather takes one index array per sender
+    flat_a, flat_b = ids_a.reshape(-1, n), ids_b.reshape(-1, n)
+    at_a, at_b = trial * ids_a.shape[1] + rows, trial * ids_b.shape[1] + cols
+    keep = typical([(1, 2, 3), (0, 1, 2), (1, 2)], trial.size,
+                   lambda t: (s_seq[trial, t], flat_a[at_a, t], flat_b[at_b, t], y_seq[trial, t]))
     return trial[keep], rows[keep], cols[keep]
 
 

@@ -232,7 +232,7 @@ class _Objective:
 
     def row_cells(self) -> int:
         """Cells one row holds at most: both blocks, a subset copy and the
-        own-bound temporaries, all O(S*(A+B)*Y), plus its objective trail."""
+        own-bound temporaries, all O(S*(A+B)*Y), plus its objective history."""
         s, a, b, y = self.shape
         return 4 * s * y * (a + b) + 2 * (MAX_ITERS + 1)
 
@@ -309,8 +309,8 @@ def _ascend(f: _Block, x: np.ndarray, value: np.ndarray, tol: float):
 def _climb(obj: _Objective, cfg: OptimizerConfig, weights: np.ndarray, items: np.ndarray):
     """Alternate the two blocks for one chunk of rows until each converges or
     runs out of rounds; row r starts from the stream of items[r]. Returns per
-    row (value, pa, pb, rounds, converged) and, per round, the rows still
-    climbing with their objective."""
+    row (value, pa, pb, rounds, converged) and its objective history, row r's
+    start and its value after each of its rounds[r] rounds."""
     n, (count_a, count_b) = items.size, obj.shape[1:3]
     pa, pb = np.empty((n, count_a)), np.empty((n, count_b))
     ones_a, ones_b = np.ones(count_a), np.ones(count_b)
@@ -322,7 +322,9 @@ def _climb(obj: _Objective, cfg: OptimizerConfig, weights: np.ndarray, items: np
     live = np.arange(n)
     blk = obj.block(0, weights, pb)
     value = start = blk.value(pa)
-    trail = [(live, value)]
+    # column-major, so a round writes one run of cells and unrun rounds touch no pages
+    history = np.empty((n, MAX_ITERS + 1), order="F")
+    history[:, 0] = value
     for k in range(1, MAX_ITERS + 1):
         pa, _ = _ascend(blk, pa, start, REL_TOL)
         blk = obj.block(1, weights, pa)
@@ -333,7 +335,7 @@ def _climb(obj: _Objective, cfg: OptimizerConfig, weights: np.ndarray, items: np
             raise InternalInvariantError(
                 f"objective decreased from {float(value[i])!r} to {float(new[i])!r} during ascent"
             )
-        trail.append((live, new))
+        history[live, k] = new
         done = new - value <= REL_TOL * np.maximum(1.0, np.abs(new))
         value = new
         stop = done | (k == MAX_ITERS)
@@ -347,7 +349,7 @@ def _climb(obj: _Objective, cfg: OptimizerConfig, weights: np.ndarray, items: np
             live, pa, pb, weights, value = live[keep], pa[keep], pb[keep], weights[keep], value[keep]
         blk = obj.block(0, weights, pb)
         start = blk.value(pa)
-    return value_out, pa_out, pb_out, rounds, converged, trail
+    return value_out, pa_out, pb_out, rounds, converged, history
 
 
 def _maximize(obj: _Objective, cfg: OptimizerConfig, groups: list) -> list:
@@ -363,16 +365,16 @@ def _maximize(obj: _Objective, cfg: OptimizerConfig, groups: list) -> list:
     best = [None] * len(groups)
     for r0 in range(0, total, chunk):
         grp, rst = np.divmod(np.arange(r0, min(r0 + chunk, total)), cfg.restarts)
-        value, pa, pb, rounds, converged, trail = _climb(obj, cfg, weights[grp], firsts[grp] + rst)
+        value, pa, pb, rounds, converged, history = _climb(obj, cfg, weights[grp],
+                                                           firsts[grp] + rst)
         bounds = np.flatnonzero(np.diff(grp)) + 1
         for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), grp.size]):
             i = lo + int(np.argmax(value[lo:hi]))
             g = int(grp[i])
             if best[g] is None or value[i] > best[g][0]:
-                history = tuple(float(v[np.searchsorted(rows, i)])
-                                for rows, v in trail[:rounds[i] + 1])
                 best[g] = (float(value[i]), pa[i].copy(), pb[i].copy(), int(rounds[i]),
-                           bool(converged[i]), int(rst[i]), history)
+                           bool(converged[i]), int(rst[i]),
+                           tuple(history[i, :rounds[i] + 1].tolist()))
     return best
 
 

@@ -9,6 +9,7 @@ import itertools
 import runpy
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +28,10 @@ from fsmac.mcsim import (
     _cdf,
     _draw,
     _index,
-    _listed_scores,
     _ml_survivors,
     _pair_blocks,
     _stack,
+    _subset_scores,
     _typical_survivors,
     estimate_error,
     generate_codebooks,
@@ -279,12 +280,13 @@ def test_vectorized_mask_matches_reference(rng, monkeypatch):
         entering.setdefault("block", int(pairs))
         return _pair_blocks(*args)
 
-    def listed(*args):
-        entering.setdefault("listed", args[-2].size)
-        return _listed_scores(*args)
+    def scores(ctx, combos, shape, letter, n):
+        if (1, 2) in combos:  # the listed pair subsets
+            entering.setdefault("listed", shape)
+        return _subset_scores(ctx, combos, shape, letter, n)
 
     monkeypatch.setattr(mcsim, "_pair_blocks", block)
-    monkeypatch.setattr(mcsim, "_listed_scores", listed)
+    monkeypatch.setattr(mcsim, "_subset_scores", scores)
     for spec, chan, policy, n, (ra, rb), eps, prunes in cases:
         cfg = SimConfig(blocklength=n, rate_a=ra, rate_b=rb, epsilon=eps, seed=2)
         ctx = _DecodeContext(spec, chan, policy)
@@ -317,6 +319,84 @@ def test_vectorized_mask_matches_reference(rng, monkeypatch):
         # the 20 trials decoded as one chunk list the same pairs, trial by trial
         chunk = _typical_survivors(ctx, *(np.stack(part) for part in zip(*draws)), eps)
         assert np.array_equal(np.column_stack(chunk), np.concatenate(singles)), prunes
+
+
+def test_mask_matches_reference_at_each_sequence_boundary():
+    # epsilon at a law-drawn sequence's largest subset statistic, summed as
+    # the reference sums it: the reference rejects there and accepts one ulp
+    # above, and so must the mask. A filter score of a mean (numpy's pairwise
+    # sum) differs from the t-order sum in the last bits and kept such pairs.
+    spec = load("mod2-adder-bsc01")
+    chan = induced_strategy_channel(spec)
+    policy = TeamPolicy(pi_a=np.array([0.4, 0.1, 0.2, 0.3]),
+                        pi_b=np.array([0.3, 0.2, 0.1, 0.4]))
+    ctx = _DecodeContext(spec, chan, policy)
+    law = joint_law(spec, chan, policy).p
+    refs = []
+    for combo in (c for r in range(1, 5) for c in itertools.combinations(range(4), r)):
+        marg = law.sum(axis=tuple(i for i in range(4) if i not in combo))
+        log_t = log2_floor(marg)
+        refs.append((combo, log_t, float(-(marg * log_t).sum())))
+    draws, n = np.random.default_rng(0), 12
+    for _ in range(300):
+        s, a, b, y = np.unravel_index(draws.choice(law.size, size=n, p=law.ravel()), law.shape)
+        stats = []
+        for combo, log_t, ent in refs:
+            total = 0.0
+            for t in range(n):
+                total += log_t[tuple((s, a, b, y)[axis][t] for axis in combo)]
+            stats.append(abs(-total / n - ent))
+        eps = max(stats)
+        for e, expect in [(eps, False), (np.nextafter(eps, np.inf), True)]:
+            assert typicality_check(dict(s=s, ta=a, tb=b, y=y), law, e) == expect
+            _, rows, _ = _typical_survivors(ctx, a[None, None], b[None, None], s[None],
+                                            y[None], e)
+            assert rows.size == expect, (eps, expect)
+
+
+def zero_cell_spec() -> FsMacSpec:
+    # one state, two inputs per sender (so two strategies, id = input), two
+    # outputs; the input pair (0, 0) never outputs 1, every other is uniform
+    channel = np.full((1, 2, 2, 2), 0.5)
+    channel[0, 0, 0] = [1.0, 0.0]
+    return FsMacSpec(size_xa=2, size_xb=2, size_s=1, size_sa=1, size_sb=1, size_y=2,
+                     state_pmf=np.ones(1), obs_a=np.ones((1, 1)), obs_b=np.ones((1, 1)),
+                     channel=channel)
+
+
+def test_mask_rejects_a_zero_probability_letter():
+    # one letter moved onto the cell of probability zero: the reference fails
+    # the sequence outright. Read as log2_floor's -996.6, that letter cost the
+    # full law's score only 996.6 / n = 0.24 bits here, less than epsilon
+    spec = zero_cell_spec()
+    chan = induced_strategy_channel(spec)
+    policy = TeamPolicy(pi_a=np.full(2, 0.5), pi_b=np.full(2, 0.5))
+    ctx = _DecodeContext(spec, chan, policy)
+    law = joint_law(spec, chan, policy).p
+    n, eps = 4096, 0.5
+    draws = np.random.default_rng(3).choice(law.size, size=n, p=law.ravel())
+    s, a, b, y = (np.array(v) for v in np.unravel_index(draws, law.shape))
+    for cell, expect in [((a[0], b[0], y[0]), True), ((0, 0, 1), False)]:
+        a[0], b[0], y[0] = cell
+        assert typicality_check(dict(s=s, ta=a, tb=b, y=y), law, eps) == expect
+        _, rows, _ = _typical_survivors(ctx, a[None, None], b[None, None], s[None],
+                                        y[None], eps)
+        assert rows.size == expect, cell
+
+
+def test_ml_never_returns_a_zero_likelihood_pair():
+    # codewords constant 0 and constant 1 on both sides, outputs 0 but the
+    # first: pair (0, 0) has likelihood 0 there and 1 elsewhere, the other
+    # three 2^-n. Read as -996.6, the zero letter let (0, 0) win alone.
+    spec = zero_cell_spec()
+    chan = induced_strategy_channel(spec)
+    ctx = _DecodeContext(spec, chan, TeamPolicy(pi_a=np.full(2, 0.5), pi_b=np.full(2, 0.5)))
+    n = 2000
+    ids = np.repeat(np.arange(2)[None, :, None], n, axis=2)
+    y_seq = np.zeros((1, n), dtype=np.intp)
+    y_seq[0, 0] = 1
+    found = _ml_survivors(ctx, ids, ids, np.zeros((1, n), dtype=np.intp), y_seq)
+    assert np.column_stack(found).tolist() == [[0, 0, 1], [0, 1, 0], [0, 1, 1]]
 
 
 def test_mask_allocates_no_pair_by_letter_array(rng):
@@ -361,13 +441,16 @@ def literal_sums(log_t, combo, s_seq, y_seq, ids_a, ids_b) -> np.ndarray:
 
 def stacked_sums(log_t, s_seq, y_seq, ids_a, ids_b, stack) -> tuple:
     """The pair kernel's sums placed on a (trials, messages_a, messages_b)
-    grid, NaN off the stack, and the number of blocks that straddled trials."""
+    grid, NaN off the stack, and the number of blocks that straddled trials.
+    No block holds more trials than one letter's column cuts fit in."""
     trials, row_trial, row_ids, col_ids, widths = stack
     sums = np.full(ids_a.shape[:2] + ids_b.shape[1:2], np.nan)
     straddled = 0
+    limit = max(1, mcsim.PAIR_BLOCK_CELLS // (log_t.shape[1] * col_ids.shape[1]))
     for r0, block in _pair_blocks(log_t, s_seq, y_seq, ids_a, ids_b, stack):
         k = row_trial[r0:r0 + block.shape[0]]
         straddled += k[0] != k[-1]
+        assert k[-1] - k[0] < limit, (k[0], k[-1], limit)
         i, j = np.nonzero(np.arange(block.shape[1]) < widths[k][:, None])  # pads dropped
         sums[trials[k[i]], row_ids[r0 + i], col_ids[k[i], j]] = block[i, j]
     return sums, straddled
@@ -405,72 +488,69 @@ def test_ml_scores_match_literal_sum(rng):
         assert np.array_equal(np.column_stack(found), best), (ra, count)
 
 
-def test_chunk_means_match_per_trial_means(rng):
-    # a mean over the last axis of a trial chunk is the 1-D mean of each row,
-    # bit for bit, so no filter score depends on the trials beside it
-    for shape in [(1, 1), (5, 1), (7, 3), (4, 8), (3, 9), (6, 13), (2, 130), (9, 1000)]:
-        rows = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
-        chunk = rows.mean(axis=-1)
-        for k in range(shape[0]):
-            assert chunk[k] == rows[k].mean(), (shape, k)
-        stacked = rows[:, None, :].repeat(3, axis=1)
-        assert np.array_equal(stacked.mean(axis=-1), chunk[:, None].repeat(3, axis=1))
-
-
 def test_chunk_scores_match_per_trial_scores(rng):
-    # filter, listed and pair scores of a chunk equal each trial's own
+    # filter and listed scores of a chunk equal each trial's own and the
+    # literal t-order sums over n, bit for bit
     spec = random_spec(rng, sizes=dict(xa=2, xb=3, s=3, sa=2, sb=1, y=3))
     chan = induced_strategy_channel(spec)
     policy = TeamPolicy(pi_a=rng.dirichlet(np.ones(chan.space_a.count)),
                         pi_b=rng.dirichlet(np.ones(chan.space_b.count)))
     ctx = _DecodeContext(spec, chan, policy)
     cfg = SimConfig(blocklength=11, rate_a=0.3, rate_b=0.25, seed=8)
+    n = cfg.blocklength
     books = [generate_codebooks(policy, cfg, stream(8, k, ROLE_CODEBOOKS)) for k in range(6)]
     ids_a = np.stack([b.ids_a for b in books])
     ids_b = np.stack([b.ids_b for b in books])
-    s_seq = rng.choice(spec.size_s, size=(6, 11), p=spec.state_pmf)
-    y_seq = rng.integers(0, spec.size_y, size=(6, 11))
+    s_seq = rng.choice(spec.size_s, size=(6, n), p=spec.state_pmf)
+    y_seq = rng.integers(0, spec.size_y, size=(6, n))
     assert all(log_t.ndim == 4 for log_t, _ in ctx.tables.values())
 
-    def filter_scores(combo, *letters):
-        # as _typical_survivors scores a filter: the mean over the last axis
-        return ctx.tables[combo][0][_index(combo, *letters)].mean(axis=-1)
+    def literal(combo, k):
+        return literal_sums(ctx.tables[combo][0], combo, s_seq[k:k + 1], y_seq[k:k + 1],
+                            ids_a[k:k + 1], ids_b[k:k + 1])[0] / n
 
-    s, y = s_seq[:, None], y_seq[:, None]
-    for combo, chunk_letters, trial_letters in [
-        ((0,), (s_seq, 0, 0, y_seq), lambda k: (s_seq[k], 0, 0, y_seq[k])),
-        ((0, 3), (s_seq, 0, 0, y_seq), lambda k: (s_seq[k], 0, 0, y_seq[k])),
-        ((1,), (s, ids_a, 0, y), lambda k: (s_seq[k], ids_a[k], 0, y_seq[k])),
-        ((0, 1, 3), (s, ids_a, 0, y), lambda k: (s_seq[k], ids_a[k], 0, y_seq[k])),
-        ((2, 3), (s, 0, ids_b, y), lambda k: (s_seq[k], 0, ids_b[k], y_seq[k])),
-        ((0, 2), (s, 0, ids_b, y), lambda k: (s_seq[k], 0, ids_b[k], y_seq[k])),
+    s, y = s_seq[:, :, None], y_seq[:, :, None]
+    for combos, shape, chunk_letter, trial_letter, grid in [
+        ([(0,), (3,), (0, 3)], 6, lambda t: (s_seq[:, t], 0, 0, y_seq[:, t]),
+         lambda k, t: (s_seq[k, t], 0, 0, y_seq[k, t]), lambda sums: sums[0, 0]),
+        ([(1,), (0, 1), (1, 3), (0, 1, 3)], ids_a.shape[:2],
+         lambda t: (s[:, t], ids_a[:, :, t], 0, y[:, t]),
+         lambda k, t: (s_seq[k, t], ids_a[k, :, t], 0, y_seq[k, t]), lambda sums: sums[:, 0]),
+        ([(2,), (0, 2), (2, 3), (0, 2, 3)], ids_b.shape[:2],
+         lambda t: (s[:, t], 0, ids_b[:, :, t], y[:, t]),
+         lambda k, t: (s_seq[k, t], 0, ids_b[k, :, t], y_seq[k, t]), lambda sums: sums[0]),
     ]:
-        chunk = filter_scores(combo, *chunk_letters)
+        chunk = _subset_scores(ctx, combos, shape, chunk_letter, n)
         for k in range(6):
-            one = filter_scores(combo, *trial_letters(k))
-            assert np.array_equal(chunk[k], one), (combo, k)
+            one = _subset_scores(ctx, combos, np.shape(chunk[0][k]),
+                                 lambda t: trial_letter(k, t), n)
+            for combo, c, o in zip(combos, chunk, one):
+                assert np.array_equal(c[k], o), (combo, k)
+                assert np.array_equal(c[k], grid(literal(combo, k))), (combo, k)
     trial, rows, cols = (a.ravel() for a in np.meshgrid(
         np.arange(6), np.arange(cfg.messages_a), np.arange(cfg.messages_b), indexing="ij"))
     listed = [(1, 2, 3), (0, 1, 2), (1, 2), (0, 1, 2, 3)]
-    chunk = _listed_scores(ctx, listed, s_seq, y_seq, ids_a, ids_b, trial, rows, cols)
+    chunk = _subset_scores(ctx, listed, trial.size, lambda t: (
+        s_seq[trial, t], ids_a[trial, rows, t], ids_b[trial, cols, t], y_seq[trial, t]), n)
     for k in range(6):
         at = trial == k
-        one = _listed_scores(ctx, listed, s_seq[k:k + 1], y_seq[k:k + 1], ids_a[k:k + 1],
-                             ids_b[k:k + 1], trial[at] * 0, rows[at], cols[at])
+        one = _subset_scores(ctx, listed, at.sum(), lambda t: (
+            s_seq[k, t], ids_a[k, rows[at], t], ids_b[k, cols[at], t], y_seq[k, t]), n)
         for combo, c, o in zip(listed, chunk, one):
             assert np.array_equal(c[at], o), (combo, k)
-            pair = literal_sums(ctx.tables[combo][0], combo, s_seq[k:k + 1], y_seq[k:k + 1],
-                                ids_a[k:k + 1], ids_b[k:k + 1]) / cfg.blocklength
-            assert np.array_equal(c[at], pair.ravel()), (combo, k)
+            assert np.array_equal(c[at], literal(combo, k).ravel()), (combo, k)
 
 
 def test_pair_blocks_are_budget_invariant(rng, monkeypatch):
-    # one-pair blocks, blocks of a prime number of pairs of 3 rows or more
-    # (3 rows divide no codebook here, so blocks straddle trials), and one
-    # block larger than the whole chunk give the default budget's pair sums
-    # bit for bit and the same survivor lists. The sums are checked on every
-    # pair of each recorded chunk and on a ragged stack, whose first trial
-    # keeps a single column and whose others keep random rows and columns.
+    # one-pair blocks, blocks of a prime number of pairs that fit two
+    # trials' one-letter column cuts (their row count divides no codebook,
+    # so blocks straddle trials), blocks a pair short of that (the trial
+    # limit ends each at its trial, where its row count alone would
+    # straddle), and one block larger than the whole chunk give the default
+    # budget's pair sums bit for bit and the same survivor lists. The sums
+    # are checked on every pair of each recorded chunk and on a ragged
+    # stack, whose first trial keeps a single column and whose others keep
+    # random rows and columns.
     dense = random_spec(rng, sizes=dict(xa=2, xb=2, s=2, sa=2, sb=1, y=3))
     dense_chan = induced_strategy_channel(dense)
     cases = [
@@ -491,9 +571,11 @@ def test_pair_blocks_are_budget_invariant(rng, monkeypatch):
                                ("max_likelihood", "_ml_survivors")]:
             cfg = SimConfig(blocklength=n, rate_a=rate, rate_b=rate, epsilon=eps,
                             trials=trials, seed=0, decoder=decoder)
-            ma, mb = cfg.messages_a, cfg.messages_b
-            assert ma % 3 != 0
-            prime = next(p for p in itertools.count(3 * mb) if all(p % d for d in range(2, p)))
+            ma, mb, cuts = cfg.messages_a, cfg.messages_b, chan.space_a.count * cfg.messages_b
+            prime = next(p for p in itertools.count(2 * cuts)
+                         if ma % (p // mb) and all(p % d for d in range(2, p)))
+            limited = 2 * cuts - 1
+            assert ma % (limited // mb)
             calls = []
 
             def record(*args, survivors=getattr(mcsim, stage)):
@@ -518,7 +600,7 @@ def test_pair_blocks_are_budget_invariant(rng, monkeypatch):
                             for stack in stacks]
 
                 default = [grid.tobytes() for grid, _ in sums()]
-                for budget in (1, prime, count * ma * mb + 1):
+                for budget in (1, prime, limited, count * ma * mb + 1):
                     with monkeypatch.context() as patch:
                         patch.setattr(mcsim, "PAIR_BLOCK_CELLS", budget)
                         got = getattr(mcsim, stage)(*args)
@@ -528,6 +610,8 @@ def test_pair_blocks_are_budget_invariant(rng, monkeypatch):
                         (decoder, budget)
                     if budget == prime and count > 1:
                         assert all(straddled for _, straddled in now), decoder
+                    if budget == limited:  # every pair's stacks, whose width is mb
+                        assert not any(straddled for _, straddled in now[::2]), decoder
 
 
 @pytest.mark.parametrize("many", ["a", "b"])
@@ -564,6 +648,36 @@ def test_pair_kernel_never_holds_every_letters_intermediate(rng, many):
         assert peak < held / 32, (many, peak)
 
 
+def test_pair_kernel_cuts_hold_few_trials(rng):
+    # 1024 strategies for sender a, 2 messages per sender over 4 letters: one
+    # block holds the rows of hundreds of trials, and one letter's column
+    # cut of each of them is 1024 x 2 cells. A block ends once its trials'
+    # cuts fill PAIR_BLOCK_CELLS, so no letter's cuts outgrow a block; a cut
+    # of all 500 trials at once took two 8 MB arrays.
+    spec = random_spec(rng, sizes=dict(xa=2, xb=2, s=1, sa=10, sb=1, y=2))
+    chan = induced_strategy_channel(spec)
+    assert chan.space_a.count == 1024
+    policy = TeamPolicy(pi_a=np.full(1024, 1 / 1024), pi_b=np.full(2, 0.5))
+    cfg = SimConfig(blocklength=4, rate_a=0.25, rate_b=0.25, epsilon=100, seed=1)
+    ctx = _DecodeContext(spec, chan, policy)
+    ctx.tables, ctx.logq  # built before tracing starts
+    count, n = 500, cfg.blocklength
+    ids_a = rng.integers(0, 1024, size=(count, 2, n))
+    ids_b = rng.integers(0, 2, size=(count, 2, n))
+    s_seq = np.zeros((count, n), dtype=np.intp)
+    y_seq = rng.integers(0, 2, size=(count, n))
+    for stage in (lambda: _typical_survivors(ctx, ids_a, ids_b, s_seq, y_seq, cfg.epsilon),
+                  lambda: _ml_survivors(ctx, ids_a, ids_b, s_seq, y_seq)):
+        tracemalloc.start()
+        try:
+            trial, _, _ = stage()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(np.unique(trial), np.arange(count))
+        assert peak < 8 * mcsim.PAIR_BLOCK_CELLS * 8, peak
+
+
 def test_only_the_ml_decoder_builds_the_channel_log_table():
     spec = load("mod2-adder-bsc01")
     chan = induced_strategy_channel(spec)
@@ -575,7 +689,24 @@ def test_only_the_ml_decoder_builds_the_channel_log_table():
     _typical_survivors(ctx, *draws, 100.0)
     assert "logq" not in vars(ctx)
     _ml_survivors(ctx, *draws)
-    assert np.array_equal(ctx.logq, log2_floor(chan.q))
+    # zero cells, which this channel has, read as -2^40, not log2_floor's -996.6
+    assert (chan.q == 0).any()
+    assert np.array_equal(ctx.logq, np.where(chan.q > 0, log2_floor(chan.q), -2.0 ** 40))
+
+
+def test_ml_run_never_builds_the_joint_law(monkeypatch):
+    # the subset tables, and the joint law they are read off, are typicality's alone
+    def refuse(*args):
+        raise AssertionError("joint_law called")
+
+    spec = load("mod2-adder-bsc01")
+    chan = induced_strategy_channel(spec)
+    monkeypatch.setattr(mcsim, "joint_law", refuse)
+    cfg = SimConfig(blocklength=6, rate_a=0.5, rate_b=0.5, trials=30, seed=2,
+                    decoder="max_likelihood")
+    assert estimate_error(spec, chan, two_strategy_policy(), cfg).trials == 30
+    with pytest.raises(AssertionError, match="joint_law called"):
+        estimate_error(spec, chan, two_strategy_policy(), replace(cfg, decoder="typicality"))
 
 
 def test_decode_context_holds_no_copy_of_the_law(monkeypatch):
@@ -596,6 +727,7 @@ def test_decode_context_holds_no_copy_of_the_law(monkeypatch):
     tracemalloc.start()
     try:
         ctx = _DecodeContext(spec, chan, policy)
+        ctx.tables  # built on first read
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
