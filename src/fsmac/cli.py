@@ -95,6 +95,20 @@ def _validate(args, spec, chan):
     return payload, f"{args.spec}: ok ({count_a} x {count_b} strategy pairs)", 0
 
 
+def _ascent(result) -> dict:
+    """How the ascent reached a sum rate: whether its best restart stopped on
+    the tolerance, which restart won, its rounds and objective after each,
+    and each sender's block-KKT gap at the answer."""
+    gap_a, gap_b = result.kkt_gaps
+    return {
+        "converged": bool(result.converged),
+        "best_restart": result.best_restart,
+        "iterations": result.iterations,
+        "history": list(result.history),
+        "kkt_gaps": {"a": gap_a, "b": gap_b},
+    }
+
+
 def _sumrate(args, spec, chan):
     cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     if args.resolution is not None:
@@ -105,7 +119,7 @@ def _sumrate(args, spec, chan):
         "value": float(result.value),
         "policy": result.policy.to_dict(),
         "restarts_used": cfg.restarts,
-        "converged": bool(result.converged),
+        **_ascent(result),
     }
     if args.resolution is not None:
         payload["grid_oracle"] = {
@@ -129,6 +143,7 @@ def _region(args, spec, chan):
                     for sup in region.supports])
     payload = {
         "outer_sum_value": float(outer.value),
+        "outer_sum": _ascent(outer),
         "vertices": [[float(ra), float(rb)] for ra, rb in region.vertices],
     }
     summary = (f"region: {len(region.vertices)} hull vertices, "

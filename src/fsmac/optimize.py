@@ -11,7 +11,10 @@ multiplicative-weights step with backtracking line search climbs it.
 Neither the ascent nor the region builds the strategy channel q. They work
 on q's factors, each sender's per-state input law and the transfer law, so a
 block's laws and a probe cost O(S*(A*Xa + B*Xb)*Y) per row, the own-bound
-pass included. Only the table-conditional entropy m needs strategy pairs: it
+pass included. A block stores its output law strategy-major, (rows, T, S*Y),
+built in that layout where it is made, so the block's value and gradient are
+each one stacked matrix-vector product per row. Only the table-conditional
+entropy m needs strategy pairs: it
 is (A, B), built once per objective, per state in chunks of a-rows. The
 region and the converse's outer bound read each product policy's pentagon off
 the objective: J at the unit weights (1, 0, 0), (0, 1, 0) and (0, 0, 1) is
@@ -26,7 +29,8 @@ never mix: each product is taken row by row, so a row gives the same numbers
 in any batch. Rows run in chunks of at most BATCH_CELL_BUDGET cells.
 
 Every restart owns a private random stream and restarts merge by index, so
-results do not depend on how rows are chunked.
+results do not depend on how rows are chunked. The ascent's work is counted
+from sizes alone, before m or any row exists (check_ascent_work).
 
 The grid oracle is the ascent's independent check and never calls it. As q
 factors through each sender's input law given the state, H(Y | S=s) depends
@@ -60,6 +64,7 @@ ORACLE_CELL_BUDGET = 1 << 21   # float64 cells one chunk of oracle b-points may 
 DIRECTIONS_CAP = 1 << 12   # region directions, checked before any is allocated
 BATCH_CELL_BUDGET = 1 << 22   # float64 cells one chunk of ascent rows may hold
 MAX_ITERS = 500   # alternating rounds a restart may climb
+ASCENT_WORK_CAP = 1 << 35   # rows x (A*B + row cells) x MAX_ITERS, see check_ascent_work
 REL_TOL = 1e-9    # a round or a step that gains less than this, relative, stops
 
 
@@ -81,6 +86,7 @@ class SumRateResult:
     converged: bool
     best_restart: int
     history: tuple  # objective after each alternating round of the best restart
+    kkt_gaps: tuple  # (a, b): each sender's block-KKT gap at the policy, see _kkt_gaps
 
 
 @dataclass(frozen=True)
@@ -138,14 +144,20 @@ class _Sender:
         return cls(mix, rows, law.reshape(size_s, size_x, -1))
 
 
-def _law_given(x: np.ndarray, src: _Sender, dst: _Sender) -> np.ndarray:
+def _law_given(x: np.ndarray, src: _Sender, dst: _Sender, strategy_major: bool = False):
     """sum_t x[r, t] * q[s, t, t', y] over src's strategies t: the output law
-    given (s, dst's strategy t'), (rows, S, T', Y). Three products, each
-    taken row by row: x through src's mix, then the transfer law, then dst's mix."""
+    given (s, dst's strategy t'), (rows, S, T', Y), or (rows, T', S*Y) when
+    strategy_major. Three products, each taken row by row: x through src's
+    mix, then the transfer law, then dst's mix. The last one writes straight
+    into the strategy-major layout, so no copy re-lays the law out."""
     n, size_s = x.shape[0], src.mix.shape[0]
     letters = np.matmul(x[:, None, :], src.rows).reshape(n, size_s, 1, -1)
     per_input = np.matmul(letters, src.law).reshape(n, size_s, dst.mix.shape[2], -1)
-    return np.matmul(dst.mix, per_input)
+    if not strategy_major:
+        return np.matmul(dst.mix, per_input)
+    law = np.empty((n, dst.mix.shape[1], size_s, per_input.shape[3]))
+    np.matmul(dst.mix, per_input, out=law.transpose(0, 2, 1, 3))
+    return law.reshape(n, dst.mix.shape[1], -1)
 
 
 def _pull_back(c: np.ndarray, src: _Sender, dst: _Sender) -> np.ndarray:
@@ -161,10 +173,11 @@ class _Block:
     """One sender's block of J for a batch of rows, each with its own weights
     and the other sender's pmf held fixed: J(x) = x @ lin + wc * H(Y|S) +
     w_own * H(Y|T_other,S). Row r's u is the output law given (s, own table)
-    mixed over the other sender, lin its two terms linear in x, and H(Y|S)
-    depends on x @ u only. Every product is taken row by row (a stacked
-    matmul, or an einsum over a leading row axis), so a row's numbers do not
-    depend on which rows share its batch."""
+    mixed over the other sender, stored strategy-major as (rows, T, S*Y); lin
+    holds J's two terms linear in x, and H(Y|S) depends on x @ u only. So
+    value's x @ u and grad's u @ (p * log-law) are each one stacked
+    matrix-vector product per row, and a row's numbers do not depend on which
+    rows share its batch."""
 
     def __init__(self, own_sender, other_sender, p, u, lin, other, w_own, wc):
         self.own_sender, self.other_sender = own_sender, other_sender
@@ -184,10 +197,13 @@ class _Block:
         """The output law given (s, the other's table), own pmf mixed in."""
         return _law_given(x[self.own], self.own_sender, self.other_sender)
 
+    def _mixed(self, x: np.ndarray) -> np.ndarray:
+        """x @ u row by row: the output law given s, (rows, S, Y)."""
+        return np.matmul(x[:, None, :], self.u).reshape(x.shape[0], self.p.size, -1)
+
     def value(self, x: np.ndarray) -> np.ndarray:
         out = np.matmul(x[:, None, :], self.lin[:, :, None])[:, 0, 0]
-        xu = np.matmul(x[:, None, None, :], self.u)[:, :, 0]
-        out += self.wc * np.matmul(self.p, entropy_rows(xu)[:, :, None])[:, 0]
+        out += self.wc * np.matmul(self.p, entropy_rows(self._mixed(x))[:, :, None])[:, 0]
         if self.any_own:
             h = np.matmul(np.matmul(self.p, entropy_rows(self._own_law(x)))[:, None, :],
                           self.own_other[:, :, None])
@@ -195,15 +211,39 @@ class _Block:
         return out
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        xu = np.matmul(x[:, None, None, :], self.u)[:, :, 0]
-        lr = -log2_floor(xu) - _LOG2E
-        grad = self.lin + self.wc[:, None] * np.einsum("rsay,s,rsy->ra", self.u, self.p, lr)
+        lr = -log2_floor(self._mixed(x)) - _LOG2E
+        lr *= self.p[:, None]
+        grad = self.lin + self.wc[:, None] * np.matmul(
+            self.u, lr.reshape(x.shape[0], -1, 1))[:, :, 0]
         if self.any_own:
             lv = -log2_floor(self._own_law(x)) - _LOG2E
             lv *= self.p[:, None, None] * self.own_other[:, None, :, None]
             grad[self.own] += self.own_weight[:, None] * _pull_back(
                 lv, self.own_sender, self.other_sender)
         return grad
+
+
+def _row_cells(shape: tuple) -> int:
+    """Cells one row holds at most on a channel of shape (S, A, B, Y): both
+    blocks, a subset copy and the own-bound temporaries, all O(S*(A+B)*Y),
+    plus its objective history."""
+    s, a, b, y = shape
+    return 4 * s * y * (a + b) + 2 * (MAX_ITERS + 1)
+
+
+def check_ascent_work(chan: StrategyChannel, rows: int) -> None:
+    """Refuse an ascent of rows rows before m or any row exists. Each round
+    builds every row's blocks, O(A*B) for m @ other plus the row's cells, so
+    rows x (A*B + row cells) x MAX_ITERS bounds the work; it may be at most
+    ASCENT_WORK_CAP."""
+    shape = (*chan.mix_a.shape[:2], chan.mix_b.shape[1], chan.channel.shape[3])
+    per_row = shape[1] * shape[2] + _row_cells(shape)
+    work = rows * per_row * MAX_ITERS
+    if work > ASCENT_WORK_CAP:
+        raise GuardError(
+            f"ascent work guard: {rows} rows x {per_row} cells x {MAX_ITERS} rounds = "
+            f"{work} exceed cap {ASCENT_WORK_CAP}"
+        )
 
 
 class _Objective:
@@ -230,21 +270,16 @@ class _Objective:
         # its own and the other's weight column
         self._sides = ((sender_a, sender_b, m, 0, 1), (sender_b, sender_a, m.T, 1, 0))
 
-    def row_cells(self) -> int:
-        """Cells one row holds at most: both blocks, a subset copy and the
-        own-bound temporaries, all O(S*(A+B)*Y), plus its objective history."""
-        s, a, b, y = self.shape
-        return 4 * s * y * (a + b) + 2 * (MAX_ITERS + 1)
-
     def block(self, own: int, weights: np.ndarray, other: np.ndarray) -> _Block:
         """J as a function of sender own's pmf (0 for a, 1 for b), row r
         weighted by weights[r] with the other sender's pmf other[r] fixed."""
         own_sender, other_sender, m, i_own, i_other = self._sides[own]
         w_own, w_other, wc = weights[:, i_own], weights[:, i_other], weights[:, 2]
-        u = _law_given(other, other_sender, own_sender)
+        u = _law_given(other, other_sender, own_sender, strategy_major=True)
         wsum = w_own + w_other + wc
         lin = (-wsum[:, None] * np.matmul(m, other[:, :, None])[:, :, 0]
-               + w_other[:, None] * np.matmul(self.p, entropy_rows(u)))
+               + w_other[:, None] * np.matmul(
+                   entropy_rows(u.reshape(*u.shape[:2], self.p.size, -1)), self.p))
         return _Block(own_sender, other_sender, self.p, u, lin, other, w_own, wc)
 
     def pentagon(self, policy: TeamPolicy) -> RatePentagon:
@@ -360,7 +395,7 @@ def _maximize(obj: _Objective, cfg: OptimizerConfig, groups: list) -> list:
     index) as (value, pa, pb, rounds, converged, restart, history)."""
     weights = np.array([w for w, _ in groups], dtype=np.float64)
     firsts = np.array([first for _, first in groups], dtype=np.int64)
-    chunk = max(1, BATCH_CELL_BUDGET // obj.row_cells())
+    chunk = max(1, BATCH_CELL_BUDGET // _row_cells(obj.shape))
     total = len(groups) * cfg.restarts
     best = [None] * len(groups)
     for r0 in range(0, total, chunk):
@@ -378,7 +413,23 @@ def _maximize(obj: _Objective, cfg: OptimizerConfig, groups: list) -> list:
     return best
 
 
-def _sum_rate_result(spec: FsMacSpec, best: tuple) -> SumRateResult:
+_SUM_RATE = ((0.0, 0.0, 1.0), 0)   # the sum rate's group: weights and first item
+
+
+def _kkt_gaps(obj: _Objective, pa: np.ndarray, pb: np.ndarray) -> tuple:
+    """Each sender's block-KKT gap of the sum rate at (pa, pb): max_i g_i -
+    pi . g, g the block's gradient at pi with the other sender fixed. J is
+    concave in the block, so the gap bounds what a best response to the other
+    sender could still gain; it is zero at a block optimum, up to rounding."""
+    w = np.array([_SUM_RATE[0]])
+    gaps = []
+    for own, x, other in ((0, pa, pb), (1, pb, pa)):
+        g = obj.block(own, w, other[None]).grad(x[None])[0]
+        gaps.append(max(0.0, float(g.max() - x @ g)))   # never -0.0
+    return tuple(gaps)
+
+
+def _sum_rate_result(spec: FsMacSpec, obj: _Objective, best: tuple) -> SumRateResult:
     value, pa, pb, rounds, converged, restart, history = best
     cap = np.log2(spec.size_y) + 1e-9
     if not -1e-9 <= value <= cap:
@@ -390,18 +441,18 @@ def _sum_rate_result(spec: FsMacSpec, best: tuple) -> SumRateResult:
         converged=converged,
         best_restart=restart,
         history=history,
+        kkt_gaps=_kkt_gaps(obj, pa, pb),
     )
-
-
-_SUM_RATE = ((0.0, 0.0, 1.0), 0)   # the sum rate's group: weights and first item
 
 
 def maximize_sum_rate(spec: FsMacSpec, chan: StrategyChannel,
                       cfg: OptimizerConfig | None = None) -> SumRateResult:
     """Best sum bound over product strategy policies (multi-start ascent)."""
     cfg = cfg if cfg is not None else OptimizerConfig()
-    (best,) = _maximize(_Objective(chan, spec.state_pmf), cfg, [_SUM_RATE])
-    return _sum_rate_result(spec, best)
+    check_ascent_work(chan, cfg.restarts)
+    obj = _Objective(chan, spec.state_pmf)
+    (best,) = _maximize(obj, cfg, [_SUM_RATE])
+    return _sum_rate_result(spec, obj, best)
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
@@ -598,6 +649,7 @@ def inner_bound_region(spec: FsMacSpec, chan: StrategyChannel,
     thetas = np.linspace(0.0, np.pi / 2.0, directions)
     dirs = [(1.0, 0.0), *((float(np.cos(t)), float(np.sin(t))) for t in thetas[1:-1]), (0.0, 1.0)]
     groups = [(_direction_weights(ca, cb), (k + 1) << 20) for k, (ca, cb) in enumerate(dirs)]
+    check_ascent_work(chan, (len(groups) + 1) * cfg.restarts)
     obj = _Objective(chan, spec.state_pmf)
     *bests, outer = _maximize(obj, cfg, groups + [_SUM_RATE])
     points = [(0.0, 0.0)]
@@ -614,4 +666,4 @@ def inner_bound_region(spec: FsMacSpec, chan: StrategyChannel,
     snapped = np.maximum(np.round(np.array(points), 7), 0.0)
     vertices = convex_hull_2d(snapped)
     return RateRegion(vertices=vertices, supports=tuple(supports),
-                      outer_sum=_sum_rate_result(spec, outer))
+                      outer_sum=_sum_rate_result(spec, obj, outer))

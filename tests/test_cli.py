@@ -11,6 +11,7 @@ import pytest
 
 import fsmac.cli as cli
 import fsmac.model as model
+import fsmac.optimize as optimize
 from conftest import oversized_channel_doc
 from fsmac.examples import spec_path
 
@@ -102,10 +103,17 @@ def test_sumrate_payload(capsys):
     rc, out, err = run(capsys, "sumrate", "--spec", MOD2)
     assert rc == 0
     doc = payload_of(out)
-    assert set(doc) == {"value", "policy", "restarts_used", "converged", "manifest"}
+    assert set(doc) == {"value", "policy", "restarts_used", "converged", "best_restart",
+                        "iterations", "history", "kkt_gaps", "manifest"}
     assert doc["value"] == pytest.approx(1.0, abs=1e-6)
     assert doc["restarts_used"] == 16
     assert doc["converged"] is True
+    # how the best restart got there: one history entry per round plus its start
+    assert 0 <= doc["best_restart"] < 16
+    assert len(doc["history"]) == doc["iterations"] + 1
+    assert doc["history"][-1] == doc["value"]
+    assert set(doc["kkt_gaps"]) == {"a", "b"}
+    assert all(0.0 <= gap < 1e-4 for gap in doc["kkt_gaps"].values())
     assert len(doc["policy"]["pi_a"]) == 4
     assert len(doc["policy"]["pi_b"]) == 4
     assert "C_sum = 1.000000 bits" in err
@@ -162,6 +170,27 @@ def test_sumrate_oracle_guards_exit1_before_the_ascent(tmp_path, capsys, monkeyp
     assert message in err
 
 
+@pytest.mark.parametrize("command, rows", [
+    (["sumrate", "--restarts", "3"], 3),
+    (["region", "--restarts", "2", "--directions", "4", "--out", "hull.csv"], 10),
+    (["simulate", "--n", "4", "--ra", "0.2", "--rb", "0.2"], 16),
+], ids=["sumrate", "region", "simulate"])
+def test_ascent_work_guard_exit1_before_the_objective(capsys, monkeypatch, command, rows):
+    # the cap is patched down to just under this command's count; no ascent
+    # the real cap refuses is ever run
+    def refuse(*args):
+        raise AssertionError("objective built before the work guard")
+
+    per_row = 4 * 4 + optimize._row_cells((2, 4, 4, 2))   # the adder: S = Y = 2, 4 x 4
+    work = rows * per_row * optimize.MAX_ITERS
+    monkeypatch.setattr(optimize, "ASCENT_WORK_CAP", work - 1)
+    monkeypatch.setattr(optimize, "_Objective", refuse)
+    rc, out, err = run(capsys, *command, "--spec", MOD2)
+    assert (rc, out) == (1, "")
+    assert f"ascent work guard: {rows} rows x {per_row} cells x {optimize.MAX_ITERS} rounds = " \
+           f"{work} exceed cap {work - 1}" in err
+
+
 # --- region -----------------------------------------------------------------
 
 def test_region_files(tmp_path, capsys):
@@ -181,6 +210,11 @@ def test_region_files(tmp_path, capsys):
 
     side = json.loads((tmp_path / "hull.csv.json").read_text())
     assert side["outer_sum_value"] == pytest.approx(1.0, abs=1e-6)
+    # the sum-rate entry reads as sumrate's report of the same restarts does
+    rc, out, _ = run(capsys, "sumrate", "--spec", MOD2)
+    sumrate = payload_of(out)
+    assert side["outer_sum"] == {key: sumrate[key] for key in (
+        "converged", "best_restart", "iterations", "history", "kkt_gaps")}
     np.testing.assert_allclose(np.array(side["vertices"]), verts, atol=0)
     assert side["manifest"]["command"] == "region"
 

@@ -38,6 +38,7 @@ from fsmac.optimize import (
     pentagon_support,
 )
 from fsmac.rates import RatePentagon, TeamPolicy, entropy_rows, joint_law, pentagon
+from fsmac.rng import ROLE_RESTART, stream
 
 from conftest import random_deterministic_spec, random_spec, spec_with
 
@@ -236,10 +237,31 @@ def test_factorized_objective_matches_literal_q_sums(rng):
             m, u, lin, value, grad = _literal_block(q, spec.state_pmf, weights, other, x)
             f = obj.block(own, _MIXED_WEIGHTS, other)
             np.testing.assert_allclose(obj._sides[own][2], m, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(f.u, u, rtol=0, atol=1e-12)
+            # the block stores u strategy-major: (rows, own strategy, S*Y)
+            rows, size_s, count, size_y = u.shape
+            np.testing.assert_allclose(
+                f.u, u.transpose(0, 2, 1, 3).reshape(rows, count, size_s * size_y),
+                rtol=0, atol=1e-12)
             np.testing.assert_allclose(f.lin, lin, rtol=0, atol=1e-12)
             np.testing.assert_allclose(f.value(x), value, rtol=0, atol=1e-12)
             np.testing.assert_allclose(f.grad(x), grad, rtol=0, atol=1e-12)
+
+
+def test_block_rows_alone_match_the_batch_byte_for_byte(rng):
+    # value and grad are stacked products taken row by row; a product over the
+    # whole batch at once (one GEMM) would let a row's bits depend on its batch
+    for sizes in FACTOR_SIZES:
+        spec = random_spec(rng, sizes=sizes)
+        chan = induced_strategy_channel(spec)
+        obj = _Objective(chan, spec.state_pmf)
+        pa, pb = _mixed_policies(rng, chan)
+        for own, x, other in ((0, pa, pb), (1, pb, pa)):
+            f = obj.block(own, _MIXED_WEIGHTS, other)
+            value, grad = f.value(x), f.grad(x)
+            for i in range(x.shape[0]):
+                alone = f.take(np.array([i]))
+                assert alone.value(x[i:i + 1]).tobytes() == value[i:i + 1].tobytes()
+                assert alone.grad(x[i:i + 1]).tobytes() == grad[i:i + 1].tobytes()
 
 
 LARGE_SIZES = dict(xa=2, xb=2, s=4, sa=8, sb=8, y=4)
@@ -326,7 +348,7 @@ def test_sum_rate_stateless_adder_hits_frozen_value():
 def _same_sum_rate(a, b) -> bool:
     return (a.value == b.value and a.iterations == b.iterations
             and a.converged == b.converged and a.best_restart == b.best_restart
-            and a.history == b.history
+            and a.history == b.history and a.kkt_gaps == b.kkt_gaps
             and np.array_equal(a.policy.pi_a, b.policy.pi_a)
             and np.array_equal(a.policy.pi_b, b.policy.pi_b))
 
@@ -338,9 +360,63 @@ def test_maximize_is_deterministic_and_chunk_invariant(monkeypatch):
     first = maximize_sum_rate(spec, chan, cfg)
     assert _same_sum_rate(first, maximize_sum_rate(spec, chan, cfg))
     # chunks of one and of two rows: every restart climbs alone or in a pair
-    for budget in (1, 2 * _Objective(chan, spec.state_pmf).row_cells()):
+    for budget in (1, 2 * optimize._row_cells(_Objective(chan, spec.state_pmf).shape)):
         monkeypatch.setattr(optimize, "BATCH_CELL_BUDGET", budget)
         assert _same_sum_rate(first, maximize_sum_rate(spec, chan, cfg))
+
+
+def test_kkt_gap_flags_a_non_stationary_policy():
+    spec = load("mod2-adder-bsc01")
+    chan = induced_strategy_channel(spec)
+    cfg = OptimizerConfig(restarts=4, seed=7)
+    res = maximize_sum_rate(spec, chan, cfg)
+    assert res.converged and max(res.kkt_gaps) < 1e-6
+    # the best restart's Dirichlet start, where its ascent began
+    start = stream(cfg.seed, res.best_restart, ROLE_RESTART)
+    pa = start.dirichlet(np.ones(chan.space_a.count))
+    pb = start.dirichlet(np.ones(chan.space_b.count))
+    obj = _Objective(chan, spec.state_pmf)
+    gaps = optimize._kkt_gaps(obj, pa, pb)
+    assert min(gaps) > 1e-3
+    # each gap bounds what that sender's best response still gains
+    for own, x, other, gap in ((0, pa, pb, gaps[0]), (1, pb, pa, gaps[1])):
+        f = obj.block(own, np.array([(0.0, 0.0, 1.0)]), other[None])
+        start_value = f.value(x[None])
+        _, best = optimize._ascend(f, x[None], start_value, 1e-12)
+        assert 1e-4 < best[0] - start_value[0] <= gap
+
+
+def test_ascent_work_guard_counts_before_the_objective(monkeypatch):
+    spec = load("mod2-adder-noiseless")
+    chan = induced_strategy_channel(spec)
+    cfg = OptimizerConfig(restarts=2)
+    work = 2 * (4 * 4 + optimize._row_cells((2, 4, 4, 2))) * optimize.MAX_ITERS
+    monkeypatch.setattr(optimize, "ASCENT_WORK_CAP", work)
+    assert maximize_sum_rate(spec, chan, cfg).value == pytest.approx(1.0, abs=1e-6)
+
+    def refuse(*args):
+        raise AssertionError("objective built before the work guard")
+
+    monkeypatch.setattr(optimize, "ASCENT_WORK_CAP", work - 1)
+    monkeypatch.setattr(optimize, "_Objective", refuse)
+    with pytest.raises(GuardError, match=f"ascent work guard: 2 rows .* = {work} exceed"):
+        maximize_sum_rate(spec, chan, cfg)
+    # two directions and the sum rate, each with its two restarts
+    with pytest.raises(GuardError, match="ascent work guard: 6 rows"):
+        inner_bound_region(spec, chan, cfg, directions=2)
+
+
+def test_ascent_work_guard_at_the_cell_cap():
+    # counts only, at the channel cell cap (4096 x 2048 strategies, S = 1,
+    # Y = 2); the refused ascents take minutes and are never run
+    sizes = dict(xa=2, xb=2, s=1, sa=12, sb=11, y=2)
+    chan = induced_strategy_channel(random_spec(np.random.default_rng(0), sizes=sizes))
+    optimize.check_ascent_work(chan, 1)   # sumrate --restarts 1: 4.2e9
+    for rows in (16, 34 * 16):            # default sumrate and region: 6.8e10 and 2.3e12
+        with pytest.raises(GuardError, match="ascent work guard"):
+            optimize.check_ascent_work(chan, rows)
+    # the large spec's default region, 34 groups x 16 restarts (2.7e10), runs
+    optimize.check_ascent_work(induced_strategy_channel(_large_spec(0)), 34 * 16)
 
 
 # ---------------------------------------------------------------- grid oracle
@@ -654,7 +730,7 @@ def test_region_rows_run_within_the_cell_budget(monkeypatch):
     inner_bound_region(spec, chan, OptimizerConfig(restarts=2), directions=2)   # warm caches
     monkeypatch.setattr(optimize, "MAX_ITERS", 1)
     monkeypatch.setattr(optimize, "BATCH_CELL_BUDGET", budget)
-    row_cells = _Objective(chan, spec.state_pmf).row_cells()
+    row_cells = optimize._row_cells(_Objective(chan, spec.state_pmf).shape)
     whole = 3 * cfg.restarts * row_cells * 8   # bytes, were every row held at once
     tracemalloc.start()
     try:
