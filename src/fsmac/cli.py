@@ -169,6 +169,7 @@ def _report_dict(rep) -> dict:
         "no_typical_count": rep.no_typical_count,
         "decoder_ambiguous_count": rep.decoder_ambiguous_count,
         "wrong_decode_count": rep.wrong_decode_count,
+        "diagnostics": rep.diagnostics,
     }
 
 

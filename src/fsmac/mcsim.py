@@ -27,16 +27,26 @@ the definition rejects it outright.
 
 The full-law blocks of a chunk's trials are stacked into one matrix: each
 trial gives its surviving rows, and its surviving columns are padded to the
-chunk's widest trial, the pads masked out. That matrix is summed a block of
-rows at a time (PAIR_BLOCK_CELLS pairs at most, across trial boundaries,
-and no more trials than one letter's column cuts fit in as many cells) in
-one reused buffer, each letter added while the block is in cache, and tested
-as soon as it is summed. Survivors come out in trial order and row-major
-within a trial, with no pair-sized array made per letter or per trial and no
-loop over trials. The ML decoder stacks every pair the same way and keeps
-each trial's best score so far and its exact ties block by block. Every
-stage gathers one letter at a time, so none holds an array of candidates by
-letters.
+chunk's widest trial. That matrix is taken a block of rows at a time
+(PAIR_BLOCK_CELLS pairs at most, across trial boundaries, and no more
+trials than one letter's column cuts fit in as many cells). A block first
+ANDs each letter's cut of the table's positive cells into a one-byte alive
+mask, pads dead from the start, and keeps only the rows with an alive pair;
+then each letter's log-likelihoods are added to the kept rows in one reused
+buffer while it is in cache, and the block is tested as soon as it is
+summed. The mask is exact: a sum holding a zero cell fails every admitted
+epsilon and loses to every pair of positive likelihood, the transmitted
+pair among them, so a dropped pair could neither pass nor win. A block
+whose letters have no zero cell on the policy's support skips the mask
+pass, so channels without zero cells never take one. So does a block
+whose trials' column cuts do not fit in one gather (many small trials, or
+long ones), since a mask pass would gather them twice. A block that skips
+it reads its alive pairs off its sums instead. Survivors come out in trial
+order and row-major within a trial, with no pair-sized array made per
+letter or per trial and no loop over trials. The ML decoder stacks every pair the same
+way and keeps each trial's best score so far and its exact ties block by
+block. Every stage gathers one letter at a time, so none holds an array of
+candidates by letters.
 
 Trials run as rows of chunks. Each trial draws its codebooks, states,
 messages and output uniforms from its own counter-based streams keyed by
@@ -46,18 +56,21 @@ categorical draw searches a cdf built once per run with uniforms from the
 stream, the same steps and the same values as ``Generator.choice``. The
 channel outputs and every filter are then computed once per chunk, and the
 listed subsets score one survivor list that spans the chunk's trials.
-Scores are bit-identical to a trial decoded alone, so results depend on
-neither the chunk size nor ``--threads``, which changes nothing.
+Scores are bit-identical to a trial decoded alone, so results, and the
+decoder counters a report carries, depend on neither the chunk size nor
+``--threads``, which changes nothing.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GuardError
+from .errors import GuardError, InternalInvariantError
 from .model import FsMacSpec, StrategyChannel
 from .rates import JointLaw, TeamPolicy, _marginal, joint_law, log2_floor
 from .rng import ROLE_CODEBOOKS, ROLE_TRIAL, rekey, stream
@@ -74,6 +87,7 @@ TRIAL_CELL_BUDGET = 1 << 16
 # float64), so every letter is added to a block while it is still in cache.
 PAIR_BLOCK_CELLS = 1 << 15
 WILSON_Z = 1.959963984540054  # two-sided 95%
+_ZERO_LOG = -2.0 ** 40  # a zero cell's entry in every log table (see _log_table)
 
 DECODERS = ("typicality", "max_likelihood")
 
@@ -169,6 +183,9 @@ class SimReport:
     no_typical_count: int
     decoder_ambiguous_count: int
     wrong_decode_count: int
+    # the decoder's counters, each summed over trials (see estimate_error);
+    # a dict, so left out of the hash
+    diagnostics: dict = field(hash=False)
 
 
 def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> tuple:
@@ -222,20 +239,39 @@ def _axis_subsets():
         yield from itertools.combinations(range(4), r)
 
 
-def _log_table(p: np.ndarray) -> np.ndarray:
-    """log2_floor(p) with each zero cell read as -2^40. A letter on a
-    positive cell reads at least log2_floor's -996.6, so over at most
-    BLOCKLENGTH_CAP = 2^16 letters a sum holding a zero cell scores below
-    -2^24 per letter: it fails every epsilon up to 100 and loses to every
-    pair of positive likelihood, as the definition rejects it outright."""
-    log_t = log2_floor(p)
-    log_t[p == 0.0] = -2.0 ** 40
+def _log_table(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """log2_floor(p) with each zero cell read as -2^40, in out if given. A
+    letter on a positive cell reads at least log2_floor's -996.6, so over
+    at most BLOCKLENGTH_CAP = 2^16 letters a sum holding a zero cell scores
+    below -2^24 per letter: it fails every epsilon up to 100 and loses to
+    every pair of positive likelihood, as the definition rejects it
+    outright."""
+    # log2_floor's ufuncs, the log taken in place: the same bits, one table fewer
+    log_t = np.maximum(p, 1e-300, out=out)
+    np.log2(log_t, out=log_t)
+    log_t[p == 0.0] = _ZERO_LOG
     return log_t
 
 
+class _PairTable(NamedTuple):
+    """A full (S, A, B, Y) log table as the pair kernel reads it: the table,
+    its cells of positive probability, and for each letter (s, y) whether
+    that slice has a zero cell on the policy's support."""
+    log: np.ndarray
+    alive: np.ndarray
+    zero: np.ndarray
+
+
+def _pair_table(log_t: np.ndarray, policy: TeamPolicy) -> _PairTable:
+    alive = log_t > _ZERO_LOG
+    on_support = alive[:, policy.pi_a > 0][:, :, policy.pi_b > 0]
+    return _PairTable(log_t, alive, ~on_support.all(axis=(1, 2)))
+
+
 class _DecodeContext:
-    """The cdfs of one policy's state and strategy draws, and the log tables
-    each decoder scores with, each built on first read.
+    """The cdfs of one policy's state and strategy draws, the log tables
+    each decoder scores with, each built on first read, and the decoder's
+    counters, summed over the trials it decodes.
 
     Codebook independent, so one context serves every trial of a run."""
 
@@ -244,6 +280,7 @@ class _DecodeContext:
         self.q = chan.q
         self.cdf_s = _cdf(spec.state_pmf)
         self.cdf_a, self.cdf_b = _cdf(policy.pi_a), _cdf(policy.pi_b)
+        self.counts = Counter()
 
     @cached_property
     def tables(self) -> dict:
@@ -255,13 +292,21 @@ class _DecodeContext:
             # the full subset's marginal is the law itself, not a copy of it
             marg = _marginal(law, combo)
             log_t = _log_table(marg)
-            tables[combo] = (log_t, float(-(marg * log_t).sum()))
+            # the entropy's product is taken in the table's buffer, which then
+            # takes the table again, so no product is held beside the tables
+            ent = float(-np.multiply(marg, log_t, out=log_t).sum())
+            tables[combo] = (_log_table(marg, out=log_t), ent)
         return tables
 
     @cached_property
-    def logq(self) -> np.ndarray:
+    def full(self) -> _PairTable:
+        """The full subset's table as the pair kernel reads it."""
+        return _pair_table(self.tables[(0, 1, 2, 3)][0], self.policy)
+
+    @cached_property
+    def channel(self) -> _PairTable:
         """The channel's log table, which only the ML decoder reads."""
-        return _log_table(self.q)
+        return _pair_table(_log_table(self.q), self.policy)
 
 
 def typicality_check(seqs, law, epsilon: float) -> bool:
@@ -324,16 +369,31 @@ def _stack(ok_a, ok_b) -> tuple:
     return trials, row_trial, row_ids, col_ids, widths
 
 
-def _pair_blocks(log_t, s_seq, y_seq, ids_a, ids_b, stack):
-    """Yield (first row, block) for row blocks of a chunk's stacked (trial,
+def _pair_blocks(table: _PairTable, s_seq, y_seq, ids_a, ids_b, stack):
+    """Yield (rows, block, alive) for row blocks of a chunk's stacked (trial,
     row) x column matrix (see _stack) of sums of per-letter log-likelihoods
-    from a full (S, A, B, Y) log table; a pad column's sum is some other
-    pair's. A block holds at most PAIR_BLOCK_CELLS pairs, may straddle
-    trials, and gets every letter added in t order while it is in cache;
-    each block is a view of one buffer that the next reuses. A block also
-    ends at a trial boundary once it holds max(1, PAIR_BLOCK_CELLS // (A *
-    width)) trials, so one letter's column cuts (below) of its trials take
-    at most PAIR_BLOCK_CELLS cells, or one trial's cut if that is larger.
+    from a full (S, A, B, Y) log table: the block's kept stacked rows, their
+    sums and which of their pairs are alive. A pair is alive when every
+    letter of it is on a positive cell and its column is no pad. A block
+    holds at most PAIR_BLOCK_CELLS pairs, may straddle trials, and gets
+    every letter added in t order while it is in cache; each block is a
+    view of one buffer that the next reuses. A block also ends at a trial
+    boundary once it holds max(1, PAIR_BLOCK_CELLS // (A * width)) trials,
+    so one letter's column cuts (below) of its trials take at most
+    PAIR_BLOCK_CELLS cells, or one trial's cut if that is larger.
+
+    A block first ANDs every letter's cut of the table's positive cells
+    into its alive mask, one byte per pair, and keeps only the rows with an
+    alive pair; the float sums run on the kept rows alone. This drops no
+    pair that scores: a sum holding a zero cell's -2^40 fails every
+    admitted epsilon and loses to every pair of positive likelihood (see
+    _log_table). A block whose trials' letters have no zero cell on the
+    policy's support, where a codeword's letters lie, skips the mask pass,
+    so a channel without zero cells never takes one. So does a block
+    that makes its column cuts (below) once per letter, which a mask pass
+    would make twice. A block that skips it keeps every row and reads its
+    alive pairs off its sums, each at most -2^40 where it holds a zero cell
+    and above it elsewhere, and its pads are dead.
 
     Each letter's (A, B) table is cut to a block by two 1-D gathers. A
     block inside one trial goes through the smaller of the row and column
@@ -342,22 +402,27 @@ def _pair_blocks(log_t, s_seq, y_seq, ids_a, ids_b, stack):
     flat table and the block's rows from the cuts. The cuts of every letter
     of as many trials as fit in one block are made at once, by one gather,
     and those of a block whose trials do not fit once per letter, so no
-    call holds every letter's intermediate. Every cut spans the chunk's
-    widest column count, so a narrower trial's pads are gathered and summed
-    too. Only the block's rows and its trials' columns are copied, as
-    flat-table offsets with a letter per column."""
-    trials, row_trial, row_ids, col_ids, _ = stack
+    call holds every letter's intermediate. A mask pass cuts the positive
+    cells by the same route as the floats. Every cut spans the chunk's
+    widest column count, so a kept row's pads are gathered and summed too.
+    Only the block's rows and its trials' columns are copied, as flat-table
+    offsets with a letter per column."""
+    trials, row_trial, row_ids, col_ids, widths = stack
     (total,), (count, width), n = row_trial.shape, col_ids.shape, s_seq.shape[1]
     if total == 0:
         return
-    _, count_a, count_b, size_y = log_t.shape
-    flat, step_a = log_t.reshape(-1), count_b * size_y
+    _, count_a, count_b, size_y = table.log.shape
+    full, flat, step_a = (table.log, table.alive), table.log.reshape(-1), count_b * size_y
     step = np.arange(count_a)[:, None] * step_a
     # flat codebook rows of the stacked rows and of each trial's columns
     flat_a, flat_b = ids_a.reshape(-1, n), ids_b.reshape(-1, n)
     rows_at = trials[row_trial] * ids_a.shape[1] + row_ids
     cols_at = (trials * ids_b.shape[1])[:, None] + col_ids
     letter_key = s_seq[trials] * (count_a * step_a) + y_seq[trials]
+    # the trials with a letter whose slice has a zero cell on the support
+    needs_mask = table.zero[s_seq[trials], y_seq[trials]].any(axis=1)
+    unpadded = np.arange(width) < widths[:, None]
+    padded = not unpadded.all()
 
     def col_keys(k0, k1):
         # (trials, width, n) flat-table offsets of the trials' columns, less their rows'
@@ -365,6 +430,18 @@ def _pair_blocks(log_t, s_seq, y_seq, ids_a, ids_b, stack):
         keys *= size_y
         keys += letter_key[k0:k1, None]
         return keys
+
+    def letter_cuts(keys):
+        # each letter's (trials * A, width) column cuts, made as they are read
+        return (flat.take(keys[:, None, :, t] + step).reshape(-1, width) for t in range(n))
+
+    def cuts(src, ia, letters):
+        # each letter's cut of src to the rows ia: from its (A, B) slice given
+        # the trial's letters, else from its column cuts
+        if letters is not None:
+            return (src[s, :, :, y].take(a, axis=0).take(b, axis=1)
+                    for s, y, b, a in zip(*letters, ia.T))
+        return (cut.take(key, axis=0) for cut, key in zip(src, ia.T))
 
     first = np.searchsorted(row_trial, np.arange(count + 1))
     span = PAIR_BLOCK_CELLS // (n * count_a * width)  # trials whose cuts fit in a block
@@ -378,31 +455,49 @@ def _pair_blocks(log_t, s_seq, y_seq, ids_a, ids_b, stack):
         r1 = min(total, r0 + rows, first[min(count, k0 + limit)])
         k1 = row_trial[r1 - 1] + 1
         ia = flat_a.take(rows_at[r0:r1], axis=0)  # a letter's ids are a column
+        letters = None
         if k1 - k0 == 1 and count_a * width > (first[k1] - first[k0]) * count_b:  # rows first
-            k = trials[k0]
-            letters = zip(s_seq[k].tolist(), y_seq[k].tolist(), ia.T,
-                          flat_b.take(cols_at[k0], axis=0).T)
-            cuts = (log_t[s, :, :, y].take(a, axis=0).take(b, axis=1)
-                    for s, y, a, b in letters)
+            k, sources = trials[k0], full
+            letters = s_seq[k].tolist(), y_seq[k].tolist(), flat_b.take(cols_at[k0], axis=0).T
         else:  # columns first
-            c0, c1, tables = hoisted
+            c0, c1, sources = hoisted
             if k1 - k0 > span:
                 c0, keys = k0, col_keys(k0, k1)
-                tables = (flat.take(keys[:, None, :, t] + step).reshape(-1, width)
-                          for t in range(n))
+                sources = [letter_cuts(keys)]  # no mask pass reads the positive cells here
             elif not c0 <= k0 < k1 <= c1:
                 c0, c1 = k0, min(count, k0 + span)
-                keys = col_keys(c0, c1).transpose(2, 0, 1)[:, :, None]
-                tables = flat.take(keys + step).reshape(n, -1, width)
-                hoisted = c0, c1, tables
+                at = col_keys(c0, c1).transpose(2, 0, 1)[:, :, None] + step
+                # the positive cells' cuts only where some trial needs the mask
+                sources = [src.reshape(-1).take(at).reshape(n, -1, width)
+                           for src in full[:1 + needs_mask[c0:c1].any()]]
+                hoisted = c0, c1, sources
             ia += ((row_trial[r0:r1] - c0) * count_a)[:, None]
-            cuts = (table.take(key, axis=0) for table, key in zip(tables, ia.T))
-        block = buf[:r1 - r0]
+        kept = np.arange(r0, r1)
+        # a mask pass would make per-letter column cuts twice, so only a block
+        # whose cuts are made at once, or that goes rows first, takes one
+        early = needs_mask[k0:k1].any() and (letters is not None or k1 - k0 <= span)
+        if early:
+            cells = cuts(sources[1], ia, letters)
+            alive = next(cells)
+            for cut in cells:
+                alive &= cut
+            if padded:
+                alive &= unpadded.take(row_trial[r0:r1], axis=0)
+            live = np.flatnonzero(alive.any(axis=1))
+            if live.size == 0:
+                continue
+            ia, alive, kept = (x.take(live, axis=0) for x in (ia, alive, kept))
+        block = buf[:kept.size]
+        floats = cuts(sources[0], ia, letters)
         # copied in, not added to zeros: log2_floor never gives -0.0, so this is 0.0 + it
-        np.copyto(block, next(cuts))
-        for cut in cuts:
+        np.copyto(block, next(floats))
+        for cut in floats:
             block += cut
-        yield r0, block
+        if not early:  # a sum holding a zero cell is at most -2^40, any other above it
+            alive = block > _ZERO_LOG
+            if padded:
+                alive &= unpadded.take(row_trial[r0:r1], axis=0)
+        yield kept, block, alive
 
 
 def _stacked_pairs(stack, hits) -> tuple:
@@ -450,19 +545,24 @@ def _typical_survivors(ctx: _DecodeContext, ids_a, ids_b, s_seq, y_seq,
     ok_b = typical([(2,), (0, 2), (2, 3), (0, 2, 3)], ids_b.shape[:2],
                    lambda t: (s[:, t], 0, ids_b[:, :, t], y[:, t]))
     stack = _stack(ok_a & live, ok_b)
-    _, row_trial, _, col_ids, widths = stack
-    pad = np.arange(col_ids.shape[1]) >= widths[:, None]
+    _, row_trial, _, _, widths = stack
+    pairs, alive_pairs = int(widths[row_trial].sum()), 0
     hits = [np.zeros((0, 2), dtype=np.intp)]
-    for r0, block in _pair_blocks(ctx.tables[full][0], s_seq, y_seq, ids_a, ids_b, stack):
-        hit = passes(full, np.divide(block, n, out=block))
-        hit &= ~pad[row_trial[r0:r0 + block.shape[0]]]
-        hits.append(np.argwhere(hit) + (r0, 0))
+    for kept, block, alive in _pair_blocks(ctx.full, s_seq, y_seq, ids_a, ids_b, stack):
+        alive_pairs += np.count_nonzero(alive)
+        alive &= passes(full, np.divide(block, n, out=block))
+        hit = np.argwhere(alive)
+        hit[:, 0] = kept[hit[:, 0]]
+        hits.append(hit)
     trial, rows, cols = _stacked_pairs(stack, hits)
     # flat codebook rows, so one letter's gather takes one index array per sender
     flat_a, flat_b = ids_a.reshape(-1, n), ids_b.reshape(-1, n)
     at_a, at_b = trial * ids_a.shape[1] + rows, trial * ids_b.shape[1] + cols
     keep = typical([(1, 2, 3), (0, 1, 2), (1, 2)], trial.size,
                    lambda t: (s_seq[trial, t], flat_a[at_a, t], flat_b[at_b, t], y_seq[trial, t]))
+    ctx.counts.update(live_trials=int(live.sum()), rows=row_trial.size, columns=int(widths.sum()),
+                      pairs=pairs, masked=pairs - alive_pairs, full_law=trial.size,
+                      typical=int(keep.sum()))
     return trial[keep], rows[keep], cols[keep]
 
 
@@ -470,25 +570,35 @@ def _ml_survivors(ctx: _DecodeContext, ids_a, ids_b, s_seq, y_seq) -> tuple:
     """Every trial's maximum-likelihood pairs, as _typical_survivors lists
     them. Every pair is stacked; each trial's best score so far and the
     pairs that tie it are kept block by block, so no pair-sized score
-    array is held."""
+    array is held. A kept row's masked pairs need no -inf: each holds a
+    zero cell's -2^40, so it loses to the row's alive pairs. The transmitted
+    pair has positive likelihood, so every trial keeps an alive pair."""
     stack = _stack(np.ones(ids_a.shape[:2], dtype=bool), np.ones(ids_b.shape[:2], dtype=bool))
-    _, row_trial, _, _, _ = stack
+    _, row_trial, _, col_ids, _ = stack
     n = s_seq.shape[1]
     best = np.full(s_seq.shape[0], -np.inf)
+    alive_pairs = 0
     hits, ties = [np.zeros((0, 2), dtype=np.intp)], [np.zeros(0)]
-    for r0, block in _pair_blocks(ctx.logq, s_seq, y_seq, ids_a, ids_b, stack):
-        k = row_trial[r0:r0 + block.shape[0]]
+    for kept, block, alive in _pair_blocks(ctx.channel, s_seq, y_seq, ids_a, ids_b, stack):
+        alive_pairs += np.count_nonzero(alive)
+        k = row_trial[kept]
         row_best = np.divide(block, n, out=block).max(axis=1)
         np.maximum.at(best, k, row_best)
         # only a row that holds its trial's best so far is searched for ties
         top = np.flatnonzero(row_best == best[k])
         at, col = np.nonzero(block[top] == row_best[top, None])
-        hits.append(np.column_stack([r0 + top[at], col]))
+        hits.append(np.column_stack([kept[top[at]], col]))
         ties.append(row_best[top[at]])
+    # a trial whose rows were all dropped keeps -inf, and one whose best sum
+    # holds a zero cell reads at most -2^40 / n, below every alive pair's
+    if not (best > _ZERO_LOG / n).all():
+        raise InternalInvariantError("ML found a trial with no alive pair")
     trial, rows, cols = _stacked_pairs(stack, hits)
     keep = np.concatenate(ties) == best[trial]  # a tie that a later block beat goes
     if not np.bincount(trial[keep], minlength=best.size).all():
         raise AssertionError("ML always has at least one argmax")
+    pairs = row_trial.size * col_ids.shape[1]
+    ctx.counts.update(pairs=pairs, masked=pairs - alive_pairs, argmax=int(keep.sum()))
     return trial[keep], rows[keep], cols[keep]
 
 
@@ -521,7 +631,11 @@ def _decode_chunk(ctx: _DecodeContext, cfg: SimConfig, ids_a, ids_b, s_seq,
     k = np.arange(wa.size)
     probs = ctx.q[s_seq, ids_a[k, wa], ids_b[k, wb]]   # (trials, n, Y)
     edges = probs.cumsum(axis=-1)
-    edges[..., -1] = 1.0  # rounding must not leave a dead zone above the last bin
+    # rounding must leave no dead zone above the last positive bin, nor let a
+    # zero bin after it be drawn: its edge and every later one are 1.0
+    zeros_after = np.logical_and.accumulate(probs[..., :0:-1] == 0.0, axis=-1)[..., ::-1]
+    np.copyto(edges[..., :-1], 1.0, where=zeros_after)
+    edges[..., -1] = 1.0
     y_seq = (uniforms[..., None] < edges).argmax(axis=-1)
     if cfg.decoder == "typicality":
         found = _typical_survivors(ctx, ids_a, ids_b, s_seq, y_seq, cfg.epsilon)
@@ -572,6 +686,15 @@ def estimate_error(spec: FsMacSpec, chan: StrategyChannel, policy: TeamPolicy,
     Trials decode as rows of chunks (see _chunk_trials). Each trial draws
     from its own streams and its scores do not depend on its chunk, so the
     outcome counts do not depend on the chunk size.
+
+    The report's diagnostics are the decoder's counters, each summed over
+    trials, so they do not depend on the chunk size either. Typicality
+    counts the trials past the state and output filters (live_trials),
+    the codebook rows and columns the single-sender filters leave in the
+    trials that reach the full law (rows, columns), the pairs entering the
+    full-law stage (pairs), those the zero-cell mask dropped (masked), those
+    passing the full law (full_law) and the typical pairs (typical). ML
+    counts the pairs scored (pairs), those masked and the argmax pairs.
     """
     ctx = _DecodeContext(spec, chan, policy)
     size = _chunk_trials(spec, cfg)
@@ -598,4 +721,5 @@ def estimate_error(spec: FsMacSpec, chan: StrategyChannel, policy: TeamPolicy,
     return SimReport(config=cfg, trials=cfg.trials, errors=errors,
                      error_rate=errors / cfg.trials, wilson_low=low, wilson_high=high,
                      no_typical_count=no_typical, decoder_ambiguous_count=ambiguous,
-                     wrong_decode_count=wrong)
+                     wrong_decode_count=wrong,
+                     diagnostics={key: int(v) for key, v in ctx.counts.items()})

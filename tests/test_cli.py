@@ -420,14 +420,18 @@ def test_bad_policy_never_tracebacks(tmp_path, capsys, kind):
 # --- determinism ------------------------------------------------------------
 
 def test_reports_byte_identical_across_runs_and_threads(capsys, two_strategy_policy):
-    argv = ["simulate", "--spec", MOD2, "--policy", two_strategy_policy,
-            "--n", "4", "6", "--ra", "0.25", "--rb", "0.25", "--trials", "30"]
-    outs = []
-    for extra in ([], [], ["--threads", "3"]):
-        rc = cli.main(argv + extra)
-        assert rc == 0
-        outs.append(strip_timing(json.loads(capsys.readouterr().out)))
-    assert outs[0] == outs[1] == outs[2]
+    for decoder in ("typicality", "max_likelihood"):
+        argv = ["simulate", "--spec", MOD2, "--policy", two_strategy_policy,
+                "--n", "4", "6", "--ra", "0.25", "--rb", "0.25", "--trials", "30",
+                "--decoder", decoder]
+        outs = []
+        for extra in ([], [], ["--threads", "1"], ["--threads", "3"]):
+            rc = cli.main(argv + extra)
+            assert rc == 0
+            outs.append(strip_timing(json.loads(capsys.readouterr().out)))
+        assert outs[0] == outs[1] == outs[2] == outs[3], decoder
+        # the decoder counters are part of each report, so deterministic too
+        assert all(rep["diagnostics"]["pairs"] > 0 for rep in json.loads(outs[0])["reports"])
 
 
 def test_sumrate_byte_identical_across_threads(capsys):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from fsmac import mcsim, strategy
-from fsmac.errors import GuardError
+from fsmac.errors import GuardError, InternalInvariantError
 from fsmac.examples import load
 from fsmac.mcsim import (
     OUTCOME_AMBIGUOUS,
@@ -43,7 +43,7 @@ from fsmac.model import FsMacSpec, check_channel_cells, induced_strategy_channel
 from fsmac.rates import TeamPolicy, joint_law, log2_floor
 from fsmac.rng import ROLE_CODEBOOKS, ROLE_TRIAL, stream
 
-from conftest import random_spec
+from conftest import random_deterministic_spec, random_spec
 
 
 def two_strategy_policy():
@@ -399,6 +399,164 @@ def test_ml_never_returns_a_zero_likelihood_pair():
     assert np.column_stack(found).tolist() == [[0, 0, 1], [0, 1, 0], [0, 1, 1]]
 
 
+def test_ml_chunk_with_no_alive_pair_is_an_internal_error(monkeypatch):
+    # both codewords of each sender are constant 0 and one output is 1, which
+    # the input pair (0, 0) never sends: every pair is masked, so no pair is
+    # the transmitted one, and ML has no argmax to return
+    spec = zero_cell_spec()
+    chan = induced_strategy_channel(spec)
+    ctx = _DecodeContext(spec, chan, TeamPolicy(pi_a=np.full(2, 0.5), pi_b=np.full(2, 0.5)))
+    n = 6
+    ids = np.zeros((1, 2, n), dtype=np.intp)
+    y_seq = np.zeros((1, n), dtype=np.intp)
+    y_seq[0, 3] = 1
+    # the default budget masks early; one pair per block goes rows first
+    # and masks early; n * A * width - 1 cuts columns once per letter, so
+    # the block takes no mask pass and its dead pairs are read off its sums
+    for budget in (mcsim.PAIR_BLOCK_CELLS, 1, n * 2 * 2 - 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(mcsim, "PAIR_BLOCK_CELLS", budget)
+            with pytest.raises(InternalInvariantError, match="no alive pair"):
+                _ml_survivors(ctx, ids, ids, np.zeros((1, n), dtype=np.intp), y_seq)
+
+
+def test_outputs_never_fall_on_a_zero_probability_bin():
+    # the channel row sums to 1 - 1e-10, which PMF_ATOL admits. Forcing only
+    # the last edge to 1.0 left a uniform above the row's total drawing its
+    # last bin, of probability 0, and typicality called the lone, transmitted
+    # pair no_typical; the edges are 1.0 from the last positive bin on
+    channel = np.zeros((1, 1, 1, 3))
+    channel[0, 0, 0] = [0.5, 0.4999999999, 0.0]
+    spec = FsMacSpec(size_xa=1, size_xb=1, size_s=1, size_sa=1, size_sb=1, size_y=3,
+                     state_pmf=np.ones(1), obs_a=np.ones((1, 1)), obs_b=np.ones((1, 1)),
+                     channel=channel)
+    chan = induced_strategy_channel(spec)
+    ctx = _DecodeContext(spec, chan, TeamPolicy(pi_a=np.ones(1), pi_b=np.ones(1)))
+    n = 4
+    ids, zeros = np.zeros((1, 1, n), dtype=np.intp), np.zeros(1, dtype=np.intp)
+    uniforms = np.array([[0.99999999995, 0.2, 0.7, 0.99999999995]])
+    for decoder in mcsim.DECODERS:
+        cfg = SimConfig(blocklength=n, rate_a=0.0, rate_b=0.0, epsilon=0.5, decoder=decoder)
+        codes, _, y_seq = mcsim._decode_chunk(ctx, cfg, ids, ids, np.zeros((1, n), dtype=np.intp),
+                                              zeros, zeros, uniforms)
+        assert y_seq.tolist() == [[1, 0, 1, 1]], decoder
+        assert mcsim.OUTCOMES[codes[0]] == OUTCOME_OK, decoder
+
+
+def zero_cell_cases(rng) -> list:
+    """(spec, channel, policy, n, rate, epsilon) cases whose laws have zero
+    cells on the policy's support, so the pair kernel's mask drops pairs."""
+    det = random_deterministic_spec(rng, sizes=dict(xa=2, xb=2, s=2, sa=2, sb=1, y=3))
+    det_chan = induced_strategy_channel(det)
+    adder = load("mod2-adder-noiseless")
+    adder_chan = induced_strategy_channel(adder)
+    constants = TeamPolicy(pi_a=np.array([0.5, 0.0, 0.0, 0.5]), pi_b=np.array([0.5, 0.0, 0.0, 0.5]))
+    full = TeamPolicy(pi_a=np.array([0.4, 0.1, 0.2, 0.3]), pi_b=np.array([0.3, 0.2, 0.1, 0.4]))
+    det_policy = TeamPolicy(pi_a=rng.dirichlet(np.ones(det_chan.space_a.count)),
+                            pi_b=rng.dirichlet(np.ones(det_chan.space_b.count)))
+    return [(det, det_chan, det_policy, 6, 0.5, 0.3), (adder, adder_chan, constants, 6, 0.5, 0.1),
+            (adder, adder_chan, full, 6, 0.5, 0.3)]
+
+
+def test_masked_survivors_match_the_definition(rng, monkeypatch):
+    # on laws with zero cells both decoders list, at the default block budget,
+    # at one pair per block and at a prime one, exactly the pairs the
+    # definition gives: those typicality_check accepts, and each trial's
+    # argmax of the literal t-order sums among pairs of positive likelihood
+    for spec, chan, policy, n, rate, eps in zero_cell_cases(rng):
+        ctx = _DecodeContext(spec, chan, policy)
+        law = joint_law(spec, chan, policy)
+        assert ctx.full.zero.any() and ctx.channel.zero.any()
+        for decoder, stage in [("typicality", "_typical_survivors"),
+                               ("max_likelihood", "_ml_survivors")]:
+            cfg = SimConfig(blocklength=n, rate_a=rate, rate_b=rate, epsilon=eps,
+                            trials=12, seed=5, decoder=decoder)
+            calls = []
+
+            def record(*args, survivors=getattr(mcsim, stage)):
+                calls.append(args)
+                return survivors(*args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(mcsim, stage, record)
+                estimate_error(spec, chan, policy, cfg)
+            for args in calls:
+                ids_a, ids_b, s_seq, y_seq = args[1:5]
+                if decoder == "typicality":
+                    expect = [(k, wa, wb) for k, wa, wb in np.ndindex(
+                        s_seq.shape[0], ids_a.shape[1], ids_b.shape[1])
+                        if typicality_check(dict(s=s_seq[k], ta=ids_a[k, wa], tb=ids_b[k, wb],
+                                                 y=y_seq[k]), law, eps)]
+                else:
+                    scores = literal_grid(ctx.channel.log, s_seq, y_seq, ids_a, ids_b) / n
+                    assert (scores.max(axis=(1, 2)) > -2.0 ** 39 / n).all()
+                    expect = np.argwhere(scores == scores.max(axis=(1, 2), keepdims=True))
+                for budget in (mcsim.PAIR_BLOCK_CELLS, 1, 101):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(mcsim, "PAIR_BLOCK_CELLS", budget)
+                        found = getattr(mcsim, stage)(*args)
+                    got = np.column_stack(found).tolist()
+                    assert got == np.reshape(expect, (-1, 3)).tolist(), (decoder, budget)
+
+
+class CountingTable:
+    """An array stand-in that counts the pair kernel's reads of it."""
+
+    def __init__(self, array):
+        self.array, self.reads = array, 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self.array[key]
+
+    def reshape(self, *shape):
+        self.reads += 1
+        return self.array.reshape(*shape)
+
+
+def test_strictly_positive_law_makes_no_mask_pass(rng, monkeypatch):
+    # the kernel reads a table's positive cells only for a mask pass; on a
+    # fully stochastic spec under full-support policies no letter has a zero
+    # cell, so it never reads them, on either route, and its sums are the
+    # literal ones. The zero-cell cases read them, and mask pairs.
+    spec = random_spec(rng, sizes=dict(xa=2, xb=3, s=2, sa=2, sb=1, y=3))
+    chan = induced_strategy_channel(spec)
+    policy = TeamPolicy(pi_a=rng.dirichlet(np.ones(chan.space_a.count)),
+                        pi_b=rng.dirichlet(np.ones(chan.space_b.count)))
+    cases = [(spec, chan, policy, 7, 1.0, None)] + zero_cell_cases(rng)
+    # a long codebook against a short one and the reverse, so that both
+    # routes run, masked or not: one-pair blocks go rows first on the latter
+    for ((spec, chan, policy, n, rate, _), masks), (ra, rb) in itertools.product(
+            zip(cases, [False, True, True, True]), [(1, 0.3), (0.3, 1)]):
+        ctx = _DecodeContext(spec, chan, policy)
+        assert ctx.channel.zero.any() == ctx.full.zero.any() == masks
+        cfg = SimConfig(blocklength=n, rate_a=ra * rate, rate_b=rb * rate, seed=4)
+        books = [generate_codebooks(policy, cfg, stream(4, k, ROLE_CODEBOOKS)) for k in range(3)]
+        ids_a, ids_b = np.stack([b.ids_a for b in books]), np.stack([b.ids_b for b in books])
+        s_seq = rng.choice(spec.size_s, size=(3, n), p=spec.state_pmf)
+        # outputs of each trial's first pair, so every trial has an alive pair
+        y_seq = np.array([[rng.choice(spec.size_y, p=chan.q[s, a, b])
+                           for s, a, b in zip(s_seq[k], ids_a[k, 0], ids_b[k, 0])]
+                          for k in range(3)])
+        # cuts made at once, which a mask pass reads; cuts made per letter,
+        # which it would make twice, so the sums show the zero cells; and
+        # one-pair blocks, rows first on the short codebook
+        budgets = [mcsim.PAIR_BLOCK_CELLS, n * chan.space_a.count * cfg.messages_b - 1, 1]
+        for table in (ctx.channel, ctx.full):
+            literal = literal_grid(table.log, s_seq, y_seq, ids_a, ids_b)
+            for budget in budgets:
+                counting = CountingTable(table.alive)
+                with monkeypatch.context() as patch:
+                    patch.setattr(mcsim, "PAIR_BLOCK_CELLS", budget)
+                    sums, _, _ = stacked_sums(table._replace(alive=counting), s_seq, y_seq,
+                                              ids_a, ids_b, every_pair(ids_a, ids_b))
+                assert_kernel_sums(sums, literal)
+                if budget != 1:
+                    assert (counting.reads > 0) == (masks and budget == budgets[0]), budget
+                assert counting.reads == 0 or masks
+                assert (sums == -np.inf).any() == masks
+
+
 def test_mask_allocates_no_pair_by_letter_array(rng):
     # at eps 100 every pair of a fully stochastic spec under uniform policies
     # reaches the listed stages; scoring them must not hold a (pairs, n) copy
@@ -439,21 +597,60 @@ def literal_sums(log_t, combo, s_seq, y_seq, ids_a, ids_b) -> np.ndarray:
     return sums
 
 
-def stacked_sums(log_t, s_seq, y_seq, ids_a, ids_b, stack) -> tuple:
+def stacked_sums(table, s_seq, y_seq, ids_a, ids_b, stack) -> tuple:
     """The pair kernel's sums placed on a (trials, messages_a, messages_b)
-    grid, NaN off the stack, and the number of blocks that straddled trials.
-    No block holds more trials than one letter's column cuts fit in."""
+    grid, -inf on the pairs it found dead (dropped by its mask or read off
+    its sums) and NaN off the stack; every pair's sum with the mask pass
+    skipped, as on a table with no zero cell, so every row is kept and
+    every pair summed; and the number of the latter's blocks that
+    straddled trials (the mask drops rows, never moves a block's bounds).
+    Both runs find the same pairs dead, and no block holds more trials than
+    one letter's column cuts fit in, nor an alive pad."""
     trials, row_trial, row_ids, col_ids, widths = stack
-    sums = np.full(ids_a.shape[:2] + ids_b.shape[1:2], np.nan)
-    straddled = 0
-    limit = max(1, mcsim.PAIR_BLOCK_CELLS // (log_t.shape[1] * col_ids.shape[1]))
-    for r0, block in _pair_blocks(log_t, s_seq, y_seq, ids_a, ids_b, stack):
-        k = row_trial[r0:r0 + block.shape[0]]
-        straddled += k[0] != k[-1]
-        assert k[-1] - k[0] < limit, (k[0], k[-1], limit)
-        i, j = np.nonzero(np.arange(block.shape[1]) < widths[k][:, None])  # pads dropped
-        sums[trials[k[i]], row_ids[r0 + i], col_ids[k[i], j]] = block[i, j]
-    return sums, straddled
+    limit = max(1, mcsim.PAIR_BLOCK_CELLS // (table.log.shape[1] * col_ids.shape[1]))
+    # every pair on the stack starts out dead; pads are no pairs
+    r, j = np.nonzero(np.arange(col_ids.shape[1]) < widths[row_trial][:, None])
+
+    def grid(run):
+        sums = np.full(ids_a.shape[:2] + ids_b.shape[1:2], np.nan)
+        sums[trials[row_trial[r]], row_ids[r], col_ids[row_trial[r], j]] = -np.inf
+        summed = sums.copy()
+        straddled = 0
+        for kept, block, alive in _pair_blocks(run, s_seq, y_seq, ids_a, ids_b, stack):
+            k = row_trial[kept]
+            straddled += k[0] != k[-1]
+            assert k[-1] - k[0] < limit, (k[0], k[-1], limit)
+            pair = np.arange(block.shape[1]) < widths[k][:, None]
+            assert not (alive & ~pair).any()
+            i, col = np.nonzero(pair)
+            at = trials[k[i]], row_ids[kept[i]], col_ids[k[i], col]
+            summed[at] = block[i, col]
+            sums[at] = np.where(alive[i, col], block[i, col], -np.inf)
+        return sums, summed, straddled
+
+    masked, _, _ = grid(table)
+    skipped, unmasked, straddled = grid(table._replace(zero=np.zeros_like(table.zero)))
+    assert masked.tobytes() == skipped.tobytes()
+    return masked, unmasked, straddled
+
+
+def literal_grid(log_t, s_seq, y_seq, ids_a, ids_b) -> np.ndarray:
+    """literal_sums' grid for the full subset, each letter added to every
+    pair at once in t order: the same additions, so the same bits."""
+    sums = np.zeros(ids_a.shape[:2] + ids_b.shape[1:2])
+    k = np.arange(s_seq.shape[0])[:, None, None]
+    for t in range(s_seq.shape[1]):
+        sums += log_t[s_seq[k, t], ids_a[:, :, None, t], ids_b[:, None, :, t], y_seq[k, t]]
+    return sums
+
+
+def assert_kernel_sums(sums, literal):
+    """Every alive pair's kernel sum is its literal sum, byte for byte, and
+    the mask dropped exactly the stacked pairs whose sum holds a zero cell."""
+    on = ~np.isnan(sums)
+    alive = on & (sums != -np.inf)
+    assert sums[alive].tobytes() == literal[alive].tobytes()
+    assert np.array_equal(alive, on & (literal > -2.0 ** 39))
 
 
 def every_pair(ids_a, ids_b) -> tuple:
@@ -476,11 +673,14 @@ def test_ml_scores_match_literal_sum(rng):
         ids_a, ids_b = np.stack([b.ids_a for b in books]), np.stack([b.ids_b for b in books])
         s_seq = rng.choice(spec.size_s, size=(count, n), p=spec.state_pmf)
         y_seq = rng.integers(0, spec.size_y, size=(count, n))
-        sums, straddled = stacked_sums(ctx.logq, s_seq, y_seq, ids_a, ids_b,
-                                       every_pair(ids_a, ids_b))
+        sums, unmasked, straddled = stacked_sums(ctx.channel, s_seq, y_seq, ids_a, ids_b,
+                                                 every_pair(ids_a, ids_b))
         assert straddled == (count > 1)
-        literal = literal_sums(ctx.logq, (0, 1, 2, 3), s_seq, y_seq, ids_a, ids_b)
+        literal = literal_sums(ctx.channel.log, (0, 1, 2, 3), s_seq, y_seq, ids_a, ids_b)
         assert np.array_equal(sums, literal), (ra, count)
+        assert np.array_equal(unmasked, literal), (ra, count)
+        assert literal_grid(ctx.channel.log, s_seq, y_seq, ids_a, ids_b).tobytes() \
+            == literal.tobytes()
         # the ML decoder keeps each trial's exact argmax pairs of these sums over n
         scores = literal / n
         best = np.argwhere(scores == scores.max(axis=(1, 2), keepdims=True))
@@ -595,23 +795,30 @@ def test_pair_blocks_are_budget_invariant(rng, monkeypatch):
                 stacks = [every_pair(ids_a, ids_b), _stack(ok_a, ok_b)]
 
                 def sums():
-                    return [stacked_sums(log_t, s_seq, y_seq, ids_a, ids_b, stack)
-                            for log_t in (ctx.logq, ctx.tables[(0, 1, 2, 3)][0])
-                            for stack in stacks]
+                    return [stacked_sums(table, s_seq, y_seq, ids_a, ids_b, stack)
+                            for table in (ctx.channel, ctx.full) for stack in stacks]
 
-                default = [grid.tobytes() for grid, _ in sums()]
+                default = sums()
+                tables = [ctx.channel] * 2 + [ctx.full] * 2
+                for (masked, unmasked, _), table in zip(default, tables):
+                    literal = literal_grid(table.log, s_seq, y_seq, ids_a, ids_b)
+                    assert_kernel_sums(masked, literal)
+                    on = ~np.isnan(unmasked)
+                    assert unmasked[on].tobytes() == literal[on].tobytes()
+                default = [(m.tobytes(), u.tobytes()) for m, u, _ in default]
                 for budget in (1, prime, limited, count * ma * mb + 1):
                     with monkeypatch.context() as patch:
                         patch.setattr(mcsim, "PAIR_BLOCK_CELLS", budget)
                         got = getattr(mcsim, stage)(*args)
                         now = sums()
-                    assert [grid.tobytes() for grid, _ in now] == default, (decoder, budget)
+                    assert [(m.tobytes(), u.tobytes()) for m, u, _ in now] == default, \
+                        (decoder, budget)
                     assert all(np.array_equal(g, f) for g, f in zip(got, found)), \
                         (decoder, budget)
                     if budget == prime and count > 1:
-                        assert all(straddled for _, straddled in now), decoder
+                        assert all(straddled for _, _, straddled in now), decoder
                     if budget == limited:  # every pair's stacks, whose width is mb
-                        assert not any(straddled for _, straddled in now[::2]), decoder
+                        assert not any(straddled for _, _, straddled in now[::2]), decoder
 
 
 @pytest.mark.parametrize("many", ["a", "b"])
@@ -629,7 +836,7 @@ def test_pair_kernel_never_holds_every_letters_intermediate(rng, many):
     rate_a, rate_b = (0.0, 6 / n) if many == "a" else (6 / n, 0.0)
     cfg = SimConfig(blocklength=n, rate_a=rate_a, rate_b=rate_b, epsilon=100, seed=1)
     ctx = _DecodeContext(spec, chan, policy)
-    ctx.logq  # the ML decoder's lazy log table, built before tracing starts
+    ctx.channel  # the ML decoder's lazy log table, built before tracing starts
     books = generate_codebooks(policy, cfg)
     trng = stream(1, 0, ROLE_TRIAL)
     s_seq = trng.choice(spec.size_s, size=n, p=spec.state_pmf)
@@ -660,7 +867,7 @@ def test_pair_kernel_cuts_hold_few_trials(rng):
     policy = TeamPolicy(pi_a=np.full(1024, 1 / 1024), pi_b=np.full(2, 0.5))
     cfg = SimConfig(blocklength=4, rate_a=0.25, rate_b=0.25, epsilon=100, seed=1)
     ctx = _DecodeContext(spec, chan, policy)
-    ctx.tables, ctx.logq  # built before tracing starts
+    ctx.full, ctx.channel  # built before tracing starts
     count, n = 500, cfg.blocklength
     ids_a = rng.integers(0, 1024, size=(count, 2, n))
     ids_b = rng.integers(0, 2, size=(count, 2, n))
@@ -687,11 +894,12 @@ def test_only_the_ml_decoder_builds_the_channel_log_table():
     draws = (books.ids_a[None], books.ids_b[None], np.zeros((1, 6), dtype=int),
              np.zeros((1, 6), dtype=int))
     _typical_survivors(ctx, *draws, 100.0)
-    assert "logq" not in vars(ctx)
+    assert "channel" not in vars(ctx)
     _ml_survivors(ctx, *draws)
     # zero cells, which this channel has, read as -2^40, not log2_floor's -996.6
     assert (chan.q == 0).any()
-    assert np.array_equal(ctx.logq, np.where(chan.q > 0, log2_floor(chan.q), -2.0 ** 40))
+    assert np.array_equal(ctx.channel.log, np.where(chan.q > 0, log2_floor(chan.q), -2.0 ** 40))
+    assert np.array_equal(ctx.channel.alive, chan.q > 0)
 
 
 def test_ml_run_never_builds_the_joint_law(monkeypatch):
@@ -711,10 +919,11 @@ def test_ml_run_never_builds_the_joint_law(monkeypatch):
 
 def test_decode_context_holds_no_copy_of_the_law(monkeypatch):
     # q of 2 * 32 * 32 * 4 cells sits at the cell cap, patched down to 2**13.
-    # The full subset's table is read off the law itself, so the build peaks
-    # at that subset's entropy (the law, the other subsets' tables, the law's
-    # log table with log2_floor's temporary and their product, about 4 q); a
-    # copy of the law beside it, its log table and their product took 5.1 q.
+    # The full subset's table is read off the law itself, and its log is
+    # taken in place, so the build peaks at that subset's entropy (the law,
+    # the other subsets' tables, the law's log table and its product with
+    # the law, about 3.1 q). A copy of the law beside it took 5.1 q, and
+    # log2_floor's temporary beside the log table 4.1 q.
     monkeypatch.setattr(strategy, "CELL_CAP", 1 << 13)
     s, sa, sb, y = 2, 5, 5, 4
     spec = FsMacSpec(size_xa=2, size_xb=2, size_s=s, size_sa=sa, size_sb=sb, size_y=y,
@@ -731,7 +940,7 @@ def test_decode_context_holds_no_copy_of_the_law(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.5 * chan.q.nbytes, peak / chan.q.nbytes
+    assert peak < 3.5 * chan.q.nbytes, peak / chan.q.nbytes
     # every table and entropy is the one a summed marginal gives, byte for byte
     law = joint_law(spec, chan, policy).p
     for combo, (log_t, ent) in ctx.tables.items():
@@ -819,6 +1028,40 @@ def test_pinned_outcome_counts(name, policy, n, rate, eps, counts, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(mcsim, "TRIAL_CELL_BUDGET", 1)  # one trial per chunk
             assert estimate_error(spec, chan, team, cfg) == report
+
+
+def test_decoder_counters(monkeypatch):
+    # above the cap on the noiseless adder under constant strategies each
+    # letter sends half of all pairs to a zero cell, so the mask drops all
+    # but about 2^-12 of them, and every alive pair is typical and an ML
+    # argmax. The counters are sums over trials: a rerun, one-trial chunks
+    # and one-pair blocks give them all the same.
+    spec = load("mod2-adder-noiseless")
+    chan = induced_strategy_channel(spec)
+    constants = np.array([0.5, 0.0, 0.0, 0.5])
+    team = TeamPolicy(pi_a=constants, pi_b=constants.copy())
+    keys = {"typicality": ["live_trials", "rows", "columns", "pairs", "masked", "full_law",
+                           "typical"],
+            "max_likelihood": ["pairs", "masked", "argmax"]}
+    for decoder in mcsim.DECODERS:
+        cfg = SimConfig(blocklength=12, rate_a=0.7, rate_b=0.7, epsilon=0.05, trials=20,
+                        seed=0, decoder=decoder)
+        report = estimate_error(spec, chan, team, cfg)
+        counts = report.diagnostics
+        assert list(counts) == keys[decoder]
+        assert counts["pairs"] == 20 * 338 * 338
+        assert 0.9997 < counts["masked"] / counts["pairs"] < 0.9998, counts
+        # every trial is ambiguous, and the survivors are the alive pairs
+        assert report.decoder_ambiguous_count == 20
+        survivors = counts["typical" if decoder == "typicality" else "argmax"]
+        assert survivors == counts["pairs"] - counts["masked"]
+        if decoder == "typicality":
+            assert counts["live_trials"] == 20 and counts["rows"] == counts["columns"] == 20 * 338
+        assert estimate_error(spec, chan, team, cfg) == report
+        for name, value in [("TRIAL_CELL_BUDGET", 1), ("PAIR_BLOCK_CELLS", 1)]:
+            with monkeypatch.context() as patch:
+                patch.setattr(mcsim, name, value)
+                assert estimate_error(spec, chan, team, cfg).diagnostics == counts, name
 
 
 def test_trials_are_chunk_invariant(rng, monkeypatch):
