@@ -30,23 +30,24 @@ trial gives its surviving rows, and its surviving columns are padded to the
 chunk's widest trial. That matrix is taken a block of rows at a time
 (PAIR_BLOCK_CELLS pairs at most, across trial boundaries, and no more
 trials than one letter's column cuts fit in as many cells). A block first
-ANDs each letter's cut of the table's positive cells into a one-byte alive
-mask, pads dead from the start, and keeps only the rows with an alive pair;
-then each letter's log-likelihoods are added to the kept rows in one reused
-buffer while it is in cache, and the block is tested as soon as it is
-summed. The mask is exact: a sum holding a zero cell fails every admitted
-epsilon and loses to every pair of positive likelihood, the transmitted
-pair among them, so a dropped pair could neither pass nor win. A block
-whose letters have no zero cell on the policy's support skips the mask
-pass, so channels without zero cells never take one. So does a block
+ANDs each letter's cut of the table's positive cells into a one-byte mask
+and keeps only the rows with a pair on positive cells; then each letter's
+log-likelihoods are added to the kept rows in one reused buffer while it
+is in cache, and the block is tested as soon as it is summed. Every block
+reads its alive pairs off its sums by one rule: a sum holding a zero cell
+is at most -2^40 and any other is above it, and such a pair fails every
+admitted epsilon and loses to every pair of positive likelihood, the
+transmitted pair among them, so a dropped row could neither pass nor win.
+A block whose letters have no zero cell on the policy's support skips the
+mask pass, so channels without zero cells never take one. So does a block
 whose trials' column cuts do not fit in one gather (many small trials, or
-long ones), since a mask pass would gather them twice. A block that skips
-it reads its alive pairs off its sums instead. Survivors come out in trial
-order and row-major within a trial, with no pair-sized array made per
-letter or per trial and no loop over trials. The ML decoder stacks every pair the same
-way and keeps each trial's best score so far and its exact ties block by
-block. Every stage gathers one letter at a time, so none holds an array of
-candidates by letters.
+long ones), since a mask pass would gather them twice. Survivors come out
+in trial order and row-major within a trial, with no pair-sized array
+made per letter or per trial and no loop over trials. The ML decoder
+stacks every pair the same way and keeps, block by block, each trial's
+best score so far, its tie count and its first tie: the outcome needs no
+list of pairs. Every stage gathers one letter at a time, so none holds an
+array of candidates by letters.
 
 Trials run as rows of chunks. Each trial draws its codebooks, states,
 messages and output uniforms from its own counter-based streams keyed by
@@ -373,27 +374,24 @@ def _pair_blocks(table: _PairTable, s_seq, y_seq, ids_a, ids_b, stack):
     """Yield (rows, block, alive) for row blocks of a chunk's stacked (trial,
     row) x column matrix (see _stack) of sums of per-letter log-likelihoods
     from a full (S, A, B, Y) log table: the block's kept stacked rows, their
-    sums and which of their pairs are alive. A pair is alive when every
-    letter of it is on a positive cell and its column is no pad. A block
-    holds at most PAIR_BLOCK_CELLS pairs, may straddle trials, and gets
-    every letter added in t order while it is in cache; each block is a
-    view of one buffer that the next reuses. A block also ends at a trial
-    boundary once it holds max(1, PAIR_BLOCK_CELLS // (A * width)) trials,
-    so one letter's column cuts (below) of its trials take at most
+    sums and which of their pairs are alive. A block holds at most
+    PAIR_BLOCK_CELLS pairs, may straddle trials, and gets every letter
+    added in t order while it is in cache; each block is a view of one
+    buffer that the next reuses. A block also ends at a trial boundary
+    once it holds max(1, PAIR_BLOCK_CELLS // (A * width)) trials, so one
+    letter's column cuts (below) of its trials take at most
     PAIR_BLOCK_CELLS cells, or one trial's cut if that is larger.
 
-    A block first ANDs every letter's cut of the table's positive cells
-    into its alive mask, one byte per pair, and keeps only the rows with an
-    alive pair; the float sums run on the kept rows alone. This drops no
-    pair that scores: a sum holding a zero cell's -2^40 fails every
-    admitted epsilon and loses to every pair of positive likelihood (see
-    _log_table). A block whose trials' letters have no zero cell on the
-    policy's support, where a codeword's letters lie, skips the mask pass,
-    so a channel without zero cells never takes one. So does a block
-    that makes its column cuts (below) once per letter, which a mask pass
-    would make twice. A block that skips it keeps every row and reads its
-    alive pairs off its sums, each at most -2^40 where it holds a zero cell
-    and above it elsewhere, and its pads are dead.
+    A pair is alive when its sum is above -2^40, which a sum holding a zero
+    cell never is (see _log_table), and its column is no pad; every block
+    reads its alive pairs off its sums by this one rule. A block first ANDs
+    every letter's cut of the table's positive cells into a one-byte mask
+    and keeps only the rows with a pair on positive cells, so the float sums
+    run on those rows alone and a dropped row holds no alive pair. A block
+    whose trials' letters have no zero cell on the policy's support, where a
+    codeword's letters lie, skips the mask pass, so a channel without zero
+    cells never takes one. So does a block that makes its column cuts
+    (below) once per letter, which a mask pass would make twice.
 
     Each letter's (A, B) table is cut to a block by two 1-D gathers. A
     block inside one trial goes through the smaller of the row and column
@@ -418,22 +416,22 @@ def _pair_blocks(table: _PairTable, s_seq, y_seq, ids_a, ids_b, stack):
     flat_a, flat_b = ids_a.reshape(-1, n), ids_b.reshape(-1, n)
     rows_at = trials[row_trial] * ids_a.shape[1] + row_ids
     cols_at = (trials * ids_b.shape[1])[:, None] + col_ids
-    letter_key = s_seq[trials] * (count_a * step_a) + y_seq[trials]
+    letter_key = (s_seq[trials] * (count_a * step_a) + y_seq[trials]).T
     # the trials with a letter whose slice has a zero cell on the support
     needs_mask = table.zero[s_seq[trials], y_seq[trials]].any(axis=1)
     unpadded = np.arange(width) < widths[:, None]
     padded = not unpadded.all()
 
     def col_keys(k0, k1):
-        # (trials, width, n) flat-table offsets of the trials' columns, less their rows'
-        keys = flat_b.take(cols_at[k0:k1], axis=0)
+        # (n, trials, width) flat-table offsets of the trials' columns, less their rows'
+        keys = flat_b.T.take(cols_at[k0:k1], axis=1)
         keys *= size_y
-        keys += letter_key[k0:k1, None]
+        keys += letter_key[:, k0:k1, None]
         return keys
 
     def letter_cuts(keys):
         # each letter's (trials * A, width) column cuts, made as they are read
-        return (flat.take(keys[:, None, :, t] + step).reshape(-1, width) for t in range(n))
+        return (flat.take(key[:, None] + step).reshape(-1, width) for key in keys)
 
     def cuts(src, ia, letters):
         # each letter's cut of src to the rows ia: from its (A, B) slice given
@@ -466,7 +464,7 @@ def _pair_blocks(table: _PairTable, s_seq, y_seq, ids_a, ids_b, stack):
                 sources = [letter_cuts(keys)]  # no mask pass reads the positive cells here
             elif not c0 <= k0 < k1 <= c1:
                 c0, c1 = k0, min(count, k0 + span)
-                at = col_keys(c0, c1).transpose(2, 0, 1)[:, :, None] + step
+                at = col_keys(c0, c1)[:, :, None] + step
                 # the positive cells' cuts only where some trial needs the mask
                 sources = [src.reshape(-1).take(at).reshape(n, -1, width)
                            for src in full[:1 + needs_mask[c0:c1].any()]]
@@ -475,37 +473,25 @@ def _pair_blocks(table: _PairTable, s_seq, y_seq, ids_a, ids_b, stack):
         kept = np.arange(r0, r1)
         # a mask pass would make per-letter column cuts twice, so only a block
         # whose cuts are made at once, or that goes rows first, takes one
-        early = needs_mask[k0:k1].any() and (letters is not None or k1 - k0 <= span)
-        if early:
+        if needs_mask[k0:k1].any() and (letters is not None or k1 - k0 <= span):
             cells = cuts(sources[1], ia, letters)
             alive = next(cells)
             for cut in cells:
                 alive &= cut
-            if padded:
-                alive &= unpadded.take(row_trial[r0:r1], axis=0)
             live = np.flatnonzero(alive.any(axis=1))
             if live.size == 0:
                 continue
-            ia, alive, kept = (x.take(live, axis=0) for x in (ia, alive, kept))
+            ia, kept = ia.take(live, axis=0), kept.take(live)
         block = buf[:kept.size]
         floats = cuts(sources[0], ia, letters)
         # copied in, not added to zeros: log2_floor never gives -0.0, so this is 0.0 + it
         np.copyto(block, next(floats))
         for cut in floats:
             block += cut
-        if not early:  # a sum holding a zero cell is at most -2^40, any other above it
-            alive = block > _ZERO_LOG
-            if padded:
-                alive &= unpadded.take(row_trial[r0:r1], axis=0)
+        alive = block > _ZERO_LOG  # a sum holding a zero cell is at most -2^40, any other above it
+        if padded:
+            alive &= unpadded.take(row_trial[kept], axis=0)
         yield kept, block, alive
-
-
-def _stacked_pairs(stack, hits) -> tuple:
-    """(trial, row, col) index arrays of the stacked (row, column) hits."""
-    trials, row_trial, row_ids, col_ids, _ = stack
-    at, col = np.concatenate(hits).T
-    k = row_trial[at]
-    return trials[k], row_ids[at], col_ids[k, col]
 
 
 def _subset_scores(ctx: _DecodeContext, combos, shape, letter, n: int) -> list:
@@ -545,7 +531,7 @@ def _typical_survivors(ctx: _DecodeContext, ids_a, ids_b, s_seq, y_seq,
     ok_b = typical([(2,), (0, 2), (2, 3), (0, 2, 3)], ids_b.shape[:2],
                    lambda t: (s[:, t], 0, ids_b[:, :, t], y[:, t]))
     stack = _stack(ok_a & live, ok_b)
-    _, row_trial, _, _, widths = stack
+    trials, row_trial, row_ids, col_ids, widths = stack
     pairs, alive_pairs = int(widths[row_trial].sum()), 0
     hits = [np.zeros((0, 2), dtype=np.intp)]
     for kept, block, alive in _pair_blocks(ctx.full, s_seq, y_seq, ids_a, ids_b, stack):
@@ -554,7 +540,9 @@ def _typical_survivors(ctx: _DecodeContext, ids_a, ids_b, s_seq, y_seq,
         hit = np.argwhere(alive)
         hit[:, 0] = kept[hit[:, 0]]
         hits.append(hit)
-    trial, rows, cols = _stacked_pairs(stack, hits)
+    at, col = np.concatenate(hits).T
+    k = row_trial[at]
+    trial, rows, cols = trials[k], row_ids[at], col_ids[k, col]
     # flat codebook rows, so one letter's gather takes one index array per sender
     flat_a, flat_b = ids_a.reshape(-1, n), ids_b.reshape(-1, n)
     at_a, at_b = trial * ids_a.shape[1] + rows, trial * ids_b.shape[1] + cols
@@ -567,50 +555,54 @@ def _typical_survivors(ctx: _DecodeContext, ids_a, ids_b, s_seq, y_seq,
 
 
 def _ml_survivors(ctx: _DecodeContext, ids_a, ids_b, s_seq, y_seq) -> tuple:
-    """Every trial's maximum-likelihood pairs, as _typical_survivors lists
-    them. Every pair is stacked; each trial's best score so far and the
-    pairs that tie it are kept block by block, so no pair-sized score
-    array is held. A kept row's masked pairs need no -inf: each holds a
-    zero cell's -2^40, so it loses to the row's alive pairs. The transmitted
-    pair has positive likelihood, so every trial keeps an alive pair."""
+    """Each trial's number of maximum-likelihood pairs and the first of them
+    in row-major order, as (count, row, col) arrays over the chunk's trials.
+    Every pair is stacked; each trial's best score so far, its tie count
+    and its first tie are kept block by block, so neither a pair-sized
+    score array nor a list of ties is held. A kept row's masked pairs need
+    no -inf: each holds a zero cell's -2^40, so it loses to the row's alive
+    pairs. The transmitted pair has positive likelihood, so every trial
+    keeps an alive pair."""
     stack = _stack(np.ones(ids_a.shape[:2], dtype=bool), np.ones(ids_b.shape[:2], dtype=bool))
-    _, row_trial, _, col_ids, _ = stack
-    n = s_seq.shape[1]
+    _, row_trial, row_ids, col_ids, _ = stack
+    n, width = s_seq.shape[1], col_ids.shape[1]
+    pairs = row_trial.size * width
     best = np.full(s_seq.shape[0], -np.inf)
+    # each trial's tie count and first tie, as a stacked (row, column) offset
+    ties, first = np.zeros((2, best.size), dtype=np.intp)
     alive_pairs = 0
-    hits, ties = [np.zeros((0, 2), dtype=np.intp)], [np.zeros(0)]
     for kept, block, alive in _pair_blocks(ctx.channel, s_seq, y_seq, ids_a, ids_b, stack):
         alive_pairs += np.count_nonzero(alive)
         k = row_trial[kept]
         row_best = np.divide(block, n, out=block).max(axis=1)
+        before = best[k]
         np.maximum.at(best, k, row_best)
-        # only a row that holds its trial's best so far is searched for ties
+        # a trial whose best this block raised drops its earlier ties
+        raised = k[best[k] > before]
+        ties[raised], first[raised] = 0, pairs
+        # only a row that holds its trial's best so far holds ties
         top = np.flatnonzero(row_best == best[k])
-        at, col = np.nonzero(block[top] == row_best[top, None])
-        hits.append(np.column_stack([kept[top[at]], col]))
-        ties.append(row_best[top[at]])
+        hit = block[top] == row_best[top, None]
+        np.add.at(ties, k[top], np.count_nonzero(hit, axis=1))
+        np.minimum.at(first, k[top], kept[top] * width + hit.argmax(axis=1))
     # a trial whose rows were all dropped keeps -inf, and one whose best sum
     # holds a zero cell reads at most -2^40 / n, below every alive pair's
     if not (best > _ZERO_LOG / n).all():
         raise InternalInvariantError("ML found a trial with no alive pair")
-    trial, rows, cols = _stacked_pairs(stack, hits)
-    keep = np.concatenate(ties) == best[trial]  # a tie that a later block beat goes
-    if not np.bincount(trial[keep], minlength=best.size).all():
+    if not ties.all():
         raise AssertionError("ML always has at least one argmax")
-    pairs = row_trial.size * col_ids.shape[1]
-    ctx.counts.update(pairs=pairs, masked=pairs - alive_pairs, argmax=int(keep.sum()))
-    return trial[keep], rows[keep], cols[keep]
+    ctx.counts.update(pairs=pairs, masked=pairs - alive_pairs, argmax=int(ties.sum()))
+    at, col = np.divmod(first, width)
+    return ties, row_ids[at], col_ids[row_trial[at], col]
 
 
-def _classify(trial, rows, cols, wa, wb) -> tuple:
+def _classify(count, rows, cols, wa, wb) -> tuple:
     """Each trial's outcome, as an index into OUTCOMES, and its decoded pair
-    (-1, -1 unless exactly one pair survived), from the chunk's survivors."""
-    count = np.bincount(trial, minlength=wa.size)
-    first = np.cumsum(count) - count  # survivors come in trial order
+    (-1, -1 unless exactly one pair survived), from each trial's survivor
+    count and first surviving pair."""
     one = count == 1
-    decoded = np.full((wa.size, 2), -1, dtype=np.intp)
-    decoded[one, 0], decoded[one, 1] = rows[first[one]], cols[first[one]]
-    wrong = one & ((decoded[:, 0] != wa) | (decoded[:, 1] != wb))
+    decoded = np.where(one[:, None], np.column_stack([rows, cols]), -1)
+    wrong = one & ((rows != wa) | (cols != wb))
     return np.minimum(count, 2) + 2 * wrong, decoded
 
 
@@ -638,7 +630,11 @@ def _decode_chunk(ctx: _DecodeContext, cfg: SimConfig, ids_a, ids_b, s_seq,
     edges[..., -1] = 1.0
     y_seq = (uniforms[..., None] < edges).argmax(axis=-1)
     if cfg.decoder == "typicality":
-        found = _typical_survivors(ctx, ids_a, ids_b, s_seq, y_seq, cfg.epsilon)
+        trial, rows, cols = _typical_survivors(ctx, ids_a, ids_b, s_seq, y_seq, cfg.epsilon)
+        count = np.bincount(trial, minlength=wa.size)
+        # survivors come in trial order; a trial with none reads a later one's, or 0
+        first = np.cumsum(count) - count
+        found = count, np.append(rows, 0)[first], np.append(cols, 0)[first]
     else:
         found = _ml_survivors(ctx, ids_a, ids_b, s_seq, y_seq)
     codes, decoded = _classify(*found, wa, wb)

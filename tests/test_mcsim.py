@@ -396,7 +396,8 @@ def test_ml_never_returns_a_zero_likelihood_pair():
     y_seq = np.zeros((1, n), dtype=np.intp)
     y_seq[0, 0] = 1
     found = _ml_survivors(ctx, ids, ids, np.zeros((1, n), dtype=np.intp), y_seq)
-    assert np.column_stack(found).tolist() == [[0, 0, 1], [0, 1, 0], [0, 1, 1]]
+    # three argmax pairs, (0, 1), (1, 0) and (1, 1); (0, 1) comes first
+    assert [x.tolist() for x in found] == [[3], [0], [1]]
 
 
 def test_ml_chunk_with_no_alive_pair_is_an_internal_error(monkeypatch):
@@ -410,9 +411,10 @@ def test_ml_chunk_with_no_alive_pair_is_an_internal_error(monkeypatch):
     ids = np.zeros((1, 2, n), dtype=np.intp)
     y_seq = np.zeros((1, n), dtype=np.intp)
     y_seq[0, 3] = 1
-    # the default budget masks early; one pair per block goes rows first
-    # and masks early; n * A * width - 1 cuts columns once per letter, so
-    # the block takes no mask pass and its dead pairs are read off its sums
+    # the default budget takes a mask pass, and so does one pair per block,
+    # which goes rows first; n * A * width - 1 cuts columns once per letter,
+    # so the block takes no mask pass. Every block reads its dead pairs off
+    # its sums
     for budget in (mcsim.PAIR_BLOCK_CELLS, 1, n * 2 * 2 - 1):
         with monkeypatch.context() as patch:
             patch.setattr(mcsim, "PAIR_BLOCK_CELLS", budget)
@@ -441,6 +443,40 @@ def test_outputs_never_fall_on_a_zero_probability_bin():
                                               zeros, zeros, uniforms)
         assert y_seq.tolist() == [[1, 0, 1, 1]], decoder
         assert mcsim.OUTCOMES[codes[0]] == OUTCOME_OK, decoder
+
+
+def test_chunks_with_few_typical_pairs_classify_each_trial():
+    # one message per sender. A live trial's codewords and outputs hit every
+    # cell in proportion to the law, so every subset scores its entropy; a
+    # dead one sends (0, 0) and reads 0 throughout, 2 bits a letter against
+    # the full law's 2.75. A chunk with no typical pair, and chunks whose
+    # typical pair is the last or the first trial's, get each trial's own
+    # outcome.
+    spec = zero_cell_spec()
+    chan = induced_strategy_channel(spec)
+    policy = TeamPolicy(pi_a=np.full(2, 0.5), pi_b=np.full(2, 0.5))
+    ctx = _DecodeContext(spec, chan, policy)
+    n = 16
+    live_a, live_b = np.tile(np.repeat([0, 1], 4), 2), np.repeat([0, 1], 8)
+    # (0, 0) outputs 0 whatever its uniform; the others 0 below 0.5, else 1
+    live_u = np.tile([0.25, 0.75], 8)
+    cfg = SimConfig(blocklength=n, rate_a=0.0, rate_b=0.0, epsilon=0.5)
+    law = joint_law(spec, chan, policy)
+    zeros = np.zeros(n, dtype=np.intp)
+    for chunk in (["dead", "dead"], ["dead", "dead", "live"], ["live", "dead"]):
+        live = np.array([k == "live" for k in chunk])
+        ids_a = np.where(live[:, None, None], live_a, 0)
+        ids_b = np.where(live[:, None, None], live_b, 0)
+        uniforms = np.where(live[:, None], live_u, 0.25)
+        wa = wb = np.zeros(live.size, dtype=np.intp)
+        codes, decoded, y_seq = mcsim._decode_chunk(
+            ctx, cfg, ids_a, ids_b, np.zeros((live.size, n), dtype=np.intp), wa, wb, uniforms)
+        for k, alive in enumerate(live):
+            seqs = dict(s=zeros, ta=ids_a[k, 0], tb=ids_b[k, 0], y=y_seq[k])
+            assert typicality_check(seqs, law, cfg.epsilon) == alive
+        assert [mcsim.OUTCOMES[c] for c in codes] == \
+            [OUTCOME_OK if alive else OUTCOME_NO_TYPICAL for alive in live], chunk
+        assert decoded.tolist() == [[0, 0] if alive else [-1, -1] for alive in live], chunk
 
 
 def zero_cell_cases(rng) -> list:
@@ -490,13 +526,16 @@ def test_masked_survivors_match_the_definition(rng, monkeypatch):
                 else:
                     scores = literal_grid(ctx.channel.log, s_seq, y_seq, ids_a, ids_b) / n
                     assert (scores.max(axis=(1, 2)) > -2.0 ** 39 / n).all()
-                    expect = np.argwhere(scores == scores.max(axis=(1, 2), keepdims=True))
+                    expect = literal_argmax(scores)
                 for budget in (mcsim.PAIR_BLOCK_CELLS, 1, 101):
                     with monkeypatch.context() as patch:
                         patch.setattr(mcsim, "PAIR_BLOCK_CELLS", budget)
                         found = getattr(mcsim, stage)(*args)
-                    got = np.column_stack(found).tolist()
-                    assert got == np.reshape(expect, (-1, 3)).tolist(), (decoder, budget)
+                    if decoder == "typicality":
+                        got = np.column_stack(found).tolist()
+                        assert got == np.reshape(expect, (-1, 3)).tolist(), (decoder, budget)
+                    else:
+                        assert [x.tolist() for x in found] == expect, (decoder, budget)
 
 
 class CountingTable:
@@ -653,6 +692,15 @@ def assert_kernel_sums(sums, literal):
     assert np.array_equal(alive, on & (literal > -2.0 ** 39))
 
 
+def literal_argmax(scores) -> list:
+    """Each trial's number of argmax pairs of a (trials, messages_a,
+    messages_b) score grid and its row-major first argmax, as the lists
+    (counts, rows, cols)."""
+    ties = (scores == scores.max(axis=(1, 2), keepdims=True)).reshape(len(scores), -1)
+    rows, cols = np.divmod(ties.argmax(axis=1), scores.shape[2])
+    return [ties.sum(axis=1).tolist(), rows.tolist(), cols.tolist()]
+
+
 def every_pair(ids_a, ids_b) -> tuple:
     return _stack(np.ones(ids_a.shape[:2], dtype=bool), np.ones(ids_b.shape[:2], dtype=bool))
 
@@ -681,11 +729,36 @@ def test_ml_scores_match_literal_sum(rng):
         assert np.array_equal(unmasked, literal), (ra, count)
         assert literal_grid(ctx.channel.log, s_seq, y_seq, ids_a, ids_b).tobytes() \
             == literal.tobytes()
-        # the ML decoder keeps each trial's exact argmax pairs of these sums over n
-        scores = literal / n
-        best = np.argwhere(scores == scores.max(axis=(1, 2), keepdims=True))
+        # the ML decoder counts each trial's exact argmax pairs of these sums
+        # over n and keeps the first of them
         found = _ml_survivors(ctx, ids_a, ids_b, s_seq, y_seq)
-        assert np.array_equal(np.column_stack(found), best), (ra, count)
+        assert [x.tolist() for x in found] == literal_argmax(literal / n), (ra, count)
+
+
+def test_ml_drops_ties_a_later_row_beats(monkeypatch):
+    # two trials of 60 codewords for sender a against a constant-0 and a
+    # constant-1 codeword for sender b, outputs all 0: a constant-1 row ties
+    # both its pairs at -1 bit a letter, and a constant-0 row scores 0 with
+    # column 0. Trial 0 wins only at its last row, trial 1 at rows 55 and 59,
+    # after 55 low rows. At 101 cells a block holds 50 rows, so trial 0's
+    # low ties fill a block before its winner's raises its best, and trial
+    # 1's winners share a block with its low rows; at 1 cell every row is
+    # a block.
+    spec = zero_cell_spec()
+    chan = induced_strategy_channel(spec)
+    ctx = _DecodeContext(spec, chan, TeamPolicy(pi_a=np.full(2, 0.5), pi_b=np.full(2, 0.5)))
+    n = 4
+    ids_a = np.ones((2, 60, n), dtype=np.intp)
+    ids_a[0, 59] = ids_a[1, [55, 59]] = 0
+    ids_b = np.repeat(np.arange(2)[None, :, None], n, axis=2).repeat(2, axis=0)
+    s_seq = y_seq = np.zeros((2, n), dtype=np.intp)
+    expect = literal_argmax(literal_grid(ctx.channel.log, s_seq, y_seq, ids_a, ids_b) / n)
+    assert expect == [[1, 2], [59, 55], [0, 0]]
+    for budget in (mcsim.PAIR_BLOCK_CELLS, 1, 101):
+        with monkeypatch.context() as patch:
+            patch.setattr(mcsim, "PAIR_BLOCK_CELLS", budget)
+            found = _ml_survivors(ctx, ids_a, ids_b, s_seq, y_seq)
+        assert [x.tolist() for x in found] == expect, budget
 
 
 def test_chunk_scores_match_per_trial_scores(rng):
@@ -843,15 +916,16 @@ def test_pair_kernel_never_holds_every_letters_intermediate(rng, many):
     y_seq = trng.integers(0, spec.size_y, size=n)
     held = n * 256 * 64 * 8
     draws = (books.ids_a[None], books.ids_b[None], s_seq[None], y_seq[None])
-    for stage in (lambda: _typical_survivors(ctx, *draws, cfg.epsilon),
-                  lambda: _ml_survivors(ctx, *draws)):
+    # each stage's survivor count: typical pairs listed, ML argmax pairs counted
+    for stage in (lambda: _typical_survivors(ctx, *draws, cfg.epsilon)[0].size,
+                  lambda: _ml_survivors(ctx, *draws)[0].sum()):
         tracemalloc.start()
         try:
-            _, rows, cols = stage()
+            survivors = stage()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rows.size >= 1
+        assert survivors >= 1
         assert peak < held / 32, (many, peak)
 
 
@@ -873,16 +947,47 @@ def test_pair_kernel_cuts_hold_few_trials(rng):
     ids_b = rng.integers(0, 2, size=(count, 2, n))
     s_seq = np.zeros((count, n), dtype=np.intp)
     y_seq = rng.integers(0, 2, size=(count, n))
-    for stage in (lambda: _typical_survivors(ctx, ids_a, ids_b, s_seq, y_seq, cfg.epsilon),
-                  lambda: _ml_survivors(ctx, ids_a, ids_b, s_seq, y_seq)):
+    expect = literal_argmax(literal_grid(ctx.channel.log, s_seq, y_seq, ids_a, ids_b) / n)
+    draws = ids_a, ids_b, s_seq, y_seq
+    for decoder, stage in [("typicality", lambda: _typical_survivors(ctx, *draws, cfg.epsilon)),
+                           ("max_likelihood", lambda: _ml_survivors(ctx, *draws))]:
         tracemalloc.start()
         try:
-            trial, _, _ = stage()
+            found = stage()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(np.unique(trial), np.arange(count))
-        assert peak < 8 * mcsim.PAIR_BLOCK_CELLS * 8, peak
+        if decoder == "typicality":
+            assert np.array_equal(np.unique(found[0]), np.arange(count))
+        else:
+            assert [x.tolist() for x in found] == expect
+        assert peak < 8 * mcsim.PAIR_BLOCK_CELLS * 8, (decoder, peak)
+
+
+def test_ml_holds_nothing_per_tie(rng):
+    # every pair of the null channel scores -1 bit a letter, so all 4 x 338 x
+    # 338 pairs of this chunk tie. ML keeps a count and a first tie per trial:
+    # its peak is that of the pair kernel's blocks, less than 8 bytes a tie
+    spec = load("null-channel")
+    chan = induced_strategy_channel(spec)
+    policy = TeamPolicy(pi_a=np.array([0.4, 0.1, 0.2, 0.3]), pi_b=np.array([0.3, 0.2, 0.1, 0.4]))
+    cfg = SimConfig(blocklength=12, rate_a=0.7, rate_b=0.7, seed=2)
+    ctx = _DecodeContext(spec, chan, policy)
+    ctx.channel  # built before tracing starts
+    count, n = 4, cfg.blocklength
+    books = [generate_codebooks(policy, cfg, stream(2, k, ROLE_CODEBOOKS)) for k in range(count)]
+    ids_a, ids_b = np.stack([b.ids_a for b in books]), np.stack([b.ids_b for b in books])
+    s_seq, y_seq = rng.integers(0, 2, size=(2, count, n))
+    tracemalloc.start()
+    try:
+        ties, rows, cols = _ml_survivors(ctx, ids_a, ids_b, s_seq, y_seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 8 * mcsim.PAIR_BLOCK_CELLS * 8
+    assert peak < bound, peak
+    assert ties.tolist() == [338 * 338] * count and 8 * ties.sum() > bound
+    assert rows.tolist() == cols.tolist() == [0] * count
 
 
 def test_only_the_ml_decoder_builds_the_channel_log_table():
@@ -1003,18 +1108,22 @@ def test_error_decomposition_and_reproducibility(monkeypatch):
     assert other != first  # different seed should move something
 
 
-@pytest.mark.parametrize("name, policy, n, rate, eps, counts", [
+@pytest.mark.parametrize("name, policy, n, rate, eps, counts, argmax", [
     # above the 1-bit cap: every trial is ambiguous for both decoders
     ("mod2-adder-noiseless", [0.5, 0.0, 0.0, 0.5], 12, 0.7, 0.05,
-     {"typicality": (0, 20, 0), "max_likelihood": (0, 20, 0)}),
+     {"typicality": (0, 20, 0), "max_likelihood": (0, 20, 0)}, 569),
     ("mod2-adder-bsc01", [0.25] * 4, 8, 0.4, 0.3,
-     {"typicality": (1, 12, 3), "max_likelihood": (0, 2, 8)}),
+     {"typicality": (1, 12, 3), "max_likelihood": (0, 2, 8)}, 22),
     # 2x2 codebooks: chunks of many small trials share the pair kernel's blocks
     ("mod2-adder-noiseless", [0.5, 0.0, 0.0, 0.5], 4, 0.2, 0.05,
-     {"typicality": (0, 3, 0), "max_likelihood": (0, 3, 0)}),
-], ids=["above-cap", "mixed", "below-cap"])
-def test_pinned_outcome_counts(name, policy, n, rate, eps, counts, monkeypatch):
-    # (no_typical, ambiguous, wrong), fixed: a faster decoder must not move them
+     {"typicality": (0, 3, 0), "max_likelihood": (0, 3, 0)}, 23),
+    # the output ignores the inputs: every one of the 20 x 16 x 16 pairs is an argmax
+    ("null-channel", [0.4, 0.1, 0.2, 0.3], 8, 0.5, 0.3,
+     {"typicality": (0, 20, 0), "max_likelihood": (0, 20, 0)}, 5120),
+], ids=["above-cap", "mixed", "below-cap", "null-channel"])
+def test_pinned_outcome_counts(name, policy, n, rate, eps, counts, argmax, monkeypatch):
+    # (no_typical, ambiguous, wrong) and ML's argmax count, fixed: a faster
+    # decoder must not move them
     spec = load(name)
     chan = induced_strategy_channel(spec)
     team = TeamPolicy(pi_a=np.array(policy), pi_b=np.array(policy))
@@ -1025,6 +1134,8 @@ def test_pinned_outcome_counts(name, policy, n, rate, eps, counts, monkeypatch):
         got = (report.no_typical_count, report.decoder_ambiguous_count,
                report.wrong_decode_count)
         assert got == expect, decoder
+        if decoder == "max_likelihood":
+            assert report.diagnostics["argmax"] == argmax
         with monkeypatch.context() as patch:
             patch.setattr(mcsim, "TRIAL_CELL_BUDGET", 1)  # one trial per chunk
             assert estimate_error(spec, chan, team, cfg) == report
