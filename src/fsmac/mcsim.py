@@ -30,24 +30,24 @@ trial gives its surviving rows, and its surviving columns are padded to the
 chunk's widest trial. That matrix is taken a block of rows at a time
 (PAIR_BLOCK_CELLS pairs at most, across trial boundaries, and no more
 trials than one letter's column cuts fit in as many cells). A block first
-ANDs each letter's cut of the table's positive cells into a one-byte mask
-and keeps only the rows with a pair on positive cells; then each letter's
-log-likelihoods are added to the kept rows in one reused buffer while it
-is in cache, and the block is tested as soon as it is summed. Every block
-reads its alive pairs off its sums by one rule: a sum holding a zero cell
-is at most -2^40 and any other is above it, and such a pair fails every
-admitted epsilon and loses to every pair of positive likelihood, the
-transmitted pair among them, so a dropped row could neither pass nor win.
-A block whose letters have no zero cell on the policy's support skips the
-mask pass, so channels without zero cells never take one. So does a block
-whose trials' column cuts do not fit in one gather (many small trials, or
-long ones), since a mask pass would gather them twice. Survivors come out
-in trial order and row-major within a trial, with no pair-sized array
-made per letter or per trial and no loop over trials. The ML decoder
-stacks every pair the same way and keeps, block by block, each trial's
-best score so far, its tie count and its first tie: the outcome needs no
-list of pairs. Every stage gathers one letter at a time, so none holds an
-array of candidates by letters.
+compares each letter's float cut of the log table to -2^40, ANDs the alive
+cuts into a one-byte mask and keeps only the rows with a pair on positive
+cells; then each letter's log-likelihoods are added to the kept rows in one
+reused buffer while it is in cache, and the block is tested as soon as it
+is summed. Every block reads its alive pairs off its sums by one rule: a
+sum holding a zero cell is at most -2^40 and any other is above it, and
+such a pair fails every admitted epsilon and loses to every pair of
+positive likelihood, the transmitted pair among them, so a dropped row
+could neither pass nor win. One flag per table, whether it has a zero cell
+on the policy's support, decides the mask pass, so a channel without zero
+cells never takes one. A block whose trials' column cuts do not fit in one
+gather (many small trials, or long ones) skips it too, since a mask pass
+would gather them twice. Survivors come out in trial order and row-major
+within a trial, with no pair-sized array made per letter or per trial and
+no loop over trials. The ML decoder stacks every pair the same way and
+keeps, block by block, each trial's best score so far, its tie count and
+its first tie: the outcome needs no list of pairs. Every stage gathers one
+letter at a time, so none holds an array of candidates by letters.
 
 Trials run as rows of chunks. Each trial draws its codebooks, states,
 messages and output uniforms from its own counter-based streams keyed by
@@ -255,18 +255,17 @@ def _log_table(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 class _PairTable(NamedTuple):
-    """A full (S, A, B, Y) log table as the pair kernel reads it: the table,
-    its cells of positive probability, and for each letter (s, y) whether
-    that slice has a zero cell on the policy's support."""
+    """A full (S, A, B, Y) log table as the pair kernel reads it, and
+    whether it has a zero cell on the policy's support, where a codeword's
+    letters lie; that flag alone decides the kernel's mask pass."""
     log: np.ndarray
-    alive: np.ndarray
-    zero: np.ndarray
+    zero: bool
 
 
 def _pair_table(log_t: np.ndarray, policy: TeamPolicy) -> _PairTable:
-    alive = log_t > _ZERO_LOG
-    on_support = alive[:, policy.pi_a > 0][:, :, policy.pi_b > 0]
-    return _PairTable(log_t, alive, ~on_support.all(axis=(1, 2)))
+    # a byte compare of the table, cut to the support, so no float copy is made
+    dead = (log_t == _ZERO_LOG)[:, policy.pi_a > 0][:, :, policy.pi_b > 0]
+    return _PairTable(log_t, bool(dead.any()))
 
 
 class _DecodeContext:
@@ -385,13 +384,13 @@ def _pair_blocks(table: _PairTable, s_seq, y_seq, ids_a, ids_b, stack):
     A pair is alive when its sum is above -2^40, which a sum holding a zero
     cell never is (see _log_table), and its column is no pad; every block
     reads its alive pairs off its sums by this one rule. A block first ANDs
-    every letter's cut of the table's positive cells into a one-byte mask
-    and keeps only the rows with a pair on positive cells, so the float sums
-    run on those rows alone and a dropped row holds no alive pair. A block
-    whose trials' letters have no zero cell on the policy's support, where a
-    codeword's letters lie, skips the mask pass, so a channel without zero
-    cells never takes one. So does a block that makes its column cuts
-    (below) once per letter, which a mask pass would make twice.
+    every letter's alive cut, its float cut compared to -2^40, into a
+    one-byte mask and keeps only the rows with a pair on positive cells, so
+    the float sums run on those rows alone and a dropped row holds no alive
+    pair. The table's one flag decides the mask pass: a table with no zero
+    cell on the policy's support never takes one. Nor does a block that
+    makes its column cuts (below) once per letter, which a mask pass would
+    make twice.
 
     Each letter's (A, B) table is cut to a block by two 1-D gathers. A
     block inside one trial goes through the smaller of the row and column
@@ -399,9 +398,10 @@ def _pair_blocks(table: _PairTable, s_seq, y_seq, ids_a, ids_b, stack):
     columns first: each trial's (A, width) column cut is gathered from the
     flat table and the block's rows from the cuts. The cuts of every letter
     of as many trials as fit in one block are made at once, by one gather,
-    and those of a block whose trials do not fit once per letter, so no
-    call holds every letter's intermediate. A mask pass cuts the positive
-    cells by the same route as the floats. Every cut spans the chunk's
+    and compared once for the mask pass; those of a block whose trials do
+    not fit are made once per letter, so no call holds every letter's
+    intermediate. A rows-first mask pass compares each (rows, B)
+    intermediate before its column take. Every cut spans the chunk's
     widest column count, so a kept row's pads are gathered and summed too.
     Only the block's rows and its trials' columns are copied, as flat-table
     offsets with a letter per column."""
@@ -410,15 +410,13 @@ def _pair_blocks(table: _PairTable, s_seq, y_seq, ids_a, ids_b, stack):
     if total == 0:
         return
     _, count_a, count_b, size_y = table.log.shape
-    full, flat, step_a = (table.log, table.alive), table.log.reshape(-1), count_b * size_y
+    flat, step_a = table.log.reshape(-1), count_b * size_y
     step = np.arange(count_a)[:, None] * step_a
     # flat codebook rows of the stacked rows and of each trial's columns
     flat_a, flat_b = ids_a.reshape(-1, n), ids_b.reshape(-1, n)
     rows_at = trials[row_trial] * ids_a.shape[1] + row_ids
     cols_at = (trials * ids_b.shape[1])[:, None] + col_ids
     letter_key = (s_seq[trials] * (count_a * step_a) + y_seq[trials]).T
-    # the trials with a letter whose slice has a zero cell on the support
-    needs_mask = table.zero[s_seq[trials], y_seq[trials]].any(axis=1)
     unpadded = np.arange(width) < widths[:, None]
     padded = not unpadded.all()
 
@@ -433,13 +431,14 @@ def _pair_blocks(table: _PairTable, s_seq, y_seq, ids_a, ids_b, stack):
         # each letter's (trials * A, width) column cuts, made as they are read
         return (flat.take(key[:, None] + step).reshape(-1, width) for key in keys)
 
-    def cuts(src, ia, letters):
+    def cuts(src, ia, letters, alive=False):
         # each letter's cut of src to the rows ia: from its (A, B) slice given
-        # the trial's letters, else from its column cuts
-        if letters is not None:
-            return (src[s, :, :, y].take(a, axis=0).take(b, axis=1)
-                    for s, y, b, a in zip(*letters, ia.T))
-        return (cut.take(key, axis=0) for cut, key in zip(src, ia.T))
+        # the trial's letters, compared to -2^40 between its two takes if
+        # alive, else from its column cuts, which a hoist compared
+        if letters is None:
+            return (cut.take(key, axis=0) for cut, key in zip(src, ia.T))
+        rows = (src[s, :, :, y].take(a, axis=0) for s, y, a in zip(*letters[:2], ia.T))
+        return ((r > _ZERO_LOG if alive else r).take(b, axis=1) for r, b in zip(rows, letters[2]))
 
     first = np.searchsorted(row_trial, np.arange(count + 1))
     span = PAIR_BLOCK_CELLS // (n * count_a * width)  # trials whose cuts fit in a block
@@ -455,26 +454,25 @@ def _pair_blocks(table: _PairTable, s_seq, y_seq, ids_a, ids_b, stack):
         ia = flat_a.take(rows_at[r0:r1], axis=0)  # a letter's ids are a column
         letters = None
         if k1 - k0 == 1 and count_a * width > (first[k1] - first[k0]) * count_b:  # rows first
-            k, sources = trials[k0], full
+            k, sources = trials[k0], (table.log,) * 2
             letters = s_seq[k].tolist(), y_seq[k].tolist(), flat_b.take(cols_at[k0], axis=0).T
         else:  # columns first
             c0, c1, sources = hoisted
             if k1 - k0 > span:
                 c0, keys = k0, col_keys(k0, k1)
-                sources = [letter_cuts(keys)]  # no mask pass reads the positive cells here
+                sources = [letter_cuts(keys)]  # which no mask pass reads
             elif not c0 <= k0 < k1 <= c1:
                 c0, c1 = k0, min(count, k0 + span)
-                at = col_keys(c0, c1)[:, :, None] + step
-                # the positive cells' cuts only where some trial needs the mask
-                sources = [src.reshape(-1).take(at).reshape(n, -1, width)
-                           for src in full[:1 + needs_mask[c0:c1].any()]]
+                cut = flat.take(col_keys(c0, c1)[:, :, None] + step).reshape(n, -1, width)
+                # the alive cuts a mask pass ANDs, compared once per hoist
+                sources = [cut, cut > _ZERO_LOG] if table.zero else [cut]
                 hoisted = c0, c1, sources
             ia += ((row_trial[r0:r1] - c0) * count_a)[:, None]
         kept = np.arange(r0, r1)
         # a mask pass would make per-letter column cuts twice, so only a block
         # whose cuts are made at once, or that goes rows first, takes one
-        if needs_mask[k0:k1].any() and (letters is not None or k1 - k0 <= span):
-            cells = cuts(sources[1], ia, letters)
+        if table.zero and (letters is not None or k1 - k0 <= span):
+            cells = cuts(sources[1], ia, letters, alive=True)
             alive = next(cells)
             for cut in cells:
                 alive &= cut

@@ -1,8 +1,7 @@
 """Monte Carlo simulator tests.
 
 The decoder is cross-checked against the subset-by-subset reference
-predicate on every message pair, and the Wilson interval against the
-statsmodels and scipy implementations.
+predicate on every message pair, and the Wilson interval against scipy's.
 """
 
 import itertools
@@ -105,17 +104,6 @@ def test_config_validation():
 
 
 # ---------------------------------------------------------------- wilson
-
-def test_wilson_matches_statsmodels():
-    statsmodels = pytest.importorskip("statsmodels.stats.proportion")
-    for errors, trials in [(0, 50), (50, 50), (7, 200), (1, 3), (123, 1000)]:
-        low, high = wilson_interval(errors, trials)
-        ref_low, ref_high = statsmodels.proportion_confint(
-            errors, trials, alpha=0.05, method="wilson"
-        )
-        assert low == pytest.approx(float(ref_low), abs=1e-12)
-        assert high == pytest.approx(float(ref_high), abs=1e-12)
-
 
 def test_wilson_matches_scipy():
     stats = pytest.importorskip("scipy.stats")
@@ -502,7 +490,7 @@ def test_masked_survivors_match_the_definition(rng, monkeypatch):
     for spec, chan, policy, n, rate, eps in zero_cell_cases(rng):
         ctx = _DecodeContext(spec, chan, policy)
         law = joint_law(spec, chan, policy)
-        assert ctx.full.zero.any() and ctx.channel.zero.any()
+        assert ctx.full.zero and ctx.channel.zero
         for decoder, stage in [("typicality", "_typical_survivors"),
                                ("max_likelihood", "_ml_survivors")]:
             cfg = SimConfig(blocklength=n, rate_a=rate, rate_b=rate, epsilon=eps,
@@ -538,26 +526,22 @@ def test_masked_survivors_match_the_definition(rng, monkeypatch):
                         assert [x.tolist() for x in found] == expect, (decoder, budget)
 
 
-class CountingTable:
-    """An array stand-in that counts the pair kernel's reads of it."""
-
-    def __init__(self, array):
-        self.array, self.reads = array, 0
-
-    def __getitem__(self, key):
-        self.reads += 1
-        return self.array[key]
-
-    def reshape(self, *shape):
-        self.reads += 1
-        return self.array.reshape(*shape)
+def mask_passed_rows(table, s_seq, y_seq, ids_a, ids_b, stack, monkeypatch) -> int:
+    """The stacked rows whose blocks take the pair kernel's mask pass. With
+    every cell read as dead, a block that takes the pass keeps no row, and
+    one that does not keeps all of its rows."""
+    with monkeypatch.context() as patch:
+        patch.setattr(mcsim, "_ZERO_LOG", np.inf)
+        kept = sum(rows.size for rows, _, _ in
+                   _pair_blocks(table, s_seq, y_seq, ids_a, ids_b, stack))
+    return stack[1].size - kept
 
 
 def test_strictly_positive_law_makes_no_mask_pass(rng, monkeypatch):
-    # the kernel reads a table's positive cells only for a mask pass; on a
-    # fully stochastic spec under full-support policies no letter has a zero
-    # cell, so it never reads them, on either route, and its sums are the
-    # literal ones. The zero-cell cases read them, and mask pairs.
+    # the kernel takes a mask pass only on a table with a zero cell on the
+    # policy's support; on a fully stochastic spec under full-support
+    # policies there is none, so no block takes one, on either route, and
+    # its sums are the literal ones. The zero-cell cases take it, and mask pairs.
     spec = random_spec(rng, sizes=dict(xa=2, xb=3, s=2, sa=2, sb=1, y=3))
     chan = induced_strategy_channel(spec)
     policy = TeamPolicy(pi_a=rng.dirichlet(np.ones(chan.space_a.count)),
@@ -568,7 +552,7 @@ def test_strictly_positive_law_makes_no_mask_pass(rng, monkeypatch):
     for ((spec, chan, policy, n, rate, _), masks), (ra, rb) in itertools.product(
             zip(cases, [False, True, True, True]), [(1, 0.3), (0.3, 1)]):
         ctx = _DecodeContext(spec, chan, policy)
-        assert ctx.channel.zero.any() == ctx.full.zero.any() == masks
+        assert ctx.channel.zero == ctx.full.zero == masks
         cfg = SimConfig(blocklength=n, rate_a=ra * rate, rate_b=rb * rate, seed=4)
         books = [generate_codebooks(policy, cfg, stream(4, k, ROLE_CODEBOOKS)) for k in range(3)]
         ids_a, ids_b = np.stack([b.ids_a for b in books]), np.stack([b.ids_b for b in books])
@@ -577,22 +561,23 @@ def test_strictly_positive_law_makes_no_mask_pass(rng, monkeypatch):
         y_seq = np.array([[rng.choice(spec.size_y, p=chan.q[s, a, b])
                            for s, a, b in zip(s_seq[k], ids_a[k, 0], ids_b[k, 0])]
                           for k in range(3)])
-        # cuts made at once, which a mask pass reads; cuts made per letter,
+        # cuts made at once, which a mask pass compares; cuts made per letter,
         # which it would make twice, so the sums show the zero cells; and
-        # one-pair blocks, rows first on the short codebook
+        # one-pair blocks
         budgets = [mcsim.PAIR_BLOCK_CELLS, n * chan.space_a.count * cfg.messages_b - 1, 1]
+        stack = every_pair(ids_a, ids_b)
         for table in (ctx.channel, ctx.full):
             literal = literal_grid(table.log, s_seq, y_seq, ids_a, ids_b)
             for budget in budgets:
-                counting = CountingTable(table.alive)
                 with monkeypatch.context() as patch:
                     patch.setattr(mcsim, "PAIR_BLOCK_CELLS", budget)
-                    sums, _, _ = stacked_sums(table._replace(alive=counting), s_seq, y_seq,
-                                              ids_a, ids_b, every_pair(ids_a, ids_b))
+                    sums, _, _ = stacked_sums(table, s_seq, y_seq, ids_a, ids_b, stack)
+                    passed = mask_passed_rows(table, s_seq, y_seq, ids_a, ids_b, stack,
+                                              monkeypatch)
                 assert_kernel_sums(sums, literal)
-                if budget != 1:
-                    assert (counting.reads > 0) == (masks and budget == budgets[0]), budget
-                assert counting.reads == 0 or masks
+                # per-letter cuts take no pass; one-pair blocks take it rows first
+                takes_pass = budget == budgets[0] or (budget == 1 and ra < rb)
+                assert (passed > 0) == (masks and takes_pass), budget
                 assert (sums == -np.inf).any() == masks
 
 
@@ -668,7 +653,7 @@ def stacked_sums(table, s_seq, y_seq, ids_a, ids_b, stack) -> tuple:
         return sums, summed, straddled
 
     masked, _, _ = grid(table)
-    skipped, unmasked, straddled = grid(table._replace(zero=np.zeros_like(table.zero)))
+    skipped, unmasked, straddled = grid(table._replace(zero=False))
     assert masked.tobytes() == skipped.tobytes()
     return masked, unmasked, straddled
 
@@ -1004,7 +989,13 @@ def test_only_the_ml_decoder_builds_the_channel_log_table():
     # zero cells, which this channel has, read as -2^40, not log2_floor's -996.6
     assert (chan.q == 0).any()
     assert np.array_equal(ctx.channel.log, np.where(chan.q > 0, log2_floor(chan.q), -2.0 ** 40))
-    assert np.array_equal(ctx.channel.alive, chan.q > 0)
+    # the table itself tells the positive cells, so the kernel holds no mask
+    # of them, only a flag: this policy's support, the identity and flip
+    # tables, misses the zero cells, which a full-support policy reaches
+    assert np.array_equal(ctx.channel.log > -2.0 ** 40, chan.q > 0)
+    assert ctx.channel._fields == ("log", "zero") and ctx.channel.zero is False
+    full = TeamPolicy(pi_a=np.array([0.4, 0.1, 0.2, 0.3]), pi_b=np.array([0.3, 0.2, 0.1, 0.4]))
+    assert _DecodeContext(spec, chan, full).channel.zero is True
 
 
 def test_ml_run_never_builds_the_joint_law(monkeypatch):
@@ -1022,13 +1013,9 @@ def test_ml_run_never_builds_the_joint_law(monkeypatch):
         estimate_error(spec, chan, two_strategy_policy(), replace(cfg, decoder="typicality"))
 
 
-def test_decode_context_holds_no_copy_of_the_law(monkeypatch):
-    # q of 2 * 32 * 32 * 4 cells sits at the cell cap, patched down to 2**13.
-    # The full subset's table is read off the law itself, and its log is
-    # taken in place, so the build peaks at that subset's entropy (the law,
-    # the other subsets' tables, the law's log table and its product with
-    # the law, about 3.1 q). A copy of the law beside it took 5.1 q, and
-    # log2_floor's temporary beside the log table 4.1 q.
+def cap_size_case(monkeypatch) -> tuple:
+    """(spec, channel, policy) whose q of 2 * 32 * 32 * 4 cells sits at the
+    cell cap, patched down to 2**13, under uniform policies."""
     monkeypatch.setattr(strategy, "CELL_CAP", 1 << 13)
     s, sa, sb, y = 2, 5, 5, 4
     spec = FsMacSpec(size_xa=2, size_xb=2, size_s=s, size_sa=sa, size_sb=sb, size_y=y,
@@ -1037,7 +1024,16 @@ def test_decode_context_holds_no_copy_of_the_law(monkeypatch):
     check_channel_cells(spec)
     chan = induced_strategy_channel(spec)
     assert chan.q.size == strategy.CELL_CAP
-    policy = TeamPolicy(pi_a=np.full(32, 1 / 32), pi_b=np.full(32, 1 / 32))
+    return spec, chan, TeamPolicy(pi_a=np.full(32, 1 / 32), pi_b=np.full(32, 1 / 32))
+
+
+def test_decode_context_holds_no_copy_of_the_law(monkeypatch):
+    # The full subset's table is read off the law itself, and its log is
+    # taken in place, so the build peaks at that subset's entropy (the law,
+    # the other subsets' tables, the law's log table and its product with
+    # the law, about 3.1 q). A copy of the law beside it took 5.1 q, and
+    # log2_floor's temporary beside the log table 4.1 q.
+    spec, chan, policy = cap_size_case(monkeypatch)
     tracemalloc.start()
     try:
         ctx = _DecodeContext(spec, chan, policy)
@@ -1052,6 +1048,25 @@ def test_decode_context_holds_no_copy_of_the_law(monkeypatch):
         marg = law.sum(axis=tuple(i for i in range(4) if i not in combo), keepdims=True)
         assert log_t.tobytes() == log2_floor(marg).tobytes(), combo
         assert ent == float(-(marg * log2_floor(marg)).sum()), combo
+
+
+@pytest.mark.parametrize("table, peak_q, held_q", [("full", 3.25, 2.1), ("channel", 1.35, 1.05)])
+def test_pair_tables_hold_one_log_table(table, peak_q, held_q, monkeypatch):
+    # each decoder's pair table is its log table and one flag, read off the
+    # table by a byte compare: typicality's, with the other subsets' tables,
+    # builds at 3.19 q and holds 2.06 q; ML's builds at 1.32 q and holds
+    # 1.00 q. A byte table of the positive cells beside either adds 0.125 q
+    # held, and a float copy of the table to read the flag adds 1 q at peak.
+    spec, chan, policy = cap_size_case(monkeypatch)
+    ctx = _DecodeContext(spec, chan, policy)
+    tracemalloc.start()
+    try:
+        getattr(ctx, table)  # built on first read
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < peak_q * chan.q.nbytes, peak / chan.q.nbytes
+    assert held < held_q * chan.q.nbytes, held / chan.q.nbytes
 
 
 # ---------------------------------------------------------------- trials
