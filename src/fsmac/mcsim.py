@@ -51,10 +51,15 @@ letter at a time, so none holds an array of candidates by letters.
 
 Trials run as rows of chunks. Each trial draws its codebooks, states,
 messages and output uniforms from its own counter-based streams keyed by
-(seed, item, role); a run keeps one generator and re-keys it to each
-stream in turn, which draws exactly what a fresh stream would. Every
-categorical draw searches a cdf built once per run with uniforms from the
-stream, the same steps and the same values as ``Generator.choice``. The
+(seed, item, role), and a chunk draws its trials together. A run keeps one
+generator and re-keys it to each trial's codebook stream in turn, which
+draws exactly what a fresh stream would, into one buffer for the chunk; the
+trial streams of the whole chunk come from one Philox kernel that computes
+numpy's words and its ``random`` and ``integers`` transforms of them bit for
+bit, and a trial whose message draw numpy would reject and redraw is drawn
+again by numpy itself. Every categorical draw searches a cdf built once per
+run with uniforms from the stream, the same steps and the same values as
+``Generator.choice``, one search per sender for the chunk's codebooks. The
 channel outputs and every filter are then computed once per chunk, and the
 listed subsets score one survivor list that spans the chunk's trials.
 Scores are bit-identical to a trial decoded alone, so results, and the
@@ -74,13 +79,13 @@ import numpy as np
 from .errors import GuardError, InternalInvariantError
 from .model import FsMacSpec, StrategyChannel
 from .rates import JointLaw, TeamPolicy, _marginal, joint_law, log2_floor
-from .rng import ROLE_CODEBOOKS, ROLE_TRIAL, rekey, stream
+from .rng import ROLE_CODEBOOKS, ROLE_TRIAL, bounded, philox_words, rekey, stream, unit_floats
 
 BLOCKLENGTH_CAP = 1 << 16     # the decoder holds about 240 bytes per letter per trial
 MESSAGE_CAP = 1 << 20
 PAIR_CAP = 1 << 20
 CODEBOOK_CELL_CAP = 1 << 24   # blocklength * (messages_a + messages_b)
-TRIAL_CAP = 1 << 20           # a run's time: each trial re-keys two streams, draws two codebooks
+TRIAL_CAP = 1 << 20           # a run's time: each trial re-keys its codebook stream and draws it
 # Cells of codebooks and letters one chunk of trials holds; a chunk's message
 # pairs are held to PAIR_CAP, the most one trial may have.
 TRIAL_CELL_BUDGET = 1 << 16
@@ -613,6 +618,44 @@ def _draw_trial(ctx: _DecodeContext, cfg: SimConfig, rng: np.random.Generator) -
     return s_seq, wa, wb, rng.random(n)
 
 
+def _draw_chunk(ctx: _DecodeContext, cfg: SimConfig, rng: np.random.Generator,
+                items: range) -> tuple:
+    """The draws of a chunk of trials, one per item, as _decode_chunk takes
+    them: trial by trial what _draw_codebooks draws on the item's codebook
+    stream and _draw_trial on its trial stream, value for value.
+
+    Each trial re-keys rng to its codebook stream and draws its uniforms
+    into one float buffer, sender a's part of every trial laid out before
+    sender b's, so one cdf search per sender reads its part in place. The
+    trial streams come from philox_words at once: n state words, one word
+    whose 32-bit halves draw the messages (none if both counts are 1, since
+    a count of 1 takes no draw) and n output words. A trial whose message
+    draw numpy would reject, and so redraw, is drawn again by _draw_trial
+    on its re-keyed trial stream. Beside the codebooks' ids the draw holds
+    one float buffer of as many cells, and arrays the size of the trials'
+    letters."""
+    n, ma, mb = cfg.blocklength, cfg.messages_a, cfg.messages_b
+    count = len(items)
+    u = np.empty(count * (ma + mb) * n)
+    u_a, u_b = u[:count * ma * n].reshape(count, ma, n), u[count * ma * n:].reshape(count, mb, n)
+    for j, item in enumerate(items):
+        rekey(rng, cfg.seed, item, ROLE_CODEBOOKS)
+        rng.random(out=u_a[j])
+        rng.random(out=u_b[j])
+    ids_a = ctx.cdf_a.searchsorted(u_a, side="right")
+    ids_b = ctx.cdf_b.searchsorted(u_b, side="right")
+    senders = [k for k, m in enumerate((ma, mb)) if m > 1]
+    words = philox_words(cfg.seed, items, ROLE_TRIAL, 2 * n + bool(senders))
+    s_seq = ctx.cdf_s.searchsorted(unit_floats(words[:, :n]), side="right")
+    uniforms = unit_floats(words[:, -n:])
+    messages = np.zeros((2, count), dtype=np.intp)
+    messages[senders], redraw = bounded(words[:, n], [(ma, mb)[k] for k in senders])
+    for j in np.flatnonzero(redraw):
+        rekey(rng, cfg.seed, items[j], ROLE_TRIAL)
+        s_seq[j], messages[0, j], messages[1, j], uniforms[j] = _draw_trial(ctx, cfg, rng)
+    return ids_a, ids_b, s_seq, messages[0], messages[1], uniforms
+
+
 def _decode_chunk(ctx: _DecodeContext, cfg: SimConfig, ids_a, ids_b, s_seq,
                   wa, wb, uniforms) -> tuple:
     """Outcome codes, decoded pairs and output sequences of a chunk of trials
@@ -656,7 +699,11 @@ def run_trial(spec: FsMacSpec, chan: StrategyChannel, books: Codebooks,
 
 def _trial_cells(spec: FsMacSpec, cfg: SimConfig) -> int:
     """Cells one trial adds to a chunk: its codebooks and its letters
-    (states, uniforms, outputs and their per-letter pmfs)."""
+    (states, uniforms, outputs and their per-letter pmfs). The chunk's draw
+    (see _draw_chunk) holds at most one float buffer the size of the
+    chunk's codebooks beside ids_a and ids_b, which the search makes, and
+    preallocates no other array; the buffer is freed before the chunk
+    decodes, so it is not counted here."""
     n, ma, mb = cfg.blocklength, cfg.messages_a, cfg.messages_b
     return n * (ma + mb + 3 + spec.size_y)
 
@@ -692,22 +739,11 @@ def estimate_error(spec: FsMacSpec, chan: StrategyChannel, policy: TeamPolicy,
     """
     ctx = _DecodeContext(spec, chan, policy)
     size = _chunk_trials(spec, cfg)
-    rng = stream(cfg.seed)  # re-keyed to each trial's streams in turn
+    rng = stream(cfg.seed)  # re-keyed to each trial's codebook stream in turn
     counts = np.zeros(len(OUTCOMES), dtype=np.int64)
     for start in range(0, cfg.trials, size):
-        # the draws go straight into chunk arrays, so no trial's objects outlive it
-        count, n = min(size, cfg.trials - start), cfg.blocklength
-        ids_a = np.empty((count, cfg.messages_a, n), dtype=np.intp)
-        ids_b = np.empty((count, cfg.messages_b, n), dtype=np.intp)
-        s_seq, uniforms = np.empty((count, n), dtype=np.intp), np.empty((count, n))
-        wa, wb = np.empty(count, dtype=np.intp), np.empty(count, dtype=np.intp)
-        for j, item in enumerate(range(start, start + count)):
-            # each stream's draws end before the next re-key, so no draw aliases
-            rekey(rng, cfg.seed, item, ROLE_CODEBOOKS)
-            ids_a[j], ids_b[j] = _draw_codebooks(rng, ctx.cdf_a, ctx.cdf_b, cfg)
-            rekey(rng, cfg.seed, item, ROLE_TRIAL)
-            s_seq[j], wa[j], wb[j], uniforms[j] = _draw_trial(ctx, cfg, rng)
-        codes, _, _ = _decode_chunk(ctx, cfg, ids_a, ids_b, s_seq, wa, wb, uniforms)
+        draws = _draw_chunk(ctx, cfg, rng, range(start, min(cfg.trials, start + size)))
+        codes, _, _ = _decode_chunk(ctx, cfg, *draws)
         counts += np.bincount(codes, minlength=len(OUTCOMES))
     no_typical, _, ambiguous, wrong = (int(c) for c in counts)
     errors = no_typical + ambiguous + wrong

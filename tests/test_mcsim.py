@@ -5,6 +5,7 @@ predicate on every message pair, and the Wilson interval against scipy's.
 """
 
 import itertools
+import math
 import runpy
 import sys
 import tracemalloc
@@ -40,7 +41,7 @@ from fsmac.mcsim import (
 )
 from fsmac.model import FsMacSpec, check_channel_cells, induced_strategy_channel
 from fsmac.rates import TeamPolicy, joint_law, log2_floor
-from fsmac.rng import ROLE_CODEBOOKS, ROLE_TRIAL, stream
+from fsmac.rng import ROLE_CODEBOOKS, ROLE_TRIAL, rekey, stream
 
 from conftest import random_deterministic_spec, random_spec
 
@@ -182,6 +183,84 @@ def test_codebook_frequencies_match_policy():
         count = int((books.ids_a == sid).sum())
         sigma = np.sqrt(draws * prob * (1 - prob))
         assert abs(count - draws * prob) <= 4 * sigma + 1, sid
+
+
+def draw_case(ma, mb, n, seed=0) -> tuple:
+    """A context on mod2-adder-bsc01 under two mixed policies, and a config
+    of ma x mb messages over n letters."""
+    spec = load("mod2-adder-bsc01")
+    team = TeamPolicy(pi_a=np.array([0.4, 0.1, 0.2, 0.3]), pi_b=np.array([0.3, 0.2, 0.1, 0.4]))
+    ctx = _DecodeContext(spec, induced_strategy_channel(spec), team)
+    cfg = SimConfig(blocklength=n, rate_a=math.log2(ma) / n, rate_b=math.log2(mb) / n, seed=seed)
+    assert (cfg.messages_a, cfg.messages_b) == (ma, mb)
+    return ctx, cfg
+
+
+def assert_draws_per_trial(ctx, cfg, items, draws):
+    """The chunk's draws, trial by trial, are what _draw_codebooks and
+    _draw_trial draw on one generator re-keyed to the trial's streams."""
+    rng = stream(1)
+    for j, item in enumerate(items):
+        rekey(rng, cfg.seed, item, ROLE_CODEBOOKS)
+        want = mcsim._draw_codebooks(rng, ctx.cdf_a, ctx.cdf_b, cfg)
+        rekey(rng, cfg.seed, item, ROLE_TRIAL)
+        want += mcsim._draw_trial(ctx, cfg, rng)
+        for got, one in zip(draws, want):
+            assert got.dtype == np.asarray(one).dtype
+            assert np.array_equal(got[j], one), (item, cfg)
+
+
+@pytest.mark.parametrize("ma, mb, n", [(1, 1, 3), (1, 3, 2), (5, 1, 4), (6, 4, 3), (338, 59, 2)])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_chunk_draw_equals_each_trials_streams(ma, mb, n, seed):
+    # a count of 1 takes no message draw, so the word count and the halves
+    # the messages read move with (ma, mb)
+    ctx, cfg = draw_case(ma, mb, n, seed)
+    items = range(5, 5 + 13)
+    draws = mcsim._draw_chunk(ctx, cfg, stream(2), items)
+    assert [d.shape for d in draws] == [(13, ma, n), (13, mb, n), (13, n), (13,), (13,), (13, n)]
+    assert_draws_per_trial(ctx, cfg, items, draws)
+
+
+def test_chunk_draw_redraws_what_numpy_rejects(monkeypatch):
+    # at 10^6 messages Lemire's step rejects a draw with probability 2.3e-4;
+    # at seed 0 the message draw of trial 5179 is the first it rejects, so
+    # numpy takes another draw there and _draw_trial draws that trial again
+    ctx, cfg = draw_case(10**6, 1, 1)
+    redrawn = []
+    draw_trial = mcsim._draw_trial
+
+    def counted(*args):
+        redrawn.append(args[2].bit_generator.state["state"]["key"][1] >> 8)
+        return draw_trial(*args)
+
+    items = range(5178, 5181)
+    monkeypatch.setattr(mcsim, "_draw_trial", counted)
+    draws = mcsim._draw_chunk(ctx, cfg, stream(0), items)
+    assert redrawn == [5179]
+    monkeypatch.setattr(mcsim, "_draw_trial", draw_trial)
+    assert_draws_per_trial(ctx, cfg, items, draws)
+
+
+def test_chunk_draw_holds_one_float_buffer():
+    # 16 trials of 1024 x 1024 messages over 2 letters: the codebooks are
+    # 65536 cells, the letters 32. The draw holds one float buffer of the
+    # codebooks' cells beside their ids, 2 x 8 bytes a cell; a copy of one
+    # sender's uniforms adds 4 bytes a cell, and ids preallocated beside the
+    # search's result 8.
+    ctx, cfg = draw_case(1024, 1024, 2)
+    items = range(16)
+    cells = len(items) * (cfg.messages_a + cfg.messages_b) * cfg.blocklength
+    rng = stream(0)
+    tracemalloc.start()
+    try:
+        draws = mcsim._draw_chunk(ctx, cfg, rng, items)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert draws[0].nbytes + draws[1].nbytes == 8 * cells
+    assert peak < 2.25 * 8 * cells, peak / (8 * cells)
+    assert held < 1.05 * 8 * cells, held / (8 * cells)  # the buffer is gone
 
 
 # ---------------------------------------------------------------- typicality

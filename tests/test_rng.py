@@ -1,10 +1,26 @@
-"""Counter-based streams: pinned draws, distinct keys, the seed range, and
-re-keying one generator into the fresh stream of another work item."""
+"""Counter-based streams: pinned draws, distinct keys, the seed range,
+re-keying one generator into the fresh stream of another work item, and
+the array kernel that computes many streams' words and numpy's transforms
+of them."""
+
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from fsmac.rng import ROLE_CODEBOOKS, ROLE_TRIAL, rekey, stream
+from fsmac.rng import (
+    ITEM_LIMIT,
+    ROLE_CODEBOOKS,
+    ROLE_ENCODER,
+    ROLE_RESTART,
+    ROLE_TRIAL,
+    bounded,
+    philox_words,
+    rekey,
+    stream,
+    unit_floats,
+)
 
 # Draws at the two ends of the signed 64-bit seeds, before the key became an
 # explicit uint64 array; every seed in [0, 2**63) keeps its stream bit for bit.
@@ -111,3 +127,65 @@ def test_rekey_equals_a_fresh_stream():
         assert gen.random() == fresh.random()
     # both halves of the cached word and a part-read buffer were re-keyed over
     assert {(1, True), (0, True)} <= held
+
+
+def _raw(seed, item, role, words):
+    key = np.array([seed, (item << 8) | role], dtype=np.uint64)
+    return np.random.Philox(key=key).random_raw(words)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 - 1, 2**64 - 1])
+@pytest.mark.parametrize("item", [0, 2**20, ITEM_LIMIT - 1])
+def test_philox_words_are_numpy_words(seed, item):
+    # every role, a part-used last block and two whole 2^16-letter streams
+    # plus a word; no uint64 scalar may overflow, which would warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for role in (ROLE_CODEBOOKS, ROLE_TRIAL, ROLE_RESTART, ROLE_ENCODER, 255):
+            for words in [*range(1, 10), 2 * 2**16 + 1]:
+                got = philox_words(seed, range(item, item + 1), role, words)
+                assert got.shape == (1, words) and got.dtype == np.uint64
+                assert np.array_equal(got[0], _raw(seed, item, role, words)), (role, words)
+
+
+def test_philox_words_of_many_items_are_each_items_stream():
+    items = range(2**20 - 3, 2**20 + 4)
+    got = philox_words(2**64 - 1, items, ROLE_TRIAL, 11)
+    assert got.shape == (len(items), 11)
+    for row, item in zip(got, items):
+        assert np.array_equal(row, stream(2**64 - 1, item, ROLE_TRIAL).bit_generator.random_raw(11))
+    assert philox_words(0, range(0), ROLE_TRIAL, 3).shape == (0, 3)
+
+
+@pytest.mark.parametrize("seed, items, role, bad_item", [
+    (-1, range(3), ROLE_TRIAL, 0),
+    (2**64, range(3), ROLE_TRIAL, 0),
+    (2**64, range(0), ROLE_TRIAL, 0),
+    (0, range(-1, 2), ROLE_TRIAL, -1),
+    (0, range(ITEM_LIMIT - 1, ITEM_LIMIT + 1), ROLE_TRIAL, ITEM_LIMIT),
+    (0, range(3), 256, 0),
+    (0, range(3), -1, 0),
+])
+def test_philox_words_refuse_what_stream_refuses(seed, items, role, bad_item):
+    with pytest.raises(ValueError) as refused:
+        stream(seed, bad_item, role)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+        philox_words(seed, items, role, 4)
+
+
+@pytest.mark.parametrize("count", [2, 3, 6, 338, 10**6, 2**20])
+def test_transforms_are_numpy_draws(count):
+    # random()'s float of a word, and integers(count) of its two 32-bit
+    # halves in order, wherever Lemire's step keeps the draw
+    items = range(400)
+    words = philox_words(7, items, ROLE_TRIAL, 3)
+    pair, reject_pair = bounded(words[:, 0], [count, count])
+    one, reject_one = bounded(words[:, 0], [count])
+    assert np.array_equal(one, pair[:1]) and (reject_pair >= reject_one).all()
+    for j, item in enumerate(items):
+        gen = stream(7, item, ROLE_TRIAL)
+        want = [int(gen.integers(count)), int(gen.integers(count))]
+        if not reject_pair[j]:
+            assert pair[:, j].tolist() == want, (item, count)
+        gen = stream(7, item, ROLE_TRIAL)
+        assert unit_floats(words[j]).tolist() == gen.random(3).tolist()
