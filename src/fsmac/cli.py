@@ -24,9 +24,10 @@ from typing import Callable
 from . import __version__
 from .converse import random_encoders, verify_factorization
 from .errors import GuardError, InternalInvariantError, SpecFormatError, ValidationError
-from .mcsim import DECODERS, TRIAL_CAP, SimConfig, estimate_error
+from .mcsim import DECODERS, SimConfig, check_trials, estimate_error
 from .model import induced_strategy_channel, load_spec
 from .optimize import (
+    DIRECTIONS,
     OptimizerConfig,
     check_grid_oracle,
     grid_oracle_sum_rate,
@@ -74,11 +75,6 @@ def _write_csv(path: str, header: list, rows) -> None:
 def _num(value) -> str:
     # 17 significant digits round-trip every double
     return format(float(value), ".17g")
-
-
-def _check_threads(args) -> None:
-    if args.threads is not None and not 1 <= args.threads <= THREADS_CAP:
-        raise ValueError(f"threads must be in [1, {THREADS_CAP}], got {args.threads}")
 
 
 def _validate(args, spec, chan):
@@ -248,17 +244,15 @@ def _run(args) -> int:
     # only sumrate, region and simulate have --threads; bad counts fail
     # before the spec is read, though no command runs more than one thread.
     # Bad seeds fail here too, before any restart, trial or encoder draws.
-    if hasattr(args, "threads"):
-        _check_threads(args)
+    threads = getattr(args, "threads", None)
+    if threads is not None and not 1 <= threads <= THREADS_CAP:
+        raise ValueError(f"threads must be in [1, {THREADS_CAP}], got {threads}")
     if cmd.seeded:
         check_seed(args.seed)
     # simulate and verify-converse take --trials; an audit of no codes would
     # report a clean zero deviation, and each trial costs time
     if hasattr(args, "trials"):
-        if args.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {args.trials}")
-        if args.trials > TRIAL_CAP:
-            raise GuardError(f"trial guard: {args.trials} trials exceed cap {TRIAL_CAP}")
+        check_trials(args.trials)
     spec = load_spec(args.spec)
     chan = induced_strategy_channel(spec) if cmd.channel else None
     payload, summary, code = cmd.handler(args, spec, chan)
@@ -295,25 +289,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=out_required,
                        help="write the JSON report here instead of stdout")
 
+    def threads(p, runs):
+        p.add_argument("--threads", type=int, default=None,
+                       help=f"accepted and checked, in [1, {THREADS_CAP}]; changes nothing: "
+                            f"{runs} in one thread")
+
     p = sub.add_parser("validate", help="check a spec file and report sizes")
     common(p)
 
     p = sub.add_parser("sumrate", help="maximize the strategy sum rate")
     common(p)
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted and checked, in [1, 64]; changes nothing: "
-                        "the restarts run as one batch in one thread")
+    p.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
+    threads(p, "the restarts run as one batch")
     p.add_argument("--resolution", type=int, default=None,
                    help="also run the grid oracle at this resolution")
 
     p = sub.add_parser("region", help="trace the achievable rate region hull")
     common(p, out_required=True)
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--directions", type=int, default=33)
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted and checked, in [1, 64]; changes nothing: "
-                        "the restarts run as one batch in one thread")
+    p.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
+    p.add_argument("--directions", type=int, default=DIRECTIONS)
+    threads(p, "the restarts run as one batch")
     p.add_argument("--csv", default=None,
                    help="also write the per-direction pentagon table here")
 
@@ -325,13 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="blocklengths to sweep")
     p.add_argument("--ra", type=float, required=True, help="rate for sender a")
     p.add_argument("--rb", type=float, required=True, help="rate for sender b")
-    p.add_argument("--eps", type=float, default=0.1,
+    p.add_argument("--eps", type=float, default=SimConfig.epsilon,
                    help="typicality tolerance")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--decoder", choices=DECODERS, default="typicality")
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted and checked, in [1, 64]; changes nothing: "
-                        "the trials run as rows of chunks in one thread")
+    p.add_argument("--trials", type=int, default=SimConfig.trials)
+    p.add_argument("--decoder", choices=DECODERS, default=SimConfig.decoder)
+    threads(p, "the trials run as rows of chunks")
     p.add_argument("--csv", default=None, help="write the per-n sweep table here")
 
     p = sub.add_parser("verify-converse",

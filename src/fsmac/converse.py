@@ -168,8 +168,8 @@ def random_encoders(spec: FsMacSpec, blocklength: int, messages_a: int,
 
 def _history_weights(obs_rows: np.ndarray, sigma) -> np.ndarray:
     """P(observation history | past states) over little-endian history index."""
-    vectors = [obs_rows[s] for s in sigma]
-    return reduce(np.kron, reversed(vectors), np.ones(1))
+    return reduce(lambda w, v: np.multiply.outer(w, v).ravel(),
+                  (obs_rows[s] for s in reversed(sigma)), np.ones(1))
 
 
 def _time_and_past(spec: FsMacSpec, maps: EncoderMaps, t: int, sigma) -> tuple:

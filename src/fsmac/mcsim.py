@@ -44,10 +44,11 @@ cells never takes one. A block whose trials' column cuts do not fit in one
 gather (many small trials, or long ones) skips it too, since a mask pass
 would gather them twice. Survivors come out in trial order and row-major
 within a trial, with no pair-sized array made per letter or per trial and
-no loop over trials. The ML decoder stacks every pair the same way and
-keeps, block by block, each trial's best score so far, its tie count and
-its first tie: the outcome needs no list of pairs. Every stage gathers one
-letter at a time, so none holds an array of candidates by letters.
+no loop over trials. The ML decoder stacks every pair the same way; each
+block writes its rows' best score, tie count and first best column, and
+each trial's answer is read off its rows once, after the last block: the
+outcome needs no list of pairs. Every stage gathers one letter at a time,
+so none holds an array of candidates by letters.
 
 Trials run as rows of chunks. Each trial draws its codebooks, states,
 messages and output uniforms from its own counter-based streams keyed by
@@ -110,6 +111,14 @@ def _message_count(blocklength: int, rate: float) -> int:
     return math.ceil(2.0 ** (blocklength * rate) - 1e-9)
 
 
+def check_trials(trials: int) -> None:
+    """Refuse a run of fewer than one trial or more than TRIAL_CAP."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials > TRIAL_CAP:
+        raise GuardError(f"trial guard: {trials} trials exceed cap {TRIAL_CAP}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     blocklength: int
@@ -131,10 +140,7 @@ class SimConfig:
                 raise ValueError(f"rates must be finite and nonnegative, got {rate}")
         if not 0 < self.epsilon <= 100:
             raise ValueError(f"epsilon must be in (0, 100], got {self.epsilon}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.trials > TRIAL_CAP:
-            raise GuardError(f"trial guard: {self.trials} trials exceed cap {TRIAL_CAP}")
+        check_trials(self.trials)
         if self.decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {DECODERS}")
         for rate in (self.rate_a, self.rate_b):
@@ -252,9 +258,7 @@ def _log_table(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     below -2^24 per letter: it fails every epsilon up to 100 and loses to
     every pair of positive likelihood, as the definition rejects it
     outright."""
-    # log2_floor's ufuncs, the log taken in place: the same bits, one table fewer
-    log_t = np.maximum(p, 1e-300, out=out)
-    np.log2(log_t, out=log_t)
+    log_t = log2_floor(p, out=out)
     log_t[p == 0.0] = _ZERO_LOG
     return log_t
 
@@ -560,43 +564,37 @@ def _typical_survivors(ctx: _DecodeContext, ids_a, ids_b, s_seq, y_seq,
 def _ml_survivors(ctx: _DecodeContext, ids_a, ids_b, s_seq, y_seq) -> tuple:
     """Each trial's number of maximum-likelihood pairs and the first of them
     in row-major order, as (count, row, col) arrays over the chunk's trials.
-    Every pair is stacked; each trial's best score so far, its tie count
-    and its first tie are kept block by block, so neither a pair-sized
-    score array nor a list of ties is held. A kept row's masked pairs need
-    no -inf: each holds a zero cell's -2^40, so it loses to the row's alive
-    pairs. The transmitted pair has positive likelihood, so every trial
-    keeps an alive pair."""
+    Every pair is stacked, so stacked row r is codebook row r % ma of trial
+    r // ma. Each block writes its kept rows' best score, tie count and first
+    best column (a dropped row keeps -inf and no ties), and each trial's
+    answer is read off its rows after the last block. A kept row's masked
+    pairs need no -inf: each holds a zero cell's -2^40, so it loses to the
+    row's alive pairs. The transmitted pair has positive likelihood, so
+    every trial keeps an alive pair."""
     stack = _stack(np.ones(ids_a.shape[:2], dtype=bool), np.ones(ids_b.shape[:2], dtype=bool))
-    _, row_trial, row_ids, col_ids, _ = stack
-    n, width = s_seq.shape[1], col_ids.shape[1]
-    pairs = row_trial.size * width
-    best = np.full(s_seq.shape[0], -np.inf)
-    # each trial's tie count and first tie, as a stacked (row, column) offset
+    (trials, ma), n = ids_a.shape[:2], s_seq.shape[1]
+    pairs = trials * ma * ids_b.shape[1]
+    best = np.full(trials * ma, -np.inf)
     ties, first = np.zeros((2, best.size), dtype=np.intp)
     alive_pairs = 0
     for kept, block, alive in _pair_blocks(ctx.channel, s_seq, y_seq, ids_a, ids_b, stack):
         alive_pairs += np.count_nonzero(alive)
-        k = row_trial[kept]
-        row_best = np.divide(block, n, out=block).max(axis=1)
-        before = best[k]
-        np.maximum.at(best, k, row_best)
-        # a trial whose best this block raised drops its earlier ties
-        raised = k[best[k] > before]
-        ties[raised], first[raised] = 0, pairs
-        # only a row that holds its trial's best so far holds ties
-        top = np.flatnonzero(row_best == best[k])
-        hit = block[top] == row_best[top, None]
-        np.add.at(ties, k[top], np.count_nonzero(hit, axis=1))
-        np.minimum.at(first, k[top], kept[top] * width + hit.argmax(axis=1))
-    # a trial whose rows were all dropped keeps -inf, and one whose best sum
+        col = np.divide(block, n, out=block).argmax(axis=1)
+        top = np.take_along_axis(block, col[:, None], axis=1)
+        best[kept], ties[kept], first[kept] = top[:, 0], np.count_nonzero(block == top, 1), col
+    best, ties, first = (a.reshape(trials, ma) for a in (best, ties, first))
+    top = best.max(axis=1)
+    # a trial whose rows were all dropped reads -inf, and one whose best sum
     # holds a zero cell reads at most -2^40 / n, below every alive pair's
-    if not (best > _ZERO_LOG / n).all():
+    if not (top > _ZERO_LOG / n).all():
         raise InternalInvariantError("ML found a trial with no alive pair")
-    if not ties.all():
+    hit = best == top[:, None]
+    count = (ties * hit).sum(axis=1)
+    if not count.all():
         raise AssertionError("ML always has at least one argmax")
-    ctx.counts.update(pairs=pairs, masked=pairs - alive_pairs, argmax=int(ties.sum()))
-    at, col = np.divmod(first, width)
-    return ties, row_ids[at], col_ids[row_trial[at], col]
+    ctx.counts.update(pairs=pairs, masked=pairs - alive_pairs, argmax=int(count.sum()))
+    rows = hit.argmax(axis=1)
+    return count, rows, first[np.arange(rows.size), rows]
 
 
 def _classify(count, rows, cols, wa, wb) -> tuple:

@@ -11,7 +11,7 @@ law W(y | xa, xb, s). JSON wire schema::
       "obs_a": [[...], ...],       # |s| rows over the sender-a observation alphabet
       "obs_b": [[...], ...],
       "channel": [[[[...]]]],      # indexed [s][xa][xb][y]
-      "labels": {...}              # optional display names per alphabet
+      "labels": {"y": [...], ...}  # optional: per alphabet, one name string per symbol
     }
 
 Unknown keys are rejected. All probability rows must be nonnegative and sum
@@ -185,6 +185,10 @@ def validate_spec(spec: FsMacSpec) -> None:
         for key, names in spec.labels.items():
             if key not in _ALPHABET_KEYS:
                 raise ValidationError(f"labels: unknown alphabet {key!r}")
+            size = getattr(spec, f"size_{key}")
+            if not (isinstance(names, list) and len(names) == size
+                    and all(isinstance(name, str) for name in names)):
+                raise ValidationError(f"labels: {key} must be a list of {size} strings, one per symbol")
 
     check_channel_cells(spec)
 

@@ -61,6 +61,7 @@ _MONOTONE_SLACK = 1e-12
 ORACLE_GRID_CAP = 1 << 16  # grid points per sender the oracle may scan
 ORACLE_PAIR_CAP = 1 << 31  # policy pairs, which set the oracle's time
 ORACLE_CELL_BUDGET = 1 << 21   # float64 cells one chunk of oracle b-points may hold
+DIRECTIONS = 33   # region directions traced by default
 DIRECTIONS_CAP = 1 << 12   # region directions, checked before any is allocated
 BATCH_CELL_BUDGET = 1 << 22   # float64 cells one chunk of ascent rows may hold
 MAX_ITERS = 500   # alternating rounds a restart may climb
@@ -637,7 +638,8 @@ def _direction_weights(ca: float, cb: float) -> tuple:
 
 
 def inner_bound_region(spec: FsMacSpec, chan: StrategyChannel,
-                       cfg: OptimizerConfig | None = None, directions: int = 33) -> RateRegion:
+                       cfg: OptimizerConfig | None = None,
+                       directions: int = DIRECTIONS) -> RateRegion:
     """Trace the achievable region: maximize the pentagon support along
     directions spanning the first quadrant, hull the collected corners. The
     sum rate's restarts climb in the same batch and give outer_sum."""

@@ -97,9 +97,10 @@ def entropy(p) -> float:
     return float(-(pos * np.log2(pos)).sum())
 
 
-def log2_floor(p: np.ndarray) -> np.ndarray:
-    """log2 with zero cells read as about -996 instead of -inf."""
-    return np.log2(np.maximum(p, 1e-300))
+def log2_floor(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """log2 with zero cells read as about -996 instead of -inf, in out if given."""
+    floor = np.maximum(p, 1e-300, out=out)
+    return np.log2(floor, out=floor)
 
 
 def entropy_rows(p: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fsmac.cli as cli
+import fsmac.mcsim as mcsim
 import fsmac.model as model
 import fsmac.optimize as optimize
 from conftest import oversized_channel_doc
@@ -61,6 +62,17 @@ def test_validate_bad_row_exit1(tmp_path, capsys):
     rc, _, err = run(capsys, "validate", "--spec", str(bad))
     assert rc == 1
     assert "row" in err and "state_pmf" in err
+
+
+@pytest.mark.parametrize("labels", [{"xa": 5}, {"y": ["one"]}])
+def test_validate_bad_labels_exit1(tmp_path, capsys, labels):
+    doc = json.loads(spec_path("mod2-adder-noiseless").read_text())
+    doc["labels"] = labels
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "validate", "--spec", str(bad))
+    assert rc == 1
+    assert "labels:" in err
 
 
 def test_validate_missing_file_exit2(capsys):
@@ -576,7 +588,7 @@ def test_trials_over_cap_exit1_before_the_spec(capsys, monkeypatch, command):
     rc, out, err = run(capsys, *command, "--spec", MOD2, "--trials", str(trials))
     assert (rc, out) == (1, "")
     assert _one_error_line(err), err
-    assert f"trial guard: {trials} trials exceed cap {cli.TRIAL_CAP}" in err
+    assert f"trial guard: {trials} trials exceed cap {mcsim.TRIAL_CAP}" in err
 
 
 # --- seeds ------------------------------------------------------------------

@@ -207,6 +207,11 @@ def test_schema_rejections():
         spec_from_dict({**doc, "state_pmf": [float("nan")]})
     with pytest.raises(ValidationError, match="labels: unknown alphabet"):
         spec_from_dict({**doc, "labels": {"zz": ["?"]}})
+    for bad in ({"xa": 5}, {"y": ["one"]}, {"y": ["a", "b", "c"]}, {"y": ["a", 1]},
+                {"s": "a"}, {"xb": None}):
+        with pytest.raises(ValidationError, match="labels: .* must be a list of"):
+            spec_from_dict({**doc, "labels": bad})
+    spec_from_dict({**doc, "labels": {"y": ["zero", "one"], "s": ["only"]}})
     with pytest.raises(SpecFormatError):
         spec_from_dict([1, 2, 3])
 
