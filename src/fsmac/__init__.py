@@ -16,7 +16,7 @@ from .errors import (
     ValidationError,
 )
 from .rng import stream
-from .strategy import StrategySpace, decode_id, encode_table, enumerate_strategies
+from .strategy import StrategySpace, enumerate_strategies
 from .model import (
     FsMacSpec,
     StrategyChannel,
@@ -30,7 +30,6 @@ from .rates import (
     RatePentagon,
     TeamPolicy,
     conditional_mutual_information,
-    entropy,
     joint_law,
     load_policy,
     pentagon,
@@ -54,18 +53,13 @@ from .converse import (
     induced_sigma_policy,
     random_encoders,
     sigma_average_pentagon,
-    sigma_digits,
     sigma_string,
     verify_factorization,
 )
 from .mcsim import (
-    Codebooks,
     SimConfig,
     SimReport,
-    TrialOutcome,
     estimate_error,
-    generate_codebooks,
-    run_trial,
     typicality_check,
     wilson_interval,
 )
@@ -76,19 +70,18 @@ __all__ = [
     "FsmacError", "GuardError", "InternalInvariantError", "SpecFormatError",
     "ValidationError",
     "stream",
-    "StrategySpace", "decode_id", "encode_table", "enumerate_strategies",
+    "StrategySpace", "enumerate_strategies",
     "FsMacSpec", "StrategyChannel",
     "induced_strategy_channel", "load_spec", "spec_from_dict", "validate_spec",
     "JointLaw", "RatePentagon", "TeamPolicy", "conditional_mutual_information",
-    "entropy", "joint_law", "load_policy", "pentagon",
+    "joint_law", "load_policy", "pentagon",
     "OptimizerConfig", "RateRegion", "SumRateResult", "convex_hull_2d",
     "grid_oracle_sum_rate", "inner_bound_region", "maximize_sum_rate",
     "pentagon_support",
     "ConverseAudit", "EncoderMaps", "alpha_sigma_weights",
     "brute_force_conditional", "factorized_conditional", "induced_sigma_policy",
-    "random_encoders", "sigma_average_pentagon", "sigma_digits", "sigma_string",
+    "random_encoders", "sigma_average_pentagon", "sigma_string",
     "verify_factorization",
-    "Codebooks", "SimConfig", "SimReport", "TrialOutcome", "estimate_error",
-    "generate_codebooks", "run_trial", "typicality_check", "wilson_interval",
+    "SimConfig", "SimReport", "estimate_error", "typicality_check", "wilson_interval",
     "__version__",
 ]

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from . import __version__
+from . import __version__, mcsim
 from .converse import random_encoders, verify_factorization
 from .errors import GuardError, InternalInvariantError, SpecFormatError, ValidationError
 from .mcsim import DECODERS, SimConfig, check_trials, estimate_error
@@ -36,6 +36,7 @@ from .optimize import (
 )
 from .rates import load_policy
 from .rng import ROLE_ENCODER, check_seed, stream
+from .strategy import strategy_count
 
 # Exit 3 when a random code's letter law strays further than this from the
 # factorized form; anything above it means the reduction itself is broken.
@@ -78,8 +79,9 @@ def _num(value) -> str:
 
 
 def _validate(args, spec, chan):
-    count_a = spec.size_xa ** spec.size_sa
-    count_b = spec.size_xb ** spec.size_sb
+    # validate_spec has counted both spaces, so these pass its guards
+    count_a = strategy_count(spec.size_sa, spec.size_xa)
+    count_b = strategy_count(spec.size_sb, spec.size_xb)
     payload = {
         "ok": True,
         "alphabets": {
@@ -332,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--n", type=int, default=2, help="blocklength")
     p.add_argument("--trials", type=int, default=50,
-                   help="number of random encoder pairs, in [1, 2**20]")
+                   help="number of random encoder pairs, "
+                        f"in [1, 2**{mcsim.TRIAL_CAP.bit_length() - 1}]")
 
     return parser
 

@@ -101,12 +101,6 @@ def sigma_string(digits) -> str:
     return "".join(str(d) for d in digits)
 
 
-def sigma_digits(text: str) -> tuple:
-    if "," in text:
-        return tuple(int(c) for c in text.removesuffix(",").split(","))
-    return tuple(int(c) for c in text)
-
-
 def _pasts(spec: FsMacSpec, blocklength: int):
     """Every (t, sigma, alpha): a time, a past of t - 1 states (oldest first)
     and alpha = P(sigma) / blocklength, its weight under a uniformly drawn

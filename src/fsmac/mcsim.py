@@ -1,7 +1,7 @@
 """Monte Carlo block-coding trials against the strategy channel.
 
-Codebooks are i.i.d. strategy sequences drawn from a team policy. Each trial
-samples messages, a state sequence, and outputs, then decodes either by
+A codebook holds i.i.d. strategy sequences drawn from a team policy. Each
+trial samples messages, a state sequence, and outputs, then decodes either by
 joint typicality (every nonempty subset of the four per-letter variables
 must have empirical log-likelihood within epsilon of its entropy) or by
 maximum likelihood over message pairs.
@@ -79,7 +79,7 @@ import numpy as np
 
 from .errors import GuardError, InternalInvariantError
 from .model import FsMacSpec, StrategyChannel
-from .rates import JointLaw, TeamPolicy, _marginal, joint_law, log2_floor
+from .rates import JointLaw, TeamPolicy, _marginal, check_policy, joint_law, log2_floor
 from .rng import ROLE_CODEBOOKS, ROLE_TRIAL, bounded, philox_words, rekey, stream, unit_floats
 
 BLOCKLENGTH_CAP = 1 << 16     # the decoder holds about 240 bytes per letter per trial
@@ -169,22 +169,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class Codebooks:
-    policy: TeamPolicy
-    ids_a: np.ndarray  # (messages_a, blocklength) strategy ids
-    ids_b: np.ndarray
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    outcome: str
-    truth: tuple
-    decoded: tuple | None
-    s_seq: np.ndarray
-    y_seq: np.ndarray
-
-
-@dataclass(frozen=True)
 class SimReport:
     config: SimConfig
     trials: int
@@ -229,23 +213,6 @@ def _draw(rng: np.random.Generator, cdf: np.ndarray, size) -> np.ndarray:
     return cdf.searchsorted(rng.random(size), side="right")
 
 
-def _draw_codebooks(rng: np.random.Generator, cdf_a, cdf_b, cfg: SimConfig) -> tuple:
-    """Both codebooks' strategy ids from one stream, sender a first."""
-    n = cfg.blocklength
-    return _draw(rng, cdf_a, (cfg.messages_a, n)), _draw(rng, cdf_b, (cfg.messages_b, n))
-
-
-def generate_codebooks(policy: TeamPolicy, cfg: SimConfig,
-                       rng: np.random.Generator | None = None) -> Codebooks:
-    """Draw both codebooks from one stream, sender a first."""
-    if rng is None:
-        rng = stream(cfg.seed, 0, ROLE_CODEBOOKS)
-    ids_a, ids_b = _draw_codebooks(rng, _cdf(policy.pi_a), _cdf(policy.pi_b), cfg)
-    ids_a.setflags(write=False)
-    ids_b.setflags(write=False)
-    return Codebooks(policy=policy, ids_a=ids_a, ids_b=ids_b)
-
-
 def _axis_subsets():
     for r in range(1, 5):
         yield from itertools.combinations(range(4), r)
@@ -285,6 +252,7 @@ class _DecodeContext:
     Codebook independent, so one context serves every trial of a run."""
 
     def __init__(self, spec: FsMacSpec, chan: StrategyChannel, policy: TeamPolicy):
+        check_policy(chan, policy)
         self.spec, self.chan, self.policy = spec, chan, policy
         self.q = chan.q
         self.cdf_s = _cdf(spec.state_pmf)
@@ -519,10 +487,10 @@ def _typical_survivors(ctx: _DecodeContext, ids_a, ids_b, s_seq, y_seq,
     """The jointly typical candidates of a chunk of trials as (trial, row,
     col) index arrays, in trial order and row-major within a trial.
 
-    Codebooks are (trials, messages, n) and letters (trials, n). The state,
-    output and single-sender filters score the whole chunk at once, the
-    full law the stacked block of their survivors, and the listed subsets
-    one flattened survivor list."""
+    The codebooks are (trials, messages, n), the letters (trials, n). The
+    state, output and single-sender filters score the whole chunk at once,
+    the full law the stacked block of their survivors, and the listed
+    subsets one flattened survivor list."""
     def passes(combo, score):
         return np.abs(-score - ctx.tables[combo][1]) < epsilon
 
@@ -619,8 +587,9 @@ def _draw_trial(ctx: _DecodeContext, cfg: SimConfig, rng: np.random.Generator) -
 def _draw_chunk(ctx: _DecodeContext, cfg: SimConfig, rng: np.random.Generator,
                 items: range) -> tuple:
     """The draws of a chunk of trials, one per item, as _decode_chunk takes
-    them: trial by trial what _draw_codebooks draws on the item's codebook
-    stream and _draw_trial on its trial stream, value for value.
+    them: trial by trial what ``Generator.choice`` draws for sender a's
+    codebook and then sender b's on the item's codebook stream, and what
+    _draw_trial draws on its trial stream, value for value.
 
     Each trial re-keys rng to its codebook stream and draws its uniforms
     into one float buffer, sender a's part of every trial laid out before
@@ -680,21 +649,6 @@ def _decode_chunk(ctx: _DecodeContext, cfg: SimConfig, ids_a, ids_b, s_seq,
     return codes, decoded, y_seq
 
 
-def run_trial(spec: FsMacSpec, chan: StrategyChannel, books: Codebooks,
-              cfg: SimConfig, rng: np.random.Generator) -> TrialOutcome:
-    """One trial of a fixed codebook pair, decoded as a chunk of one;
-    estimate_error redraws codebooks."""
-    ctx = _DecodeContext(spec, chan, books.policy)
-    s_seq, wa, wb, uniforms = _draw_trial(ctx, cfg, rng)
-    codes, decoded, y_seq = _decode_chunk(
-        ctx, cfg, books.ids_a[None], books.ids_b[None], s_seq[None],
-        np.array([wa]), np.array([wb]), uniforms[None])
-    pair = (int(decoded[0, 0]), int(decoded[0, 1]))
-    return TrialOutcome(outcome=OUTCOMES[codes[0]], truth=(int(wa), int(wb)),
-                        decoded=None if pair[0] < 0 else pair,
-                        s_seq=s_seq, y_seq=y_seq[0])
-
-
 def _trial_cells(spec: FsMacSpec, cfg: SimConfig) -> int:
     """Cells one trial adds to a chunk: its codebooks and its letters
     (states, uniforms, outputs and their per-letter pmfs). The chunk's draw
@@ -720,7 +674,7 @@ def estimate_error(spec: FsMacSpec, chan: StrategyChannel, policy: TeamPolicy,
 
     Every trial draws a fresh codebook pair, so the estimate targets the
     random-coding ensemble average rather than the error of one lucky or
-    unlucky code (use run_trial in a loop to study a fixed code).
+    unlucky code.
 
     Trials decode as rows of chunks (see _chunk_trials). Each trial draws
     from its own streams and its scores do not depend on its chunk, so the

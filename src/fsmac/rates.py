@@ -89,14 +89,6 @@ class RatePentagon:
     bound_sum: float
 
 
-def entropy(p) -> float:
-    """Shannon entropy in bits. Zero cells are skipped exactly."""
-    p = np.asarray(p, dtype=np.float64)
-    check_pmf(p.reshape(-1), "entropy argument")
-    pos = p[p > 0]
-    return float(-(pos * np.log2(pos)).sum())
-
-
 def log2_floor(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """log2 with zero cells read as about -996 instead of -inf, in out if given."""
     floor = np.maximum(p, 1e-300, out=out)
@@ -109,16 +101,17 @@ def entropy_rows(p: np.ndarray) -> np.ndarray:
     return -(p * log2_floor(p)).sum(axis=-1)
 
 
+def check_policy(chan: StrategyChannel, pol: TeamPolicy) -> None:
+    """Refuse a policy whose pmfs do not have one entry per strategy."""
+    for name, pi, space in (("pi_a", pol.pi_a, chan.space_a), ("pi_b", pol.pi_b, chan.space_b)):
+        if pi.shape[0] != space.count:
+            raise ValidationError(
+                f"{name}: length {pi.shape[0]} does not match {space.count} strategies")
+
+
 def joint_law(spec: FsMacSpec, chan: StrategyChannel, pol: TeamPolicy) -> JointLaw:
     """Product-policy joint law p(s, ta, tb, y) = p_s * pi_a * pi_b * q."""
-    if pol.pi_a.shape[0] != chan.space_a.count:
-        raise ValidationError(
-            f"pi_a: length {pol.pi_a.shape[0]} does not match {chan.space_a.count} strategies"
-        )
-    if pol.pi_b.shape[0] != chan.space_b.count:
-        raise ValidationError(
-            f"pi_b: length {pol.pi_b.shape[0]} does not match {chan.space_b.count} strategies"
-        )
+    check_policy(chan, pol)
     # p_s * pi_a * pi_b in the four-operand einsum's order, then one multiply
     # into q: the einsum's bits without its operand buffers
     weights = (spec.state_pmf[:, None] * pol.pi_a)[:, :, None] * pol.pi_b

@@ -44,31 +44,6 @@ def strategy_count(obs_size: int, input_size: int, who: str = "the strategy spac
     return count
 
 
-def encode_table(table, input_size: int) -> int:
-    """Inverse of decode_id."""
-    table = np.asarray(table)
-    if table.ndim != 1:
-        raise ValueError("table must be one-dimensional")
-    if np.any(table < 0) or np.any(table >= input_size):
-        raise ValueError(f"table entries must lie in [0, {input_size})")
-    sid = 0
-    for digit in table[::-1]:
-        sid = sid * input_size + int(digit)
-    return sid
-
-
-def decode_id(sid: int, obs_size: int, input_size: int) -> np.ndarray:
-    """Table for a strategy id, little-endian digits of sid in base input_size,
-    in a space strategy_count admits."""
-    if not 0 <= sid < strategy_count(obs_size, input_size):
-        raise ValueError(f"strategy id {sid} out of range for {input_size}**{obs_size} tables")
-    digits = np.empty(obs_size, dtype=np.int64)
-    for i in range(obs_size):
-        digits[i] = sid % input_size
-        sid //= input_size
-    return digits
-
-
 @dataclass(frozen=True)
 class StrategySpace:
     """All strategies for one user, tables stacked in id order."""

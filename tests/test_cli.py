@@ -384,6 +384,9 @@ POLICY_INPUTS = {
     "not-an-object": (b'"policy"', 2),
     "non-numeric": (json.dumps({"pi_a": ["a", 0, 0, 1], "pi_b": [1, 0, 0, 0]}).encode(), 1),
     "dict-pmf": (json.dumps({"pi_a": {"x": 1}, "pi_b": [1, 0, 0, 0]}).encode(), 1),
+    # one entry per strategy, 4 a sender here
+    "too-long": (json.dumps({"pi_a": [0.2] * 5, "pi_b": [1, 0, 0, 0]}).encode(), 1),
+    "too-short": (json.dumps({"pi_a": [0.5, 0.5], "pi_b": [1, 0, 0, 0]}).encode(), 1),
 }
 SIMULATE = ["simulate", "--n", "4", "--ra", "0.2", "--rb", "0.2", "--trials", "5"]
 
@@ -422,11 +425,16 @@ def test_bad_policy_never_tracebacks(tmp_path, capsys, kind):
     raw, code = POLICY_INPUTS[kind]
     path = tmp_path / "policy.json"
     path.write_bytes(raw)
-    rc, out, err = run(capsys, *SIMULATE, "--spec", MOD2, "--policy", str(path))
-    assert (rc, out) == (code, "")
-    assert _one_error_line(err), err
-    if kind in ("non-numeric", "dict-pmf"):
-        assert "pi_a: not a numeric array" in err
+    for decoder in ("typicality", "max_likelihood"):
+        rc, out, err = run(capsys, *SIMULATE, "--spec", MOD2, "--policy", str(path),
+                           "--decoder", decoder)
+        assert (rc, out) == (code, ""), decoder
+        assert _one_error_line(err), err
+        if kind in ("non-numeric", "dict-pmf"):
+            assert "pi_a: not a numeric array" in err
+        if kind in ("too-long", "too-short"):
+            length = len(json.loads(raw)["pi_a"])
+            assert f"pi_a: length {length} does not match 4 strategies" in err, err
 
 
 # --- determinism ------------------------------------------------------------
@@ -589,6 +597,17 @@ def test_trials_over_cap_exit1_before_the_spec(capsys, monkeypatch, command):
     assert (rc, out) == (1, "")
     assert _one_error_line(err), err
     assert f"trial guard: {trials} trials exceed cap {mcsim.TRIAL_CAP}" in err
+
+
+def test_trials_help_follows_the_cap(capsys, monkeypatch):
+    def trials_help():
+        with pytest.raises(SystemExit):
+            cli.main(["verify-converse", "--help"])
+        return " ".join(capsys.readouterr().out.split())  # argparse wraps lines
+
+    assert "number of random encoder pairs, in [1, 2**20]" in trials_help()
+    monkeypatch.setattr(mcsim, "TRIAL_CAP", 1 << 10)
+    assert "number of random encoder pairs, in [1, 2**10]" in trials_help()
 
 
 # --- seeds ------------------------------------------------------------------

@@ -26,7 +26,6 @@ from fsmac.converse import (
     induced_sigma_policy,
     random_encoders,
     sigma_average_pentagon,
-    sigma_digits,
     sigma_string,
     verify_factorization,
 )
@@ -38,6 +37,13 @@ from fsmac.rates import joint_law, pentagon
 from fsmac.rng import ROLE_ENCODER, stream
 
 from conftest import random_spec
+
+
+def sigma_digits(text: str) -> tuple:
+    """The past-state sequence a sigma_string serializes."""
+    if "," in text:
+        return tuple(int(c) for c in text.removesuffix(",").split(","))
+    return tuple(int(c) for c in text)
 
 
 def test_sigma_string_roundtrip(rng):

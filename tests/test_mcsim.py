@@ -34,8 +34,6 @@ from fsmac.mcsim import (
     _subset_scores,
     _typical_survivors,
     estimate_error,
-    generate_codebooks,
-    run_trial,
     typicality_check,
     wilson_interval,
 )
@@ -44,6 +42,7 @@ from fsmac.rates import TeamPolicy, joint_law, log2_floor
 from fsmac.rng import ROLE_CODEBOOKS, ROLE_TRIAL, rekey, stream
 
 from conftest import random_deterministic_spec, random_spec
+from reference import codebooks, decode_one
 
 
 def two_strategy_policy():
@@ -128,16 +127,24 @@ def test_wilson_edges_and_validation():
 
 # ---------------------------------------------------------------- codebooks
 
+def chunk_codebooks(policy, cfg, rng, items=range(1)) -> tuple:
+    """The (trials, messages, n) codebooks _draw_chunk draws for items on
+    mod2-adder-bsc01, a 4 x 4 strategy channel."""
+    spec = load("mod2-adder-bsc01")
+    ctx = _DecodeContext(spec, induced_strategy_channel(spec), policy)
+    return mcsim._draw_chunk(ctx, cfg, rng, items)[:2]
+
+
 def test_codebooks_deterministic_and_policy_shaped():
+    # the draw re-keys its generator, so the one passed in does not matter
     policy = two_strategy_policy()
     cfg = SimConfig(blocklength=16, rate_a=0.375, rate_b=0.25, seed=9)
-    first = generate_codebooks(policy, cfg)
-    second = generate_codebooks(policy, cfg)
-    assert np.array_equal(first.ids_a, second.ids_a)
-    assert np.array_equal(first.ids_b, second.ids_b)
-    assert first.ids_a.shape == (cfg.messages_a, 16)
-    assert set(np.unique(first.ids_a)) <= {1, 2}  # support of the policy only
-    assert not first.ids_a.flags.writeable
+    first = chunk_codebooks(policy, cfg, stream(0), range(3))
+    second = chunk_codebooks(policy, cfg, stream(1), range(3))
+    assert np.array_equal(first[0], second[0])
+    assert np.array_equal(first[1], second[1])
+    assert first[0].shape == (3, cfg.messages_a, 16)
+    assert set(np.unique(first[0])) <= {1, 2}  # support of the policy only
 
 
 def test_draw_equals_generator_choice():
@@ -167,20 +174,20 @@ def test_codebooks_draw_what_choice_draws():
     # a codebook is sender a's ids, then sender b's, from one stream
     pi_a, pi_b = np.array([0.0, 0.5, 0.25, 0.25]), np.array([0.1, 0.2, 0.3, 0.4])
     cfg = SimConfig(blocklength=7, rate_a=0.5, rate_b=0.3, seed=5)
-    books = generate_codebooks(TeamPolicy(pi_a=pi_a, pi_b=pi_b), cfg)
+    ids_a, ids_b = chunk_codebooks(TeamPolicy(pi_a=pi_a, pi_b=pi_b), cfg, stream(0))
     rng = stream(5, 0, ROLE_CODEBOOKS)
-    assert np.array_equal(books.ids_a, rng.choice(4, size=(cfg.messages_a, 7), p=pi_a))
-    assert np.array_equal(books.ids_b, rng.choice(4, size=(cfg.messages_b, 7), p=pi_b))
+    assert np.array_equal(ids_a[0], rng.choice(4, size=(cfg.messages_a, 7), p=pi_a))
+    assert np.array_equal(ids_b[0], rng.choice(4, size=(cfg.messages_b, 7), p=pi_b))
 
 
 def test_codebook_frequencies_match_policy():
     pi = np.array([0.1, 0.2, 0.3, 0.4])
     policy = TeamPolicy(pi_a=pi, pi_b=pi.copy())
     cfg = SimConfig(blocklength=20, rate_a=0.3, rate_b=0.3, seed=4)
-    books = generate_codebooks(policy, cfg)
-    draws = books.ids_a.size
+    ids_a, _ = chunk_codebooks(policy, cfg, stream(0))
+    draws = ids_a.size
     for sid, prob in enumerate(pi):
-        count = int((books.ids_a == sid).sum())
+        count = int((ids_a == sid).sum())
         sigma = np.sqrt(draws * prob * (1 - prob))
         assert abs(count - draws * prob) <= 4 * sigma + 1, sid
 
@@ -197,12 +204,13 @@ def draw_case(ma, mb, n, seed=0) -> tuple:
 
 
 def assert_draws_per_trial(ctx, cfg, items, draws):
-    """The chunk's draws, trial by trial, are what _draw_codebooks and
-    _draw_trial draw on one generator re-keyed to the trial's streams."""
+    """The chunk's draws, trial by trial, are what Generator.choice draws
+    for the codebooks and _draw_trial for the letters, on one generator
+    re-keyed to the trial's streams."""
     rng = stream(1)
     for j, item in enumerate(items):
         rekey(rng, cfg.seed, item, ROLE_CODEBOOKS)
-        want = mcsim._draw_codebooks(rng, ctx.cdf_a, ctx.cdf_b, cfg)
+        want = codebooks(ctx.policy, cfg, rng)
         rekey(rng, cfg.seed, item, ROLE_TRIAL)
         want += mcsim._draw_trial(ctx, cfg, rng)
         for got, one in zip(draws, want):
@@ -361,15 +369,15 @@ def test_vectorized_mask_matches_reference(rng, monkeypatch):
         pruned = 0
         draws, singles = [], []
         for trial in range(20):
-            books = generate_codebooks(policy, cfg, stream(2, trial, ROLE_CODEBOOKS))
+            ids_a, ids_b = codebooks(policy, cfg, stream(2, trial, ROLE_CODEBOOKS))
             trng = stream(2, trial, ROLE_TRIAL)
             s_seq = trng.choice(spec.size_s, size=n, p=spec.state_pmf)
             y_seq = np.array([trng.choice(spec.size_y, p=chan.q[s, a, b]) for s, a, b
-                              in zip(s_seq, books.ids_a[0], books.ids_b[0])])
+                              in zip(s_seq, ids_a[0], ids_b[0])])
             entering.clear()
-            _, rows, cols = _typical_survivors(ctx, books.ids_a[None], books.ids_b[None],
+            _, rows, cols = _typical_survivors(ctx, ids_a[None], ids_b[None],
                                                s_seq[None], y_seq[None], eps)
-            draws.append((books.ids_a, books.ids_b, s_seq, y_seq))
+            draws.append((ids_a, ids_b, s_seq, y_seq))
             singles.append(np.column_stack([np.full(rows.size, trial), rows, cols]))
             mask = np.zeros((cfg.messages_a, cfg.messages_b), dtype=bool)
             mask[rows, cols] = True
@@ -377,7 +385,7 @@ def test_vectorized_mask_matches_reference(rng, monkeypatch):
             assert np.array_equal(np.column_stack([rows, cols]), np.argwhere(mask))
             for wa in range(cfg.messages_a):
                 for wb in range(cfg.messages_b):
-                    seqs = dict(s=s_seq, ta=books.ids_a[wa], tb=books.ids_b[wb], y=y_seq)
+                    seqs = dict(s=s_seq, ta=ids_a[wa], tb=ids_b[wb], y=y_seq)
                     expect = typicality_check(seqs, law, eps)
                     assert bool(mask[wa, wb]) == expect, (prunes, trial, wa, wb)
             if prunes and 0 < mask.sum() < entering.get(prunes, 0):
@@ -633,8 +641,8 @@ def test_strictly_positive_law_makes_no_mask_pass(rng, monkeypatch):
         ctx = _DecodeContext(spec, chan, policy)
         assert ctx.channel.zero == ctx.full.zero == masks
         cfg = SimConfig(blocklength=n, rate_a=ra * rate, rate_b=rb * rate, seed=4)
-        books = [generate_codebooks(policy, cfg, stream(4, k, ROLE_CODEBOOKS)) for k in range(3)]
-        ids_a, ids_b = np.stack([b.ids_a for b in books]), np.stack([b.ids_b for b in books])
+        books = [codebooks(policy, cfg, stream(4, k, ROLE_CODEBOOKS)) for k in range(3)]
+        ids_a, ids_b = (np.stack(ids) for ids in zip(*books))
         s_seq = rng.choice(spec.size_s, size=(3, n), p=spec.state_pmf)
         # outputs of each trial's first pair, so every trial has an alive pair
         y_seq = np.array([[rng.choice(spec.size_y, p=chan.q[s, a, b])
@@ -670,14 +678,14 @@ def test_mask_allocates_no_pair_by_letter_array(rng):
     n = 256
     cfg = SimConfig(blocklength=n, rate_a=6 / n, rate_b=6 / n, epsilon=100, seed=1)
     ctx = _DecodeContext(spec, chan, policy)
-    books = generate_codebooks(policy, cfg)
+    ids_a, ids_b = codebooks(policy, cfg)
     trng = stream(1, 0, ROLE_TRIAL)
     s_seq = trng.choice(spec.size_s, size=n, p=spec.state_pmf)
     y_seq = trng.integers(0, spec.size_y, size=n)
     pairs = cfg.messages_a * cfg.messages_b
     tracemalloc.start()
     try:
-        _, rows, cols = _typical_survivors(ctx, books.ids_a[None], books.ids_b[None],
+        _, rows, cols = _typical_survivors(ctx, ids_a[None], ids_b[None],
                                            s_seq[None], y_seq[None], cfg.epsilon)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -780,9 +788,9 @@ def test_ml_scores_match_literal_sum(rng):
     n = 7
     for (ra, rb), count in itertools.product([(1.0, 0.3), (0.3, 1.0)], [1, 3]):
         cfg = SimConfig(blocklength=n, rate_a=ra, rate_b=rb, seed=4)
-        books = [generate_codebooks(policy, cfg, stream(4, k, ROLE_CODEBOOKS))
+        books = [codebooks(policy, cfg, stream(4, k, ROLE_CODEBOOKS))
                  for k in range(count)]
-        ids_a, ids_b = np.stack([b.ids_a for b in books]), np.stack([b.ids_b for b in books])
+        ids_a, ids_b = (np.stack(ids) for ids in zip(*books))
         s_seq = rng.choice(spec.size_s, size=(count, n), p=spec.state_pmf)
         y_seq = rng.integers(0, spec.size_y, size=(count, n))
         sums, unmasked, straddled = stacked_sums(ctx.channel, s_seq, y_seq, ids_a, ids_b,
@@ -835,9 +843,8 @@ def test_chunk_scores_match_per_trial_scores(rng):
     ctx = _DecodeContext(spec, chan, policy)
     cfg = SimConfig(blocklength=11, rate_a=0.3, rate_b=0.25, seed=8)
     n = cfg.blocklength
-    books = [generate_codebooks(policy, cfg, stream(8, k, ROLE_CODEBOOKS)) for k in range(6)]
-    ids_a = np.stack([b.ids_a for b in books])
-    ids_b = np.stack([b.ids_b for b in books])
+    books = [codebooks(policy, cfg, stream(8, k, ROLE_CODEBOOKS)) for k in range(6)]
+    ids_a, ids_b = (np.stack(ids) for ids in zip(*books))
     s_seq = rng.choice(spec.size_s, size=(6, n), p=spec.state_pmf)
     y_seq = rng.integers(0, spec.size_y, size=(6, n))
     assert all(log_t.ndim == 4 for log_t, _ in ctx.tables.values())
@@ -974,12 +981,12 @@ def test_pair_kernel_never_holds_every_letters_intermediate(rng, many):
     cfg = SimConfig(blocklength=n, rate_a=rate_a, rate_b=rate_b, epsilon=100, seed=1)
     ctx = _DecodeContext(spec, chan, policy)
     ctx.channel  # the ML decoder's lazy log table, built before tracing starts
-    books = generate_codebooks(policy, cfg)
+    ids_a, ids_b = codebooks(policy, cfg)
     trng = stream(1, 0, ROLE_TRIAL)
     s_seq = trng.choice(spec.size_s, size=n, p=spec.state_pmf)
     y_seq = trng.integers(0, spec.size_y, size=n)
     held = n * 256 * 64 * 8
-    draws = (books.ids_a[None], books.ids_b[None], s_seq[None], y_seq[None])
+    draws = (ids_a[None], ids_b[None], s_seq[None], y_seq[None])
     # each stage's survivor count: typical pairs listed, ML argmax pairs counted
     for stage in (lambda: _typical_survivors(ctx, *draws, cfg.epsilon)[0].size,
                   lambda: _ml_survivors(ctx, *draws)[0].sum()):
@@ -1039,8 +1046,8 @@ def test_ml_holds_nothing_per_tie(rng):
     ctx = _DecodeContext(spec, chan, policy)
     ctx.channel  # built before tracing starts
     count, n = 4, cfg.blocklength
-    books = [generate_codebooks(policy, cfg, stream(2, k, ROLE_CODEBOOKS)) for k in range(count)]
-    ids_a, ids_b = np.stack([b.ids_a for b in books]), np.stack([b.ids_b for b in books])
+    books = [codebooks(policy, cfg, stream(2, k, ROLE_CODEBOOKS)) for k in range(count)]
+    ids_a, ids_b = (np.stack(ids) for ids in zip(*books))
     s_seq, y_seq = rng.integers(0, 2, size=(2, count, n))
     tracemalloc.start()
     try:
@@ -1059,8 +1066,8 @@ def test_only_the_ml_decoder_builds_the_channel_log_table():
     chan = induced_strategy_channel(spec)
     ctx = _DecodeContext(spec, chan, two_strategy_policy())
     cfg = SimConfig(blocklength=6, rate_a=0.5, rate_b=0.5, seed=2)
-    books = generate_codebooks(two_strategy_policy(), cfg)
-    draws = (books.ids_a[None], books.ids_b[None], np.zeros((1, 6), dtype=int),
+    ids_a, ids_b = codebooks(two_strategy_policy(), cfg)
+    draws = (ids_a[None], ids_b[None], np.zeros((1, 6), dtype=int),
              np.zeros((1, 6), dtype=int))
     _typical_survivors(ctx, *draws, 100.0)
     assert "channel" not in vars(ctx)
@@ -1169,16 +1176,17 @@ def test_trial_outcome_fields():
     chan = induced_strategy_channel(spec)
     policy = two_strategy_policy()
     cfg = SimConfig(blocklength=6, rate_a=1 / 6, rate_b=1 / 6, seed=7, epsilon=0.5)
-    books = generate_codebooks(policy, cfg)
-    out = run_trial(spec, chan, books, cfg, stream(7, 0, ROLE_TRIAL))
-    assert out.outcome in (OUTCOME_OK, OUTCOME_NO_TYPICAL, OUTCOME_AMBIGUOUS, OUTCOME_WRONG)
-    assert 0 <= out.truth[0] < cfg.messages_a
-    assert 0 <= out.truth[1] < cfg.messages_b
-    assert out.s_seq.shape == out.y_seq.shape == (6,)
-    if out.outcome in (OUTCOME_OK, OUTCOME_WRONG):
-        assert out.decoded is not None
-    if out.outcome == OUTCOME_OK:
-        assert out.decoded == out.truth
+    ids_a, ids_b = codebooks(policy, cfg)
+    outcome, truth, decoded, s_seq, y_seq = decode_one(spec, chan, policy, ids_a, ids_b, cfg,
+                                                       stream(7, 0, ROLE_TRIAL))
+    assert outcome in (OUTCOME_OK, OUTCOME_NO_TYPICAL, OUTCOME_AMBIGUOUS, OUTCOME_WRONG)
+    assert 0 <= truth[0] < cfg.messages_a
+    assert 0 <= truth[1] < cfg.messages_b
+    assert s_seq.shape == y_seq.shape == (6,)
+    if outcome in (OUTCOME_OK, OUTCOME_WRONG):
+        assert decoded is not None
+    if outcome == OUTCOME_OK:
+        assert decoded == truth
 
 
 def test_error_decomposition_and_reproducibility(monkeypatch):
@@ -1300,8 +1308,8 @@ def test_trials_are_chunk_invariant(rng, monkeypatch):
         for decoder in mcsim.DECODERS:
             cfg = SimConfig(blocklength=n, rate_a=rate, rate_b=rate, epsilon=eps,
                             trials=20, seed=0, decoder=decoder)
-            alone = [run_trial(spec, chan, generate_codebooks(team, cfg, stream(0, k, ROLE_CODEBOOKS)),
-                               cfg, stream(0, k, ROLE_TRIAL)).outcome for k in range(cfg.trials)]
+            alone = [decode_one(spec, chan, team, *codebooks(team, cfg, stream(0, k, ROLE_CODEBOOKS)),
+                                cfg, stream(0, k, ROLE_TRIAL))[0] for k in range(cfg.trials)]
             cells = mcsim._trial_cells(spec, cfg)
             reports = []
             for budget, size in [(1, 1), (3 * cells, 3), (mcsim.TRIAL_CELL_BUDGET, None)]:
@@ -1396,21 +1404,22 @@ def test_sampled_letters_match_conditional_law():
     policy = two_strategy_policy()
     cfg = SimConfig(blocklength=6, rate_a=1 / 6, rate_b=1 / 6, trials=400, seed=17,
                     epsilon=0.5)
-    books = generate_codebooks(policy, cfg)
+    ids_a, ids_b = codebooks(policy, cfg)
     pair_freq = np.zeros((chan.space_a.count, chan.space_b.count))
     for t in range(cfg.blocklength):
         for wa in range(cfg.messages_a):
             for wb in range(cfg.messages_b):
-                pair_freq[books.ids_a[wa, t], books.ids_b[wb, t]] += 1
+                pair_freq[ids_a[wa, t], ids_b[wb, t]] += 1
     pair_freq /= cfg.blocklength * cfg.messages_a * cfg.messages_b
     law = np.einsum("s,ab,saby->saby", spec.state_pmf, pair_freq, chan.q)
     counts = np.zeros_like(law)
     for trial in range(cfg.trials):
-        out = run_trial(spec, chan, books, cfg, stream(cfg.seed, trial, ROLE_TRIAL))
-        a_seq = books.ids_a[out.truth[0]]
-        b_seq = books.ids_b[out.truth[1]]
+        _, truth, _, s_seq, y_seq = decode_one(spec, chan, policy, ids_a, ids_b, cfg,
+                                               stream(cfg.seed, trial, ROLE_TRIAL))
+        a_seq = ids_a[truth[0]]
+        b_seq = ids_b[truth[1]]
         for t in range(cfg.blocklength):
-            counts[out.s_seq[t], a_seq[t], b_seq[t], out.y_seq[t]] += 1
+            counts[s_seq[t], a_seq[t], b_seq[t], y_seq[t]] += 1
     total = counts.sum()
     assert total == cfg.trials * cfg.blocklength
     expected = law * total

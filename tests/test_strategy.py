@@ -1,16 +1,9 @@
 import itertools
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from fsmac.errors import GuardError
-from fsmac.strategy import (
-    decode_id,
-    encode_table,
-    enumerate_strategies,
-    strategy_count,
-)
+from fsmac.strategy import enumerate_strategies, strategy_count
 
 
 def test_frozen_small_spaces():
@@ -25,9 +18,7 @@ def test_frozen_small_spaces():
 
 def test_frozen_id_37():
     # mixed-radix little-endian: 37 = 1 + 1*4 + 2*16
-    table = decode_id(37, obs_size=3, input_size=4)
-    assert table.tolist() == [1, 1, 2]
-    assert encode_table([1, 1, 2], input_size=4) == 37
+    assert enumerate_strategies(3, 4).tables[37].tolist() == [1, 1, 2]
 
 
 def test_enumeration_matches_product_oracle():
@@ -41,27 +32,11 @@ def test_enumeration_matches_product_oracle():
             assert sp.tables[sid].tolist() == list(tup)
 
 
-def test_roundtrip_exhaustive():
-    for m, k in [(2, 2), (3, 2), (2, 4), (4, 2), (3, 3)]:
-        sp = enumerate_strategies(m, k)
-        for sid in range(sp.count):
-            table = decode_id(sid, m, k)
-            assert encode_table(table, k) == sid
-            assert np.array_equal(sp.tables[sid], table)
-
-
 def test_no_duplicate_tables():
     for m, k in [(3, 2), (2, 4), (3, 3)]:
         sp = enumerate_strategies(m, k)
         seen = {tuple(row) for row in sp.tables.tolist()}
         assert len(seen) == sp.count
-
-
-@given(st.integers(1, 4), st.integers(1, 5), st.data())
-def test_roundtrip_random(m, k, data):
-    count = strategy_count(m, k)
-    sid = data.draw(st.integers(0, count - 1))
-    assert encode_table(decode_id(sid, m, k), k) == sid
 
 
 def test_one_hot_matches_tables():
@@ -84,11 +59,5 @@ def test_guards_and_errors():
     with pytest.raises(GuardError, match=r"has 1000000\*\*1000000 strategies, more than"):
         enumerate_strategies(10**6, 10**6)
 
-    with pytest.raises(ValueError):
-        decode_id(-1, 2, 2)
-    with pytest.raises(ValueError):
-        decode_id(4, 2, 2)
-    with pytest.raises(ValueError):
-        encode_table([0, 2], input_size=2)
     with pytest.raises(ValueError):
         strategy_count(0, 2)
