@@ -23,7 +23,6 @@ from .model import (
     induced_strategy_channel,
     load_spec,
     spec_from_dict,
-    validate_spec,
 )
 from .rates import (
     JointLaw,
@@ -72,7 +71,7 @@ __all__ = [
     "stream",
     "StrategySpace", "enumerate_strategies",
     "FsMacSpec", "StrategyChannel",
-    "induced_strategy_channel", "load_spec", "spec_from_dict", "validate_spec",
+    "induced_strategy_channel", "load_spec", "spec_from_dict",
     "JointLaw", "RatePentagon", "TeamPolicy", "conditional_mutual_information",
     "joint_law", "load_policy", "pentagon",
     "OptimizerConfig", "RateRegion", "SumRateResult", "convex_hull_2d",

@@ -79,7 +79,7 @@ def _num(value) -> str:
 
 
 def _validate(args, spec, chan):
-    # validate_spec has counted both spaces, so these pass its guards
+    # FsMacSpec has counted both spaces on construction, so these pass its guards
     count_a = strategy_count(spec.size_sa, spec.size_xa)
     count_b = strategy_count(spec.size_sb, spec.size_xb)
     payload = {

@@ -167,11 +167,17 @@ def _history_weights(obs_rows: np.ndarray, sigma) -> np.ndarray:
 
 
 def _time_and_past(spec: FsMacSpec, maps: EncoderMaps, t: int, sigma) -> tuple:
-    """sigma as a tuple of ints, once t is a time of the code and sigma a
-    past of t - 1 states of the alphabet; ValueError otherwise."""
+    """sigma as a tuple of ints, once t is a time of the code whose tables
+    fit the spec's alphabets and sigma a past of t - 1 states of the
+    alphabet; ValueError otherwise."""
     sigma = tuple(int(s) for s in sigma)
     if not 1 <= t <= maps.blocklength:
         raise ValueError(f"time {t} outside 1..{maps.blocklength}")
+    for sender, phi, size_obs, size_in in (("a", maps.phi_a[t - 1], spec.size_sa, spec.size_xa),
+                                           ("b", maps.phi_b[t - 1], spec.size_sb, spec.size_xb)):
+        if phi.shape[2] != size_obs or phi.max() >= size_in:
+            raise ValueError(f"sender {sender}'s time-{t} table must map {size_obs} "
+                             f"observations to inputs in [0, {size_in})")
     if len(sigma) != t - 1:
         raise ValueError(f"time {t} needs {t - 1} past states, got {len(sigma)}")
     if any(not 0 <= s < spec.size_s for s in sigma):

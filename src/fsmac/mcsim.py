@@ -79,7 +79,7 @@ import numpy as np
 
 from .errors import GuardError, InternalInvariantError
 from .model import FsMacSpec, StrategyChannel
-from .rates import JointLaw, TeamPolicy, _marginal, check_policy, joint_law, log2_floor
+from .rates import AXES, JointLaw, TeamPolicy, _marginal, check_policy, joint_law, log2_floor
 from .rng import ROLE_CODEBOOKS, ROLE_TRIAL, bounded, philox_words, rekey, stream, unit_floats
 
 BLOCKLENGTH_CAP = 1 << 16     # the decoder holds about 240 bytes per letter per trial
@@ -184,17 +184,17 @@ class SimReport:
     diagnostics: dict = field(hash=False)
 
 
-def wilson_interval(errors: int, trials: int, z: float = WILSON_Z) -> tuple:
+def wilson_interval(errors: int, trials: int) -> tuple:
     """Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= errors <= trials:
         raise ValueError(f"errors {errors} outside [0, {trials}]")
     phat = errors / trials
-    z2n = z * z / trials
+    z2n = WILSON_Z * WILSON_Z / trials
     denom = 1.0 + z2n
     center = (phat + z2n / 2.0) / denom
-    half = z * math.sqrt(phat * (1.0 - phat) / trials + z2n / (4.0 * trials)) / denom
+    half = WILSON_Z * math.sqrt(phat * (1.0 - phat) / trials + z2n / (4.0 * trials)) / denom
     low = 0.0 if errors == 0 else max(0.0, center - half)  # exact at the edges
     high = 1.0 if errors == trials else min(1.0, center + half)
     return low, high
@@ -303,10 +303,13 @@ def typicality_check(seqs, law, epsilon: float) -> bool:
         raise ValueError(f"law must have 4 axes, got {p.ndim}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    arrs = tuple(np.asarray(seqs[k], dtype=np.int64) for k in ("s", "ta", "tb", "y"))
+    arrs = tuple(np.asarray(seqs[k]) for k in AXES)
     n = arrs[0].size
     if n < 1 or any(a.shape != (n,) for a in arrs):
         raise ValueError("sequences must share one length >= 1")
+    for axis, arr, size in zip(AXES, arrs, p.shape):
+        if arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= size:
+            raise ValueError(f"{axis}: letters must be integers in [0, {size})")
     for combo in _axis_subsets():
         drop = tuple(i for i in range(4) if i not in combo)
         marg = p.sum(axis=drop)

@@ -35,12 +35,16 @@ PMF_ATOL = 1e-9
 SPEC_BYTE_CAP = 32 * CELL_CAP
 
 _ALPHABET_KEYS = ("xa", "xb", "s", "sa", "sb", "y")
-_TOP_KEYS = {"alphabets", "state_pmf", "obs_a", "obs_b", "channel", "labels"}
+_ARRAY_KEYS = ("state_pmf", "obs_a", "obs_b", "channel")
+_TOP_KEYS = {"alphabets", *_ARRAY_KEYS, "labels"}
 
 
 @dataclass(frozen=True)
 class FsMacSpec:
-    """Validated model instance. Arrays are read-only after construction."""
+    """Model instance, validated on construction: each array's shape must
+    match the alphabets, every row must be a pmf, the labels must name the
+    symbols, and the channel cell guard must pass. ValidationError or
+    GuardError names the first violation. Arrays are float64 and read-only."""
 
     size_xa: int
     size_xb: int
@@ -53,6 +57,31 @@ class FsMacSpec:
     obs_b: np.ndarray      # (s, sb)
     channel: np.ndarray    # (s, xa, xb, y)
     labels: dict | None = None
+
+    def __post_init__(self):
+        shapes = {"state_pmf": (self.size_s,), "obs_a": (self.size_s, self.size_sa),
+                  "obs_b": (self.size_s, self.size_sb),
+                  "channel": (self.size_s, self.size_xa, self.size_xb, self.size_y)}
+        for name, shape in shapes.items():
+            arr = float_array(getattr(self, name), name)
+            if arr.shape != shape:
+                raise ValidationError(
+                    f"{name}: shape {arr.shape} does not match alphabets, expected {shape}")
+            object.__setattr__(self, name, arr)
+        if self.labels is not None and not isinstance(self.labels, dict):
+            raise ValidationError("labels: must be an object when present")
+        for name in shapes:
+            check_pmf(getattr(self, name), name)
+        for key, names in (self.labels or {}).items():
+            if key not in _ALPHABET_KEYS:
+                raise ValidationError(f"labels: unknown alphabet {key!r}")
+            size = getattr(self, f"size_{key}")
+            if not (isinstance(names, list) and len(names) == size
+                    and all(isinstance(name, str) for name in names)):
+                raise ValidationError(f"labels: {key} must be a list of {size} strings, one per symbol")
+        check_channel_cells(self)
+        for name in shapes:
+            getattr(self, name).setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -118,21 +147,15 @@ def float_array(value, name: str) -> np.ndarray:
         raise ValidationError(f"{name}: not a numeric array ({exc})") from None
 
 
-def _as_float_array(value, name: str, shape: tuple) -> np.ndarray:
-    arr = float_array(value, name)
-    if arr.shape != shape:
-        raise ValidationError(f"{name}: shape {arr.shape} does not match alphabets, expected {shape}")
-    return arr
-
-
 def spec_from_dict(doc: dict) -> FsMacSpec:
-    """Build and validate a model instance from a parsed JSON document."""
+    """The model instance a parsed JSON document describes. The document's
+    keys and alphabet sizes are checked here, the arrays by FsMacSpec."""
     if not isinstance(doc, dict):
         raise SpecFormatError(f"spec document must be a JSON object, got {type(doc).__name__}")
     unknown = set(doc) - _TOP_KEYS
     if unknown:
         raise ValidationError(f"unknown spec key {sorted(unknown)[0]!r}")
-    for key in ("alphabets", "state_pmf", "obs_a", "obs_b", "channel"):
+    for key in ("alphabets", *_ARRAY_KEYS):
         if key not in doc:
             raise ValidationError(f"missing spec key {key!r}")
 
@@ -149,48 +172,8 @@ def spec_from_dict(doc: dict) -> FsMacSpec:
         val = alpha[key]
         if not isinstance(val, int) or isinstance(val, bool) or val < 1:
             raise ValidationError(f"alphabets: {key} must be an integer >= 1, got {val!r}")
-        sizes[key] = val
-
-    state_pmf = _as_float_array(doc["state_pmf"], "state_pmf", (sizes["s"],))
-    obs_a = _as_float_array(doc["obs_a"], "obs_a", (sizes["s"], sizes["sa"]))
-    obs_b = _as_float_array(doc["obs_b"], "obs_b", (sizes["s"], sizes["sb"]))
-    channel = _as_float_array(
-        doc["channel"], "channel", (sizes["s"], sizes["xa"], sizes["xb"], sizes["y"])
-    )
-
-    labels = doc.get("labels")
-    if labels is not None and not isinstance(labels, dict):
-        raise ValidationError("labels: must be an object when present")
-
-    spec = FsMacSpec(
-        size_xa=sizes["xa"], size_xb=sizes["xb"], size_s=sizes["s"],
-        size_sa=sizes["sa"], size_sb=sizes["sb"], size_y=sizes["y"],
-        state_pmf=state_pmf, obs_a=obs_a, obs_b=obs_b, channel=channel,
-        labels=labels,
-    )
-    validate_spec(spec)
-    for arr in (state_pmf, obs_a, obs_b, channel):
-        arr.setflags(write=False)
-    return spec
-
-
-def validate_spec(spec: FsMacSpec) -> None:
-    """Raise ValidationError or GuardError on the first violated invariant."""
-    check_pmf(spec.state_pmf, "state_pmf")
-    check_pmf(spec.obs_a, "obs_a")
-    check_pmf(spec.obs_b, "obs_b")
-    check_pmf(spec.channel, "channel")
-
-    if spec.labels is not None:
-        for key, names in spec.labels.items():
-            if key not in _ALPHABET_KEYS:
-                raise ValidationError(f"labels: unknown alphabet {key!r}")
-            size = getattr(spec, f"size_{key}")
-            if not (isinstance(names, list) and len(names) == size
-                    and all(isinstance(name, str) for name in names)):
-                raise ValidationError(f"labels: {key} must be a list of {size} strings, one per symbol")
-
-    check_channel_cells(spec)
+        sizes[f"size_{key}"] = val
+    return FsMacSpec(**sizes, **{key: doc[key] for key in _ARRAY_KEYS}, labels=doc.get("labels"))
 
 
 def check_channel_cells(spec: FsMacSpec) -> None:
@@ -238,10 +221,8 @@ def induced_strategy_channel(spec: FsMacSpec) -> StrategyChannel:
 
     Only the factors are computed here: each strategy collapsed to its
     per-state input distribution. The channel's q contracts them with the
-    transfer law when first read. The cell guard runs again first: a spec
-    built directly skips validate_spec.
+    transfer law when first read.
     """
-    check_channel_cells(spec)
     space_a = enumerate_strategies(spec.size_sa, spec.size_xa)
     space_b = enumerate_strategies(spec.size_sb, spec.size_xb)
     hot_a = space_a.one_hot()  # (ta, oa, xa)

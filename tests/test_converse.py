@@ -183,6 +183,19 @@ def test_policy_argument_validation(rng):
     for past in ((-1,), (2,)):   # (-1,) once read the last state's law
         with pytest.raises(ValueError, match="state alphabet"):
             brute_force_conditional(spec, maps, 2, past)
+    # tables that do not fit the spec: over 3 observation symbols for a
+    # 2-symbol sender, or sending inputs 2 and 3 for a binary one, once gave
+    # a misleading policy length, a numpy matmul error or a bare IndexError
+    wide = random_encoders(random_spec(rng, sizes=dict(xa=2, xb=2, s=2, sa=3, sb=2, y=2)),
+                           2, 2, 2, rng)
+    loud = EncoderMaps(phi_a=maps.phi_a, phi_b=tuple(phi + 2 for phi in maps.phi_b))
+    for bad, message in ((wide, r"sender a's time-1 table must map 2 observations to inputs "
+                                r"in \[0, 2\)"),
+                         (loud, r"sender b's time-1 table must map 2 observations to inputs "
+                                r"in \[0, 2\)")):
+        for audit in (verify_factorization, sigma_average_pentagon):
+            with pytest.raises(ValueError, match=message):
+                audit(spec, bad)
 
 
 def test_brute_force_law_is_a_pmf(rng):

@@ -37,7 +37,7 @@ from fsmac.mcsim import (
     typicality_check,
     wilson_interval,
 )
-from fsmac.model import FsMacSpec, check_channel_cells, induced_strategy_channel
+from fsmac.model import FsMacSpec, induced_strategy_channel
 from fsmac.rates import TeamPolicy, joint_law, log2_floor
 from fsmac.rng import ROLE_CODEBOOKS, ROLE_TRIAL, rekey, stream
 
@@ -329,6 +329,18 @@ def test_typicality_point_mass_and_huge_epsilon():
         typicality_check(constant, base, epsilon=0.0)
     with pytest.raises(ValueError, match="length"):
         typicality_check(dict(constant, s=np.zeros(2, dtype=int)), base, 0.1)
+    # letters outside the law: a negative one once read its axis from the
+    # end, a fractional one was truncated, and one past the end raised a
+    # bare IndexError
+    adder = load("mod2-adder-noiseless")
+    uniform = TeamPolicy(pi_a=np.full(4, 0.25), pi_b=np.full(4, 0.25))
+    law = joint_law(adder, induced_strategy_channel(adder), uniform)
+    seqs = dict(s=[0, 1], ta=[0, 1], tb=[1, 2], y=[1, 0])
+    assert typicality_check(seqs, law, epsilon=5.0)
+    for axis, letters, size in (("s", [-1, 1], 2), ("s", [0.5, 1], 2), ("ta", [0, 7], 4),
+                                ("tb", [4, 0], 4), ("y", [0, 2], 2)):
+        with pytest.raises(ValueError, match=rf"^{axis}: letters must be integers in \[0, {size}\)$"):
+            typicality_check(dict(seqs, **{axis: letters}), law, epsilon=5.0)
 
 
 def test_vectorized_mask_matches_reference(rng, monkeypatch):
@@ -1107,7 +1119,6 @@ def cap_size_case(monkeypatch) -> tuple:
     spec = FsMacSpec(size_xa=2, size_xb=2, size_s=s, size_sa=sa, size_sb=sb, size_y=y,
                      state_pmf=np.full(s, 1 / s), obs_a=np.full((s, sa), 1 / sa),
                      obs_b=np.full((s, sb), 1 / sb), channel=np.full((s, 2, 2, y), 1 / y))
-    check_channel_cells(spec)
     chan = induced_strategy_channel(spec)
     assert chan.q.size == strategy.CELL_CAP
     return spec, chan, TeamPolicy(pi_a=np.full(32, 1 / 32), pi_b=np.full(32, 1 / 32))

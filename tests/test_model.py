@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 import tracemalloc
@@ -10,11 +11,9 @@ from fsmac import examples
 from fsmac.errors import GuardError, SpecFormatError, ValidationError
 from fsmac.model import (
     FsMacSpec,
-    check_channel_cells,
     induced_strategy_channel,
     load_spec,
     spec_from_dict,
-    validate_spec,
 )
 from fsmac.strategy import enumerate_strategies
 
@@ -42,7 +41,8 @@ def oracle_q(spec):
 def test_bundled_specs_load_and_validate():
     for name in examples.NAMES:
         spec = examples.load(name)
-        validate_spec(spec)
+        assert all(not arr.flags.writeable and arr.dtype == np.float64
+                   for arr in (spec.state_pmf, spec.obs_a, spec.obs_b, spec.channel))
     spec = examples.load("mod2-adder-noiseless")
     assert (spec.size_xa, spec.size_y, spec.size_s) == (2, 2, 2)
     assert spec.labels == {"y": ["xor0", "xor1"], "s": ["even", "odd"]}
@@ -228,9 +228,9 @@ def test_load_spec_parse_and_io_errors(tmp_path):
     load_spec(good)
 
 
-def _sized_spec(xa, xb, s, sa, sb, y) -> FsMacSpec:
-    """A spec built directly, without validation, with uniform rows."""
-    return FsMacSpec(
+def _sized(xa, xb, s, sa, sb, y) -> dict:
+    """FsMacSpec's arguments for these sizes, with uniform rows."""
+    return dict(
         size_xa=xa, size_xb=xb, size_s=s, size_sa=sa, size_sb=sb, size_y=y,
         state_pmf=np.full(s, 1 / s), obs_a=np.full((s, sa), 1 / sa),
         obs_b=np.full((s, sb), 1 / sb), channel=np.full((s, xa, xb, y), 1 / y),
@@ -249,12 +249,12 @@ def _sized_spec(xa, xb, s, sa, sb, y) -> FsMacSpec:
 def test_cell_guard_counts_every_array_the_build_makes(sizes, message):
     # sizes (xa, xb, s, sa, sb, y). input-law-a once passed every guard (4096
     # strategies, q of 65,536 cells) while its input law would take 2.1 GB.
-    spec = _sized_spec(*sizes)
+    # No spec exists past the guard, so the channel builder never sees one.
+    args = _sized(*sizes)
     tracemalloc.start()
     try:
-        for check in (validate_spec, induced_strategy_channel):
-            with pytest.raises(GuardError, match="channel cell cap: " + message):
-                check(spec)
+        with pytest.raises(GuardError, match="channel cell cap: " + message):
+            FsMacSpec(**args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -263,17 +263,17 @@ def test_cell_guard_counts_every_array_the_build_makes(sizes, message):
 
 def test_cell_guard_admits_arrays_at_the_cap():
     # q at exactly 2**24 cells, and a one-hot table at exactly 2**24 cells
-    validate_spec(_sized_spec(2, 2, 1, 12, 11, 2**24 // (4096 * 2048)))
-    validate_spec(_sized_spec(4096, 1, 1, 1, 1, 1))
+    FsMacSpec(**_sized(2, 2, 1, 12, 11, 2**24 // (4096 * 2048)))
+    FsMacSpec(**_sized(4096, 1, 1, 1, 1, 1))
 
 
 def test_huge_alphabets_refused_in_a_few_steps():
     # 10**6 ** 10**6 strategies: the count stops at the first power past the
     # cap, so no six-million-digit integer is built or printed
-    spec = _sized_spec(10**6, 1, 1, 10**6, 1, 1)
+    args = _sized(10**6, 1, 1, 10**6, 1, 1)
     started = time.perf_counter()
     with pytest.raises(GuardError) as exc:
-        check_channel_cells(spec)
+        FsMacSpec(**args)
     assert time.perf_counter() - started < 0.1
     assert str(exc.value) == ("channel cell cap: sender a has 1000000**1000000 "
                               "strategies, more than 16777216")
@@ -284,27 +284,41 @@ def test_channel_cell_guard_counts_before_any_array():
     doc = oversized_channel_doc()
     with pytest.raises(GuardError, match=r"channel cell cap: .* = 2147483648 cells exceed 16777216"):
         spec_from_dict(doc)
-    # a spec built directly skips validation; the channel builder refuses it too
+    # a spec built directly is refused by the same guard
     sizes = doc["alphabets"]
-    spec = FsMacSpec(
-        size_xa=sizes["xa"], size_xb=sizes["xb"], size_s=sizes["s"],
-        size_sa=sizes["sa"], size_sb=sizes["sb"], size_y=sizes["y"],
-        **{key: np.asarray(doc[key]) for key in ("state_pmf", "obs_a", "obs_b", "channel")},
-    )
+    args = {f"size_{key}": size for key, size in sizes.items()}
+    args.update({key: np.asarray(doc[key]) for key in ("state_pmf", "obs_a", "obs_b", "channel")})
     tracemalloc.start()
     try:
         with pytest.raises(GuardError, match="2147483648 cells"):
-            induced_strategy_channel(spec)
+            FsMacSpec(**args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20   # the guard runs before any table is built
 
 
+@pytest.mark.parametrize("field, name, shape", [
+    ("size_y", "channel", (2, 2, 2, 3)),
+    ("size_s", "state_pmf", (3,)),
+    ("size_sa", "obs_a", (2, 3)),
+    ("size_xa", "channel", (2, 3, 2, 2)),
+], ids=["y", "s", "sa", "xa"])
+def test_sizes_that_disagree_with_the_arrays_are_refused(field, name, shape):
+    # a size of 3 on the binary adder: size_y = 3 and size_s = 3 once gave a
+    # sum rate of 1 bit read against log2 3, and size_sa = 3 and size_xa = 3
+    # failed inside the optimizer on a numpy broadcast
+    spec = examples.load("mod2-adder-noiseless")
+    with pytest.raises(ValidationError) as exc:
+        dataclasses.replace(spec, **{field: 3})
+    assert str(exc.value) == (f"{name}: shape {getattr(spec, name).shape} does not match "
+                              f"alphabets, expected {shape}")
+
+
 def test_channel_build_holds_one_input_law_beside_its_one_hot_table():
     # S = Sa = 1: the one-hot table and mix_a are the same size, so a build
     # that also stacked per-state slices would peak at 3x mix_a
-    spec = _sized_spec(512, 1, 1, 1, 1, 1)
+    spec = FsMacSpec(**_sized(512, 1, 1, 1, 1, 1))
     tracemalloc.start()
     try:
         chan = induced_strategy_channel(spec)
