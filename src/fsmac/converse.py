@@ -25,7 +25,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import GuardError
-from .model import FsMacSpec, StrategyChannel, induced_strategy_channel
+from .model import FsMacSpec, StrategyChannel, check_channel
 from .optimize import _Objective
 from .rates import RatePentagon, TeamPolicy, checked_pentagon, joint_law
 
@@ -263,15 +263,14 @@ def factorized_conditional(spec: FsMacSpec, chan: StrategyChannel,
 
 
 def verify_factorization(spec: FsMacSpec, maps: EncoderMaps,
-                         chan: StrategyChannel | None = None) -> ConverseAudit:
+                         chan: StrategyChannel) -> ConverseAudit:
     """Compare the literal letter law with the factorized one everywhere.
 
     Sweeps every time step and every past-state sequence; returns the largest
     absolute entry difference and where it occurred.
     """
+    check_channel(spec, chan)
     pasts = _pasts(spec, maps.blocklength)
-    if chan is None:
-        chan = induced_strategy_channel(spec)
     worst = -1.0
     worst_t, worst_sigma = 1, ""
     checks = 0
@@ -287,7 +286,7 @@ def verify_factorization(spec: FsMacSpec, maps: EncoderMaps,
 
 
 def sigma_average_pentagon(spec: FsMacSpec, maps: EncoderMaps,
-                           chan: StrategyChannel | None = None) -> RatePentagon:
+                           chan: StrategyChannel) -> RatePentagon:
     """Outer bounds for the code: the alpha-weighted average of the bounds of
     its per-(time, past) letter laws.
 
@@ -296,10 +295,9 @@ def sigma_average_pentagon(spec: FsMacSpec, maps: EncoderMaps,
     induced policy is read through one objective on the channel's factors,
     so no letter law is built; the sum is checked once as a pentagon.
     """
+    check_channel(spec, chan)
     pasts = _pasts(spec, maps.blocklength)
-    if chan is None:
-        chan = induced_strategy_channel(spec)
-    obj = _Objective(chan, spec.state_pmf)
+    obj = _Objective(chan)
     bounds = np.zeros(3)
     for t, sigma, alpha in pasts:
         if alpha == 0.0:

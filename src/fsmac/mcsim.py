@@ -20,35 +20,12 @@ ML decoder's too, adds one per-letter table entry at a time in t order and
 divides by n, the sum typicality_check makes, so the mask is the
 definition's bit for bit and a score does not depend on which stage or
 chunk computes it. The filters and the listed subsets share one scorer; the
-full law's pair sums, and ML's, come from the pair kernel below. A zero
+full law's pair sums, and ML's, come from the pair kernel. A zero
 cell reads as -2^40 in every table, so a candidate that visits one fails
 every admitted epsilon and loses to every pair of positive likelihood, as
 the definition rejects it outright.
 
-The full-law blocks of a chunk's trials are stacked into one matrix: each
-trial gives its surviving rows, and its surviving columns are padded to the
-chunk's widest trial. That matrix is taken a block of rows at a time
-(PAIR_BLOCK_CELLS pairs at most, across trial boundaries, and no more
-trials than one letter's column cuts fit in as many cells). A block first
-compares each letter's float cut of the log table to -2^40, ANDs the alive
-cuts into a one-byte mask and keeps only the rows with a pair on positive
-cells; then each letter's log-likelihoods are added to the kept rows in one
-reused buffer while it is in cache, and the block is tested as soon as it
-is summed. Every block reads its alive pairs off its sums by one rule: a
-sum holding a zero cell is at most -2^40 and any other is above it, and
-such a pair fails every admitted epsilon and loses to every pair of
-positive likelihood, the transmitted pair among them, so a dropped row
-could neither pass nor win. One flag per table, whether it has a zero cell
-on the policy's support, decides the mask pass, so a channel without zero
-cells never takes one. A block whose trials' column cuts do not fit in one
-gather (many small trials, or long ones) skips it too, since a mask pass
-would gather them twice. Survivors come out in trial order and row-major
-within a trial, with no pair-sized array made per letter or per trial and
-no loop over trials. The ML decoder stacks every pair the same way; each
-block writes its rows' best score, tie count and first best column, and
-each trial's answer is read off its rows once, after the last block: the
-outcome needs no list of pairs. Every stage gathers one letter at a time,
-so none holds an array of candidates by letters.
+The pair kernel is described in _pair_blocks' docstring.
 
 Trials run as rows of chunks. Each trial draws its codebooks, states,
 messages and output uniforms from its own counter-based streams keyed by
@@ -78,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GuardError, InternalInvariantError
-from .model import FsMacSpec, StrategyChannel
+from .model import FsMacSpec, StrategyChannel, check_channel
 from .rates import AXES, JointLaw, TeamPolicy, _marginal, check_policy, joint_law, log2_floor
 from .rng import ROLE_CODEBOOKS, ROLE_TRIAL, bounded, philox_words, rekey, stream, unit_floats
 
@@ -251,11 +228,10 @@ class _DecodeContext:
 
     Codebook independent, so one context serves every trial of a run."""
 
-    def __init__(self, spec: FsMacSpec, chan: StrategyChannel, policy: TeamPolicy):
+    def __init__(self, chan: StrategyChannel, policy: TeamPolicy):
         check_policy(chan, policy)
-        self.spec, self.chan, self.policy = spec, chan, policy
-        self.q = chan.q
-        self.cdf_s = _cdf(spec.state_pmf)
+        self.chan, self.policy = chan, policy
+        self.cdf_s = _cdf(chan.spec.state_pmf)
         self.cdf_a, self.cdf_b = _cdf(policy.pi_a), _cdf(policy.pi_b)
         self.counts = Counter()
 
@@ -263,7 +239,7 @@ class _DecodeContext:
     def tables(self) -> dict:
         """Each subset's log table, shaped like q, and its entropy, from the
         policy's joint law; only the typicality decoder reads them."""
-        law = joint_law(self.spec, self.chan, self.policy).p
+        law = joint_law(self.chan.spec, self.chan, self.policy).p
         tables = {}
         for combo in _axis_subsets():
             # the full subset's marginal is the law itself, not a copy of it
@@ -283,7 +259,7 @@ class _DecodeContext:
     @cached_property
     def channel(self) -> _PairTable:
         """The channel's log table, which only the ML decoder reads."""
-        return _pair_table(_log_table(self.q), self.policy)
+        return _pair_table(_log_table(self.chan.q), self.policy)
 
 
 def typicality_check(seqs, law, epsilon: float) -> bool:
@@ -632,7 +608,7 @@ def _decode_chunk(ctx: _DecodeContext, cfg: SimConfig, ids_a, ids_b, s_seq,
     from their draws: codebooks (trials, messages, n), states and uniforms
     (trials, n), messages (trials,)."""
     k = np.arange(wa.size)
-    probs = ctx.q[s_seq, ids_a[k, wa], ids_b[k, wb]]   # (trials, n, Y)
+    probs = ctx.chan.q[s_seq, ids_a[k, wa], ids_b[k, wb]]   # (trials, n, Y)
     edges = probs.cumsum(axis=-1)
     # rounding must leave no dead zone above the last positive bin, nor let a
     # zero bin after it be drawn: its edge and every later one are 1.0
@@ -692,7 +668,8 @@ def estimate_error(spec: FsMacSpec, chan: StrategyChannel, policy: TeamPolicy,
     passing the full law (full_law) and the typical pairs (typical). ML
     counts the pairs scored (pairs), those masked and the argmax pairs.
     """
-    ctx = _DecodeContext(spec, chan, policy)
+    check_channel(spec, chan)
+    ctx = _DecodeContext(chan, policy)
     size = _chunk_trials(spec, cfg)
     rng = stream(cfg.seed)  # re-keyed to each trial's codebook stream in turn
     counts = np.zeros(len(OUTCOMES), dtype=np.int64)

@@ -15,7 +15,7 @@ law W(y | xa, xb, s). JSON wire schema::
     }
 
 Unknown keys are rejected. All probability rows must be nonnegative and sum
-to 1 within PMF_ATOL.
+to 1 within PMF_ATOL; each is then rescaled to sum to 1.
 """
 
 import json
@@ -44,7 +44,12 @@ class FsMacSpec:
     """Model instance, validated on construction: each array's shape must
     match the alphabets, every row must be a pmf, the labels must name the
     symbols, and the channel cell guard must pass. ValidationError or
-    GuardError names the first violation. Arrays are float64 and read-only."""
+    GuardError names the first violation. Arrays are float64 and read-only.
+
+    Each row is then divided by its sum, so a row off 1 by up to PMF_ATOL
+    sums to 1 within rounding, and a row that sums to exactly 1.0 keeps
+    every bit. Unscaled, the row errors would multiply in q and in the joint
+    law past the tolerance their own checks allow."""
 
     size_xa: int
     size_xb: int
@@ -71,7 +76,9 @@ class FsMacSpec:
         if self.labels is not None and not isinstance(self.labels, dict):
             raise ValidationError("labels: must be an object when present")
         for name in shapes:
-            check_pmf(getattr(self, name), name)
+            arr = getattr(self, name)
+            check_pmf(arr, name)
+            object.__setattr__(self, name, arr / arr.sum(axis=-1, keepdims=True))
         for key, names in (self.labels or {}).items():
             if key not in _ALPHABET_KEYS:
                 raise ValidationError(f"labels: unknown alphabet {key!r}")
@@ -88,33 +95,41 @@ class FsMacSpec:
 class StrategyChannel:
     """Per-state channel from strategy pairs to the output, kept in factors.
 
-    mix_a[s, ta, xa] is the probability that strategy ta sends xa in state s,
-    with sender a's observation averaged out; mix_b likewise. The channel
-    q[s, ta, tb, y] is the probability of output y when the state is s and
-    the senders committed to strategies ta and tb:
+    spec is the model instance the channel was induced from; every entry
+    that takes a spec and a channel refuses a channel of another spec (see
+    check_channel). mix_a[s, ta, xa] is the probability that strategy ta
+    sends xa in state s, with sender a's observation averaged out; mix_b
+    likewise. The channel q[s, ta, tb, y] is the probability of output y
+    when the state is s and the senders committed to strategies ta and tb:
 
         q[s, ta, tb, y] = sum over (xa, xb) of
-            mix_a[s, ta, xa] * mix_b[s, tb, xb] * channel[s, xa, xb, y].
+            mix_a[s, ta, xa] * mix_b[s, tb, xb] * spec.channel[s, xa, xb, y].
 
     q is built on first access and cached; the optimizer works on the
     factors alone and never builds it.
     """
 
+    spec: FsMacSpec
     mix_a: np.ndarray    # (s, count_a, xa)
     mix_b: np.ndarray    # (s, count_b, xb)
-    channel: np.ndarray  # (s, xa, xb, y), the transfer law
     space_a: StrategySpace
     space_b: StrategySpace
 
     @cached_property
     def q(self) -> np.ndarray:
         """The full (s, count_a, count_b, y) tensor, read-only."""
-        size_s, _, _, size_y = self.channel.shape
-        q = np.empty((size_s, self.space_a.count, self.space_b.count, size_y))
-        for s in range(size_s):
-            q[s] = np.einsum("tx,vz,xzy->tvy", self.mix_a[s], self.mix_b[s], self.channel[s])
+        w = self.spec.channel
+        q = np.empty((w.shape[0], self.space_a.count, self.space_b.count, w.shape[3]))
+        for s in range(w.shape[0]):
+            q[s] = np.einsum("tx,vz,xzy->tvy", self.mix_a[s], self.mix_b[s], w[s])
         q.setflags(write=False)
         return q
+
+
+def check_channel(spec: FsMacSpec, chan: StrategyChannel) -> None:
+    """Refuse a strategy channel induced from a spec other than spec."""
+    if chan.spec is not spec:
+        raise ValidationError("strategy channel was induced from another spec")
 
 
 def check_entries(arr: np.ndarray, name: str) -> None:
@@ -231,5 +246,4 @@ def induced_strategy_channel(spec: FsMacSpec) -> StrategyChannel:
     mix_b = np.einsum("su,tux->stx", spec.obs_b, hot_b)
     mix_a.setflags(write=False)
     mix_b.setflags(write=False)
-    return StrategyChannel(mix_a=mix_a, mix_b=mix_b, channel=spec.channel,
-                           space_a=space_a, space_b=space_b)
+    return StrategyChannel(spec=spec, mix_a=mix_a, mix_b=mix_b, space_a=space_a, space_b=space_b)

@@ -50,8 +50,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError, InternalInvariantError
-from .model import FsMacSpec, StrategyChannel
-from .rates import RatePentagon, TeamPolicy, checked_pentagon, entropy_rows, log2_floor
+from .model import FsMacSpec, StrategyChannel, check_channel
+from .rates import (PENTAGON_SLACK, RatePentagon, TeamPolicy, checked_pentagon, entropy_rows,
+                    log2_floor)
 from .rng import ROLE_RESTART, stream
 
 _LOG2E = 1.0 / np.log(2.0)
@@ -65,6 +66,7 @@ DIRECTIONS = 33   # region directions traced by default
 DIRECTIONS_CAP = 1 << 12   # region directions, checked before any is allocated
 BATCH_CELL_BUDGET = 1 << 22   # float64 cells one chunk of ascent rows may hold
 MAX_ITERS = 500   # alternating rounds a restart may climb
+RESTART_CAP = 1 << 20   # restarts per group; each region direction owns this many items
 ASCENT_WORK_CAP = 1 << 35   # rows x (A*B + row cells) x MAX_ITERS, see check_ascent_work
 REL_TOL = 1e-9    # a round or a step that gains less than this, relative, stops
 
@@ -75,8 +77,9 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.restarts <= 1 << 20:
-            raise ValueError(f"restarts must be in [1, 2**20], got {self.restarts}")
+        if not 1 <= self.restarts <= RESTART_CAP:
+            raise ValueError(f"restarts must be in [1, 2**{RESTART_CAP.bit_length() - 1}], "
+                             f"got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -237,7 +240,7 @@ def check_ascent_work(chan: StrategyChannel, rows: int) -> None:
     builds every row's blocks, O(A*B) for m @ other plus the row's cells, so
     rows x (A*B + row cells) x MAX_ITERS bounds the work; it may be at most
     ASCENT_WORK_CAP."""
-    shape = (*chan.mix_a.shape[:2], chan.mix_b.shape[1], chan.channel.shape[3])
+    shape = (*chan.mix_a.shape[:2], chan.mix_b.shape[1], chan.spec.size_y)
     per_row = shape[1] * shape[2] + _row_cells(shape)
     work = rows * per_row * MAX_ITERS
     if work > ASCENT_WORK_CAP:
@@ -253,8 +256,8 @@ class _Objective:
     channel's factors; only m, the table-conditional entropy of every
     strategy pair, is (A, B)."""
 
-    def __init__(self, chan: StrategyChannel, state_pmf: np.ndarray):
-        mix_a, mix_b, w = chan.mix_a, chan.mix_b, chan.channel
+    def __init__(self, chan: StrategyChannel):
+        mix_a, mix_b, w, state_pmf = chan.mix_a, chan.mix_b, chan.spec.channel, chan.spec.state_pmf
         (size_s, count_a, _), (_, count_b, size_xb), size_y = mix_a.shape, mix_b.shape, w.shape[3]
         self.p, self.shape = state_pmf, (size_s, count_a, count_b, size_y)
         # m[a, b] = sum_s p_s H(q[s, a, b, :]), per state in chunks of a-rows;
@@ -430,10 +433,10 @@ def _kkt_gaps(obj: _Objective, pa: np.ndarray, pb: np.ndarray) -> tuple:
     return tuple(gaps)
 
 
-def _sum_rate_result(spec: FsMacSpec, obj: _Objective, best: tuple) -> SumRateResult:
+def _sum_rate_result(obj: _Objective, best: tuple) -> SumRateResult:
     value, pa, pb, rounds, converged, restart, history = best
-    cap = np.log2(spec.size_y) + 1e-9
-    if not -1e-9 <= value <= cap:
+    cap = np.log2(obj.shape[3]) + PENTAGON_SLACK
+    if not -PENTAGON_SLACK <= value <= cap:
         raise InternalInvariantError(f"sum-rate value {value!r} outside [0, log2 |Y|]")
     return SumRateResult(
         value=max(value, 0.0),
@@ -449,17 +452,16 @@ def _sum_rate_result(spec: FsMacSpec, obj: _Objective, best: tuple) -> SumRateRe
 def maximize_sum_rate(spec: FsMacSpec, chan: StrategyChannel,
                       cfg: OptimizerConfig | None = None) -> SumRateResult:
     """Best sum bound over product strategy policies (multi-start ascent)."""
+    check_channel(spec, chan)
     cfg = cfg if cfg is not None else OptimizerConfig()
     check_ascent_work(chan, cfg.restarts)
-    obj = _Objective(chan, spec.state_pmf)
+    obj = _Objective(chan)
     (best,) = _maximize(obj, cfg, [_SUM_RATE])
-    return _sum_rate_result(spec, obj, best)
+    return _sum_rate_result(obj, best)
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
     """All nonnegative integer vectors of the given length summing to total."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
     bars = np.array(
         list(itertools.combinations(range(total + parts - 1), parts - 1)), dtype=np.int64
     )
@@ -545,6 +547,7 @@ def check_grid_oracle(spec: FsMacSpec, chan: StrategyChannel, resolution: int) -
     below 1, more than 4 strategies per sender, over ORACLE_GRID_CAP grid
     points per sender or over ORACLE_PAIR_CAP pairs. Returns whether the
     strategy channel is deterministic, which picks the scan's point set."""
+    check_channel(spec, chan)
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     if chan.space_a.count > 4 or chan.space_b.count > 4:
@@ -643,6 +646,7 @@ def inner_bound_region(spec: FsMacSpec, chan: StrategyChannel,
     """Trace the achievable region: maximize the pentagon support along
     directions spanning the first quadrant, hull the collected corners. The
     sum rate's restarts climb in the same batch and give outer_sum."""
+    check_channel(spec, chan)
     cfg = cfg if cfg is not None else OptimizerConfig()
     if directions < 2:
         raise ValueError(f"directions must be >= 2, got {directions}")
@@ -650,9 +654,10 @@ def inner_bound_region(spec: FsMacSpec, chan: StrategyChannel,
         raise GuardError(f"region guard: {directions} directions exceed cap {DIRECTIONS_CAP}")
     thetas = np.linspace(0.0, np.pi / 2.0, directions)
     dirs = [(1.0, 0.0), *((float(np.cos(t)), float(np.sin(t))) for t in thetas[1:-1]), (0.0, 1.0)]
-    groups = [(_direction_weights(ca, cb), (k + 1) << 20) for k, (ca, cb) in enumerate(dirs)]
+    groups = [(_direction_weights(ca, cb), (k + 1) * RESTART_CAP)
+              for k, (ca, cb) in enumerate(dirs)]
     check_ascent_work(chan, (len(groups) + 1) * cfg.restarts)
-    obj = _Objective(chan, spec.state_pmf)
+    obj = _Objective(chan)
     *bests, outer = _maximize(obj, cfg, groups + [_SUM_RATE])
     points = [(0.0, 0.0)]
     supports = []
@@ -668,4 +673,4 @@ def inner_bound_region(spec: FsMacSpec, chan: StrategyChannel,
     snapped = np.maximum(np.round(np.array(points), 7), 0.0)
     vertices = convex_hull_2d(snapped)
     return RateRegion(vertices=vertices, supports=tuple(supports),
-                      outer_sum=_sum_rate_result(spec, obj, outer))
+                      outer_sum=_sum_rate_result(obj, outer))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariantError, ValidationError
-from .model import (PMF_ATOL, FsMacSpec, StrategyChannel, check_entries, check_pmf, float_array,
-                    read_json_object)
+from .model import (PMF_ATOL, FsMacSpec, StrategyChannel, check_channel, check_entries, check_pmf,
+                    float_array, read_json_object)
 
 AXES = {"s": 0, "ta": 1, "tb": 2, "y": 3}
 MI_FLOOR = -1e-12
@@ -111,6 +111,7 @@ def check_policy(chan: StrategyChannel, pol: TeamPolicy) -> None:
 
 def joint_law(spec: FsMacSpec, chan: StrategyChannel, pol: TeamPolicy) -> JointLaw:
     """Product-policy joint law p(s, ta, tb, y) = p_s * pi_a * pi_b * q."""
+    check_channel(spec, chan)
     check_policy(chan, pol)
     # p_s * pi_a * pi_b in the four-operand einsum's order, then one multiply
     # into q: the einsum's bits without its operand buffers

@@ -48,7 +48,6 @@ def strategy_count(obs_size: int, input_size: int, who: str = "the strategy spac
 class StrategySpace:
     """All strategies for one user, tables stacked in id order."""
 
-    obs_size: int
     input_size: int
     tables: np.ndarray  # (count, obs_size), row i is the table with id i
 
@@ -75,4 +74,4 @@ def enumerate_strategies(obs_size: int, input_size: int) -> StrategySpace:
         tables[:, i] = ids % input_size
         ids = ids // input_size
     tables.setflags(write=False)
-    return StrategySpace(obs_size=obs_size, input_size=input_size, tables=tables)
+    return StrategySpace(input_size=input_size, tables=tables)

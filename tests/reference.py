@@ -22,7 +22,7 @@ def decode_one(spec, chan, policy, ids_a, ids_b, cfg, rng) -> tuple:
     decoded as a chunk of one. Returns the outcome, the transmitted pair,
     the decoded pair (None unless exactly one pair survived), the states
     and the outputs."""
-    ctx = _DecodeContext(spec, chan, policy)
+    ctx = _DecodeContext(chan, policy)
     s_seq, wa, wb, uniforms = _draw_trial(ctx, cfg, rng)
     codes, decoded, y_seq = _decode_chunk(ctx, cfg, ids_a[None], ids_b[None], s_seq[None],
                                           np.array([wa]), np.array([wb]), uniforms[None])

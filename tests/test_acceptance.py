@@ -78,7 +78,7 @@ def test_criterion_2_factorization_random_codes():
             spec = random_spec(rng, sizes=BINARY)
             n = 1 + (k % 3)
             maps = random_encoders(spec, n, 2, 2, rng)
-            audit = verify_factorization(spec, maps)
+            audit = verify_factorization(spec, maps, induced_strategy_channel(spec))
             worst = max(worst, audit.max_deviation)
         assert worst < 1e-12
         assert time.monotonic() - t0 < 120.0

@@ -509,6 +509,24 @@ def test_manifest_options_echo(tmp_path, capsys, two_strategy_policy):
         assert man["seed"] == (0 if argv[0] == "validate" else 5)
 
 
+def test_rows_off_one_within_tolerance_run_every_command(tmp_path, capsys):
+    # every row of the bsc adder scaled by 1 + 0.9e-9 passes the pmf check;
+    # unscaled, the row errors compounded in q and the joint law, and
+    # sumrate, region and simulate exited 3 and verify-converse 1
+    doc = json.loads(spec_path("mod2-adder-bsc01").read_text())
+    for key in ("state_pmf", "obs_a", "obs_b", "channel"):
+        doc[key] = (np.array(doc[key]) * (1 + 0.9e-9)).tolist()
+    spec = tmp_path / "scaled.json"
+    spec.write_text(json.dumps(doc))
+    for argv in (["sumrate", "--restarts", "2"],
+                 ["region", "--restarts", "2", "--directions", "3",
+                  "--out", str(tmp_path / "hull.csv")],
+                 ["simulate", "--n", "4", "--ra", "0.2", "--rb", "0.2", "--trials", "10"],
+                 ["verify-converse", "--n", "2", "--trials", "2"]):
+        rc, _, err = run(capsys, *argv, "--spec", str(spec))
+        assert rc == 0, (argv[0], err)
+
+
 # --- verify-converse --------------------------------------------------------
 
 def test_verify_converse_clean_exit0(capsys):

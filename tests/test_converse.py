@@ -113,15 +113,18 @@ def test_encoder_maps_validation(rng):
 
 def test_history_guard_trips_before_the_channel_is_built(monkeypatch):
     spec = load("mod2-adder-noiseless")
+    chan = induced_strategy_channel(spec)
     maps = random_encoders(spec, 13, 2, 2, stream(5, 0, ROLE_ENCODER))   # 8191 pasts
 
     def refuse(*args, **kwargs):
-        raise AssertionError("strategy channel built before the history guard")
+        raise AssertionError("strategy channel read before the history guard")
 
-    monkeypatch.setattr(converse, "induced_strategy_channel", refuse)
+    # the sweeps take the channel; what reads it is the objective and the joint law
+    monkeypatch.setattr(converse, "_Objective", refuse)
+    monkeypatch.setattr(converse, "joint_law", refuse)
     for sweep in (verify_factorization, sigma_average_pentagon):
         with pytest.raises(GuardError, match="history sweep guard: blocklength 13 "):
-            sweep(spec, maps)
+            sweep(spec, maps, chan)
 
 
 def test_induced_policy_matches_dict_counting_oracle(rng):
@@ -195,7 +198,7 @@ def test_policy_argument_validation(rng):
                                 r"in \[0, 2\)")):
         for audit in (verify_factorization, sigma_average_pentagon):
             with pytest.raises(ValueError, match=message):
-                audit(spec, bad)
+                audit(spec, bad, induced_strategy_channel(spec))
 
 
 def test_brute_force_law_is_a_pmf(rng):
@@ -212,7 +215,7 @@ def test_factorization_holds_on_random_codes(rng):
     for trial in range(3):
         spec = random_spec(rng, sizes=None)
         maps = random_encoders(spec, 3, 2, 2, stream(11, trial, ROLE_ENCODER))
-        audit = verify_factorization(spec, maps)
+        audit = verify_factorization(spec, maps, induced_strategy_channel(spec))
         assert isinstance(audit, ConverseAudit)
         assert audit.checks == 1 + spec.size_s + spec.size_s ** 2
         assert audit.max_deviation < 1e-12, (trial, audit)
@@ -222,7 +225,7 @@ def test_factorization_holds_on_bundled_specs():
     for name in ("mod2-adder-noiseless", "mod2-adder-bsc01", "stateless-mac"):
         spec = load(name)
         maps = random_encoders(spec, 3, 2, 3, stream(23, hash(name) % 1000, ROLE_ENCODER))
-        audit = verify_factorization(spec, maps)
+        audit = verify_factorization(spec, maps, induced_strategy_channel(spec))
         assert audit.max_deviation < 1e-12, name
 
 
@@ -246,7 +249,7 @@ def test_sigma_average_matches_manual_average(rng):
     maps = random_encoders(spec, 3, 2, 2, stream(19, 0, ROLE_ENCODER))
     averaged = sigma_average_pentagon(spec, maps, chan)
     assert "q" not in vars(chan)   # the outer bound reads the channel's factors alone
-    obj = _Objective(chan, spec.state_pmf)
+    obj = _Objective(chan)
     avg_a = avg_b = avg_sum = 0.0
     for t in range(1, maps.blocklength + 1):
         for sigma in itertools.product(range(spec.size_s), repeat=t - 1):

@@ -131,7 +131,7 @@ def chunk_codebooks(policy, cfg, rng, items=range(1)) -> tuple:
     """The (trials, messages, n) codebooks _draw_chunk draws for items on
     mod2-adder-bsc01, a 4 x 4 strategy channel."""
     spec = load("mod2-adder-bsc01")
-    ctx = _DecodeContext(spec, induced_strategy_channel(spec), policy)
+    ctx = _DecodeContext(induced_strategy_channel(spec), policy)
     return mcsim._draw_chunk(ctx, cfg, rng, items)[:2]
 
 
@@ -197,7 +197,7 @@ def draw_case(ma, mb, n, seed=0) -> tuple:
     of ma x mb messages over n letters."""
     spec = load("mod2-adder-bsc01")
     team = TeamPolicy(pi_a=np.array([0.4, 0.1, 0.2, 0.3]), pi_b=np.array([0.3, 0.2, 0.1, 0.4]))
-    ctx = _DecodeContext(spec, induced_strategy_channel(spec), team)
+    ctx = _DecodeContext(induced_strategy_channel(spec), team)
     cfg = SimConfig(blocklength=n, rate_a=math.log2(ma) / n, rate_b=math.log2(mb) / n, seed=seed)
     assert (cfg.messages_a, cfg.messages_b) == (ma, mb)
     return ctx, cfg
@@ -376,7 +376,7 @@ def test_vectorized_mask_matches_reference(rng, monkeypatch):
     monkeypatch.setattr(mcsim, "_subset_scores", scores)
     for spec, chan, policy, n, (ra, rb), eps, prunes in cases:
         cfg = SimConfig(blocklength=n, rate_a=ra, rate_b=rb, epsilon=eps, seed=2)
-        ctx = _DecodeContext(spec, chan, policy)
+        ctx = _DecodeContext(chan, policy)
         law = joint_law(spec, chan, policy)
         pruned = 0
         draws, singles = [], []
@@ -417,7 +417,7 @@ def test_mask_matches_reference_at_each_sequence_boundary():
     chan = induced_strategy_channel(spec)
     policy = TeamPolicy(pi_a=np.array([0.4, 0.1, 0.2, 0.3]),
                         pi_b=np.array([0.3, 0.2, 0.1, 0.4]))
-    ctx = _DecodeContext(spec, chan, policy)
+    ctx = _DecodeContext(chan, policy)
     law = joint_law(spec, chan, policy).p
     refs = []
     for combo in (c for r in range(1, 5) for c in itertools.combinations(range(4), r)):
@@ -458,7 +458,7 @@ def test_mask_rejects_a_zero_probability_letter():
     spec = zero_cell_spec()
     chan = induced_strategy_channel(spec)
     policy = TeamPolicy(pi_a=np.full(2, 0.5), pi_b=np.full(2, 0.5))
-    ctx = _DecodeContext(spec, chan, policy)
+    ctx = _DecodeContext(chan, policy)
     law = joint_law(spec, chan, policy).p
     n, eps = 4096, 0.5
     draws = np.random.default_rng(3).choice(law.size, size=n, p=law.ravel())
@@ -477,7 +477,7 @@ def test_ml_never_returns_a_zero_likelihood_pair():
     # three 2^-n. Read as -996.6, the zero letter let (0, 0) win alone.
     spec = zero_cell_spec()
     chan = induced_strategy_channel(spec)
-    ctx = _DecodeContext(spec, chan, TeamPolicy(pi_a=np.full(2, 0.5), pi_b=np.full(2, 0.5)))
+    ctx = _DecodeContext(chan, TeamPolicy(pi_a=np.full(2, 0.5), pi_b=np.full(2, 0.5)))
     n = 2000
     ids = np.repeat(np.arange(2)[None, :, None], n, axis=2)
     y_seq = np.zeros((1, n), dtype=np.intp)
@@ -493,7 +493,7 @@ def test_ml_chunk_with_no_alive_pair_is_an_internal_error(monkeypatch):
     # the transmitted one, and ML has no argmax to return
     spec = zero_cell_spec()
     chan = induced_strategy_channel(spec)
-    ctx = _DecodeContext(spec, chan, TeamPolicy(pi_a=np.full(2, 0.5), pi_b=np.full(2, 0.5)))
+    ctx = _DecodeContext(chan, TeamPolicy(pi_a=np.full(2, 0.5), pi_b=np.full(2, 0.5)))
     n = 6
     ids = np.zeros((1, 2, n), dtype=np.intp)
     y_seq = np.zeros((1, n), dtype=np.intp)
@@ -520,7 +520,7 @@ def test_outputs_never_fall_on_a_zero_probability_bin():
                      state_pmf=np.ones(1), obs_a=np.ones((1, 1)), obs_b=np.ones((1, 1)),
                      channel=channel)
     chan = induced_strategy_channel(spec)
-    ctx = _DecodeContext(spec, chan, TeamPolicy(pi_a=np.ones(1), pi_b=np.ones(1)))
+    ctx = _DecodeContext(chan, TeamPolicy(pi_a=np.ones(1), pi_b=np.ones(1)))
     n = 4
     ids, zeros = np.zeros((1, 1, n), dtype=np.intp), np.zeros(1, dtype=np.intp)
     uniforms = np.array([[0.99999999995, 0.2, 0.7, 0.99999999995]])
@@ -542,7 +542,7 @@ def test_chunks_with_few_typical_pairs_classify_each_trial():
     spec = zero_cell_spec()
     chan = induced_strategy_channel(spec)
     policy = TeamPolicy(pi_a=np.full(2, 0.5), pi_b=np.full(2, 0.5))
-    ctx = _DecodeContext(spec, chan, policy)
+    ctx = _DecodeContext(chan, policy)
     n = 16
     live_a, live_b = np.tile(np.repeat([0, 1], 4), 2), np.repeat([0, 1], 8)
     # (0, 0) outputs 0 whatever its uniform; the others 0 below 0.5, else 1
@@ -587,7 +587,7 @@ def test_masked_survivors_match_the_definition(rng, monkeypatch):
     # definition gives: those typicality_check accepts, and each trial's
     # argmax of the literal t-order sums among pairs of positive likelihood
     for spec, chan, policy, n, rate, eps in zero_cell_cases(rng):
-        ctx = _DecodeContext(spec, chan, policy)
+        ctx = _DecodeContext(chan, policy)
         law = joint_law(spec, chan, policy)
         assert ctx.full.zero and ctx.channel.zero
         for decoder, stage in [("typicality", "_typical_survivors"),
@@ -650,7 +650,7 @@ def test_strictly_positive_law_makes_no_mask_pass(rng, monkeypatch):
     # routes run, masked or not: one-pair blocks go rows first on the latter
     for ((spec, chan, policy, n, rate, _), masks), (ra, rb) in itertools.product(
             zip(cases, [False, True, True, True]), [(1, 0.3), (0.3, 1)]):
-        ctx = _DecodeContext(spec, chan, policy)
+        ctx = _DecodeContext(chan, policy)
         assert ctx.channel.zero == ctx.full.zero == masks
         cfg = SimConfig(blocklength=n, rate_a=ra * rate, rate_b=rb * rate, seed=4)
         books = [codebooks(policy, cfg, stream(4, k, ROLE_CODEBOOKS)) for k in range(3)]
@@ -689,7 +689,7 @@ def test_mask_allocates_no_pair_by_letter_array(rng):
                         pi_b=np.full(chan.space_b.count, 1 / chan.space_b.count))
     n = 256
     cfg = SimConfig(blocklength=n, rate_a=6 / n, rate_b=6 / n, epsilon=100, seed=1)
-    ctx = _DecodeContext(spec, chan, policy)
+    ctx = _DecodeContext(chan, policy)
     ids_a, ids_b = codebooks(policy, cfg)
     trng = stream(1, 0, ROLE_TRIAL)
     s_seq = trng.choice(spec.size_s, size=n, p=spec.state_pmf)
@@ -796,7 +796,7 @@ def test_ml_scores_match_literal_sum(rng):
     chan = induced_strategy_channel(spec)
     policy = TeamPolicy(pi_a=rng.dirichlet(np.ones(chan.space_a.count)),
                         pi_b=rng.dirichlet(np.ones(chan.space_b.count)))
-    ctx = _DecodeContext(spec, chan, policy)
+    ctx = _DecodeContext(chan, policy)
     n = 7
     for (ra, rb), count in itertools.product([(1.0, 0.3), (0.3, 1.0)], [1, 3]):
         cfg = SimConfig(blocklength=n, rate_a=ra, rate_b=rb, seed=4)
@@ -830,7 +830,7 @@ def test_ml_drops_ties_a_later_row_beats(monkeypatch):
     # a block.
     spec = zero_cell_spec()
     chan = induced_strategy_channel(spec)
-    ctx = _DecodeContext(spec, chan, TeamPolicy(pi_a=np.full(2, 0.5), pi_b=np.full(2, 0.5)))
+    ctx = _DecodeContext(chan, TeamPolicy(pi_a=np.full(2, 0.5), pi_b=np.full(2, 0.5)))
     n = 4
     ids_a = np.ones((2, 60, n), dtype=np.intp)
     ids_a[0, 59] = ids_a[1, [55, 59]] = 0
@@ -852,7 +852,7 @@ def test_chunk_scores_match_per_trial_scores(rng):
     chan = induced_strategy_channel(spec)
     policy = TeamPolicy(pi_a=rng.dirichlet(np.ones(chan.space_a.count)),
                         pi_b=rng.dirichlet(np.ones(chan.space_b.count)))
-    ctx = _DecodeContext(spec, chan, policy)
+    ctx = _DecodeContext(chan, policy)
     cfg = SimConfig(blocklength=11, rate_a=0.3, rate_b=0.25, seed=8)
     n = cfg.blocklength
     books = [codebooks(policy, cfg, stream(8, k, ROLE_CODEBOOKS)) for k in range(6)]
@@ -922,7 +922,7 @@ def test_pair_blocks_are_budget_invariant(rng, monkeypatch):
                               pi_b=rng.dirichlet(np.ones(chan.space_b.count)))
         else:
             team = TeamPolicy(pi_a=pi, pi_b=pi.copy())
-        ctx = _DecodeContext(spec, chan, team)
+        ctx = _DecodeContext(chan, team)
         for decoder, stage in [("typicality", "_typical_survivors"),
                                ("max_likelihood", "_ml_survivors")]:
             cfg = SimConfig(blocklength=n, rate_a=rate, rate_b=rate, epsilon=eps,
@@ -991,7 +991,7 @@ def test_pair_kernel_never_holds_every_letters_intermediate(rng, many):
     n = 256
     rate_a, rate_b = (0.0, 6 / n) if many == "a" else (6 / n, 0.0)
     cfg = SimConfig(blocklength=n, rate_a=rate_a, rate_b=rate_b, epsilon=100, seed=1)
-    ctx = _DecodeContext(spec, chan, policy)
+    ctx = _DecodeContext(chan, policy)
     ctx.channel  # the ML decoder's lazy log table, built before tracing starts
     ids_a, ids_b = codebooks(policy, cfg)
     trng = stream(1, 0, ROLE_TRIAL)
@@ -1023,7 +1023,7 @@ def test_pair_kernel_cuts_hold_few_trials(rng):
     assert chan.space_a.count == 1024
     policy = TeamPolicy(pi_a=np.full(1024, 1 / 1024), pi_b=np.full(2, 0.5))
     cfg = SimConfig(blocklength=4, rate_a=0.25, rate_b=0.25, epsilon=100, seed=1)
-    ctx = _DecodeContext(spec, chan, policy)
+    ctx = _DecodeContext(chan, policy)
     ctx.full, ctx.channel  # built before tracing starts
     count, n = 500, cfg.blocklength
     ids_a = rng.integers(0, 1024, size=(count, 2, n))
@@ -1055,7 +1055,7 @@ def test_ml_holds_nothing_per_tie(rng):
     chan = induced_strategy_channel(spec)
     policy = TeamPolicy(pi_a=np.array([0.4, 0.1, 0.2, 0.3]), pi_b=np.array([0.3, 0.2, 0.1, 0.4]))
     cfg = SimConfig(blocklength=12, rate_a=0.7, rate_b=0.7, seed=2)
-    ctx = _DecodeContext(spec, chan, policy)
+    ctx = _DecodeContext(chan, policy)
     ctx.channel  # built before tracing starts
     count, n = 4, cfg.blocklength
     books = [codebooks(policy, cfg, stream(2, k, ROLE_CODEBOOKS)) for k in range(count)]
@@ -1076,7 +1076,7 @@ def test_ml_holds_nothing_per_tie(rng):
 def test_only_the_ml_decoder_builds_the_channel_log_table():
     spec = load("mod2-adder-bsc01")
     chan = induced_strategy_channel(spec)
-    ctx = _DecodeContext(spec, chan, two_strategy_policy())
+    ctx = _DecodeContext(chan, two_strategy_policy())
     cfg = SimConfig(blocklength=6, rate_a=0.5, rate_b=0.5, seed=2)
     ids_a, ids_b = codebooks(two_strategy_policy(), cfg)
     draws = (ids_a[None], ids_b[None], np.zeros((1, 6), dtype=int),
@@ -1093,7 +1093,7 @@ def test_only_the_ml_decoder_builds_the_channel_log_table():
     assert np.array_equal(ctx.channel.log > -2.0 ** 40, chan.q > 0)
     assert ctx.channel._fields == ("log", "zero") and ctx.channel.zero is False
     full = TeamPolicy(pi_a=np.array([0.4, 0.1, 0.2, 0.3]), pi_b=np.array([0.3, 0.2, 0.1, 0.4]))
-    assert _DecodeContext(spec, chan, full).channel.zero is True
+    assert _DecodeContext(chan, full).channel.zero is True
 
 
 def test_ml_run_never_builds_the_joint_law(monkeypatch):
@@ -1133,7 +1133,7 @@ def test_decode_context_holds_no_copy_of_the_law(monkeypatch):
     spec, chan, policy = cap_size_case(monkeypatch)
     tracemalloc.start()
     try:
-        ctx = _DecodeContext(spec, chan, policy)
+        ctx = _DecodeContext(chan, policy)
         ctx.tables  # built on first read
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -1155,7 +1155,7 @@ def test_pair_tables_hold_one_log_table(table, peak_q, held_q, monkeypatch):
     # 1.00 q. A byte table of the positive cells beside either adds 0.125 q
     # held, and a float copy of the table to read the flag adds 1 q at peak.
     spec, chan, policy = cap_size_case(monkeypatch)
-    ctx = _DecodeContext(spec, chan, policy)
+    ctx = _DecodeContext(chan, policy)
     tracemalloc.start()
     try:
         getattr(ctx, table)  # built on first read

@@ -7,17 +7,36 @@ import numpy as np
 import pytest
 
 from conftest import dirichlet_rows, oversized_channel_doc, random_spec, spec_with
-from fsmac import examples
+from fsmac import (
+    OptimizerConfig,
+    SimConfig,
+    TeamPolicy,
+    estimate_error,
+    examples,
+    factorized_conditional,
+    grid_oracle_sum_rate,
+    inner_bound_region,
+    joint_law,
+    maximize_sum_rate,
+    pentagon,
+    random_encoders,
+    sigma_average_pentagon,
+    verify_factorization,
+)
 from fsmac.errors import GuardError, SpecFormatError, ValidationError
 from fsmac.model import (
+    PMF_ATOL,
     FsMacSpec,
     induced_strategy_channel,
     load_spec,
     spec_from_dict,
 )
+from fsmac.optimize import check_grid_oracle
+from fsmac.rng import ROLE_ENCODER, stream
 from fsmac.strategy import enumerate_strategies
 
 ORACLE_ATOL = 1e-12
+ARRAYS = ("state_pmf", "obs_a", "obs_b", "channel")
 
 
 def oracle_q(spec):
@@ -326,3 +345,51 @@ def test_channel_build_holds_one_input_law_beside_its_one_hot_table():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * chan.mix_a.nbytes, (peak, chan.mix_a.nbytes)
+
+
+def test_rows_are_rescaled_to_sum_to_one():
+    # a row that sums to exactly 1.0 keeps every bit
+    doc = json.loads(examples.spec_path("mod2-adder-bsc01").read_text())
+    spec = spec_from_dict(doc)
+    for name in ARRAYS:
+        assert np.array_equal(getattr(spec, name), np.array(doc[name])), name
+    # rows off 1 by 0.9 PMF_ATOL pass the check and come out summing to 1
+    # within rounding, so q and the joint law have no error to compound
+    scaled = dataclasses.replace(
+        spec, **{name: getattr(spec, name) * (1 + 0.9 * PMF_ATOL) for name in ARRAYS})
+    for name in ARRAYS:
+        np.testing.assert_allclose(getattr(scaled, name), getattr(spec, name), rtol=1e-15)
+        np.testing.assert_allclose(getattr(scaled, name).sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(induced_strategy_channel(scaled).q.sum(axis=-1), 1.0,
+                               rtol=0, atol=1e-15)
+
+
+def _foreign_entries():
+    """(name, call) for every entry that takes a spec and its channel, each
+    a call on the null channel's spec with the noiseless adder's channel."""
+    spec = examples.load("null-channel")
+    chan = induced_strategy_channel(examples.load("mod2-adder-noiseless"))
+    cfg = OptimizerConfig(restarts=2)
+    policy = TeamPolicy(pi_a=np.full(4, 0.25), pi_b=np.full(4, 0.25))
+    maps = random_encoders(spec, 2, 2, 2, stream(0, 0, ROLE_ENCODER))
+    sim = SimConfig(blocklength=4, rate_a=0.25, rate_b=0.25, trials=10)
+    return {
+        "maximize_sum_rate": lambda: maximize_sum_rate(spec, chan, cfg),
+        "inner_bound_region": lambda: inner_bound_region(spec, chan, cfg, directions=3),
+        "check_grid_oracle": lambda: check_grid_oracle(spec, chan, 10),
+        "grid_oracle_sum_rate": lambda: grid_oracle_sum_rate(spec, chan, 10),
+        "estimate_error": lambda: estimate_error(spec, chan, policy, sim),
+        "joint_law": lambda: joint_law(spec, chan, policy),
+        "pentagon": lambda: pentagon(joint_law(spec, chan, policy)),
+        "factorized_conditional": lambda: factorized_conditional(spec, chan, policy),
+        "verify_factorization": lambda: verify_factorization(spec, maps, chan),
+        "sigma_average_pentagon": lambda: sigma_average_pentagon(spec, maps, chan),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_foreign_entries()))
+def test_a_channel_of_another_spec_is_refused(entry):
+    # the null channel's sum rate is 0; the noiseless adder's channel once
+    # gave it 1 bit, a pentagon of (1, 1, 1) and the adder's triangle
+    with pytest.raises(ValidationError, match="^strategy channel was induced from another spec$"):
+        _foreign_entries()[entry]()

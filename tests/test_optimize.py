@@ -166,7 +166,7 @@ def _mixed_policies(rng, chan, floor=0.0):
 def test_gradients_match_finite_differences(rng):
     spec = random_spec(rng)
     chan = induced_strategy_channel(spec)
-    obj = _Objective(chan, spec.state_pmf)
+    obj = _Objective(chan)
     pa, pb = _mixed_policies(rng, chan, floor=0.1)
     h = 1e-6
     for own, x, other in ((0, pa, pb), (1, pb, pa)):
@@ -189,7 +189,7 @@ def test_gradients_match_finite_differences(rng):
 def test_weighted_value_reduces_to_pentagon_combination(rng):
     spec = random_spec(rng)
     chan = induced_strategy_channel(spec)
-    obj = _Objective(chan, spec.state_pmf)
+    obj = _Objective(chan)
     pa, pb = _mixed_policies(rng, chan)
     value_a = obj.block(0, _MIXED_WEIGHTS, pb).value(pa)
     value_b = obj.block(1, _MIXED_WEIGHTS, pa).value(pb)
@@ -230,7 +230,7 @@ def test_factorized_objective_matches_literal_q_sums(rng):
     for sizes in FACTOR_SIZES:
         spec = random_spec(rng, sizes=sizes)
         chan = induced_strategy_channel(spec)
-        obj = _Objective(chan, spec.state_pmf)
+        obj = _Objective(chan)
         pa, pb = _mixed_policies(rng, chan)
         for own, x, other, q in ((0, pa, pb, chan.q), (1, pb, pa, chan.q.transpose(0, 2, 1, 3))):
             weights = _MIXED_WEIGHTS[:, [own, 1 - own, 2]]
@@ -253,7 +253,7 @@ def test_block_rows_alone_match_the_batch_byte_for_byte(rng):
     for sizes in FACTOR_SIZES:
         spec = random_spec(rng, sizes=sizes)
         chan = induced_strategy_channel(spec)
-        obj = _Objective(chan, spec.state_pmf)
+        obj = _Objective(chan)
         pa, pb = _mixed_policies(rng, chan)
         for own, x, other in ((0, pa, pb), (1, pb, pa)):
             f = obj.block(own, _MIXED_WEIGHTS, other)
@@ -281,7 +281,7 @@ def test_objective_memory_stays_far_below_q(monkeypatch):
     monkeypatch.setattr(optimize, "BATCH_CELL_BUDGET", 1 << 15)
     tracemalloc.start()
     try:
-        obj = _Objective(chan, spec.state_pmf)
+        obj = _Objective(chan)
         f = obj.block(0, _MIXED_WEIGHTS, pb)
         f.value(pa), f.grad(pa)
         peak = tracemalloc.get_traced_memory()[1]
@@ -360,7 +360,7 @@ def test_maximize_is_deterministic_and_chunk_invariant(monkeypatch):
     first = maximize_sum_rate(spec, chan, cfg)
     assert _same_sum_rate(first, maximize_sum_rate(spec, chan, cfg))
     # chunks of one and of two rows: every restart climbs alone or in a pair
-    for budget in (1, 2 * optimize._row_cells(_Objective(chan, spec.state_pmf).shape)):
+    for budget in (1, 2 * optimize._row_cells(_Objective(chan).shape)):
         monkeypatch.setattr(optimize, "BATCH_CELL_BUDGET", budget)
         assert _same_sum_rate(first, maximize_sum_rate(spec, chan, cfg))
 
@@ -375,7 +375,7 @@ def test_kkt_gap_flags_a_non_stationary_policy():
     start = stream(cfg.seed, res.best_restart, ROLE_RESTART)
     pa = start.dirichlet(np.ones(chan.space_a.count))
     pb = start.dirichlet(np.ones(chan.space_b.count))
-    obj = _Objective(chan, spec.state_pmf)
+    obj = _Objective(chan)
     gaps = optimize._kkt_gaps(obj, pa, pb)
     assert min(gaps) > 1e-3
     # each gap bounds what that sender's best response still gains
@@ -730,7 +730,7 @@ def test_region_rows_run_within_the_cell_budget(monkeypatch):
     inner_bound_region(spec, chan, OptimizerConfig(restarts=2), directions=2)   # warm caches
     monkeypatch.setattr(optimize, "MAX_ITERS", 1)
     monkeypatch.setattr(optimize, "BATCH_CELL_BUDGET", budget)
-    row_cells = optimize._row_cells(_Objective(chan, spec.state_pmf).shape)
+    row_cells = optimize._row_cells(_Objective(chan).shape)
     whole = 3 * cfg.restarts * row_cells * 8   # bytes, were every row held at once
     tracemalloc.start()
     try:

@@ -1,6 +1,7 @@
 """Property net for spec construction: every generated spec is either refused
 with one named error or accepted as read-only float64 arrays whose strategy
-channel is a channel, and ``fsmac validate`` agrees with the constructor."""
+channel is a channel, ``fsmac validate`` agrees with the constructor, and an
+accepted spec runs ``sumrate`` and ``verify-converse`` to exit 0."""
 
 import contextlib
 import io
@@ -15,10 +16,14 @@ from hypothesis import strategies as st
 from fsmac import cli
 from fsmac.errors import GuardError, ValidationError
 from fsmac.model import PMF_ATOL, FsMacSpec, induced_strategy_channel
+from fsmac.rates import PENTAGON_SLACK
 
 EXAMPLES = 200
 ROW_KINDS = ("dense", "one-hot", "denormal", "under-tol", "over-tol")
 ARRAYS = ("state_pmf", "obs_a", "obs_b", "channel")
+# rows are rescaled to sum to 1, so a q row sums to 1 within a few ulps
+# (at most 3 over 20,000 random specs of this net's sizes)
+Q_ROW_SLACK = 8 * np.finfo(np.float64).eps
 
 
 def _rows(rng, shape, kind) -> np.ndarray:
@@ -56,18 +61,22 @@ def spec_args(draw) -> dict:
     return args
 
 
-def _validate_doc(args) -> tuple:
-    """(exit code, stdout, stderr) of ``fsmac validate`` on args as a JSON
-    spec. The report goes to stdout, the summary or error line to stderr."""
+def _run_doc(args, *commands) -> list:
+    """(exit code, stdout, stderr) of each fsmac command (an argv without
+    --spec) on args as a JSON spec. A report goes to stdout, the summary or
+    error line to stderr."""
     doc = {"alphabets": {key[5:]: args[key] for key in args if key.startswith("size_")},
            **{name: args[name].tolist() for name in ARRAYS}}
-    out, err = io.StringIO(), io.StringIO()
+    results = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "spec.json"
         path.write_text(json.dumps(doc))
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(["validate", "--spec", str(path)])
-    return code, out.getvalue(), err.getvalue()
+        for argv in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([*argv, "--spec", str(path)])
+            results.append((code, out.getvalue(), err.getvalue()))
+    return results
 
 
 # Without the explain phase, a failure writes no patch file under .hypothesis/.
@@ -85,14 +94,23 @@ def test_a_spec_is_refused_by_name_or_is_a_channel(args):
         for name in ARRAYS:
             arr = getattr(spec, name)
             assert arr.dtype == np.float64 and not arr.flags.writeable, name
-        # each q row mixes an obs_a, an obs_b and a channel row, each of
-        # which may sum off 1 by up to PMF_ATOL
+        # every row is rescaled on construction, so a q row, which mixes an
+        # obs_a, an obs_b and a channel row, sums to 1 within rounding
         sums = induced_strategy_channel(spec).q.sum(axis=-1)
-        assert np.all(np.abs(sums - 1) <= 3 * PMF_ATOL + 1e-15), sums
+        assert np.all(np.abs(sums - 1) <= Q_ROW_SLACK), sums
 
-    code, out, err = _validate_doc(args)
+    commands = [["validate"]]
+    if accepted:
+        commands += [["sumrate", "--restarts", "2"], ["verify-converse", "--n", "1", "--trials", "1"]]
+    (code, out, err), *runs = _run_doc(args, *commands)
     if accepted:
         assert code == 0 and json.loads(out)["ok"] is True, err
+        (sum_code, sum_out, sum_err), (conv_code, _, conv_err) = runs
+        assert sum_code == 0, sum_err
+        # the ascent's own range check, which admits rounding above log2 |Y|
+        value = json.loads(sum_out)["value"]
+        assert 0.0 <= value <= np.log2(spec.size_y) + PENTAGON_SLACK, sum_out
+        assert conv_code == 0, conv_err
     else:
         lines = err.splitlines()
         assert (code, out, len(lines)) == (1, "", 1), err
