@@ -15,22 +15,34 @@ distributions by counting, and ``verify_factorization`` compares the two
 across every time and past-state sequence. ``sigma_average_pentagon``
 averages the outer bounds the factorization licenses over the same (time,
 past) slices through the optimizer's factored objective, with no letter law.
-One sweep, ``_pasts``, walks those slices for every function here.
+
+One sweep, ``_pasts``, walks those slices for every function here, one time
+step at a time: a time's pasts come as one array, and the audits take them
+in groups. A past's literal law adds one term per (message and observation
+history of each sender, current s, oa, ob, y), in that lexicographic order,
+into one accumulator, so it has the bits of a loop that adds one float at a
+time; a group's induced policies are one ``bincount`` per sender, and its
+factorized laws, deviations and pentagons are array operations. Each group
+holds at most SWEEP_CELL_BUDGET float64 cells, or one past's where that is
+more, and its literal terms come in chunks of at most SWEEP_CELL_BUDGET, or
+the S * Sa * Sb * |Y| terms of one (past, a row, b row) where that is more;
+a chunk that ends inside a past is continued by the next, in the same
+order. The single-past functions are the one-past case of the same helpers.
 """
 
-import itertools
+import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .errors import GuardError
-from .model import FsMacSpec, StrategyChannel, check_channel
-from .optimize import _Objective
-from .rates import RatePentagon, TeamPolicy, checked_pentagon, joint_law
+from .model import PMF_ATOL, FsMacSpec, StrategyChannel, check_channel
+from .optimize import _Objective, _row_cells
+from .rates import JointLaw, RatePentagon, TeamPolicy, check_policy, checked_pentagon, joint_law
 
 MAP_CELL_CAP = 1_000_000
 HISTORY_CAP = 4096
+SWEEP_CELL_BUDGET = 1 << 16   # float64 cells one group of pasts or one chunk of terms may hold
 
 
 @dataclass(frozen=True)
@@ -101,12 +113,19 @@ def sigma_string(digits) -> str:
     return "".join(str(d) for d in digits)
 
 
+def _product(size: int, length: int) -> np.ndarray:
+    """The rows of itertools.product(range(size), repeat=length), in its
+    order, as a (size**length, length) int array."""
+    return np.indices((size,) * length, dtype=np.int64).reshape(length, size ** length).T
+
+
 def _pasts(spec: FsMacSpec, blocklength: int):
-    """Every (t, sigma, alpha): a time, a past of t - 1 states (oldest first)
-    and alpha = P(sigma) / blocklength, its weight under a uniformly drawn
-    time; the weights sum to one. The blocklength and the history budget are
-    checked on the call, before the first triple is drawn; the budget count
-    stops at HISTORY_CAP."""
+    """Every time with its pasts, as (t, sigmas, alpha): sigmas holds the
+    pasts of t - 1 states (oldest first) in itertools.product order, one per
+    row, and alpha[i] = P(sigmas[i]) / blocklength is its weight under a
+    uniformly drawn time; the weights of all times sum to one. The
+    blocklength and the history budget are checked on the call, before the
+    first time is drawn; the budget count stops at HISTORY_CAP."""
     if blocklength < 1:
         raise ValueError(f"blocklength must be >= 1, got {blocklength}")
     total = 0
@@ -118,11 +137,11 @@ def _pasts(spec: FsMacSpec, blocklength: int):
 
     def sweep():
         for t in range(1, blocklength + 1):
-            for sigma in itertools.product(range(spec.size_s), repeat=t - 1):
-                prob = 1.0
-                for s in sigma:
-                    prob *= spec.state_pmf[s]
-                yield t, sigma, prob / blocklength
+            sigmas = _product(spec.size_s, t - 1)
+            prob = np.ones(len(sigmas))
+            for u in range(t - 1):
+                prob *= spec.state_pmf[sigmas[:, u]]
+            yield t, sigmas, prob / blocklength
 
     return sweep()
 
@@ -133,7 +152,8 @@ def alpha_sigma_weights(spec: FsMacSpec, blocklength: int) -> dict:
     Keys are sigma strings; values are P(past states) / blocklength. The
     weights over all times and pasts sum to one.
     """
-    return {sigma_string(sigma): alpha for _, sigma, alpha in _pasts(spec, blocklength)}
+    return {sigma_string(sigma): weight for _, sigmas, alpha in _pasts(spec, blocklength)
+            for sigma, weight in zip(sigmas.tolist(), alpha)}
 
 
 def random_encoders(spec: FsMacSpec, blocklength: int, messages_a: int,
@@ -160,17 +180,12 @@ def random_encoders(spec: FsMacSpec, blocklength: int, messages_a: int,
     return EncoderMaps(phi_a=phi_a, phi_b=phi_b)
 
 
-def _history_weights(obs_rows: np.ndarray, sigma) -> np.ndarray:
-    """P(observation history | past states) over little-endian history index."""
-    return reduce(lambda w, v: np.multiply.outer(w, v).ravel(),
-                  (obs_rows[s] for s in reversed(sigma)), np.ones(1))
-
-
-def _time_and_past(spec: FsMacSpec, maps: EncoderMaps, t: int, sigma) -> tuple:
-    """sigma as a tuple of ints, once t is a time of the code whose tables
-    fit the spec's alphabets and sigma a past of t - 1 states of the
-    alphabet; ValueError otherwise."""
-    sigma = tuple(int(s) for s in sigma)
+def _time_and_past(spec: FsMacSpec, maps: EncoderMaps, t: int, sigmas) -> np.ndarray:
+    """sigmas, a sequence of pasts, as a (pasts, t - 1) int array, once t is
+    a time of the code whose tables fit the spec's alphabets and every past
+    holds t - 1 states of the alphabet; otherwise ValueError names the
+    first check that fails, the first such past first."""
+    sigmas = np.asarray(sigmas)
     if not 1 <= t <= maps.blocklength:
         raise ValueError(f"time {t} outside 1..{maps.blocklength}")
     for sender, phi, size_obs, size_in in (("a", maps.phi_a[t - 1], spec.size_sa, spec.size_xa),
@@ -178,11 +193,42 @@ def _time_and_past(spec: FsMacSpec, maps: EncoderMaps, t: int, sigma) -> tuple:
         if phi.shape[2] != size_obs or phi.max() >= size_in:
             raise ValueError(f"sender {sender}'s time-{t} table must map {size_obs} "
                              f"observations to inputs in [0, {size_in})")
-    if len(sigma) != t - 1:
-        raise ValueError(f"time {t} needs {t - 1} past states, got {len(sigma)}")
-    if any(not 0 <= s < spec.size_s for s in sigma):
-        raise ValueError(f"past state sequence {sigma} outside the state alphabet")
-    return sigma
+    if sigmas.shape[1] != t - 1:
+        raise ValueError(f"time {t} needs {t - 1} past states, got {sigmas.shape[1]}")
+    bad = ((sigmas < 0) | (sigmas >= spec.size_s)).any(axis=1)
+    if bad.any():
+        past = tuple(int(s) for s in sigmas[np.argmax(bad)])
+        raise ValueError(f"past state sequence {past} outside the state alphabet")
+    return np.asarray(sigmas, dtype=np.int64)
+
+
+def _one_past(spec: FsMacSpec, maps: EncoderMaps, t: int, sigma) -> np.ndarray:
+    """sigma as a batch of one past, checked by _time_and_past."""
+    return _time_and_past(spec, maps, t, [tuple(int(s) for s in sigma)])
+
+
+def _policies(spec: FsMacSpec, maps: EncoderMaps, t: int, sigmas: np.ndarray) -> tuple:
+    """Both senders' time-t table distributions given each past, (pasts, A)
+    and (pasts, B): counts over uniform messages, mixing observation
+    histories with their probability given the past. A history's
+    probability multiplies its observations newest first and is divided by
+    the message count; one bincount per sender adds them in (past, message,
+    little-endian history index) order."""
+
+    def one_side(phi, obs_rows, size_in, messages):
+        size_obs, count = phi.shape[2], size_in ** phi.shape[2]
+        hists = _product(size_obs, t - 1)[:, ::-1]   # row h: history index h, oldest first
+        weights = np.ones((len(sigmas), len(hists)))
+        for u in reversed(range(t - 1)):
+            weights *= obs_rows[sigmas[:, u, None], hists[:, u]]
+        ids = np.asarray(phi, dtype=np.int64) @ size_in ** np.arange(size_obs)
+        bins = np.arange(len(sigmas))[:, None, None] * count + ids
+        weights = np.broadcast_to((weights / messages)[:, None], bins.shape)
+        return np.bincount(bins.ravel(), weights.ravel(),
+                           minlength=len(sigmas) * count).reshape(len(sigmas), count)
+
+    return (one_side(maps.phi_a[t - 1], spec.obs_a, spec.size_xa, maps.messages_a),
+            one_side(maps.phi_b[t - 1], spec.obs_b, spec.size_xb, maps.messages_b))
 
 
 def induced_sigma_policy(spec: FsMacSpec, maps: EncoderMaps, t: int, sigma) -> TeamPolicy:
@@ -191,19 +237,64 @@ def induced_sigma_policy(spec: FsMacSpec, maps: EncoderMaps, t: int, sigma) -> T
     Counts over uniform messages, mixing observation histories with their
     probability given the state sequence.
     """
-    sigma = _time_and_past(spec, maps, t, sigma)
+    pi_a, pi_b = _policies(spec, maps, t, _one_past(spec, maps, t, sigma))
+    return TeamPolicy(pi_a=pi_a[0], pi_b=pi_b[0])
 
-    def one_side(phi, obs_rows, input_size, messages):
-        powers = input_size ** np.arange(phi.shape[2])
-        ids = (phi * powers).sum(axis=2)                     # (messages, histories)
-        hist_w = _history_weights(obs_rows, sigma)
-        weights = np.tile(hist_w, messages) / messages
-        return np.bincount(ids.ravel(), weights=weights,
-                           minlength=input_size ** phi.shape[2])
 
-    pi_a = one_side(maps.phi_a[t - 1], spec.obs_a, spec.size_xa, maps.messages_a)
-    pi_b = one_side(maps.phi_b[t - 1], spec.obs_b, spec.size_xb, maps.messages_b)
-    return TeamPolicy(pi_a=pi_a, pi_b=pi_b)
+def _sender_rows(phi: np.ndarray, obs_rows: np.ndarray, sigmas: np.ndarray, size_in: int,
+                 messages: int) -> tuple:
+    """One sender's (message, history) rows at the time of phi, histories in
+    itertools.product order: each past's weight of each history, (pasts,
+    histories), 1 / messages times each observation's probability given its
+    state, oldest first; and per row its inputs (rows, observations) and
+    its table id, re-derived digit by digit."""
+    size_obs, length = phi.shape[2], sigmas.shape[1]
+    hists = _product(size_obs, length)
+    path = np.full((len(sigmas), len(hists)), 1.0 / messages)
+    for u in range(length):
+        path *= obs_rows[sigmas[:, u, None], hists[:, u]]
+    # the history index convention is little-endian in time
+    inputs = np.asarray(phi, dtype=np.int64)[:, hists @ size_obs ** np.arange(length)]
+    inputs = inputs.reshape(-1, size_obs)
+    return path, inputs, inputs @ size_in ** np.arange(size_obs)
+
+
+def _literal_laws(spec: FsMacSpec, maps: EncoderMaps, t: int, sigmas: np.ndarray) -> np.ndarray:
+    """P(table_a, table_b, y, s | past) for every past in sigmas, by literal
+    summation, (pasts, A, B, Y, S).
+
+    A past's terms run over (message a, history a, message b, history b, s,
+    oa, ob, y) in that lexicographic order, histories in itertools.product
+    order, and each is ((pa_path * pb_path) * px) * W. np.add.at adds them
+    one at a time in that order, so each sum has the bits of a loop that
+    adds one float at a time. The terms come in chunks of whole (past, a
+    row, b row) units, at most SWEEP_CELL_BUDGET terms or one unit's
+    S * Sa * Sb * |Y|; a chunk that ends inside a past is continued by the
+    next.
+    """
+    path_a, in_a, ids_a = _sender_rows(maps.phi_a[t - 1], spec.obs_a, sigmas, spec.size_xa,
+                                       maps.messages_a)
+    path_b, in_b, ids_b = _sender_rows(maps.phi_b[t - 1], spec.obs_b, sigmas, spec.size_xb,
+                                       maps.messages_b)
+    px = (spec.state_pmf[:, None] * spec.obs_a)[:, :, None] * spec.obs_b[:, None]
+    count_a, count_b = spec.size_xa ** spec.size_sa, spec.size_xb ** spec.size_sb
+    size_s, size_y = spec.size_s, spec.size_y
+    laws = np.zeros((len(sigmas), count_a, count_b, size_y, size_s))
+    units = (len(sigmas), len(ids_a), len(ids_b))
+    total, chunk = math.prod(units), max(1, SWEEP_CELL_BUDGET // (px.size * size_y))
+    # W's row of (s, xa, xb), and the offset of each (s, y) in a law's (y, s) cells
+    w_rows = spec.channel.reshape(-1, size_y)
+    s_row = np.arange(size_s)[:, None, None] * spec.size_xa
+    ys = np.arange(size_s)[:, None, None, None] + np.arange(size_y) * size_s
+    for u0 in range(0, total, chunk):
+        p, ra, rb = np.unravel_index(np.arange(u0, min(u0 + chunk, total)), units)
+        pab = path_a[p, ra % path_a.shape[1]] * path_b[p, rb % path_b.shape[1]]
+        rows = (s_row + in_a[ra][:, None, :, None]) * spec.size_xb + in_b[rb][:, None, None]
+        terms = (pab[:, None, None, None] * px)[..., None] * w_rows[rows]
+        cells = ((p * count_a + ids_a[ra]) * count_b + ids_b[rb]) * (size_y * size_s)
+        cells = np.broadcast_to(cells[:, None, None, None, None] + ys, terms.shape)
+        np.add.at(laws.reshape(-1), cells.ravel(), terms.ravel())
+    return laws
 
 
 def brute_force_conditional(spec: FsMacSpec, maps: EncoderMaps, t: int, sigma) -> np.ndarray:
@@ -215,45 +306,25 @@ def brute_force_conditional(spec: FsMacSpec, maps: EncoderMaps, t: int, sigma) -
     construction; tables are identified by re-deriving their id digit by
     digit.
     """
-    sigma = _time_and_past(spec, maps, t, sigma)
-    count_a = spec.size_xa ** spec.size_sa
-    count_b = spec.size_xb ** spec.size_sb
-    out = np.zeros((count_a, count_b, spec.size_y, spec.size_s))
-    phi_a, phi_b = maps.phi_a[t - 1], maps.phi_b[t - 1]
-    for wa in range(maps.messages_a):
-        for oa_hist in itertools.product(range(spec.size_sa), repeat=t - 1):
-            pa_path = 1.0 / maps.messages_a
-            for u, o in enumerate(oa_hist):
-                pa_path *= spec.obs_a[sigma[u], o]
-            if pa_path == 0.0:
-                continue
-            # the history index convention is little-endian in time
-            ha = sum(o * spec.size_sa ** u for u, o in enumerate(oa_hist))
-            row_a = phi_a[wa, ha]
-            ta = sum(int(row_a[o]) * spec.size_xa ** o for o in range(spec.size_sa))
-            for wb in range(maps.messages_b):
-                for ob_hist in itertools.product(range(spec.size_sb), repeat=t - 1):
-                    pb_path = 1.0 / maps.messages_b
-                    for u, o in enumerate(ob_hist):
-                        pb_path *= spec.obs_b[sigma[u], o]
-                    if pb_path == 0.0:
-                        continue
-                    hb = sum(o * spec.size_sb ** u for u, o in enumerate(ob_hist))
-                    row_b = phi_b[wb, hb]
-                    tb = sum(int(row_b[o]) * spec.size_xb ** o for o in range(spec.size_sb))
-                    for s in range(spec.size_s):
-                        for oa in range(spec.size_sa):
-                            for ob in range(spec.size_sb):
-                                px = spec.state_pmf[s] * spec.obs_a[s, oa] * spec.obs_b[s, ob]
-                                if px == 0.0:
-                                    continue
-                                xa = phi_a[wa, ha, oa]
-                                xb = phi_b[wb, hb, ob]
-                                for y in range(spec.size_y):
-                                    out[ta, tb, y, s] += (
-                                        pa_path * pb_path * px * spec.channel[s, xa, xb, y]
-                                    )
-    return out
+    return _literal_laws(spec, maps, t, _one_past(spec, maps, t, sigma))[0]
+
+
+def _groups(maps: EncoderMaps, t: int, count: int, cells: int):
+    """Consecutive slices of a time's count pasts, each of at most
+    SWEEP_CELL_BUDGET cells and at least one past. A past counts cells, or
+    the (message, history) rows of the larger of the senders' time-t
+    tables if that is more: the induced policies weigh every row per past."""
+    rows = max(math.prod(phi.shape[:2]) for phi in (maps.phi_a[t - 1], maps.phi_b[t - 1]))
+    step = max(1, SWEEP_CELL_BUDGET // max(cells, rows))
+    return (slice(i, i + step) for i in range(0, count, step))
+
+
+def _refused(arr: np.ndarray) -> np.ndarray:
+    """Per past, whether check_pmf would refuse arr's entry for it, read as
+    one row: an entry that is NaN or negative, or a sum that is not finite
+    or is off 1 by over PMF_ATOL (an infinite entry makes one)."""
+    flat = arr.reshape(len(arr), -1)
+    return ~((flat >= 0).all(axis=1) & (np.abs(flat.sum(axis=1) - 1.0) <= PMF_ATOL))
 
 
 def factorized_conditional(spec: FsMacSpec, chan: StrategyChannel,
@@ -267,20 +338,34 @@ def verify_factorization(spec: FsMacSpec, maps: EncoderMaps,
     """Compare the literal letter law with the factorized one everywhere.
 
     Sweeps every time step and every past-state sequence; returns the largest
-    absolute entry difference and where it occurred.
+    absolute entry difference and where it occurred, the first in sweep
+    order among equals. Each group of pasts builds its literal laws, induced
+    policies and joint laws as arrays, as joint_law would build each; the
+    first past whose policy TeamPolicy would refuse, or whose law JointLaw
+    would, raises their error.
     """
     check_channel(spec, chan)
     pasts = _pasts(spec, maps.blocklength)
     worst = -1.0
     worst_t, worst_sigma = 1, ""
     checks = 0
-    for t, sigma, _ in pasts:
-        literal = brute_force_conditional(spec, maps, t, sigma)
-        policy = induced_sigma_policy(spec, maps, t, sigma)
-        dev = float(np.abs(literal - factorized_conditional(spec, chan, policy)).max())
-        checks += 1
-        if dev > worst:
-            worst, worst_t, worst_sigma = dev, t, sigma_string(sigma)
+    for t, sigmas, _ in pasts:
+        sigmas = _time_and_past(spec, maps, t, sigmas)
+        for group in _groups(maps, t, len(sigmas), chan.q.size):
+            literal = _literal_laws(spec, maps, t, sigmas[group])
+            pi_a, pi_b = _policies(spec, maps, t, sigmas[group])
+            weights = (spec.state_pmf[:, None] * pi_a[:, None])[..., None] * pi_b[:, None, None]
+            laws = chan.q * weights[..., None]
+            refused = _refused(pi_a) | _refused(pi_b) | _refused(laws)
+            first = int(np.argmax(refused))
+            check_policy(chan, TeamPolicy(pi_a=pi_a[first], pi_b=pi_b[first]))
+            if refused[first]:
+                JointLaw(p=laws[first])
+            dev = np.abs(literal - laws.transpose(0, 2, 3, 4, 1)).max(axis=(1, 2, 3, 4))
+            i = int(np.argmax(dev))
+            if dev[i] > worst:
+                worst, worst_t, worst_sigma = float(dev[i]), t, sigma_string(sigmas[group][i])
+        checks += len(sigmas)
     return ConverseAudit(max_deviation=worst, checks=checks,
                          worst_t=worst_t, worst_sigma=worst_sigma)
 
@@ -291,17 +376,30 @@ def sigma_average_pentagon(spec: FsMacSpec, maps: EncoderMaps,
     its per-(time, past) letter laws.
 
     The pair (t, sigma) acts as a time-sharing variable, so each bound of the
-    averaged law is the weighted sum of the per-slice bounds. Each slice's
-    induced policy is read through one objective on the channel's factors,
-    so no letter law is built; the sum is checked once as a pentagon.
+    averaged law is the weighted sum of the per-slice bounds. Each group of
+    pasts of positive weight reads its induced policies through one
+    objective on the channel's factors, three rows per past of one block at
+    the unit weights, so no letter law is built; each past's bounds are
+    checked as a pentagon and added in sweep order, and the sum is checked
+    once more.
     """
     check_channel(spec, chan)
     pasts = _pasts(spec, maps.blocklength)
     obj = _Objective(chan)
     bounds = np.zeros(3)
-    for t, sigma, alpha in pasts:
-        if alpha == 0.0:
-            continue
-        pent = obj.pentagon(induced_sigma_policy(spec, maps, t, sigma))
-        bounds += alpha * np.array([pent.bound_a, pent.bound_b, pent.bound_sum])
+    for t, sigmas, alpha in pasts:
+        sigmas = _time_and_past(spec, maps, t, sigmas)
+        sigmas, alpha = sigmas[alpha != 0.0], alpha[alpha != 0.0]
+        for group in _groups(maps, t, len(sigmas), 3 * _row_cells(obj.shape)):
+            pi_a, pi_b = _policies(spec, maps, t, sigmas[group])
+            refused = _refused(pi_a) | _refused(pi_b)
+            stop = int(np.argmax(refused)) if refused.any() else len(refused)
+            if stop:   # the pasts before the first refused one
+                pa, pb = (np.repeat(pi[:stop], 3, axis=0) for pi in (pi_a, pi_b))
+                values = obj.block(0, np.tile(np.eye(3), (stop, 1)), pb).value(pa)
+                for weight, row in zip(alpha[group], values.reshape(stop, 3)):
+                    pent = checked_pentagon(*row, spec.size_y)
+                    bounds += weight * np.array([pent.bound_a, pent.bound_b, pent.bound_sum])
+            if stop < len(refused):
+                TeamPolicy(pi_a=pi_a[stop], pi_b=pi_b[stop])
     return checked_pentagon(*bounds, spec.size_y)

@@ -435,11 +435,11 @@ def _kkt_gaps(obj: _Objective, pa: np.ndarray, pb: np.ndarray) -> tuple:
 
 def _sum_rate_result(obj: _Objective, best: tuple) -> SumRateResult:
     value, pa, pb, rounds, converged, restart, history = best
-    cap = np.log2(obj.shape[3]) + PENTAGON_SLACK
-    if not -PENTAGON_SLACK <= value <= cap:
+    cap = float(np.log2(obj.shape[3]))
+    if not -PENTAGON_SLACK <= value <= cap + PENTAGON_SLACK:
         raise InternalInvariantError(f"sum-rate value {value!r} outside [0, log2 |Y|]")
     return SumRateResult(
-        value=max(value, 0.0),
+        value=min(max(value, 0.0), cap),
         policy=TeamPolicy(pi_a=pa, pi_b=pb),
         iterations=rounds,
         converged=converged,

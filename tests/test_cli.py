@@ -527,6 +527,21 @@ def test_rows_off_one_within_tolerance_run_every_command(tmp_path, capsys):
         assert rc == 0, (argv[0], err)
 
 
+def test_one_symbol_spec_reports_exactly_zero(tmp_path, capsys):
+    # every alphabet of size 1, so every rate is 0; the ascent's value came
+    # out 1.6e-16 above log2 |Y| = 0 and was reported unclamped
+    spec = tmp_path / "ones.json"
+    spec.write_bytes(_uniform_spec(1, 1, 1))
+    rc, out, err = run(capsys, "sumrate", "--restarts", "2", "--spec", str(spec))
+    assert rc == 0, err
+    assert payload_of(out)["value"] == 0.0
+    hull = tmp_path / "hull.csv"
+    rc, _, err = run(capsys, "region", "--restarts", "2", "--spec", str(spec),
+                     "--out", str(hull))
+    assert rc == 0, err
+    assert json.loads((tmp_path / "hull.csv.json").read_text())["outer_sum_value"] == 0.0
+
+
 # --- verify-converse --------------------------------------------------------
 
 def test_verify_converse_clean_exit0(capsys):

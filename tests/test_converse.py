@@ -4,7 +4,9 @@ The load-bearing check: the letter law assembled by literal summation over
 messages and observation histories must equal state-pmf x policy_a x
 policy_b x strategy-channel for every time and every past-state sequence.
 The two sides share no code (different loops, different axis order), so
-agreement at 1e-12 is evidence, not tautology.
+agreement at 1e-12 is evidence, not tautology. The sweep's array route is in
+turn held to the literal one-float-at-a-time loop in reference.py, byte for
+byte.
 """
 
 import itertools
@@ -29,14 +31,17 @@ from fsmac.converse import (
     sigma_string,
     verify_factorization,
 )
-from fsmac.errors import GuardError
+from fsmac.errors import GuardError, ValidationError
 from fsmac.examples import load
 from fsmac.model import induced_strategy_channel
 from fsmac.optimize import OptimizerConfig, _Objective, maximize_sum_rate
-from fsmac.rates import joint_law, pentagon
+from fsmac.rates import TeamPolicy, joint_law, pentagon
 from fsmac.rng import ROLE_ENCODER, stream
 
-from conftest import random_spec
+from conftest import random_spec, spec_with
+from reference import literal_law, sigma_policy
+
+BUNDLED = ("mod2-adder-noiseless", "mod2-adder-bsc01", "null-channel", "stateless-mac")
 
 
 def sigma_digits(text: str) -> tuple:
@@ -119,12 +124,14 @@ def test_history_guard_trips_before_the_channel_is_built(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("strategy channel read before the history guard")
 
-    # the sweeps take the channel; what reads it is the objective and the joint law
+    # the sweeps take the channel; what reads it is the objective, the joint
+    # law and the audit's own factorized laws, which read q
     monkeypatch.setattr(converse, "_Objective", refuse)
     monkeypatch.setattr(converse, "joint_law", refuse)
     for sweep in (verify_factorization, sigma_average_pentagon):
         with pytest.raises(GuardError, match="history sweep guard: blocklength 13 "):
             sweep(spec, maps, chan)
+        assert "q" not in vars(chan)
 
 
 def test_induced_policy_matches_dict_counting_oracle(rng):
@@ -199,6 +206,102 @@ def test_policy_argument_validation(rng):
         for audit in (verify_factorization, sigma_average_pentagon):
             with pytest.raises(ValueError, match=message):
                 audit(spec, bad, induced_strategy_channel(spec))
+
+
+def _sparse_spec(seed: int):
+    """A random spec of 3 states whose observation rows include point masses
+    and a point mass beside a 5e-324 entry, so some histories have
+    probability 0 and some underflow."""
+    spec = random_spec(np.random.default_rng(seed), sizes=dict(xa=2, xb=3, s=3, sa=2, sb=2, y=2))
+    obs_a, obs_b = spec.obs_a.copy(), spec.obs_b.copy()
+    obs_a[1], obs_b[2], obs_b[0] = [1.0, 0.0], [0.0, 1.0], [1.0, 5e-324]
+    return spec_with(spec, obs_a=obs_a, obs_b=obs_b)
+
+
+@pytest.mark.parametrize("name", [*BUNDLED, "sparse-0", "sparse-1"])
+def test_array_route_matches_the_loop_byte_for_byte(monkeypatch, name):
+    spec = _sparse_spec(int(name[-1])) if name.startswith("sparse") else load(name)
+    for k, (ma, mb) in enumerate(((3, 1), (1, 4))):
+        maps = random_encoders(spec, 4, ma, mb, stream(41, k, ROLE_ENCODER))
+        for t in range(1, 5):
+            for sigma in itertools.product(range(spec.size_s), repeat=t - 1):
+                law = literal_law(spec, maps, t, sigma).tobytes()
+                pmfs = [pi.tobytes() for pi in sigma_policy(spec, maps, t, sigma)]
+                # a budget of 5 cells cuts a chunk at every (past, a row, b row)
+                for budget in (converse.SWEEP_CELL_BUDGET, 5):
+                    monkeypatch.setattr(converse, "SWEEP_CELL_BUDGET", budget)
+                    policy = induced_sigma_policy(spec, maps, t, sigma)
+                    assert brute_force_conditional(spec, maps, t, sigma).tobytes() == law
+                    assert [policy.pi_a.tobytes(), policy.pi_b.tobytes()] == pmfs
+                    monkeypatch.undo()
+
+
+def test_sweep_does_not_depend_on_its_cuts(rng):
+    # groups of one past and chunks of one (past, a row, b row) give every
+    # audit and outer bound bit for bit
+    for k, spec in enumerate((load("mod2-adder-bsc01"), _sparse_spec(2), random_spec(rng))):
+        chan = induced_strategy_channel(spec)
+        maps = random_encoders(spec, 3, 3, 2, stream(43, k, ROLE_ENCODER))
+        want = (verify_factorization(spec, maps, chan), sigma_average_pentagon(spec, maps, chan))
+        for budget in (1, 100):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(converse, "SWEEP_CELL_BUDGET", budget)
+                assert (verify_factorization(spec, maps, chan),
+                        sigma_average_pentagon(spec, maps, chan)) == want, (k, budget)
+
+
+def test_literal_terms_run_within_the_cell_budget(monkeypatch):
+    # one past at t = 4 of an 8 x 8-message code has 64 x 64 (message,
+    # history) row pairs of 16 terms each: 65,536 terms, 512 kB for each
+    # array over them. Chunks of at most SWEEP_CELL_BUDGET terms keep the
+    # sweep to a few arrays of that size
+    spec = load("mod2-adder-bsc01")
+    chan = induced_strategy_channel(spec)
+    chan.q  # built before tracing starts
+    maps = random_encoders(spec, 4, 8, 8, stream(47, 0, ROLE_ENCODER))
+    monkeypatch.setattr(converse, "SWEEP_CELL_BUDGET", 1 << 10)
+    for audit in (lambda: brute_force_conditional(spec, maps, 4, (1, 0, 1)),
+                  lambda: verify_factorization(spec, maps, chan)):
+        tracemalloc.start()
+        try:
+            found = audit()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * converse.SWEEP_CELL_BUDGET * 8, peak
+    assert found.max_deviation < 1e-12
+
+
+def test_refusals_name_the_first_past_as_the_slice_route_did(monkeypatch):
+    spec = load("mod2-adder-bsc01")
+    maps = random_encoders(spec, 3, 2, 2, stream(53, 0, ROLE_ENCODER))
+    policies = converse._policies
+
+    # sender a's pmf of one past sums to 1.5: the first or the second past
+    # of time 2, so a group's refusal comes before or after a good past
+    for past in ((0,), (1,)):
+        def skewed(spec, maps, t, sigmas):
+            pi_a, pi_b = policies(spec, maps, t, sigmas)
+            pi_a[np.flatnonzero((sigmas == past).all(axis=1)) if t == 2 else []] *= 1.5
+            return pi_a, pi_b
+
+        pi_a, pi_b = sigma_policy(spec, maps, 2, past)
+        with pytest.raises(ValidationError) as slice_route:
+            TeamPolicy(pi_a=pi_a * 1.5, pi_b=pi_b)
+        monkeypatch.setattr(converse, "_policies", skewed)
+        for audit in (verify_factorization, sigma_average_pentagon):
+            with pytest.raises(ValidationError) as sweep:
+                audit(spec, maps, induced_strategy_channel(spec))
+            assert str(sweep.value) == str(slice_route.value) != ""
+        monkeypatch.undo()
+    # a q off by 1e-8 in mass: the first past's joint law is refused
+    chan = induced_strategy_channel(spec)
+    vars(chan)["q"] = chan.q * (1 + 1e-8)
+    with pytest.raises(ValidationError, match="joint law: total mass") as slice_route:
+        factorized_conditional(spec, chan, induced_sigma_policy(spec, maps, 1, ()))
+    with pytest.raises(ValidationError) as sweep:
+        verify_factorization(spec, maps, chan)
+    assert str(sweep.value) == str(slice_route.value)
 
 
 def test_brute_force_law_is_a_pmf(rng):

@@ -101,7 +101,7 @@ def test_a_spec_is_refused_by_name_or_is_a_channel(args):
 
     commands = [["validate"]]
     if accepted:
-        commands += [["sumrate", "--restarts", "2"], ["verify-converse", "--n", "1", "--trials", "1"]]
+        commands += [["sumrate", "--restarts", "2"], ["verify-converse", "--n", "2", "--trials", "1"]]
     (code, out, err), *runs = _run_doc(args, *commands)
     if accepted:
         assert code == 0 and json.loads(out)["ok"] is True, err
