@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import __version__, mcsim
-from .converse import random_encoders, verify_factorization
+from .converse import check_audit_work, random_encoders, verify_factorization
 from .errors import GuardError, InternalInvariantError, SpecFormatError, ValidationError
 from .mcsim import DECODERS, SimConfig, check_trials, estimate_error
 from .model import induced_strategy_channel, load_spec
@@ -202,8 +202,10 @@ def _simulate(args, spec, chan):
 
 
 def _verify_converse(args, spec, chan):
+    messages = 2   # per sender in each random code; the guard counts the codes drawn
+    check_audit_work(spec, args.n, messages, messages, args.trials)
     audits = (verify_factorization(spec, random_encoders(
-                  spec, args.n, 2, 2, stream(args.seed, trial, ROLE_ENCODER)), chan)
+                  spec, args.n, messages, messages, stream(args.seed, trial, ROLE_ENCODER)), chan)
               for trial in range(args.trials))
     worst = max(audits, key=lambda audit: audit.max_deviation)
     payload = {

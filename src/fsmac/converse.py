@@ -42,6 +42,7 @@ from .rates import JointLaw, RatePentagon, TeamPolicy, check_policy, checked_pen
 
 MAP_CELL_CAP = 1_000_000
 HISTORY_CAP = 4096
+AUDIT_TERM_CAP = 1 << 28   # literal terms one audit of random codes may add, see check_audit_work
 SWEEP_CELL_BUDGET = 1 << 16   # float64 cells one group of pasts or one chunk of terms may hold
 
 
@@ -119,13 +120,9 @@ def _product(size: int, length: int) -> np.ndarray:
     return np.indices((size,) * length, dtype=np.int64).reshape(length, size ** length).T
 
 
-def _pasts(spec: FsMacSpec, blocklength: int):
-    """Every time with its pasts, as (t, sigmas, alpha): sigmas holds the
-    pasts of t - 1 states (oldest first) in itertools.product order, one per
-    row, and alpha[i] = P(sigmas[i]) / blocklength is its weight under a
-    uniformly drawn time; the weights of all times sum to one. The
-    blocklength and the history budget are checked on the call, before the
-    first time is drawn; the budget count stops at HISTORY_CAP."""
+def _check_history(spec: FsMacSpec, blocklength: int) -> None:
+    """Refuse a blocklength below 1 or one whose sweep has more than
+    HISTORY_CAP pasts; the count stops at the cap."""
     if blocklength < 1:
         raise ValueError(f"blocklength must be >= 1, got {blocklength}")
     total = 0
@@ -134,6 +131,16 @@ def _pasts(spec: FsMacSpec, blocklength: int):
         if total > HISTORY_CAP:
             raise GuardError(f"history sweep guard: blocklength {blocklength} needs "
                              f"more than {HISTORY_CAP} past-state sequences")
+
+
+def _pasts(spec: FsMacSpec, blocklength: int):
+    """Every time with its pasts, as (t, sigmas, alpha): sigmas holds the
+    pasts of t - 1 states (oldest first) in itertools.product order, one per
+    row, and alpha[i] = P(sigmas[i]) / blocklength is its weight under a
+    uniformly drawn time; the weights of all times sum to one. The
+    blocklength and the history budget are checked on the call, before the
+    first time is drawn; the budget count stops at HISTORY_CAP."""
+    _check_history(spec, blocklength)
 
     def sweep():
         for t in range(1, blocklength + 1):
@@ -156,9 +163,9 @@ def alpha_sigma_weights(spec: FsMacSpec, blocklength: int) -> dict:
             for sigma, weight in zip(sigmas.tolist(), alpha)}
 
 
-def random_encoders(spec: FsMacSpec, blocklength: int, messages_a: int,
-                    messages_b: int, rng: np.random.Generator) -> EncoderMaps:
-    """Uniformly random code tables, mostly for audits and negative controls."""
+def _check_maps(spec: FsMacSpec, blocklength: int, messages_a: int, messages_b: int) -> None:
+    """Refuse code tables of a blocklength or a message count below 1, or of
+    more than MAP_CELL_CAP cells; the count stops at the cap."""
     if blocklength < 1:
         raise ValueError(f"blocklength must be >= 1, got {blocklength}")
     if messages_a < 1 or messages_b < 1:
@@ -169,6 +176,32 @@ def random_encoders(spec: FsMacSpec, blocklength: int, messages_a: int,
         if cells > MAP_CELL_CAP:
             raise GuardError(f"encoder map guard: blocklength {blocklength} needs more "
                              f"than {MAP_CELL_CAP} table cells")
+
+
+def check_audit_work(spec: FsMacSpec, blocklength: int, messages_a: int, messages_b: int,
+                     codes: int) -> None:
+    """Refuse an audit of codes random codes before the first is drawn:
+    random_encoders' checks, then the sweep's, then the literal terms. At
+    time t the sweep adds, per code, S^(t-1) pasts x messages_a * Sa^(t-1)
+    rows of sender a x messages_b * Sb^(t-1) rows of sender b x S * Sa * Sb
+    * |Y| terms; summed over t and times codes, that may be at most
+    AUDIT_TERM_CAP. The count is in integers and stops once the cap is
+    passed."""
+    _check_maps(spec, blocklength, messages_a, messages_b)
+    _check_history(spec, blocklength)
+    letter = spec.size_s * spec.size_sa * spec.size_sb
+    terms = 0
+    for t in range(1, blocklength + 1):
+        terms += letter ** (t - 1) * messages_a * messages_b * letter * spec.size_y
+        if terms * codes > AUDIT_TERM_CAP:
+            raise GuardError(f"converse work guard: blocklength {blocklength} over {codes} "
+                             f"codes adds more than {AUDIT_TERM_CAP} literal terms")
+
+
+def random_encoders(spec: FsMacSpec, blocklength: int, messages_a: int,
+                    messages_b: int, rng: np.random.Generator) -> EncoderMaps:
+    """Uniformly random code tables, mostly for audits and negative controls."""
+    _check_maps(spec, blocklength, messages_a, messages_b)
     phi_a = tuple(
         rng.integers(0, spec.size_xa, size=(messages_a, spec.size_sa ** k, spec.size_sa))
         for k in range(blocklength)
@@ -396,7 +429,7 @@ def sigma_average_pentagon(spec: FsMacSpec, maps: EncoderMaps,
             stop = int(np.argmax(refused)) if refused.any() else len(refused)
             if stop:   # the pasts before the first refused one
                 pa, pb = (np.repeat(pi[:stop], 3, axis=0) for pi in (pi_a, pi_b))
-                values = obj.block(0, np.tile(np.eye(3), (stop, 1)), pb).value(pa)
+                values = obj.block(0, np.tile(np.eye(3), (stop, 1)), pb).evaluate(pa).value
                 for weight, row in zip(alpha[group], values.reshape(stop, 3)):
                     pent = checked_pentagon(*row, spec.size_y)
                     bounds += weight * np.array([pent.bound_a, pent.bound_b, pent.bound_sum])

@@ -13,8 +13,10 @@ on q's factors, each sender's per-state input law and the transfer law, so a
 block's laws and a probe cost O(S*(A*Xa + B*Xb)*Y) per row, the own-bound
 pass included. A block stores its output law strategy-major, (rows, T, S*Y),
 built in that layout where it is made, so the block's value and gradient are
-each one stacked matrix-vector product per row. Only the table-conditional
-entropy m needs strategy pairs: it
+each one stacked matrix-vector product per row. One law pass serves both: a
+probe's evaluation keeps the log tables of its laws, and the gradient at an
+accepted point reads them, so no gradient builds a law again. Only the
+table-conditional entropy m needs strategy pairs: it
 is (A, B), built once per objective, per state in chunks of a-rows. The
 region and the converse's outer bound read each product policy's pentagon off
 the objective: J at the unit weights (1, 0, 0), (0, 1, 0) and (0, 0, 1) is
@@ -173,22 +175,56 @@ def _pull_back(c: np.ndarray, src: _Sender, dst: _Sender) -> np.ndarray:
     return np.matmul(src.rows, letters)[:, :, 0]
 
 
+@dataclass
+class _Point:
+    """A block evaluated at x, one row per block row: J's value and the log
+    tables its gradient reads, log2_floor of the mixed law x @ u, (rows, S,
+    Y), and of the own law, (own rows, S, T', Y), for the rows that owns
+    marks alone, in row order. own_log is None exactly when owns marks no
+    row, as it is for the block's evaluate. Only put changes a point."""
+
+    x: np.ndarray
+    value: np.ndarray
+    log: np.ndarray
+    own_log: np.ndarray | None
+    owns: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "_Point":
+        """The rows the mask rows marks, with their tables."""
+        own_log = self.own_log
+        if own_log is not None:
+            own_rows = rows[self.owns]
+            own_log = own_log[own_rows] if own_rows.any() else None
+        return _Point(self.x[rows], self.value[rows], self.log[rows], own_log, self.owns[rows])
+
+    def put(self, rows: np.ndarray, src: "_Point", src_rows: np.ndarray) -> None:
+        """Write src's rows that the mask src_rows marks, tables and all,
+        over the rows that the mask rows marks, in order; src is a point of
+        this block or of a block taken from it."""
+        self.x[rows], self.value[rows] = src.x[src_rows], src.value[src_rows]
+        self.log[rows] = src.log[src_rows]
+        if src.own_log is not None:
+            self.own_log[rows[self.owns]] = src.own_log[src_rows[src.owns]]
+
+
 class _Block:
     """One sender's block of J for a batch of rows, each with its own weights
     and the other sender's pmf held fixed: J(x) = x @ lin + wc * H(Y|S) +
     w_own * H(Y|T_other,S). Row r's u is the output law given (s, own table)
     mixed over the other sender, stored strategy-major as (rows, T, S*Y); lin
     holds J's two terms linear in x, and H(Y|S) depends on x @ u only. So
-    value's x @ u and grad's u @ (p * log-law) are each one stacked
+    evaluate's x @ u and grad's u @ (p * log-law) are each one stacked
     matrix-vector product per row, and a row's numbers do not depend on which
-    rows share its batch."""
+    rows share its batch. evaluate builds each law and its log once; grad
+    reads the logs off that evaluation."""
 
     def __init__(self, own_sender, other_sender, p, u, lin, other, w_own, wc):
         self.own_sender, self.other_sender = own_sender, other_sender
         self.p, self.u, self.lin, self.other = p, u, lin, other
         self.w_own, self.wc = w_own, wc
         # only the rows whose own bound carries weight pay the own-bound pass
-        own_rows = np.flatnonzero(w_own)
+        self.owns = w_own != 0
+        own_rows = np.flatnonzero(self.owns)
         self.any_own = own_rows.size > 0
         self.own = slice(None) if own_rows.size == w_own.size else own_rows
         self.own_other, self.own_weight = other[self.own], w_own[self.own]
@@ -197,30 +233,35 @@ class _Block:
         return _Block(self.own_sender, self.other_sender, self.p, self.u[rows], self.lin[rows],
                       self.other[rows], self.w_own[rows], self.wc[rows])
 
-    def _own_law(self, x: np.ndarray) -> np.ndarray:
-        """The output law given (s, the other's table), own pmf mixed in."""
-        return _law_given(x[self.own], self.own_sender, self.other_sender)
-
-    def _mixed(self, x: np.ndarray) -> np.ndarray:
-        """x @ u row by row: the output law given s, (rows, S, Y)."""
-        return np.matmul(x[:, None, :], self.u).reshape(x.shape[0], self.p.size, -1)
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        out = np.matmul(x[:, None, :], self.lin[:, :, None])[:, 0, 0]
-        out += self.wc * np.matmul(self.p, entropy_rows(self._mixed(x))[:, :, None])[:, 0]
+    def evaluate(self, x: np.ndarray) -> _Point:
+        """J at x with the log tables grad reads. The mixed law x @ u, the
+        output law given s, (rows, S, Y), and for the own rows the output
+        law given (s, the other's table), own pmf mixed in, are each built
+        once, with their logs."""
+        n = x.shape[0]
+        mixed = np.matmul(x[:, None, :], self.u).reshape(n, self.p.size, -1)
+        log = log2_floor(mixed)
+        # a few (S, Y) rows per probe: one .sum call beats Y column adds
+        h = -np.multiply(mixed, log, out=mixed).sum(axis=-1)
+        value = np.matmul(x[:, None, :], self.lin[:, :, None])[:, 0, 0]
+        value += self.wc * np.matmul(self.p, h[:, :, None])[:, 0]
+        own_log = None
         if self.any_own:
-            h = np.matmul(np.matmul(self.p, entropy_rows(self._own_law(x)))[:, None, :],
+            law = _law_given(x[self.own], self.own_sender, self.other_sender)
+            own_log = log2_floor(law)
+            h = np.matmul(np.matmul(self.p, entropy_rows(law, own_log))[:, None, :],
                           self.own_other[:, :, None])
-            out[self.own] += self.own_weight * h[:, 0, 0]
-        return out
+            value[self.own] += self.own_weight * h[:, 0, 0]
+        return _Point(x, value, log, own_log, self.owns)
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        lr = -log2_floor(self._mixed(x)) - _LOG2E
+    def grad(self, point: _Point) -> np.ndarray:
+        """J's gradient at point, an evaluation of this block."""
+        lr = -point.log - _LOG2E
         lr *= self.p[:, None]
         grad = self.lin + self.wc[:, None] * np.matmul(
-            self.u, lr.reshape(x.shape[0], -1, 1))[:, :, 0]
+            self.u, lr.reshape(lr.shape[0], -1, 1))[:, :, 0]
         if self.any_own:
-            lv = -log2_floor(self._own_law(x)) - _LOG2E
+            lv = -point.own_log - _LOG2E
             lv *= self.p[:, None, None] * self.own_other[:, None, :, None]
             grad[self.own] += self.own_weight[:, None] * _pull_back(
                 lv, self.own_sender, self.other_sender)
@@ -228,9 +269,14 @@ class _Block:
 
 
 def _row_cells(shape: tuple) -> int:
-    """Cells one row holds at most on a channel of shape (S, A, B, Y): both
-    blocks, a subset copy and the own-bound temporaries, all O(S*(A+B)*Y),
-    plus its objective history."""
+    """Cells one row is budgeted on a channel of shape (S, A, B, Y):
+    4*S*Y*(A+B), plus its objective history. A block of T own strategies,
+    the other sender's T', holds u (T*S*Y) and up to two row-subset copies
+    of it, the compacted rows' and a backtrack's. The accepted point and a
+    probe's candidate each carry their log tables, the mixed law's (S*Y)
+    and, on an own-weighted row, the own law's (S*T'*Y), and a probe's own
+    law and its log add two more while it is evaluated: about 3*T + 4*T'
+    columns of S*Y cells, beside O(T) pmfs and gradients."""
     s, a, b, y = shape
     return 4 * s * y * (a + b) + 2 * (MAX_ITERS + 1)
 
@@ -290,58 +336,65 @@ class _Objective:
         """The checked pentagon of a product policy: J at the unit weights is
         each bound alone, rows a, b and sum of one 3-row block."""
         pa, pb = (np.tile(pi, (3, 1)) for pi in (policy.pi_a, policy.pi_b))
-        return checked_pentagon(*self.block(0, np.eye(3), pb).value(pa), self.shape[3])
+        return checked_pentagon(*self.block(0, np.eye(3), pb).evaluate(pa).value, self.shape[3])
 
 
-def _probe(f: _Block, x: np.ndarray, z: np.ndarray, step: float):
-    """The candidate x * exp(step * z) of every row of f, renormalized, with
-    its objective; a row whose candidate vanished reads -inf."""
+def _probe(f: _Block, x: np.ndarray, z: np.ndarray, step: float) -> _Point:
+    """f's evaluation at the candidate x * exp(step * z) of every row,
+    renormalized; a row whose candidate vanished reads -inf."""
     cand = x * np.exp(step * z)
     total = cand.sum(axis=1)
     ok = (total > 0) & np.isfinite(total)
     cand /= np.where(ok, total, 1.0)[:, None]
-    return cand, np.where(ok, f.value(cand), -np.inf)
+    point = f.evaluate(cand)
+    point.value[~ok] = -np.inf
+    return point
 
 
-def _line_search(f: _Block, x: np.ndarray, value: np.ndarray, z: np.ndarray):
+def _line_search(f: _Block, point: _Point, z: np.ndarray):
     """Halve each row's step from 1 until its objective rises, at most
-    _BACKTRACKS tries; returns (x, value, moved), unmoved rows unchanged."""
-    cand, cand_value = _probe(f, x, z, 1.0)
-    moved = cand_value > value
+    _BACKTRACKS tries; returns (the new point, moved). A row that moved
+    holds the candidate it rose at, with that probe's tables; an unmoved
+    row holds point's."""
+    cand = _probe(f, point.x, z, 1.0)
+    moved = cand.value > point.value
     if moved.all():
-        return cand, cand_value, moved
-    x, value = x.copy(), value.copy()
-    x[moved], value[moved] = cand[moved], cand_value[moved]
-    pend, step = np.flatnonzero(~moved), 1.0
+        return cand, moved
+    cand.put(~moved, point, ~moved)
+    pend, step = ~moved, 1.0
     for _ in range(_BACKTRACKS - 1):
         step *= 0.5
-        cand, cand_value = _probe(f.take(pend), x[pend], z[pend], step)
-        rose = cand_value > value[pend]
-        x[pend[rose]], value[pend[rose]], moved[pend[rose]] = cand[rose], cand_value[rose], True
-        pend = pend[~rose]
-        if not pend.size:
+        trial = _probe(f.take(pend), point.x[pend], z[pend], step)
+        rose = trial.value > point.value[pend]
+        hit = np.zeros_like(pend)
+        hit[pend] = rose
+        cand.put(hit, trial, rose)
+        moved |= hit
+        pend &= ~hit
+        if not pend.any():
             break
-    return x, value, moved
+    return cand, moved
 
 
-def _ascend(f: _Block, x: np.ndarray, value: np.ndarray, tol: float):
+def _ascend(f: _Block, point: _Point, tol: float):
     """Climb every row of one block to local stationarity by exponentiated
-    gradient with backtracking, from x at objective value; returns the new
-    (x, value). Each row steps and stops on its own tests; a row no step
-    improves stops where it is."""
-    x_out, value_out = x.copy(), value.copy()
-    live = np.arange(x.shape[0])   # rows still stepping; f, x and value hold exactly these
+    gradient with backtracking, from point, f's evaluation at the start;
+    returns the new (x, value). Each row steps and stops on its own tests; a
+    row no step improves stops where it is. A row that keeps stepping has
+    moved, so each gradient reads the tables of the probe that moved it."""
+    x_out, value_out = point.x.copy(), point.value.copy()
+    live = np.arange(x_out.shape[0])   # rows still stepping; f and point hold exactly these
     for _ in range(_EG_STEPS):
-        grad = f.grad(x)
-        new_x, new_value, moved = _line_search(f, x, value, grad - grad.max(axis=1, keepdims=True))
-        go = moved & (new_value - value > tol * np.maximum(1.0, np.abs(new_value)))
-        x, value = new_x, new_value
+        grad = f.grad(point)
+        new, moved = _line_search(f, point, grad - grad.max(axis=1, keepdims=True))
+        go = moved & (new.value - point.value > tol * np.maximum(1.0, np.abs(new.value)))
+        point = new
         if not go.all():
-            x_out[live], value_out[live] = x, value
+            x_out[live], value_out[live] = point.x, point.value
             if not go.any():
                 return x_out, value_out
-            live, x, value, f = live[go], x[go], value[go], f.take(go)
-    x_out[live], value_out[live] = x, value
+            live, point, f = live[go], point.take(go), f.take(go)
+    x_out[live], value_out[live] = point.x, point.value
     return x_out, value_out
 
 
@@ -360,14 +413,16 @@ def _climb(obj: _Objective, cfg: OptimizerConfig, weights: np.ndarray, items: np
     rounds, converged = np.full(n, MAX_ITERS), np.zeros(n, dtype=bool)
     live = np.arange(n)
     blk = obj.block(0, weights, pb)
-    value = start = blk.value(pa)
+    start = blk.evaluate(pa)
+    value = start.value
     # column-major, so a round writes one run of cells and unrun rounds touch no pages
     history = np.empty((n, MAX_ITERS + 1), order="F")
     history[:, 0] = value
     for k in range(1, MAX_ITERS + 1):
-        pa, _ = _ascend(blk, pa, start, REL_TOL)
+        pa, _ = _ascend(blk, start, REL_TOL)
+        del start   # its own-law log is not held through the other block's ascent
         blk = obj.block(1, weights, pa)
-        pb, new = _ascend(blk, pb, blk.value(pb), REL_TOL)
+        pb, new = _ascend(blk, blk.evaluate(pb), REL_TOL)
         fell = np.flatnonzero(new < value - _MONOTONE_SLACK * np.maximum(1.0, np.abs(value)))
         if fell.size:
             i = fell[0]
@@ -387,7 +442,7 @@ def _climb(obj: _Objective, cfg: OptimizerConfig, weights: np.ndarray, items: np
                 break
             live, pa, pb, weights, value = live[keep], pa[keep], pb[keep], weights[keep], value[keep]
         blk = obj.block(0, weights, pb)
-        start = blk.value(pa)
+        start = blk.evaluate(pa)
     return value_out, pa_out, pb_out, rounds, converged, history
 
 
@@ -428,7 +483,8 @@ def _kkt_gaps(obj: _Objective, pa: np.ndarray, pb: np.ndarray) -> tuple:
     w = np.array([_SUM_RATE[0]])
     gaps = []
     for own, x, other in ((0, pa, pb), (1, pb, pa)):
-        g = obj.block(own, w, other[None]).grad(x[None])[0]
+        blk = obj.block(own, w, other[None])
+        g = blk.grad(blk.evaluate(x[None]))[0]
         gaps.append(max(0.0, float(g.max() - x @ g)))   # never -0.0
     return tuple(gaps)
 

@@ -95,10 +95,24 @@ def log2_floor(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.log2(floor, out=floor)
 
 
-def entropy_rows(p: np.ndarray) -> np.ndarray:
-    """Entropy along the last axis, no validation (internal batched helper)."""
+def entropy_rows(p: np.ndarray, log: np.ndarray | None = None) -> np.ndarray:
+    """Entropy along the last axis, no validation (internal batched helper);
+    log, if given, is log2_floor(p), already held.
+
+    Below 8 cells numpy's sum adds a row's cells one by one from the left, so
+    the cells are added as whole columns in that order, one vectorized add
+    per cell rather than one reduction call per row, with .sum's bits. The
+    first column is seeded with + 0.0, as .sum's is, so an all-zero row sums
+    to +0.0. From 8 cells on, .sum adds pairwise, and it is kept, as it is
+    for an axis of no cells."""
     # p * log2_floor(p) is exactly 0 at p == 0, no nan cleanup needed
-    return -(p * log2_floor(p)).sum(axis=-1)
+    terms = p * (log2_floor(p) if log is None else log)
+    if not 0 < terms.shape[-1] < 8:
+        return -terms.sum(axis=-1)
+    total = terms[..., 0] + 0.0
+    for k in range(1, terms.shape[-1]):
+        total += terms[..., k]
+    return -total
 
 
 def check_policy(chan: StrategyChannel, pol: TeamPolicy) -> None:

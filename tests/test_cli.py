@@ -591,6 +591,22 @@ def test_verify_converse_huge_blocklength_exit1_fast(capsys):
     assert "encoder map guard: blocklength 1000000" in err
 
 
+def test_verify_converse_work_guard_exit1_fast(capsys, monkeypatch):
+    # n 12 passes the history and encoder map guards, but its sweep adds
+    # 6.3e11 literal terms; it once ran for hours
+    def refuse(*args, **kwargs):
+        raise AssertionError("code drawn before the converse work guard")
+
+    monkeypatch.setattr(cli, "random_encoders", refuse)
+    started = time.monotonic()
+    rc, out, err = run(capsys, "verify-converse", "--spec", str(spec_path("mod2-adder-bsc01")),
+                       "--n", "12", "--trials", "1")
+    assert time.monotonic() - started < 1.0
+    assert (rc, out) == (1, "")
+    assert _one_error_line(err), err
+    assert "converse work guard: blocklength 12 over 1 codes adds more than" in err
+
+
 def test_verify_converse_seed_changes_codes(capsys):
     rc, out, _ = run(capsys, "verify-converse", "--spec", MOD2,
                      "--n", "3", "--trials", "3", "--seed", "7")

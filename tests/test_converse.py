@@ -116,6 +116,46 @@ def test_encoder_maps_validation(rng):
         random_encoders(spec, 10**6, 2, 2, rng)
 
 
+def _audit_terms(spec, blocklength, codes):
+    """The literal terms verify_factorization adds for codes 2 x 2-message
+    codes, counted straight off _literal_laws' loop sizes."""
+    per_code = sum(
+        spec.size_s ** (t - 1) * (2 * spec.size_sa ** (t - 1)) * (2 * spec.size_sb ** (t - 1))
+        * spec.size_s * spec.size_sa * spec.size_sb * spec.size_y
+        for t in range(1, blocklength + 1))
+    return per_code * codes
+
+
+def test_audit_work_guard_admits_the_cap_and_refuses_one_more_code(monkeypatch):
+    spec = load("mod2-adder-bsc01")
+    # the benchmark's audit: n 3, 50 codes
+    assert _audit_terms(spec, 3, 50) == 233_600
+    converse.check_audit_work(spec, 3, 2, 2, 50)
+    # n 7 at 14 codes is the last count under the cap; nothing is run
+    assert _audit_terms(spec, 7, 14) <= converse.AUDIT_TERM_CAP < _audit_terms(spec, 7, 15)
+    converse.check_audit_work(spec, 7, 2, 2, 14)
+    with pytest.raises(GuardError, match="converse work guard: blocklength 7 over 15 codes "
+                                         f"adds more than {converse.AUDIT_TERM_CAP}"):
+        converse.check_audit_work(spec, 7, 2, 2, 15)
+    # a count exactly at the cap is admitted
+    monkeypatch.setattr(converse, "AUDIT_TERM_CAP", _audit_terms(spec, 3, 50))
+    converse.check_audit_work(spec, 3, 2, 2, 50)
+    with pytest.raises(GuardError, match="converse work guard"):
+        converse.check_audit_work(spec, 3, 2, 2, 51)
+
+
+def test_audit_work_guard_leaves_the_older_guards_first():
+    spec = load("mod2-adder-bsc01")
+    # each older guard still names a refused input first, with its own message
+    with pytest.raises(ValueError, match="blocklength must be >= 1"):
+        converse.check_audit_work(spec, 0, 2, 2, 1)
+    with pytest.raises(GuardError, match="encoder map guard: blocklength 1000000 "):
+        converse.check_audit_work(spec, 10**6, 2, 2, 1)
+    # n 13: 65,528 table cells pass, 8191 pasts do not
+    with pytest.raises(GuardError, match="history sweep guard: blocklength 13 "):
+        converse.check_audit_work(spec, 13, 2, 2, 1)
+
+
 def test_history_guard_trips_before_the_channel_is_built(monkeypatch):
     spec = load("mod2-adder-noiseless")
     chan = induced_strategy_channel(spec)

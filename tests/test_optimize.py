@@ -171,16 +171,18 @@ def test_gradients_match_finite_differences(rng):
     h = 1e-6
     for own, x, other in ((0, pa, pb), (1, pb, pa)):
         f = obj.block(own, _MIXED_WEIGHTS, other)
-        grad, value = f.grad(x), f.value(x)
+        point = f.evaluate(x)
+        grad, value = f.grad(point), point.value
         for r in range(x.shape[0]):
             # each row alone gives the batch's numbers bit for bit
             alone = obj.block(own, _MIXED_WEIGHTS[r:r + 1], other[r:r + 1])
-            assert alone.value(x[r:r + 1])[0] == value[r]
-            assert np.array_equal(alone.grad(x[r:r + 1])[0], grad[r])
+            alone_point = alone.evaluate(x[r:r + 1])
+            assert alone_point.value[0] == value[r]
+            assert np.array_equal(alone.grad(alone_point)[0], grad[r])
             for i in range(1, x.shape[1]):
                 d = np.zeros_like(x)
                 d[r, 0], d[r, i] = -1.0, 1.0
-                fd = (f.value(x + h * d) - f.value(x - h * d)) / (2 * h)
+                fd = (f.evaluate(x + h * d).value - f.evaluate(x - h * d).value) / (2 * h)
                 assert fd[r] == pytest.approx(float(grad[r] @ d[r]), abs=5e-5)
                 others = np.arange(x.shape[0]) != r
                 assert np.all(fd[others] == 0.0)
@@ -191,8 +193,8 @@ def test_weighted_value_reduces_to_pentagon_combination(rng):
     chan = induced_strategy_channel(spec)
     obj = _Objective(chan)
     pa, pb = _mixed_policies(rng, chan)
-    value_a = obj.block(0, _MIXED_WEIGHTS, pb).value(pa)
-    value_b = obj.block(1, _MIXED_WEIGHTS, pa).value(pb)
+    value_a = obj.block(0, _MIXED_WEIGHTS, pb).evaluate(pa).value
+    value_b = obj.block(1, _MIXED_WEIGHTS, pa).evaluate(pb).value
     for r, (wa, wb, wc) in enumerate(_MIXED_WEIGHTS):
         pent = pentagon(joint_law(spec, chan, TeamPolicy(pi_a=pa[r], pi_b=pb[r])))
         expect = wa * pent.bound_a + wb * pent.bound_b + wc * pent.bound_sum
@@ -243,8 +245,9 @@ def test_factorized_objective_matches_literal_q_sums(rng):
                 f.u, u.transpose(0, 2, 1, 3).reshape(rows, count, size_s * size_y),
                 rtol=0, atol=1e-12)
             np.testing.assert_allclose(f.lin, lin, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(f.value(x), value, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(f.grad(x), grad, rtol=0, atol=1e-12)
+            point = f.evaluate(x)
+            np.testing.assert_allclose(point.value, value, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(f.grad(point), grad, rtol=0, atol=1e-12)
 
 
 def test_block_rows_alone_match_the_batch_byte_for_byte(rng):
@@ -257,11 +260,119 @@ def test_block_rows_alone_match_the_batch_byte_for_byte(rng):
         pa, pb = _mixed_policies(rng, chan)
         for own, x, other in ((0, pa, pb), (1, pb, pa)):
             f = obj.block(own, _MIXED_WEIGHTS, other)
-            value, grad = f.value(x), f.grad(x)
+            point = f.evaluate(x)
+            value, grad = point.value, f.grad(point)
             for i in range(x.shape[0]):
                 alone = f.take(np.array([i]))
-                assert alone.value(x[i:i + 1]).tobytes() == value[i:i + 1].tobytes()
-                assert alone.grad(x[i:i + 1]).tobytes() == grad[i:i + 1].tobytes()
+                alone_point = alone.evaluate(x[i:i + 1])
+                assert alone_point.value.tobytes() == value[i:i + 1].tobytes()
+                assert alone.grad(alone_point).tobytes() == grad[i:i + 1].tobytes()
+
+
+def _assert_fresh(f, point):
+    """point carries exactly the tables, value and gradient that a fresh
+    evaluation of f at point.x gives, byte for byte."""
+    fresh = f.evaluate(point.x)
+    assert point.value.tobytes() == fresh.value.tobytes()
+    assert point.log.tobytes() == fresh.log.tobytes()
+    assert (point.own_log is None) == (fresh.own_log is None)
+    if fresh.own_log is not None:
+        assert point.own_log.tobytes() == fresh.own_log.tobytes()
+    assert f.grad(point).tobytes() == f.grad(fresh).tobytes()
+
+
+def test_a_line_search_carries_each_rows_probe_tables(rng):
+    # _MIXED_WEIGHTS holds sum rows and own rows for both blocks; the steep
+    # direction makes some rows fall at step 1 and rise only at a halved
+    # step, and a descent direction leaves rows unmoved
+    for sizes in FACTOR_SIZES:
+        spec = random_spec(rng, sizes=sizes)
+        chan = induced_strategy_channel(spec)
+        obj = _Objective(chan)
+        pa, pb = _mixed_policies(rng, chan)
+        for own, x, other in ((0, pa, pb), (1, pb, pa)):
+            weights = _MIXED_WEIGHTS[:, [own, 1 - own, 2]]
+            for rows in (np.arange(x.shape[0]), [3], [int(np.flatnonzero(weights[:, 0])[0])]):
+                f = obj.block(own, _MIXED_WEIGHTS[rows], other[rows])
+                point = f.evaluate(x[rows])
+                grad = f.grad(point)
+                ascent = grad - grad.max(axis=1, keepdims=True)
+                descent = np.where(np.arange(len(rows)) % 2, 1.0, -1.0)[:, None]
+                for z in (ascent, 200.0 * ascent, descent * ascent):
+                    new, moved = optimize._line_search(f, point, z)
+                    _assert_fresh(f, new)
+                    # unmoved rows keep the point's x and value
+                    assert np.array_equal(new.x[~moved], point.x[~moved])
+                    assert np.array_equal(new.value[~moved], point.value[~moved])
+
+
+def test_rows_that_rise_only_at_a_halved_step_carry_that_probes_tables():
+    spec = load("mod2-adder-bsc01")
+    chan = induced_strategy_channel(spec)
+    obj = _Objective(chan)
+    pa, pb = _mixed_policies(np.random.default_rng(21), chan, floor=0.05)
+    halved = 0
+    for own, x, other in ((0, pa, pb), (1, pb, pa)):
+        f = obj.block(own, _MIXED_WEIGHTS, other)
+        point = f.evaluate(x)
+        grad = f.grad(point)
+        z = 200.0 * (grad - grad.max(axis=1, keepdims=True))
+        first = optimize._probe(f, x, z, 1.0)
+        new, moved = optimize._line_search(f, point, z)
+        late = moved & (first.value <= point.value)
+        halved += int(late.sum())
+        _assert_fresh(f, new)
+        # a block taken after the search, with its point, still reads fresh tables
+        keep = moved.copy()
+        keep[np.flatnonzero(moved)[0]] = False
+        assert keep.any() and not keep.all()
+        _assert_fresh(f.take(keep), new.take(keep))
+        assert f.take(keep).grad(new.take(keep)).tobytes() == f.grad(new)[keep].tobytes()
+    assert halved >= 2
+
+
+def test_a_search_on_the_own_free_rows_of_a_mixed_block_runs(rng):
+    # once every own-weighted row has stopped, an ascent goes on with the
+    # sum rows of a block that had own rows: a row there that does not rise
+    # at step 1 keeps the taken point's tables
+    spec = random_spec(rng, sizes=FACTOR_SIZES[3])
+    chan = induced_strategy_channel(spec)
+    obj = _Objective(chan)
+    pa, pb = _mixed_policies(rng, chan, floor=0.05)
+    for own, x, other in ((0, pa, pb), (1, pb, pa)):
+        f = obj.block(own, _MIXED_WEIGHTS, other)
+        point = f.evaluate(x)
+        free = _MIXED_WEIGHTS[:, own] == 0
+        assert free.any() and not free.all()
+        f, point = f.take(free), point.take(free)
+        assert point.own_log is None
+        grad = f.grad(point)
+        ascent = grad - grad.max(axis=1, keepdims=True)
+        # the first row walks down its gradient, the others up it
+        z = np.where(np.arange(ascent.shape[0]) == 0, -1.0, 1.0)[:, None] * ascent
+        new, moved = optimize._line_search(f, point, z)
+        assert not moved[0] and moved[1:].all()
+        _assert_fresh(f, new)
+
+
+def test_every_ascent_gradient_reads_tables_a_fresh_evaluation_gives(rng, monkeypatch):
+    # the sum rate's rows and a region's own rows, through row compaction
+    grad = optimize._Block.grad
+    calls = []
+
+    def checked(f, point):
+        calls.append(point.x.shape[0])
+        fresh = f.evaluate(point.x)
+        assert point.log.tobytes() == fresh.log.tobytes()
+        if fresh.own_log is not None:
+            assert point.own_log.tobytes() == fresh.own_log.tobytes()
+        return grad(f, point)
+
+    monkeypatch.setattr(optimize._Block, "grad", checked)
+    for spec in (load("mod2-adder-bsc01"), random_spec(rng, sizes=FACTOR_SIZES[3])):
+        chan = induced_strategy_channel(spec)
+        inner_bound_region(spec, chan, OptimizerConfig(restarts=2, seed=5), directions=3)
+    assert len(calls) > 20 and min(calls) < max(calls)
 
 
 LARGE_SIZES = dict(xa=2, xb=2, s=4, sa=8, sb=8, y=4)
@@ -283,7 +394,7 @@ def test_objective_memory_stays_far_below_q(monkeypatch):
     try:
         obj = _Objective(chan)
         f = obj.block(0, _MIXED_WEIGHTS, pb)
-        f.value(pa), f.grad(pa)
+        f.grad(f.evaluate(pa))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -381,8 +492,9 @@ def test_kkt_gap_flags_a_non_stationary_policy():
     # each gap bounds what that sender's best response still gains
     for own, x, other, gap in ((0, pa, pb, gaps[0]), (1, pb, pa, gaps[1])):
         f = obj.block(own, np.array([(0.0, 0.0, 1.0)]), other[None])
-        start_value = f.value(x[None])
-        _, best = optimize._ascend(f, x[None], start_value, 1e-12)
+        start = f.evaluate(x[None])
+        start_value = start.value
+        _, best = optimize._ascend(f, start, 1e-12)
         assert 1e-4 < best[0] - start_value[0] <= gap
 
 

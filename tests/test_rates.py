@@ -18,6 +18,7 @@ from fsmac.rates import (
     entropy_rows,
     joint_law,
     load_policy,
+    log2_floor,
     pentagon,
 )
 
@@ -73,6 +74,52 @@ def test_entropy_frozen_values():
     assert abs(v - 0.8112781245) < 1e-9
     # independent oracle via math.log2
     assert abs(v + 0.25 * math.log2(0.25) + 0.75 * math.log2(0.75)) < 1e-15
+
+
+def _summed_entropy(p):
+    """entropy_rows' one-reduction form: numpy's sum over the last axis."""
+    return -(p * log2_floor(p)).sum(axis=-1)
+
+
+def _entropy_rows_of(rng, rows, width):
+    """Rows of every kind the callers pass: random laws, point masses, rows
+    of zeros (whose cells sum to -0.0 terms) and rows with a 5e-324 cell."""
+    p = rng.dirichlet(np.ones(width), size=rows) * rng.choice([1.0, 1e-200], size=(rows, 1))
+    p[::7] = np.eye(width)[rng.integers(0, width, size=p[::7].shape[0])]
+    p[1::7] = 0.0
+    p[2::7, 0] = 5e-324
+    return p
+
+
+def test_entropy_rows_sums_short_rows_by_columns_with_the_sums_bits(rng):
+    for width in range(1, 8):
+        p = _entropy_rows_of(rng, 700, width)
+        assert entropy_rows(p).tobytes() == _summed_entropy(p).tobytes(), width
+        # a log already held gives the same bits
+        assert entropy_rows(p, log2_floor(p)).tobytes() == _summed_entropy(p).tobytes()
+        # an all-zero row sums to +0.0, as .sum's does, so its entropy is -0.0
+        assert np.signbit(entropy_rows(np.zeros((1, width))))[0]
+        # the grid oracle's input: a transposed (a key, Y, b key) table
+        table = p.reshape(70, 10, width).transpose(0, 2, 1).copy()
+        r = table.transpose(2, 0, 1)
+        assert not r.flags.c_contiguous
+        assert entropy_rows(r).tobytes() == _summed_entropy(r).tobytes(), width
+        # and the objective's stacked laws, (rows, S, T, Y)
+        law = p.reshape(5, 2, 70, width)
+        assert entropy_rows(law).tobytes() == _summed_entropy(law).tobytes(), width
+
+
+def test_entropy_rows_keeps_the_pairwise_sum_from_eight_cells(rng):
+    for width in (8, 16):
+        p = _entropy_rows_of(rng, 700, width)
+        assert entropy_rows(p).tobytes() == _summed_entropy(p).tobytes(), width
+        # adding the columns left to right would move bits here: numpy's sum
+        # is pairwise from 8 cells on
+        terms = p * log2_floor(p)
+        columns = terms[:, 0] + 0.0
+        for k in range(1, width):
+            columns += terms[:, k]
+        assert (-columns).tobytes() != entropy_rows(p).tobytes(), width
 
 
 def test_joint_law_against_six_fold_oracle(rng):
