@@ -48,7 +48,6 @@ from .converse import (
     EncoderMaps,
     alpha_sigma_weights,
     brute_force_conditional,
-    factorized_conditional,
     induced_sigma_policy,
     random_encoders,
     sigma_average_pentagon,
@@ -78,7 +77,7 @@ __all__ = [
     "grid_oracle_sum_rate", "inner_bound_region", "maximize_sum_rate",
     "pentagon_support",
     "ConverseAudit", "EncoderMaps", "alpha_sigma_weights",
-    "brute_force_conditional", "factorized_conditional", "induced_sigma_policy",
+    "brute_force_conditional", "induced_sigma_policy",
     "random_encoders", "sigma_average_pentagon", "sigma_string",
     "verify_factorization",
     "SimConfig", "SimReport", "estimate_error", "typicality_check", "wilson_interval",

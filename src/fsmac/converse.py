@@ -22,7 +22,9 @@ in groups. A past's literal law adds one term per (message and observation
 history of each sender, current s, oa, ob, y), in that lexicographic order,
 into one accumulator, so it has the bits of a loop that adds one float at a
 time; a group's induced policies are one ``bincount`` per sender, and its
-factorized laws, deviations and pentagons are array operations. Each group
+pmf checks, factorized laws and pentagons are those of model.pmf_refused,
+rates.product_law and the optimizer's _Objective.pentagons, each taken once
+for the whole group. Each group
 holds at most SWEEP_CELL_BUDGET float64 cells, or one past's where that is
 more, and its literal terms come in chunks of at most SWEEP_CELL_BUDGET, or
 the S * Sa * Sb * |Y| terms of one (past, a row, b row) where that is more;
@@ -36,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError
-from .model import PMF_ATOL, FsMacSpec, StrategyChannel, check_channel
+from .model import FsMacSpec, StrategyChannel, check_channel, pmf_refused
 from .optimize import _Objective, _row_cells
-from .rates import JointLaw, RatePentagon, TeamPolicy, check_policy, checked_pentagon, joint_law
+from .rates import JointLaw, RatePentagon, TeamPolicy, check_policy, checked_pentagon, product_law
 
 MAP_CELL_CAP = 1_000_000
 HISTORY_CAP = 4096
@@ -76,6 +78,8 @@ class EncoderMaps:
                     raise ValueError(f"{name}[{k}] has negative input symbols")
         if len(self.phi_a) != len(self.phi_b):
             raise ValueError("phi_a and phi_b must cover the same blocklength")
+        if self.messages_a < 1 or self.messages_b < 1:
+            raise ValueError("message counts must be >= 1")
 
     @property
     def blocklength(self) -> int:
@@ -352,20 +356,6 @@ def _groups(maps: EncoderMaps, t: int, count: int, cells: int):
     return (slice(i, i + step) for i in range(0, count, step))
 
 
-def _refused(arr: np.ndarray) -> np.ndarray:
-    """Per past, whether check_pmf would refuse arr's entry for it, read as
-    one row: an entry that is NaN or negative, or a sum that is not finite
-    or is off 1 by over PMF_ATOL (an infinite entry makes one)."""
-    flat = arr.reshape(len(arr), -1)
-    return ~((flat >= 0).all(axis=1) & (np.abs(flat.sum(axis=1) - 1.0) <= PMF_ATOL))
-
-
-def factorized_conditional(spec: FsMacSpec, chan: StrategyChannel,
-                           policy: TeamPolicy) -> np.ndarray:
-    """The claimed factorization, in brute_force_conditional's axis order."""
-    return joint_law(spec, chan, policy).p.transpose(1, 2, 3, 0)
-
-
 def verify_factorization(spec: FsMacSpec, maps: EncoderMaps,
                          chan: StrategyChannel) -> ConverseAudit:
     """Compare the literal letter law with the factorized one everywhere.
@@ -373,23 +363,20 @@ def verify_factorization(spec: FsMacSpec, maps: EncoderMaps,
     Sweeps every time step and every past-state sequence; returns the largest
     absolute entry difference and where it occurred, the first in sweep
     order among equals. Each group of pasts builds its literal laws, induced
-    policies and joint laws as arrays, as joint_law would build each; the
-    first past whose policy TeamPolicy would refuse, or whose law JointLaw
-    would, raises their error.
+    policies and joint laws as arrays, the laws by joint_law's product_law;
+    pmf_refused marks the first past whose policy TeamPolicy would refuse,
+    or whose law JointLaw would, and that constructor raises its error.
     """
     check_channel(spec, chan)
     pasts = _pasts(spec, maps.blocklength)
-    worst = -1.0
-    worst_t, worst_sigma = 1, ""
-    checks = 0
+    worst, worst_t, worst_sigma, checks = -1.0, 1, "", 0
     for t, sigmas, _ in pasts:
         sigmas = _time_and_past(spec, maps, t, sigmas)
         for group in _groups(maps, t, len(sigmas), chan.q.size):
             literal = _literal_laws(spec, maps, t, sigmas[group])
             pi_a, pi_b = _policies(spec, maps, t, sigmas[group])
-            weights = (spec.state_pmf[:, None] * pi_a[:, None])[..., None] * pi_b[:, None, None]
-            laws = chan.q * weights[..., None]
-            refused = _refused(pi_a) | _refused(pi_b) | _refused(laws)
+            laws = product_law(spec, chan, pi_a, pi_b)
+            refused = pmf_refused(pi_a) | pmf_refused(pi_b) | pmf_refused(laws, axes=4)
             first = int(np.argmax(refused))
             check_policy(chan, TeamPolicy(pi_a=pi_a[first], pi_b=pi_b[first]))
             if refused[first]:
@@ -410,11 +397,11 @@ def sigma_average_pentagon(spec: FsMacSpec, maps: EncoderMaps,
 
     The pair (t, sigma) acts as a time-sharing variable, so each bound of the
     averaged law is the weighted sum of the per-slice bounds. Each group of
-    pasts of positive weight reads its induced policies through one
-    objective on the channel's factors, three rows per past of one block at
-    the unit weights, so no letter law is built; each past's bounds are
-    checked as a pentagon and added in sweep order, and the sum is checked
-    once more.
+    pasts of positive weight reads the checked pentagons of its induced
+    policies off one objective on the channel's factors, the region's
+    _Objective.pentagons, so no letter law is built; the pasts before the
+    first whose policy pmf_refused marks add their bounds in sweep order,
+    that past's TeamPolicy raises, and the sum is checked once more.
     """
     check_channel(spec, chan)
     pasts = _pasts(spec, maps.blocklength)
@@ -425,14 +412,10 @@ def sigma_average_pentagon(spec: FsMacSpec, maps: EncoderMaps,
         sigmas, alpha = sigmas[alpha != 0.0], alpha[alpha != 0.0]
         for group in _groups(maps, t, len(sigmas), 3 * _row_cells(obj.shape)):
             pi_a, pi_b = _policies(spec, maps, t, sigmas[group])
-            refused = _refused(pi_a) | _refused(pi_b)
+            refused = pmf_refused(pi_a) | pmf_refused(pi_b)
             stop = int(np.argmax(refused)) if refused.any() else len(refused)
-            if stop:   # the pasts before the first refused one
-                pa, pb = (np.repeat(pi[:stop], 3, axis=0) for pi in (pi_a, pi_b))
-                values = obj.block(0, np.tile(np.eye(3), (stop, 1)), pb).evaluate(pa).value
-                for weight, row in zip(alpha[group], values.reshape(stop, 3)):
-                    pent = checked_pentagon(*row, spec.size_y)
-                    bounds += weight * np.array([pent.bound_a, pent.bound_b, pent.bound_sum])
+            for weight, pent in zip(alpha[group], obj.pentagons(pi_a[:stop], pi_b[:stop])):
+                bounds += weight * np.array([pent.bound_a, pent.bound_b, pent.bound_sum])
             if stop < len(refused):
                 TeamPolicy(pi_a=pi_a[stop], pi_b=pi_b[stop])
     return checked_pentagon(*bounds, spec.size_y)

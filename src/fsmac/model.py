@@ -14,8 +14,8 @@ law W(y | xa, xb, s). JSON wire schema::
       "labels": {"y": [...], ...}  # optional: per alphabet, one name string per symbol
     }
 
-Unknown keys are rejected. All probability rows must be nonnegative and sum
-to 1 within PMF_ATOL; each is then rescaled to sum to 1.
+Unknown keys are rejected. Every probability row must pass pmf_refused, the one
+pmf rule (nonnegative, sum within PMF_ATOL of 1), and is then rescaled to sum 1.
 """
 
 import json
@@ -141,17 +141,24 @@ def check_entries(arr: np.ndarray, name: str) -> None:
             raise ValidationError(f"{name}: entry {idx[0] if len(idx) == 1 else idx} {what}")
 
 
+def pmf_refused(arr: np.ndarray, axes: int = 1) -> np.ndarray:
+    """The pmf rule over a batch, one bool per row, the last axes axes of arr: an
+    entry NaN or negative, or a sum not finite or off 1 by over PMF_ATOL."""
+    row = tuple(range(-axes, 0))
+    return ~((arr >= 0).all(axis=row) & (np.abs(arr.sum(axis=row) - 1.0) <= PMF_ATOL))
+
+
 def check_pmf(arr: np.ndarray, name: str) -> None:
-    """check_entries, then the first last-axis row not summing to 1 within PMF_ATOL."""
-    check_entries(arr, name)
-    sums = arr.sum(axis=-1)
-    bad = np.abs(sums - 1.0) > PMF_ATOL
+    """Raise ValidationError if pmf_refused refuses a last-axis row: with
+    check_entries' message if an entry is to blame, else the first row's sum."""
+    bad = pmf_refused(arr)
     if np.any(bad):
+        check_entries(arr, name)
+        sums = arr.sum(axis=-1)
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         row = sums[idx] if idx else sums.item()
-        raise ValidationError(
-            f"{name}: row {idx if idx else 0} sums to {row!r}, expected 1 within {PMF_ATOL}"
-        )
+        raise ValidationError(f"{name}: row {idx if idx else 0} sums to {row!r}, "
+                              f"expected 1 within {PMF_ATOL}")
 
 
 def float_array(value, name: str) -> np.ndarray:

@@ -18,9 +18,9 @@ probe's evaluation keeps the log tables of its laws, and the gradient at an
 accepted point reads them, so no gradient builds a law again. Only the
 table-conditional entropy m needs strategy pairs: it
 is (A, B), built once per objective, per state in chunks of a-rows. The
-region and the converse's outer bound read each product policy's pentagon off
-the objective: J at the unit weights (1, 0, 0), (0, 1, 0) and (0, 0, 1) is
-bound_a, bound_b and bound_sum.
+region and the converse's outer bound read a batch of product policies'
+pentagons off the objective (_Objective.pentagons): J at the unit weights
+(1, 0, 0), (0, 1, 0) and (0, 0, 1) is bound_a, bound_b and bound_sum.
 
 All restarts climb together as rows of one array. A row is one (weights,
 restart) pair: the sum rate's restarts, or every restart of every region
@@ -332,11 +332,17 @@ class _Objective:
                    entropy_rows(u.reshape(*u.shape[:2], self.p.size, -1)), self.p))
         return _Block(own_sender, other_sender, self.p, u, lin, other, w_own, wc)
 
-    def pentagon(self, policy: TeamPolicy) -> RatePentagon:
-        """The checked pentagon of a product policy: J at the unit weights is
-        each bound alone, rows a, b and sum of one 3-row block."""
-        pa, pb = (np.tile(pi, (3, 1)) for pi in (policy.pi_a, policy.pi_b))
-        return checked_pentagon(*self.block(0, np.eye(3), pb).evaluate(pa).value, self.shape[3])
+    def pentagons(self, pi_a: np.ndarray, pi_b: np.ndarray) -> list:
+        """The checked pentagons of k product policies (k, A) and (k, B): policy i is rows a,
+        b and sum of a block at the unit weights, at most BATCH_CELL_BUDGET // _row_cells rows
+        or one policy's three per chunk. Rows never mix, so each has the bits it has alone."""
+        step = max(1, BATCH_CELL_BUDGET // _row_cells(self.shape) // 3)
+        pents = []
+        for i in range(0, len(pi_a), step):
+            pa, pb = (np.repeat(pi[i:i + step], 3, axis=0) for pi in (pi_a, pi_b))
+            values = self.block(0, np.tile(np.eye(3), (len(pa) // 3, 1)), pb).evaluate(pa).value
+            pents += [checked_pentagon(*row, self.shape[3]) for row in values.reshape(-1, 3)]
+        return pents
 
 
 def _probe(f: _Block, x: np.ndarray, z: np.ndarray, step: float) -> _Point:
@@ -715,16 +721,14 @@ def inner_bound_region(spec: FsMacSpec, chan: StrategyChannel,
     check_ascent_work(chan, (len(groups) + 1) * cfg.restarts)
     obj = _Objective(chan)
     *bests, outer = _maximize(obj, cfg, groups + [_SUM_RATE])
-    points = [(0.0, 0.0)]
+    pa, pb = (np.array([best[i] for best in bests]) for i in (1, 2))
     supports = []
-    for direction, (_, pa, pb, *_) in zip(dirs, bests):
-        policy = TeamPolicy(pi_a=pa, pi_b=pb)
-        pent = obj.pentagon(policy)
+    for direction, a, b, pent in zip(dirs, pa, pb, obj.pentagons(pa, pb)):
         value, point = pentagon_support(pent, direction)
-        points.append(point)
-        supports.append(DirectionSupport(direction=direction, value=value,
-                                         point=point, pentagon=pent, policy=policy))
-    points += [(supports[0].pentagon.bound_a, 0.0), (0.0, supports[-1].pentagon.bound_b)]
+        supports.append(DirectionSupport(direction=direction, value=value, point=point,
+                                         pentagon=pent, policy=TeamPolicy(pi_a=a, pi_b=b)))
+    points = [(0.0, 0.0), *(sup.point for sup in supports),
+              (supports[0].pentagon.bound_a, 0.0), (0.0, supports[-1].pentagon.bound_b)]
     # near-REL_TOL structure is optimizer noise, not geometry; snap it away
     snapped = np.maximum(np.round(np.array(points), 7), 0.0)
     vertices = convex_hull_2d(snapped)

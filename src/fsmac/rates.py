@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InternalInvariantError, ValidationError
 from .model import (PMF_ATOL, FsMacSpec, StrategyChannel, check_channel, check_entries, check_pmf,
-                    float_array, read_json_object)
+                    float_array, pmf_refused, read_json_object)
 
 AXES = {"s": 0, "ta": 1, "tb": 2, "y": 3}
 MI_FLOOR = -1e-12
@@ -60,7 +60,7 @@ def load_policy(path) -> TeamPolicy:
 
 @dataclass(frozen=True)
 class JointLaw:
-    """Joint pmf over (s, ta, tb, y): finite, nonnegative, total mass 1 within PMF_ATOL."""
+    """Joint pmf over (s, ta, tb, y), one row pmf_refused admits: finite, nonnegative, mass 1."""
 
     p: np.ndarray
 
@@ -68,10 +68,10 @@ class JointLaw:
         p = np.asarray(self.p, dtype=np.float64)
         if p.ndim != 4:
             raise ValidationError(f"joint law must have 4 axes, got {p.ndim}")
-        check_entries(p, "joint law")
-        total = p.sum()
-        if abs(total - 1.0) > PMF_ATOL:
-            raise ValidationError(f"joint law: total mass {total!r}, expected 1 within {PMF_ATOL}")
+        if pmf_refused(p, axes=4):
+            check_entries(p, "joint law")
+            raise ValidationError(f"joint law: total mass {p.sum()!r}, "
+                                  f"expected 1 within {PMF_ATOL}")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
 
@@ -123,14 +123,19 @@ def check_policy(chan: StrategyChannel, pol: TeamPolicy) -> None:
                 f"{name}: length {pi.shape[0]} does not match {space.count} strategies")
 
 
+def product_law(spec: FsMacSpec, chan: StrategyChannel, pi_a: np.ndarray,
+                pi_b: np.ndarray) -> np.ndarray:
+    """p_s * pi_a * pi_b * q, unchecked, (..., S, A, B, Y) for pmfs (..., A) and (..., B), each
+    law with its bits alone: the four-operand einsum's order, without its buffers."""
+    weights = (spec.state_pmf[:, None] * pi_a[..., None, :])[..., None] * pi_b[..., None, None, :]
+    return chan.q * weights[..., None]
+
+
 def joint_law(spec: FsMacSpec, chan: StrategyChannel, pol: TeamPolicy) -> JointLaw:
     """Product-policy joint law p(s, ta, tb, y) = p_s * pi_a * pi_b * q."""
     check_channel(spec, chan)
     check_policy(chan, pol)
-    # p_s * pi_a * pi_b in the four-operand einsum's order, then one multiply
-    # into q: the einsum's bits without its operand buffers
-    weights = (spec.state_pmf[:, None] * pol.pi_a)[:, :, None] * pol.pi_b
-    return JointLaw(p=chan.q * weights[..., None])
+    return JointLaw(p=product_law(spec, chan, pol.pi_a, pol.pi_b))
 
 
 def _marginal(p: np.ndarray, keep: tuple) -> np.ndarray:

@@ -6,6 +6,7 @@ from functools import reduce
 import numpy as np
 
 from fsmac.mcsim import OUTCOMES, _DecodeContext, _decode_chunk, _draw_trial
+from fsmac.rates import joint_law
 from fsmac.rng import ROLE_CODEBOOKS, stream
 
 
@@ -79,6 +80,12 @@ def literal_law(spec, maps, t, sigma) -> np.ndarray:
                                         pa_path * pb_path * px * spec.channel[s, xa, xb, y]
                                     )
     return out
+
+
+def factorized_law(spec, chan, policy) -> np.ndarray:
+    """The claimed factorization, joint_law's, in literal_law's axis order
+    (table_a, table_b, y, s)."""
+    return joint_law(spec, chan, policy).p.transpose(1, 2, 3, 0)
 
 
 def sigma_policy(spec, maps, t, sigma) -> tuple:

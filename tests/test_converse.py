@@ -24,7 +24,6 @@ from fsmac.converse import (
     EncoderMaps,
     alpha_sigma_weights,
     brute_force_conditional,
-    factorized_conditional,
     induced_sigma_policy,
     random_encoders,
     sigma_average_pentagon,
@@ -39,7 +38,7 @@ from fsmac.rates import TeamPolicy, joint_law, pentagon
 from fsmac.rng import ROLE_ENCODER, stream
 
 from conftest import random_spec, spec_with
-from reference import literal_law, sigma_policy
+from reference import factorized_law, literal_law, sigma_policy
 
 BUNDLED = ("mod2-adder-noiseless", "mod2-adder-bsc01", "null-channel", "stateless-mac")
 
@@ -116,6 +115,27 @@ def test_encoder_maps_validation(rng):
         random_encoders(spec, 10**6, 2, 2, rng)
 
 
+_NO_MESSAGE_ENTRIES = {
+    "verify_factorization": lambda spec, chan, maps: verify_factorization(spec, maps, chan),
+    "sigma_average_pentagon": lambda spec, chan, maps: sigma_average_pentagon(spec, maps, chan),
+    "brute_force_conditional": lambda spec, chan, maps: brute_force_conditional(spec, maps, 1, ()),
+    "induced_sigma_policy": lambda spec, chan, maps: induced_sigma_policy(spec, maps, 1, ()),
+}
+
+
+@pytest.mark.parametrize("entry", list(_NO_MESSAGE_ENTRIES))
+def test_a_code_without_messages_is_refused_by_name(entry):
+    # a code with no messages once built, and each entry then raised numpy's
+    # "zero-size array to reduction operation maximum which has no identity"
+    spec = load("mod2-adder-bsc01")
+    chan = induced_strategy_channel(spec)
+    for empty in (0, 1):   # sender a's code has no messages, then sender b's
+        phis = [np.zeros((2, 1, 2), dtype=np.int64) for _ in range(2)]
+        phis[empty] = np.zeros((0, 1, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match="^message counts must be >= 1$"):
+            _NO_MESSAGE_ENTRIES[entry](spec, chan, EncoderMaps(phi_a=(phis[0],), phi_b=(phis[1],)))
+
+
 def _audit_terms(spec, blocklength, codes):
     """The literal terms verify_factorization adds for codes 2 x 2-message
     codes, counted straight off _literal_laws' loop sizes."""
@@ -164,10 +184,10 @@ def test_history_guard_trips_before_the_channel_is_built(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("strategy channel read before the history guard")
 
-    # the sweeps take the channel; what reads it is the objective, the joint
-    # law and the audit's own factorized laws, which read q
+    # the sweeps take the channel; what reads it is the objective and the
+    # audit's factorized laws, rates.product_law, which reads q
     monkeypatch.setattr(converse, "_Objective", refuse)
-    monkeypatch.setattr(converse, "joint_law", refuse)
+    monkeypatch.setattr(converse, "product_law", refuse)
     for sweep in (verify_factorization, sigma_average_pentagon):
         with pytest.raises(GuardError, match="history sweep guard: blocklength 13 "):
             sweep(spec, maps, chan)
@@ -338,7 +358,7 @@ def test_refusals_name_the_first_past_as_the_slice_route_did(monkeypatch):
     chan = induced_strategy_channel(spec)
     vars(chan)["q"] = chan.q * (1 + 1e-8)
     with pytest.raises(ValidationError, match="joint law: total mass") as slice_route:
-        factorized_conditional(spec, chan, induced_sigma_policy(spec, maps, 1, ()))
+        factorized_law(spec, chan, induced_sigma_policy(spec, maps, 1, ()))
     with pytest.raises(ValidationError) as sweep:
         verify_factorization(spec, maps, chan)
     assert str(sweep.value) == str(slice_route.value)
@@ -380,8 +400,8 @@ def test_mismatched_policy_is_detected(rng):
     other = random_encoders(spec, 2, 2, 2, stream(3, 1, ROLE_ENCODER))
     t, sigma = 2, (0,)
     literal = brute_force_conditional(spec, maps, t, sigma)
-    wrong = factorized_conditional(spec, chan, induced_sigma_policy(spec, other, t, sigma))
-    right = factorized_conditional(spec, chan, induced_sigma_policy(spec, maps, t, sigma))
+    wrong = factorized_law(spec, chan, induced_sigma_policy(spec, other, t, sigma))
+    right = factorized_law(spec, chan, induced_sigma_policy(spec, maps, t, sigma))
     assert np.abs(literal - right).max() < 1e-12
     assert np.abs(literal - wrong).max() > 1e-3
 
@@ -402,7 +422,7 @@ def test_sigma_average_matches_manual_average(rng):
             alpha = prob / maps.blocklength
             policy = induced_sigma_policy(spec, maps, t, sigma)
             pent = pentagon(joint_law(spec, chan, policy))
-            factored = obj.pentagon(policy)
+            (factored,) = obj.pentagons(policy.pi_a[None], policy.pi_b[None])
             for bound in ("bound_a", "bound_b", "bound_sum"):
                 assert abs(getattr(factored, bound) - getattr(pent, bound)) < 1e-12
             avg_a += alpha * pent.bound_a

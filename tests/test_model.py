@@ -13,7 +13,6 @@ from fsmac import (
     TeamPolicy,
     estimate_error,
     examples,
-    factorized_conditional,
     grid_oracle_sum_rate,
     inner_bound_region,
     joint_law,
@@ -381,7 +380,6 @@ def _foreign_entries():
         "estimate_error": lambda: estimate_error(spec, chan, policy, sim),
         "joint_law": lambda: joint_law(spec, chan, policy),
         "pentagon": lambda: pentagon(joint_law(spec, chan, policy)),
-        "factorized_conditional": lambda: factorized_conditional(spec, chan, policy),
         "verify_factorization": lambda: verify_factorization(spec, maps, chan),
         "sigma_average_pentagon": lambda: sigma_average_pentagon(spec, maps, chan),
     }

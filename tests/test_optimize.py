@@ -250,7 +250,11 @@ def test_factorized_objective_matches_literal_q_sums(rng):
             np.testing.assert_allclose(f.grad(point), grad, rtol=0, atol=1e-12)
 
 
-def test_block_rows_alone_match_the_batch_byte_for_byte(rng):
+def _bounds_bytes(pents) -> bytes:
+    return np.array([(p.bound_a, p.bound_b, p.bound_sum) for p in pents]).tobytes()
+
+
+def test_block_rows_alone_match_the_batch_byte_for_byte(rng, monkeypatch):
     # value and grad are stacked products taken row by row; a product over the
     # whole batch at once (one GEMM) would let a row's bits depend on its batch
     for sizes in FACTOR_SIZES:
@@ -267,6 +271,17 @@ def test_block_rows_alone_match_the_batch_byte_for_byte(rng):
                 alone_point = alone.evaluate(x[i:i + 1])
                 assert alone_point.value.tobytes() == value[i:i + 1].tobytes()
                 assert alone.grad(alone_point).tobytes() == grad[i:i + 1].tobytes()
+        # so are pentagons: the batch in one chunk, then one policy's 3-row
+        # block per chunk
+        batch = obj.pentagons(pa, pb)
+        with monkeypatch.context() as patch:
+            patch.setattr(optimize, "BATCH_CELL_BUDGET", 3 * optimize._row_cells(obj.shape))
+            assert _bounds_bytes(obj.pentagons(pa, pb)) == _bounds_bytes(batch)
+    # the region's supports carry the pentagons their policies have alone
+    region = inner_bound_region(spec, chan, OptimizerConfig(restarts=2), directions=5)
+    monkeypatch.setattr(optimize, "BATCH_CELL_BUDGET", 3 * optimize._row_cells(obj.shape))
+    alone = [obj.pentagons(s.policy.pi_a[None], s.policy.pi_b[None])[0] for s in region.supports]
+    assert _bounds_bytes(alone) == _bounds_bytes(s.pentagon for s in region.supports)
 
 
 def _assert_fresh(f, point):

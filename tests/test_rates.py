@@ -8,7 +8,7 @@ import pytest
 from conftest import dirichlet_rows, random_spec
 from fsmac import examples
 from fsmac.errors import InternalInvariantError, ValidationError
-from fsmac.model import FsMacSpec, induced_strategy_channel
+from fsmac.model import PMF_ATOL, FsMacSpec, check_pmf, induced_strategy_channel, pmf_refused
 from fsmac.rates import (
     JointLaw,
     RatePentagon,
@@ -225,6 +225,67 @@ def test_joint_law_refuses_non_finite_entries():
         JointLaw(p=np.array([0.5, np.nan]).reshape(1, 1, 1, 2))
     with pytest.raises(ValidationError, match=r"joint law: entry \(0, 0, 0, 1\) is negative"):
         JointLaw(p=np.array([1.5, -0.5]).reshape(1, 1, 1, 2))
+
+
+def _edge_sums() -> list:
+    """The sums at the edges of the pmf rule, each admitted, and the float one
+    ulp beyond each, refused."""
+    edges = []
+    for side in (1.0, -1.0):
+        s = 1.0 + side * PMF_ATOL
+        while abs(s - 1.0) > PMF_ATOL:   # step in until the rule admits it
+            s = np.nextafter(s, 1.0)
+        while abs(np.nextafter(s, side * np.inf) - 1.0) <= PMF_ATOL:
+            s = np.nextafter(s, side * np.inf)
+        edges += [s, np.nextafter(s, side * np.inf)]
+    return edges
+
+
+def _pmf_cases(cells: int) -> list:
+    """Rows of cells entries: a uniform row, then one per case of the pmf
+    rule: non-finite entries, -0.0 and a negative subnormal, a sum that
+    overflows, sums at 1 +- PMF_ATOL and one ulp beyond, an all-zero row."""
+    uniform = np.full(cells, 1.0 / cells)
+    cases = []
+    for first in (np.nan, np.inf, -np.inf, -0.0, -5e-324):
+        row = uniform.copy()
+        row[0], row[1] = first, row[1] + row[0]
+        cases.append(row)
+    cases.append(np.r_[1e308, 1e308, np.zeros(cells - 2)])
+    cases += [np.r_[s, np.zeros(cells - 1)] for s in _edge_sums()]
+    return [uniform, *cases, np.zeros(cells)]
+
+
+def _raises(make) -> bool:
+    try:
+        make()
+    except ValidationError:
+        return True
+    return False
+
+
+@np.errstate(over="ignore")   # the overflowing row's sum warns before it is refused
+def test_the_pmf_rule_refuses_what_the_constructors_refuse():
+    # one predicate decides for every pmf check: 1-D pmfs and 4-axis laws,
+    # each alone and as a batch, refused exactly where a constructor raises
+    rows = _pmf_cases(4)
+    laws = [row.reshape(2, 1, 2, 2) for row in _pmf_cases(8)]
+    for case, row in enumerate(rows):
+        refused = bool(pmf_refused(row))
+        assert _raises(lambda: TeamPolicy(pi_a=row, pi_b=[1.0])) == refused, case
+        assert _raises(lambda: TeamPolicy(pi_a=[1.0], pi_b=row)) == refused, case
+        assert _raises(lambda: check_pmf(row, "row")) == refused, case
+        batch = np.stack([rows[0], row, rows[0]])
+        assert pmf_refused(batch).tolist() == [False, refused, False], case
+        assert _raises(lambda: check_pmf(batch, "rows")) == refused, case
+    for case, law in enumerate(laws):
+        refused = bool(pmf_refused(law, axes=4))
+        assert _raises(lambda: JointLaw(p=law)) == refused, case
+        batch = np.stack([laws[0], law, laws[0]])
+        assert pmf_refused(batch, axes=4).tolist() == [False, refused, False], case
+    want = [False, True, True, True, False, True, True, False, True, False, True, True]
+    assert pmf_refused(np.stack(rows)).tolist() == want
+    assert pmf_refused(np.stack(laws), axes=4).tolist() == want
 
 
 def test_pentagon_mod2_point_mass_policies():

@@ -13,6 +13,9 @@ that tree's `src/` on PYTHONPATH:
 - `validate`, `sumrate`, `region --csv` and `verify-converse --n 3
   --trials 50` on all four bundled specs, and `sumrate --resolution 100`
   on `mod2-adder-noiseless` and `stateless-mac`
+- the `repr` of `sigma_average_pentagon`'s three bounds for 8 random codes
+  at n 3 on each bundled spec, every bit of the averaged outer bound (the
+  converse demo prints it to 6 decimals)
 - the demos' stdout and every `--help`
 - `fsmac validate` on malformed documents: the spec inputs the CLI tests
   feed every command, and one document per spec error (wrong shape, bad
@@ -59,6 +62,19 @@ DEMOS = ("capacity_bounds", "coding_simulation", "converse_audit")
 CAPPED = ("import os, sys, fsmac.model as m; "
           "m.SPEC_BYTE_CAP = os.path.getsize(sys.argv[-1]) - 1; "
           "from fsmac.cli import main; sys.exit(main(sys.argv[1:]))")
+# sigma_average_pentagon's bounds, repr'd, for 8 random 2 x 2-message codes at n 3 per spec
+AVERAGED = (
+    "from fsmac import induced_strategy_channel, load_spec, random_encoders, "
+    "sigma_average_pentagon\n"
+    "from fsmac.rng import ROLE_ENCODER, stream\n"
+    f"for name in {BUNDLED!r}:\n"
+    "    spec = load_spec(f'specs/{name}.json')\n"
+    "    chan = induced_strategy_channel(spec)\n"
+    "    for code in range(8):\n"
+    "        maps = random_encoders(spec, 3, 2, 2, stream(0, code, ROLE_ENCODER))\n"
+    "        pent = sigma_average_pentagon(spec, maps, chan)\n"
+    "        print(name, code, repr(pent.bound_a), repr(pent.bound_b), repr(pent.bound_sum))\n"
+)
 NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
@@ -114,6 +130,7 @@ def matrix(quick: bool) -> list:
                                         f"runs/region-{spec}/pentagons.csv"]))
         runs.append((f"converse-{spec}", [*cli, "verify-converse", "--spec", path,
                                           "--n", "3", "--trials", "50"]))
+    runs.append(("averaged-bounds", ["-c", AVERAGED]))
     if not quick:
         runs += [(f"oracle-{spec}", [*cli, "sumrate", "--spec", f"specs/{spec}.json",
                                      "--resolution", "100"])
