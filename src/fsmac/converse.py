@@ -40,7 +40,7 @@ import numpy as np
 from .errors import GuardError
 from .model import FsMacSpec, StrategyChannel, check_channel, pmf_refused
 from .optimize import _Objective, _row_cells
-from .rates import JointLaw, RatePentagon, TeamPolicy, check_policy, checked_pentagon, product_law
+from .rates import JointLaw, RatePentagon, TeamPolicy, checked_pentagon, product_law
 
 MAP_CELL_CAP = 1_000_000
 HISTORY_CAP = 4096
@@ -378,8 +378,8 @@ def verify_factorization(spec: FsMacSpec, maps: EncoderMaps,
             laws = product_law(spec, chan, pi_a, pi_b)
             refused = pmf_refused(pi_a) | pmf_refused(pi_b) | pmf_refused(laws, axes=4)
             first = int(np.argmax(refused))
-            check_policy(chan, TeamPolicy(pi_a=pi_a[first], pi_b=pi_b[first]))
             if refused[first]:
+                TeamPolicy(pi_a=pi_a[first], pi_b=pi_b[first])
                 JointLaw(p=laws[first])
             dev = np.abs(literal - laws.transpose(0, 2, 3, 4, 1)).max(axis=(1, 2, 3, 4))
             i = int(np.argmax(dev))

@@ -145,7 +145,8 @@ def pmf_refused(arr: np.ndarray, axes: int = 1) -> np.ndarray:
     """The pmf rule over a batch, one bool per row, the last axes axes of arr: an
     entry NaN or negative, or a sum not finite or off 1 by over PMF_ATOL."""
     row = tuple(range(-axes, 0))
-    return ~((arr >= 0).all(axis=row) & (np.abs(arr.sum(axis=row) - 1.0) <= PMF_ATOL))
+    with np.errstate(over="ignore", invalid="ignore"):   # an inf or nan sum is refused, unwarned
+        return ~((arr >= 0).all(axis=row) & (np.abs(arr.sum(axis=row) - 1.0) <= PMF_ATOL))
 
 
 def check_pmf(arr: np.ndarray, name: str) -> None:
@@ -154,9 +155,9 @@ def check_pmf(arr: np.ndarray, name: str) -> None:
     bad = pmf_refused(arr)
     if np.any(bad):
         check_entries(arr, name)
-        sums = arr.sum(axis=-1)
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        row = sums[idx] if idx else sums.item()
+        with np.errstate(over="ignore"):
+            row = arr.sum(axis=-1)[idx] if idx else arr.sum().item()
         raise ValidationError(f"{name}: row {idx if idx else 0} sums to {row!r}, "
                               f"expected 1 within {PMF_ATOL}")
 

@@ -20,7 +20,8 @@ table-conditional entropy m needs strategy pairs: it
 is (A, B), built once per objective, per state in chunks of a-rows. The
 region and the converse's outer bound read a batch of product policies'
 pentagons off the objective (_Objective.pentagons): J at the unit weights
-(1, 0, 0), (0, 1, 0) and (0, 0, 1) is bound_a, bound_b and bound_sum.
+(1, 0, 0), (0, 1, 0) and (0, 0, 1) is bound_a, bound_b and bound_sum. These,
+the sum rate and the oracle's value pass rates.checked_rate; history stays raw.
 
 All restarts climb together as rows of one array. A row is one (weights,
 restart) pair: the sum rate's restarts, or every restart of every region
@@ -53,7 +54,7 @@ import numpy as np
 
 from .errors import GuardError, InternalInvariantError
 from .model import FsMacSpec, StrategyChannel, check_channel
-from .rates import (PENTAGON_SLACK, RatePentagon, TeamPolicy, checked_pentagon, entropy_rows,
+from .rates import (RatePentagon, TeamPolicy, checked_pentagon, checked_rate, entropy_rows,
                     log2_floor)
 from .rng import ROLE_RESTART, stream
 
@@ -497,11 +498,8 @@ def _kkt_gaps(obj: _Objective, pa: np.ndarray, pb: np.ndarray) -> tuple:
 
 def _sum_rate_result(obj: _Objective, best: tuple) -> SumRateResult:
     value, pa, pb, rounds, converged, restart, history = best
-    cap = float(np.log2(obj.shape[3]))
-    if not -PENTAGON_SLACK <= value <= cap + PENTAGON_SLACK:
-        raise InternalInvariantError(f"sum-rate value {value!r} outside [0, log2 |Y|]")
     return SumRateResult(
-        value=min(max(value, 0.0), cap),
+        value=checked_rate(value, obj.shape[3], "sum rate"),
         policy=TeamPolicy(pi_a=pa, pi_b=pb),
         iterations=rounds,
         converged=converged,
@@ -648,13 +646,16 @@ def grid_oracle_sum_rate(spec: FsMacSpec, chan: StrategyChannel, resolution: int
     equal value collapsed. check_grid_oracle's guards run before any grid is built.
     """
     if check_grid_oracle(spec, chan, resolution):
-        return _grid_max(spec, _behavioral_grid(spec.size_sa, spec.size_xa, resolution),
-                         _behavioral_grid(spec.size_sb, spec.size_xb, resolution))
-    grid_a = _simplex_grid(chan.space_a.count, resolution)
-    grid_b = _simplex_grid(chan.space_b.count, resolution)
-    m = np.einsum("s,sab->ab", spec.state_pmf, entropy_rows(chan.q))
-    return _grid_max(spec, np.einsum("ia,aox->iox", grid_a, chan.space_a.one_hot()),
-                     np.einsum("ib,box->iox", grid_b, chan.space_b.one_hot()), (grid_a @ m, grid_b))
+        value = _grid_max(spec, _behavioral_grid(spec.size_sa, spec.size_xa, resolution),
+                          _behavioral_grid(spec.size_sb, spec.size_xb, resolution))
+    else:
+        grid_a = _simplex_grid(chan.space_a.count, resolution)
+        grid_b = _simplex_grid(chan.space_b.count, resolution)
+        m = np.einsum("s,sab->ab", spec.state_pmf, entropy_rows(chan.q))
+        value = _grid_max(spec, np.einsum("ia,aox->iox", grid_a, chan.space_a.one_hot()),
+                          np.einsum("ib,box->iox", grid_b, chan.space_b.one_hot()),
+                          (grid_a @ m, grid_b))
+    return checked_rate(value, spec.size_y, "grid-oracle sum rate")
 
 
 def pentagon_support(pent: RatePentagon, direction) -> tuple:
@@ -665,8 +666,8 @@ def pentagon_support(pent: RatePentagon, direction) -> tuple:
     corner; the two differ by (ca - cb) * (bound_a + bound_b - bound_sum).
     """
     ca, cb = (float(direction[0]), float(direction[1]))
-    if ca < 0 or cb < 0 or ca + cb <= 0:
-        raise ValueError(f"direction must be nonnegative and nonzero, got {direction!r}")
+    if not (0 <= ca < math.inf and 0 <= cb < math.inf and ca + cb > 0):
+        raise ValueError(f"direction must be finite, nonnegative and nonzero, got {direction!r}")
     if ca >= cb:
         point = (pent.bound_a, max(pent.bound_sum - pent.bound_a, 0.0))
     else:

@@ -6,7 +6,8 @@ independently of each other and of the state, the output follows the induced
 strategy channel. Axis order everywhere is (s, ta, tb, y).
 
 All logs are base 2. Cells with zero probability contribute exactly zero;
-there is no epsilon smoothing anywhere.
+there is no epsilon smoothing anywhere. Every reported rate, pentagon bound,
+sum rate or oracle value, passes checked_rate, the one owner of its range.
 """
 
 from dataclasses import dataclass
@@ -30,16 +31,13 @@ class TeamPolicy:
     pi_b: np.ndarray
 
     def __post_init__(self):
-        pi_a = np.asarray(self.pi_a, dtype=np.float64)
-        pi_b = np.asarray(self.pi_b, dtype=np.float64)
-        for pi, name in ((pi_a, "pi_a"), (pi_b, "pi_b")):
+        for name in ("pi_a", "pi_b"):
+            pi = np.asarray(getattr(self, name), dtype=np.float64)
             if pi.ndim != 1:
                 raise ValidationError(f"{name}: must be one-dimensional")
             check_pmf(pi, name)
-        pi_a.setflags(write=False)
-        pi_b.setflags(write=False)
-        object.__setattr__(self, "pi_a", pi_a)
-        object.__setattr__(self, "pi_b", pi_b)
+            pi.setflags(write=False)
+            object.__setattr__(self, name, pi)
 
     def to_dict(self) -> dict:
         return {"pi_a": self.pi_a.tolist(), "pi_b": self.pi_b.tolist()}
@@ -70,8 +68,9 @@ class JointLaw:
             raise ValidationError(f"joint law must have 4 axes, got {p.ndim}")
         if pmf_refused(p, axes=4):
             check_entries(p, "joint law")
-            raise ValidationError(f"joint law: total mass {p.sum()!r}, "
-                                  f"expected 1 within {PMF_ATOL}")
+            with np.errstate(over="ignore"):
+                raise ValidationError(f"joint law: total mass {p.sum()!r}, "
+                                      f"expected 1 within {PMF_ATOL}")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
 
@@ -140,8 +139,7 @@ def joint_law(spec: FsMacSpec, chan: StrategyChannel, pol: TeamPolicy) -> JointL
 
 def _marginal(p: np.ndarray, keep: tuple) -> np.ndarray:
     drop = tuple(ax for ax in range(4) if ax not in keep)
-    m = p.sum(axis=drop, keepdims=True) if drop else p
-    return m
+    return p.sum(axis=drop, keepdims=True) if drop else p
 
 
 def conditional_mutual_information(law: JointLaw, x, y, z=()) -> float:
@@ -150,7 +148,7 @@ def conditional_mutual_information(law: JointLaw, x, y, z=()) -> float:
     x, y, z name disjoint groups of axes from {"s", "ta", "tb", "y"};
     axes in none of the groups are marginalized out.
     The value is the raw sum, so rounding may leave it a few ulps below 0;
-    checked_pentagon checks and clamps it.
+    checked_rate checks and clamps it.
     """
     groups = []
     for part in (x, y, z):
@@ -177,32 +175,32 @@ def conditional_mutual_information(law: JointLaw, x, y, z=()) -> float:
     return float((p_pos * np.log2((p_pos / p_xz[mask]) / (p_yz[mask] / p_z[mask]))).sum())
 
 
+def checked_rate(value, size_y: int, name: str) -> float:
+    """value clamped into [0, log2 |Y|], where every mutual information of a product
+    policy lies; InternalInvariantError names it if it is non-finite, below
+    MI_FLOOR or above log2 |Y| + PENTAGON_SLACK."""
+    value, cap = float(value), float(np.log2(size_y))
+    if not np.isfinite(value):
+        raise InternalInvariantError(f"{name} {value!r} is non-finite")
+    if value < MI_FLOOR:
+        raise InternalInvariantError(f"{name} {value!r} below {MI_FLOOR}")
+    if value > cap + PENTAGON_SLACK:
+        raise InternalInvariantError(f"{name} {value!r} exceeds log2 |Y| = {cap!r}")
+    return min(max(value, 0.0), cap)
+
+
 def checked_pentagon(bound_a, bound_b, bound_sum, size_y: int) -> RatePentagon:
-    """The pentagon of three bounds after the checks every route shares:
-    each finite and at least MI_FLOOR (then clamped at 0), bound_sum at most
-    log2 |Y|, and max(bound_a, bound_b) <= bound_sum <= bound_a + bound_b,
-    all within PENTAGON_SLACK."""
-    bounds = (float(bound_a), float(bound_b), float(bound_sum))
-    if not all(np.isfinite(bounds)):
-        raise InternalInvariantError(f"non-finite rate bound in {bounds!r}")
-    if min(bounds) < MI_FLOOR:
-        raise InternalInvariantError(
-            f"rate bound {min(bounds)!r} below {MI_FLOOR}"
-        )
-    bound_a, bound_b, bound_sum = (max(v, 0.0) for v in bounds)
-    if bound_sum > np.log2(size_y) + PENTAGON_SLACK:
-        raise InternalInvariantError(
-            f"bound_sum {bound_sum!r} exceeds log2 |Y| = {np.log2(size_y)!r}"
-        )
+    """The pentagon of three bounds after the checks every route shares: each
+    bound through checked_rate, then max(bound_a, bound_b) <= bound_sum <=
+    bound_a + bound_b within PENTAGON_SLACK."""
+    bound_a, bound_b, bound_sum = (checked_rate(value, size_y, name) for value, name in (
+        (bound_a, "bound_a"), (bound_b, "bound_b"), (bound_sum, "bound_sum")))
     if max(bound_a, bound_b) > bound_sum + PENTAGON_SLACK:
-        raise InternalInvariantError(
-            f"pentagon breach: max({bound_a!r}, {bound_b!r}) > bound_sum {bound_sum!r}"
-        )
+        raise InternalInvariantError(f"pentagon breach: max({bound_a!r}, {bound_b!r}) > "
+                                     f"bound_sum {bound_sum!r}")
     if bound_sum > bound_a + bound_b + PENTAGON_SLACK:
-        raise InternalInvariantError(
-            f"pentagon breach: bound_sum {bound_sum!r} > bound_a + bound_b "
-            f"= {bound_a + bound_b!r}"
-        )
+        raise InternalInvariantError(f"pentagon breach: bound_sum {bound_sum!r} > "
+                                     f"bound_a + bound_b = {bound_a + bound_b!r}")
     return RatePentagon(bound_a=bound_a, bound_b=bound_b, bound_sum=bound_sum)
 
 

@@ -377,6 +377,8 @@ SPEC_INPUTS = {             # malformed spec bytes and the exit code they earn
     # 1025 strategies and a q of 16,400 cells, but sender a's input law
     # S*A*Xa is 16 * 1025 * 1025 cells
     "input-law": (_uniform_spec(1025, 16, 1), 1),
+    # a row whose sum overflows to inf: refused, without numpy's overflow warning
+    "overflowing": (_spec_doc(state_pmf=[1e308, 1e308]), 1),
 }
 POLICY_INPUTS = {
     "undecodable": (UNDECODABLE, 2),
@@ -387,6 +389,9 @@ POLICY_INPUTS = {
     # one entry per strategy, 4 a sender here
     "too-long": (json.dumps({"pi_a": [0.2] * 5, "pi_b": [1, 0, 0, 0]}).encode(), 1),
     "too-short": (json.dumps({"pi_a": [0.5, 0.5], "pi_b": [1, 0, 0, 0]}).encode(), 1),
+    # sums of inf and nan: refused, without numpy's overflow or invalid-value warning
+    "overflowing": (json.dumps({"pi_a": [1e308, 1e308, 0, 0], "pi_b": [1, 0, 0, 0]}).encode(), 1),
+    "opposite-infinities": (b'{"pi_a": [Infinity, -Infinity, 0, 0], "pi_b": [1, 0, 0, 0]}', 1),
 }
 SIMULATE = ["simulate", "--n", "4", "--ra", "0.2", "--rb", "0.2", "--trials", "5"]
 
@@ -418,6 +423,8 @@ def test_bad_spec_never_tracebacks(tmp_path, capsys, monkeypatch, command, kind)
         assert "state_pmf: not a numeric array" in err
     if kind == "oversized":
         assert f"spec file exceeds {len(raw) - 1} bytes" in err
+    if kind == "overflowing":
+        assert "state_pmf: row 0 sums to inf" in err, err
 
 
 @pytest.mark.parametrize("kind", POLICY_INPUTS)
@@ -435,6 +442,8 @@ def test_bad_policy_never_tracebacks(tmp_path, capsys, kind):
         if kind in ("too-long", "too-short"):
             length = len(json.loads(raw)["pi_a"])
             assert f"pi_a: length {length} does not match 4 strategies" in err, err
+        if kind == "overflowing":
+            assert "pi_a: row 0 sums to inf, expected 1 within 1e-09" in err, err
 
 
 # --- determinism ------------------------------------------------------------
@@ -529,17 +538,27 @@ def test_rows_off_one_within_tolerance_run_every_command(tmp_path, capsys):
 
 def test_one_symbol_spec_reports_exactly_zero(tmp_path, capsys):
     # every alphabet of size 1, so every rate is 0; the ascent's value came
-    # out 1.6e-16 above log2 |Y| = 0 and was reported unclamped
+    # out 1.6e-16 above log2 |Y| = 0 and was reported unclamped, and so were
+    # pentagon-table bounds up to 3.2e-16
     spec = tmp_path / "ones.json"
     spec.write_bytes(_uniform_spec(1, 1, 1))
     rc, out, err = run(capsys, "sumrate", "--restarts", "2", "--spec", str(spec))
     assert rc == 0, err
     assert payload_of(out)["value"] == 0.0
-    hull = tmp_path / "hull.csv"
+    rc, out, err = run(capsys, "sumrate", "--restarts", "2", "--resolution", "2",
+                       "--spec", str(spec))
+    assert rc == 0, err
+    assert payload_of(out)["grid_oracle"]["value"] == 0.0
+    hull, table = tmp_path / "hull.csv", tmp_path / "pentagons.csv"
     rc, _, err = run(capsys, "region", "--restarts", "2", "--spec", str(spec),
-                     "--out", str(hull))
+                     "--out", str(hull), "--csv", str(table))
     assert rc == 0, err
     assert json.loads((tmp_path / "hull.csv.json").read_text())["outer_sum_value"] == 0.0
+    with table.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 33
+    assert all(float(row[key]) == 0.0 for row in rows
+               for key in ("bound_a", "bound_b", "bound_sum")), rows
 
 
 # --- verify-converse --------------------------------------------------------

@@ -102,7 +102,7 @@ def test_pentagon_support_matches_dense_scan(rng):
 
 def test_pentagon_support_rejects_bad_directions():
     pent = RatePentagon(0.5, 0.5, 0.8)
-    for bad in [(-1.0, 1.0), (1.0, -0.2), (0.0, 0.0)]:
+    for bad in [(-1.0, 1.0), (1.0, -0.2), (0.0, 0.0), (float("nan"), 1.0), (1.0, float("inf"))]:
         with pytest.raises(ValueError, match="direction"):
             pentagon_support(pent, bad)
 
@@ -469,6 +469,28 @@ def test_sum_rate_stateless_adder_hits_frozen_value():
     assert res.value == pytest.approx(1.5, abs=1e-6)
     # the maximizer sits on the resolution-200 grid, so the scan is exact too
     assert grid_oracle_sum_rate(spec, chan, 200) == pytest.approx(1.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("shift, reported", [(5e-13, 1.0), (-5e-10, 1.0 - 5e-10)])
+def test_sum_rate_and_oracle_values_take_the_rate_rule(monkeypatch, shift, reported):
+    # both pass rates.checked_rate: rounding past [0, log2 |Y|] is clamped, the
+    # raw history is kept, and more than rounding is refused
+    spec = load("mod2-adder-noiseless")
+    chan = induced_strategy_channel(spec)
+    cfg = OptimizerConfig(restarts=2)
+    (best,) = optimize._maximize(optimize._Objective(chan), cfg, [optimize._SUM_RATE])
+    monkeypatch.setattr(optimize, "_maximize", lambda *args: [(1.0 + shift, *best[1:])])
+    res = maximize_sum_rate(spec, chan, cfg)
+    assert res.value == pytest.approx(reported, abs=0) and res.history == best[6]
+    monkeypatch.setattr(optimize, "_grid_max", lambda *args: 1.0 + shift)
+    assert grid_oracle_sum_rate(spec, chan, 2) == pytest.approx(reported, abs=0)
+    for value, message in ((-1e-11, "below"), (1.0 + 1e-8, "exceeds log2")):
+        monkeypatch.setattr(optimize, "_maximize", lambda *args: [(value, *best[1:])])
+        with pytest.raises(InternalInvariantError, match=f"^sum rate .* {message}"):
+            maximize_sum_rate(spec, chan, cfg)
+        monkeypatch.setattr(optimize, "_grid_max", lambda *args: value)
+        with pytest.raises(InternalInvariantError, match=f"^grid-oracle sum rate .* {message}"):
+            grid_oracle_sum_rate(spec, chan, 2)
 
 
 def _same_sum_rate(a, b) -> bool:

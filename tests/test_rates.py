@@ -14,6 +14,7 @@ from fsmac.rates import (
     RatePentagon,
     TeamPolicy,
     checked_pentagon,
+    checked_rate,
     conditional_mutual_information,
     entropy_rows,
     joint_law,
@@ -352,6 +353,39 @@ def test_checked_pentagon_refuses_impossible_bounds(bounds, message):
 
 def test_checked_pentagon_clamps_rounding_below_zero():
     assert checked_pentagon(-1e-13, 0.5, 0.5, 2) == RatePentagon(0.0, 0.5, 0.5)
+
+
+def test_checked_pentagon_caps_every_bound_at_log2_y():
+    # the one-symbol spec's region read bounds up to 3.2e-16 above log2 |Y| = 0
+    assert checked_pentagon(1 + 1e-10, 0.5, 1 + 1e-10, 2) == RatePentagon(1.0, 0.5, 1.0)
+    assert checked_pentagon(3.2e-16, 1.6e-16, 3.2e-16, 1) == RatePentagon(0.0, 0.0, 0.0)
+    with pytest.raises(InternalInvariantError, match="bound_b 1.5 exceeds log2"):
+        checked_pentagon(1.0, 1.5, 1.0, 2)
+
+
+@pytest.mark.parametrize("value, size_y, expected", [
+    (0.5, 2, 0.5),
+    (-1e-13, 2, 0.0),
+    (-0.0, 2, -0.0),
+    (1 + 1e-10, 2, 1.0),
+    (math.log2(3), 3, math.log2(3)),
+    (3.2034265038149176e-16, 1, 0.0),
+])
+def test_checked_rate_clamps_rounding_into_range(value, size_y, expected):
+    out = checked_rate(value, size_y, "rate")
+    assert type(out) is float and out == expected
+    assert math.copysign(1.0, out) == math.copysign(1.0, expected)
+
+
+@pytest.mark.parametrize("value, message", [
+    (math.nan, "non-finite"),
+    (-math.inf, "non-finite"),
+    (-2e-12, "below"),
+    (1 + 2e-9, "exceeds log2"),
+])
+def test_checked_rate_refuses_what_rounding_cannot_explain(value, message):
+    with pytest.raises(InternalInvariantError, match=f"^sum rate .* {message}"):
+        checked_rate(np.float64(value), 2, "sum rate")
 
 
 def test_pentagon_inequalities_and_chain_rule_fuzz(rng):

@@ -13,6 +13,9 @@ that tree's `src/` on PYTHONPATH:
 - `validate`, `sumrate`, `region --csv` and `verify-converse --n 3
   --trials 50` on all four bundled specs, and `sumrate --resolution 100`
   on `mod2-adder-noiseless` and `stateless-mac`
+- `sumrate --restarts 2 --resolution 2` and `region --restarts 2
+  --directions 3 --csv` on a spec with every alphabet of size 1, whose
+  every rate is exactly 0
 - the `repr` of `sigma_average_pentagon`'s three bounds for 8 random codes
   at n 3 on each bundled spec, every bit of the averaged outer bound (the
   converse demo prints it to 6 decimals)
@@ -75,6 +78,9 @@ AVERAGED = (
     "        pent = sigma_average_pentagon(spec, maps, chan)\n"
     "        print(name, code, repr(pent.bound_a), repr(pent.bound_b), repr(pent.bound_sum))\n"
 )
+# every alphabet of size 1: zero capacity, and log2 |Y| = 0 caps every rate
+ONE_SYMBOL = {"alphabets": dict.fromkeys(("xa", "xb", "s", "sa", "sb", "y"), 1),
+              "state_pmf": [1.0], "obs_a": [[1.0]], "obs_b": [[1.0]], "channel": [[[[1.0]]]]}
 NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
@@ -135,6 +141,12 @@ def matrix(quick: bool) -> list:
         runs += [(f"oracle-{spec}", [*cli, "sumrate", "--spec", f"specs/{spec}.json",
                                      "--resolution", "100"])
                  for spec in ("mod2-adder-noiseless", "stateless-mac")]
+        runs += [("sumrate-one-symbol", [*cli, "sumrate", "--spec", "specs/one-symbol.json",
+                                         "--restarts", "2", "--resolution", "2"]),
+                 ("region-one-symbol", [*cli, "region", "--spec", "specs/one-symbol.json",
+                                        "--restarts", "2", "--directions", "3",
+                                        "--out", "runs/region-one-symbol/hull.csv",
+                                        "--csv", "runs/region-one-symbol/pentagons.csv"])]
     for spec in SQUARE:
         for k, args in enumerate(SIM_ARGS):
             if quick and k < len(SIM_ARGS) - 1:
@@ -158,6 +170,7 @@ def run_tree(tree: Path, work: Path, runs) -> dict:
     """Run the matrix on one tree; {"<run>/<file>": bytes} in run order."""
     shutil.copytree(tree / "src/fsmac/examples", work / "specs",
                     ignore=shutil.ignore_patterns("*.py", "__pycache__"))
+    (work / "specs/one-symbol.json").write_text(json.dumps(ONE_SYMBOL))
     shutil.copytree(tree / "demos", work / "demos")
     good = json.loads((work / "specs/mod2-adder-noiseless.json").read_bytes())
     for folder, files in (("policies", {k: json.dumps(v).encode() for k, v in POLICIES.items()}),
