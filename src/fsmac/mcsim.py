@@ -35,11 +35,12 @@ draws exactly what a fresh stream would, into one buffer for the chunk; the
 trial streams of the whole chunk come from one Philox kernel that computes
 numpy's words and its ``random`` and ``integers`` transforms of them bit for
 bit, and a trial whose message draw numpy would reject and redraw is drawn
-again by numpy itself. Every categorical draw searches a cdf built once per
-run with uniforms from the stream, the same steps and the same values as
-``Generator.choice``, one search per sender for the chunk's codebooks. The
-channel outputs and every filter are then computed once per chunk, and the
-listed subsets score one survivor list that spans the chunk's trials.
+again by numpy itself. Every categorical draw searches, with uniforms from
+the stream, the cdf ``Generator.choice`` builds by its own steps: the state
+and strategy cdfs once per run, one search per sender for the chunk's
+codebooks, and the output cdfs from the rows of q the chunk's letters read.
+Every filter is then computed once per chunk, and the listed subsets score
+one survivor list that spans the chunk's trials.
 Scores are bit-identical to a trial decoded alone, so results, and the
 decoder counters a report carries, depend on neither the chunk size nor
 ``--threads``, which changes nothing.
@@ -178,9 +179,9 @@ def wilson_interval(errors: int, trials: int) -> tuple:
 
 
 def _cdf(pmf: np.ndarray) -> np.ndarray:
-    """The cdf that ``Generator.choice`` builds from ``p=pmf``, by its own steps."""
-    cdf = pmf.cumsum()
-    cdf /= cdf[-1]
+    """The cdf ``Generator.choice`` builds by its own steps, of each row of pmf."""
+    cdf = pmf.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
     return cdf
 
 
@@ -608,14 +609,9 @@ def _decode_chunk(ctx: _DecodeContext, cfg: SimConfig, ids_a, ids_b, s_seq,
     from their draws: codebooks (trials, messages, n), states and uniforms
     (trials, n), messages (trials,)."""
     k = np.arange(wa.size)
-    probs = ctx.chan.q[s_seq, ids_a[k, wa], ids_b[k, wb]]   # (trials, n, Y)
-    edges = probs.cumsum(axis=-1)
-    # rounding must leave no dead zone above the last positive bin, nor let a
-    # zero bin after it be drawn: its edge and every later one are 1.0
-    zeros_after = np.logical_and.accumulate(probs[..., :0:-1] == 0.0, axis=-1)[..., ::-1]
-    np.copyto(edges[..., :-1], 1.0, where=zeros_after)
-    edges[..., -1] = 1.0
-    y_seq = (uniforms[..., None] < edges).argmax(axis=-1)
+    cdf = _cdf(ctx.chan.q[s_seq, ids_a[k, wa], ids_b[k, wb]])   # (trials, n, Y)
+    # the first entry above u, as each row ends in 1.0: searchsorted(u, side="right")
+    y_seq = (uniforms[..., None] < cdf).argmax(axis=-1)
     if cfg.decoder == "typicality":
         trial, rows, cols = _typical_survivors(ctx, ids_a, ids_b, s_seq, y_seq, cfg.epsilon)
         count = np.bincount(trial, minlength=wa.size)
@@ -630,7 +626,7 @@ def _decode_chunk(ctx: _DecodeContext, cfg: SimConfig, ids_a, ids_b, s_seq,
 
 def _trial_cells(spec: FsMacSpec, cfg: SimConfig) -> int:
     """Cells one trial adds to a chunk: its codebooks and its letters
-    (states, uniforms, outputs and their per-letter pmfs). The chunk's draw
+    (states, uniforms, outputs and their per-letter cdfs). The chunk's draw
     (see _draw_chunk) holds at most one float buffer the size of the
     chunk's codebooks beside ids_a and ids_b, which the search makes, and
     preallocates no other array; the buffer is freed before the chunk

@@ -147,6 +147,51 @@ def test_codebooks_deterministic_and_policy_shaped():
     assert set(np.unique(first[0])) <= {1, 2}  # support of the policy only
 
 
+def random_pmf(cases, case: int, k: int) -> np.ndarray:
+    """A pmf of k entries divided by its sum, so its cumsum may end off 1.0;
+    every third case has zero entries, at the start, the end or the middle
+    in turn."""
+    pmf = cases.random(k) ** float(cases.choice([1.0, 8.0]))
+    if case % 3 == 0:
+        pmf[cases.random(k) < 0.5] = 0.0
+        pmf[[0, -1, case % k][case % 9 // 3]] = 0.0
+        if not pmf.any():
+            pmf[k // 2] = 1.0
+    pmf /= pmf.sum()
+    return pmf
+
+
+def _untempered(word: int) -> int:
+    """The MT19937 state word whose tempered output is word: each tempering
+    step, last first, is undone by iterating it to its fixed point."""
+    for step in (lambda y: y >> 18, lambda y: (y << 15) & 0xEFC60000,
+                 lambda y: (y << 7) & 0x9D2C5680, lambda y: y >> 11):
+        y = word
+        for _ in range(32):
+            y = word ^ step(y)
+        word = y & 0xFFFFFFFF
+    return word
+
+
+def generator_drawing(uniforms) -> np.random.Generator:
+    """A Generator whose next ``random`` draws are uniforms, each a multiple
+    of 2^-53 in [0, 1): MT19937 makes a double from its next two words a
+    and b as ((a >> 5) * 2^26 + (b >> 6)) / 2^53, so the state's last words
+    are set to untempered a and b."""
+    words = []
+    for u in uniforms:
+        m = int(u * 2.0 ** 53)
+        assert m == u * 2.0 ** 53 and 0 <= m < 2 ** 53, u
+        words += [(m >> 26) << 5, (m & (2 ** 26 - 1)) << 6]
+    bits = np.random.MT19937(0)
+    state = bits.state
+    key = state["state"]["key"]
+    key[key.size - len(words):] = [_untempered(w) for w in words]
+    state["state"] = {"key": key, "pos": key.size - len(words)}
+    bits.state = state
+    return np.random.Generator(bits)
+
+
 def test_draw_equals_generator_choice():
     # _draw rests on Generator.choice's own algorithm (cumsum, normalize by
     # the last entry, searchsorted of uniforms); if numpy changes it, this
@@ -154,13 +199,7 @@ def test_draw_equals_generator_choice():
     cases = np.random.default_rng(12)
     for case in range(3000):
         k = int(cases.integers(2, 301))
-        pmf = cases.random(k) ** float(cases.choice([1.0, 8.0]))
-        if case % 3 == 0:  # zero entries, at the ends in turn
-            pmf[cases.random(k) < 0.5] = 0.0
-            pmf[[0, -1, case % k][case % 9 // 3]] = 0.0
-            if not pmf.any():
-                pmf[k // 2] = 1.0
-        pmf /= pmf.sum()
+        pmf = random_pmf(cases, case, k)
         size = (int(cases.integers(1, 9)), int(cases.integers(1, 9)))
         size = size if case % 2 else size[0] * size[1]
         key = (int(cases.integers(2**64, dtype=np.uint64)), case, case % 4)
@@ -168,6 +207,52 @@ def test_draw_equals_generator_choice():
         drawn = _draw(mine, _cdf(pmf), size)
         assert np.array_equal(drawn, numpy.choice(k, size=size, p=pmf)), (case, k)
         assert np.array_equal(mine.random(3), numpy.random(3)), case  # the stream goes on alike
+
+    # row-wise, as the output draw takes it: _cdf of a batch of rows and the
+    # count of each row's entries at or below its uniform, against choice on
+    # that row alone drawing that uniform
+    for case in range(300):
+        k = int(cases.integers(2, 40))
+        rows, u = np.array([random_pmf(cases, r, k) for r in range(9)]), cases.random(9)
+        assert np.array_equal(generator_drawing(u).random(9), u)
+        letters = np.count_nonzero(_cdf(rows) <= u[:, None], axis=-1)
+        for row, uniform, letter in zip(rows, u, letters):
+            assert generator_drawing([uniform]).choice(k, p=row) == letter, (case, row, uniform)
+    # a row whose cumsum ends at 1 - 4e-10, and a uniform between its raw
+    # cumsum's entry 1 and the normalized one: entry 1 is drawn, where the
+    # raw cumsum would draw entry 3
+    row = np.array([0.0, 0.25, 0.0, 0.5, 0.25 - 4e-10, 0.0])
+    raw, cdf = row.cumsum(), _cdf(row[None])[0]
+    assert raw[-1] != 1.0 and raw[1] == 0.25 < cdf[1]
+    assert np.count_nonzero(cdf <= 0.25) == 1 == generator_drawing([0.25]).choice(6, p=row)
+
+
+def test_output_letters_are_what_choice_draws():
+    # a chunk's output letter at (trial, t) is what choice draws from q's
+    # row at that letter, given the letter's uniform: one strategy per
+    # sender, and each state's channel row a random pmf. State 4's row of q
+    # has a cumsum ending at 1 + 2^-52, and one letter's uniform lies
+    # between its raw and its normalized cdf entry 2
+    cases = np.random.default_rng(35)
+    rows = np.array([random_pmf(cases, r, 5) for r in range(9)])
+    rows[4] = [0.0, 0.2, 0.7, 0.1, 0.0]
+    size_s, n = len(rows), 8
+    spec = FsMacSpec(size_xa=1, size_xb=1, size_s=size_s, size_sa=1, size_sb=1, size_y=5,
+                     state_pmf=np.full(size_s, 1 / size_s), obs_a=np.ones((size_s, 1)),
+                     obs_b=np.ones((size_s, 1)), channel=rows[:, None, None])
+    chan = induced_strategy_channel(spec)
+    ctx = _DecodeContext(chan, TeamPolicy(pi_a=np.ones(1), pi_b=np.ones(1)))
+    s_seq, uniforms = cases.integers(size_s, size=(3, n)), cases.random((3, n))
+    raw = chan.q[4, 0, 0].cumsum()
+    assert raw[-1] == 1 + 2 ** -52 and _cdf(chan.q[4, 0, 0])[2] == 0.8999999999999999 < raw[2]
+    s_seq[1, 2], uniforms[1, 2] = 4, 0.8999999999999999
+    ids, zeros = np.zeros((3, 1, n), dtype=np.intp), np.zeros(3, dtype=np.intp)
+    cfg = SimConfig(blocklength=n, rate_a=0.0, rate_b=0.0)
+    _, _, y_seq = mcsim._decode_chunk(ctx, cfg, ids, ids, s_seq, zeros, zeros, uniforms)
+    rng = generator_drawing(uniforms.ravel())
+    drawn = [rng.choice(5, p=chan.q[s, 0, 0]) for s in s_seq.ravel()]
+    assert y_seq.ravel().tolist() == drawn
+    assert y_seq[1, 2] == 3  # the raw cumsum would draw 2
 
 
 def test_codebooks_draw_what_choice_draws():
