@@ -157,9 +157,9 @@ def check_pmf(arr: np.ndarray, name: str) -> None:
         check_entries(arr, name)
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         with np.errstate(over="ignore"):
-            row = arr.sum(axis=-1)[idx] if idx else arr.sum().item()
-        raise ValidationError(f"{name}: row {idx if idx else 0} sums to {row!r}, "
-                              f"expected 1 within {PMF_ATOL}")
+            row = float(arr.sum(axis=-1)[idx])
+        raise ValidationError(f"{name}: row {idx[0] if len(idx) == 1 else idx or 0} sums to "
+                              f"{row!r}, expected 1 within {PMF_ATOL}")
 
 
 def float_array(value, name: str) -> np.ndarray:

@@ -69,7 +69,7 @@ class JointLaw:
         if pmf_refused(p, axes=4):
             check_entries(p, "joint law")
             with np.errstate(over="ignore"):
-                raise ValidationError(f"joint law: total mass {p.sum()!r}, "
+                raise ValidationError(f"joint law: total mass {float(p.sum())!r}, "
                                       f"expected 1 within {PMF_ATOL}")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)

@@ -64,6 +64,18 @@ def test_validate_bad_row_exit1(tmp_path, capsys):
     assert "row" in err and "state_pmf" in err
 
 
+def test_validate_bad_row_message_prints_plain_numbers(tmp_path, capsys):
+    # a row of a 2-D array is named by a plain int and its sum is a Python
+    # float's repr, not "row (0,)" and "np.float64(1.4)"
+    doc = json.loads(spec_path("mod2-adder-noiseless").read_text())
+    doc["obs_a"][0] = [0.7, 0.7]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "validate", "--spec", str(bad))
+    assert (rc, out) == (1, "")
+    assert err == "fsmac: error: obs_a: row 0 sums to 1.4, expected 1 within 1e-09\n"
+
+
 @pytest.mark.parametrize("labels", [{"xa": 5}, {"y": ["one"]}])
 def test_validate_bad_labels_exit1(tmp_path, capsys, labels):
     doc = json.loads(spec_path("mod2-adder-noiseless").read_text())

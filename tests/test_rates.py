@@ -228,6 +228,12 @@ def test_joint_law_refuses_non_finite_entries():
         JointLaw(p=np.array([1.5, -0.5]).reshape(1, 1, 1, 2))
 
 
+def test_joint_law_mass_message_prints_a_plain_float():
+    with pytest.raises(ValidationError) as refused:
+        JointLaw(p=np.full((1, 2, 2, 2), 0.2))
+    assert str(refused.value) == "joint law: total mass 1.6, expected 1 within 1e-09"
+
+
 def _edge_sums() -> list:
     """The sums at the edges of the pmf rule, each admitted, and the float one
     ulp beyond each, refused."""
