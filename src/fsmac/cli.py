@@ -24,7 +24,7 @@ from typing import Callable
 from . import __version__, mcsim
 from .converse import check_audit_work, random_encoders, verify_factorization
 from .errors import GuardError, InternalInvariantError, SpecFormatError, ValidationError
-from .mcsim import DECODERS, SimConfig, check_trials, estimate_error
+from .mcsim import DECODERS, SimConfig, check_sim_work, check_trials, estimate_error
 from .model import induced_strategy_channel, load_spec
 from .optimize import (
     DIRECTIONS,
@@ -172,10 +172,12 @@ def _report_dict(rep) -> dict:
 
 
 def _simulate(args, spec, chan):
-    # configs first: their guards reject bad rates before any optimization
+    # configs first: their guards reject bad rates, and too much work over
+    # the whole --n list, before any optimization
     configs = [SimConfig(blocklength=n, rate_a=args.ra, rate_b=args.rb,
                          epsilon=args.eps, trials=args.trials,
                          seed=args.seed, decoder=args.decoder) for n in args.n]
+    check_sim_work(configs)
     if args.policy is not None:
         policy = load_policy(args.policy)
     else:

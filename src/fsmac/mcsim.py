@@ -65,6 +65,9 @@ MESSAGE_CAP = 1 << 20
 PAIR_CAP = 1 << 20
 CODEBOOK_CELL_CAP = 1 << 24   # blocklength * (messages_a + messages_b)
 TRIAL_CAP = 1 << 20           # a run's time: each trial re-keys its codebook stream and draws it
+# trials * messages_a * messages_b * n, summed over a run's blocklengths: the
+# pair letters its decoders may score, whatever the zero-cell mask drops
+SIM_WORK_CAP = 1 << 32
 # Cells of codebooks and letters one chunk of trials holds; a chunk's message
 # pairs are held to PAIR_CAP, the most one trial may have.
 TRIAL_CELL_BUDGET = 1 << 16
@@ -95,6 +98,15 @@ def check_trials(trials: int) -> None:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if trials > TRIAL_CAP:
         raise GuardError(f"trial guard: {trials} trials exceed cap {TRIAL_CAP}")
+
+
+def check_sim_work(configs) -> None:
+    """Refuse a run of configs whose trials x messages_a x messages_b x n,
+    counted in integers and summed over the configs, exceed SIM_WORK_CAP."""
+    work = sum(c.trials * c.messages_a * c.messages_b * c.blocklength for c in configs)
+    if work > SIM_WORK_CAP:
+        raise GuardError(f"simulation work guard: trials x messages_a x messages_b x n "
+                         f"sums to {work}, over cap {SIM_WORK_CAP}")
 
 
 @dataclass(frozen=True)
@@ -134,6 +146,7 @@ class SimConfig:
             raise GuardError(
                 f"decoder pair guard: {ma} x {mb} message pairs exceed cap {PAIR_CAP}"
             )
+        check_sim_work([self])
 
     # computed once per config; the cache sits outside the fields, so
     # equality, hashing and repr are the fields' alone

@@ -638,6 +638,38 @@ def test_verify_converse_work_guard_exit1_fast(capsys, monkeypatch):
     assert "converse work guard: blocklength 12 over 1 codes adds more than" in err
 
 
+# one ML trial on null-channel at n 2000 has 1024 x 1024 messages: it counts
+# 2.1e9 pair letters and took about 4 s
+NULL_ML = ["simulate", "--spec", NULL, "--ra", "0.005", "--rb", "0.005",
+           "--decoder", "max_likelihood"]
+
+
+@pytest.mark.parametrize("argv, work", [
+    ([*NULL_ML, "--n", "2000", "--trials", str(1 << 20)], (1 << 20) * 1024 * 1024 * 2000),
+    ([*NULL_ML, "--n", "2000", "--trials", "3"], 3 * 1024 * 1024 * 2000),
+    # each blocklength alone is under the cap, their sum is not
+    ([*NULL_ML, "--n", "1800", "2000", "--trials", "2"], 2 * (512**2 * 1800 + 1024**2 * 2000)),
+], ids=["2^20-trials", "just-over", "summed-over-n"])
+@pytest.mark.parametrize("policy", [True, False], ids=["policy", "optimized"])
+def test_simulate_work_guard_exit1_fast(tmp_path, capsys, monkeypatch, argv, work, policy):
+    def refuse(*args, **kwargs):
+        raise AssertionError("policy optimized or trial run before the simulation work guard")
+
+    monkeypatch.setattr(cli, "maximize_sum_rate", refuse)
+    monkeypatch.setattr(cli, "estimate_error", refuse)
+    if policy:
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps({"pi_a": [0.4, 0.1, 0.2, 0.3], "pi_b": [0.3, 0.2, 0.1, 0.4]}))
+        argv = [*argv, "--policy", str(path)]
+    started = time.monotonic()
+    rc, out, err = run(capsys, *argv)
+    assert time.monotonic() - started < 1.0
+    assert (rc, out) == (1, "")
+    assert _one_error_line(err), err
+    assert (f"simulation work guard: trials x messages_a x messages_b x n sums to {work}, "
+            f"over cap {mcsim.SIM_WORK_CAP}") in err, err
+
+
 def test_verify_converse_seed_changes_codes(capsys):
     rc, out, _ = run(capsys, "verify-converse", "--spec", MOD2,
                      "--n", "3", "--trials", "3", "--seed", "7")

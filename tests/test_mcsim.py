@@ -103,6 +103,28 @@ def test_config_validation():
         SimConfig(blocklength=4, rate_a=0.1, rate_b=0.1, trials=(1 << 20) + 1)
 
 
+def test_work_guard_counts_every_pair_letter():
+    # trials x messages_a x messages_b x n, summed over a run's blocklengths
+    assert mcsim.SIM_WORK_CAP == 1 << 32
+    SimConfig(blocklength=1 << 12, rate_a=0.0, rate_b=0.0, trials=1 << 20)  # at the cap
+    with pytest.raises(GuardError, match="sums to 4296015872, over cap 4294967296"):
+        SimConfig(blocklength=(1 << 12) + 1, rate_a=0.0, rate_b=0.0, trials=1 << 20)
+    # two ML trials on null-channel at n 2000, 1024 x 1024 messages, are
+    # just under; three, or a second blocklength beside them, are over
+    two = SimConfig(blocklength=2000, rate_a=0.005, rate_b=0.005, trials=2,
+                    decoder="max_likelihood")
+    mcsim.check_sim_work([two])
+    with pytest.raises(GuardError, match="sums to 6291456000"):
+        replace(two, trials=3)
+    with pytest.raises(GuardError, match="sums to 5138022400"):
+        mcsim.check_sim_work([replace(two, blocklength=1800), two])
+    # acceptance criterion 7's largest run, 2000 trials of 338 x 338 messages at n 12
+    above = SimConfig(blocklength=12, rate_a=0.7, rate_b=0.7, trials=2000)
+    assert (above.messages_a, above.messages_b) == (338, 338)
+    mcsim.check_sim_work([above, replace(above, rate_a=0.2, rate_b=0.2),
+                          replace(above, blocklength=4, rate_a=0.2, rate_b=0.2)])
+
+
 # ---------------------------------------------------------------- wilson
 
 def test_wilson_matches_scipy():
