@@ -1,9 +1,14 @@
-"""The byte-comparison tool's stripping and comparison, on in-memory reports.
-Nothing here runs git or a subprocess."""
+"""The byte-comparison tool's stripping and comparison, on in-memory reports,
+and the spec it writes for the output draw. Nothing here runs git or a
+subprocess."""
 
 import json
 import runpy
 from pathlib import Path
+
+import numpy as np
+
+from fsmac.model import induced_strategy_channel, spec_from_dict
 
 samebytes = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "samebytes.py"))
 strip_manifest = samebytes["strip_manifest"]
@@ -44,3 +49,12 @@ def test_compare_reports_each_moved_file_with_its_largest_float_difference():
     assert compare(left, more) == [("region/hull.csv", "only on the right")]
     assert compare(left, {**left, "sumrate/stderr": b"fsmac: error: 1 2\n"}) == [
         ("sumrate/stderr", "numbers differ in count")]
+
+
+def test_dirichlet_spec_has_channel_rows_whose_cumsum_ends_off_one():
+    # the output draw divides each row's cdf by its cumsum's end, so only
+    # such rows can draw another letter than a cumsum taken as it is
+    chan = induced_strategy_channel(spec_from_dict(samebytes["DIRICHLET"]))
+    ends = chan.q.cumsum(axis=-1)[..., -1]
+    assert (np.count_nonzero(ends != 1.0), ends.size) == (8, 32)
+    assert len(samebytes["UNIFORM"]["pi_a"]) == chan.space_a.count == chan.space_b.count

@@ -108,7 +108,9 @@ def _check_simulate(out: str, trials: int) -> None:
         assert rep["trials"] == trials and 0 <= kinds == rep["errors"] <= trials, rep
 
 
-# Without the explain phase, a failure writes no patch file under .hypothesis/.
+# No example database and no explain phase. A failure still writes a patch
+# file under .hypothesis/patches/ (hypothesis 6.155.2 does), which .gitignore
+# covers.
 @settings(max_examples=EXAMPLES, derandomize=True, database=None, deadline=None,
           phases=[Phase.explicit, Phase.generate, Phase.shrink],
           suppress_health_check=[HealthCheck.too_slow])

@@ -10,6 +10,9 @@ that tree's `src/` on PYTHONPATH:
 
 - `simulate` on the three 4x4 bundled specs, under two policies, both
   decoders and three argument sets, and once per spec without `--policy`
+- `simulate --n 4 12` under both decoders and a uniform policy on a small
+  fixed Dirichlet spec, some of whose channel rows have a cumsum that ends
+  off 1.0: the only rows where dividing by that end moves a drawn letter
 - `validate`, `sumrate`, `region --csv` and `verify-converse --n 3
   --trials 50` on all four bundled specs, and `sumrate --resolution 100`
   on `mod2-adder-noiseless` and `stateless-mac`
@@ -81,6 +84,19 @@ AVERAGED = (
 # every alphabet of size 1: zero capacity, and log2 |Y| = 0 caps every rate
 ONE_SYMBOL = {"alphabets": dict.fromkeys(("xa", "xb", "s", "sa", "sb", "y"), 1),
               "state_pmf": [1.0], "obs_a": [[1.0]], "obs_b": [[1.0]], "channel": [[[[1.0]]]]}
+# Dirichlet(1) rows drawn once and rounded to three decimals; 8 of the 32
+# rows of its induced channel have a cumsum that does not end at exactly 1.0
+DIRICHLET = {
+    "alphabets": {"xa": 2, "xb": 2, "s": 2, "sa": 2, "sb": 2, "y": 3},
+    "state_pmf": [0.628, 0.372],
+    "obs_a": [[0.637, 0.363], [0.019, 0.981]],
+    "obs_b": [[0.498, 0.502], [0.243, 0.757]],
+    "channel": [[[[0.094, 0.602, 0.304], [0.008, 0.632, 0.36]],
+                 [[0.287, 0.694, 0.019], [0.574, 0.072, 0.354]]],
+                [[[0.177, 0.415, 0.408], [0.587, 0.21, 0.203]],
+                 [[0.026, 0.476, 0.498], [0.59, 0.388, 0.022]]]],
+}
+UNIFORM = {"pi_a": [0.25] * 4, "pi_b": [0.25] * 4}
 NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
@@ -161,6 +177,12 @@ def matrix(quick: bool) -> list:
         if not quick:
             runs.append((f"simulate-{spec}-optimized", [
                 *cli, "simulate", "--spec", f"specs/{spec}.json", *SIM_ARGS[1]]))
+    for decoder in DECODERS:
+        name = f"simulate-dirichlet-{decoder}"
+        runs.append((name, [*cli, "simulate", "--spec", "specs/dirichlet.json",
+                            "--policy", "policies/uniform.json", "--decoder", decoder,
+                            "--n", "4", "12", "--ra", ".3", "--rb", ".3", "--eps", ".2",
+                            "--trials", "200", "--csv", f"runs/{name}/sweep.csv"]))
     runs += [(f"demo-{demo}", [f"demos/{demo}.py"])
              for demo in DEMOS if not (quick and demo == "capacity_bounds")]
     return runs
@@ -171,9 +193,11 @@ def run_tree(tree: Path, work: Path, runs) -> dict:
     shutil.copytree(tree / "src/fsmac/examples", work / "specs",
                     ignore=shutil.ignore_patterns("*.py", "__pycache__"))
     (work / "specs/one-symbol.json").write_text(json.dumps(ONE_SYMBOL))
+    (work / "specs/dirichlet.json").write_text(json.dumps(DIRICHLET))
     shutil.copytree(tree / "demos", work / "demos")
     good = json.loads((work / "specs/mod2-adder-noiseless.json").read_bytes())
-    for folder, files in (("policies", {k: json.dumps(v).encode() for k, v in POLICIES.items()}),
+    policies = {**POLICIES, "uniform": UNIFORM}
+    for folder, files in (("policies", {k: json.dumps(v).encode() for k, v in policies.items()}),
                           ("bad", bad_documents(good))):
         (work / folder).mkdir()
         for name, raw in files.items():
