@@ -623,7 +623,8 @@ def _decode_chunk(ctx: _DecodeContext, cfg: SimConfig, ids_a, ids_b, s_seq,
     (trials, n), messages (trials,)."""
     k = np.arange(wa.size)
     cdf = _cdf(ctx.chan.q[s_seq, ids_a[k, wa], ids_b[k, wb]])   # (trials, n, Y)
-    # the first entry above u, as each row ends in 1.0: searchsorted(u, side="right")
+    # a letter is the first entry of its row above its uniform, searchsorted's
+    # side="right" answer; every row ends in 1.0, above any uniform
     y_seq = (uniforms[..., None] < cdf).argmax(axis=-1)
     if cfg.decoder == "typicality":
         trial, rows, cols = _typical_survivors(ctx, ids_a, ids_b, s_seq, y_seq, cfg.epsilon)
