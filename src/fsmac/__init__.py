@@ -47,8 +47,6 @@ from .converse import (
     ConverseAudit,
     EncoderMaps,
     alpha_sigma_weights,
-    brute_force_conditional,
-    induced_sigma_policy,
     random_encoders,
     sigma_average_pentagon,
     sigma_string,
@@ -77,7 +75,6 @@ __all__ = [
     "grid_oracle_sum_rate", "inner_bound_region", "maximize_sum_rate",
     "pentagon_support",
     "ConverseAudit", "EncoderMaps", "alpha_sigma_weights",
-    "brute_force_conditional", "induced_sigma_policy",
     "random_encoders", "sigma_average_pentagon", "sigma_string",
     "verify_factorization",
     "SimConfig", "SimReport", "estimate_error", "typicality_check", "wilson_interval",

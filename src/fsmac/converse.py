@@ -8,17 +8,18 @@ senders' tables are independent (their observation histories are independent
 given the states, and the messages are private), and the current letter then
 follows the one-shot strategy-channel law exactly.
 
-This module makes that claim checkable by brute force. ``brute_force_conditional``
+This module makes that claim checkable by brute force. ``verify_factorization``
 assembles the conditional letter law straight from the code tables with
-nothing but literal sums, ``induced_sigma_policy`` builds the claimed table
-distributions by counting, and ``verify_factorization`` compares the two
-across every time and past-state sequence. ``sigma_average_pentagon``
-averages the outer bounds the factorization licenses over the same (time,
-past) slices through the optimizer's factored objective, with no letter law.
+nothing but literal sums (``_literal_laws``), builds the claimed table
+distributions by counting (``_policies``), and compares the two across every
+time and past-state sequence. ``sigma_average_pentagon`` averages the outer
+bounds the factorization licenses over the same (time, past) slices through
+the optimizer's factored objective, with no letter law.
 
-One sweep, ``_pasts``, walks those slices for every function here, one time
-step at a time: a time's pasts come as one array, and the audits take them
-in groups. A past's literal law adds one term per (message and observation
+One sweep, ``_pasts``, is the only route through those slices, one time step
+at a time: a time's pasts come as one array, and the audits take them in
+groups. Each audit checks the code tables against the spec once, before the
+first group. A past's literal law adds one term per (message and observation
 history of each sender, current s, oa, ob, y), in that lexicographic order,
 into one accumulator, so it has the bits of a loop that adds one float at a
 time; a group's induced policies are one ``bincount`` per sender, and its
@@ -29,7 +30,8 @@ holds at most SWEEP_CELL_BUDGET float64 cells, or one past's where that is
 more, and its literal terms come in chunks of at most SWEEP_CELL_BUDGET, or
 the S * Sa * Sb * |Y| terms of one (past, a row, b row) where that is more;
 a chunk that ends inside a past is continued by the next, in the same
-order. The single-past functions are the one-past case of the same helpers.
+order. Tests hold the sweep's literal laws and induced policies to the
+one-float-at-a-time loops in tests/reference.py.
 """
 
 import math
@@ -217,31 +219,16 @@ def random_encoders(spec: FsMacSpec, blocklength: int, messages_a: int,
     return EncoderMaps(phi_a=phi_a, phi_b=phi_b)
 
 
-def _time_and_past(spec: FsMacSpec, maps: EncoderMaps, t: int, sigmas) -> np.ndarray:
-    """sigmas, a sequence of pasts, as a (pasts, t - 1) int array, once t is
-    a time of the code whose tables fit the spec's alphabets and every past
-    holds t - 1 states of the alphabet; otherwise ValueError names the
-    first check that fails, the first such past first."""
-    sigmas = np.asarray(sigmas)
-    if not 1 <= t <= maps.blocklength:
-        raise ValueError(f"time {t} outside 1..{maps.blocklength}")
-    for sender, phi, size_obs, size_in in (("a", maps.phi_a[t - 1], spec.size_sa, spec.size_xa),
-                                           ("b", maps.phi_b[t - 1], spec.size_sb, spec.size_xb)):
-        if phi.shape[2] != size_obs or phi.max() >= size_in:
-            raise ValueError(f"sender {sender}'s time-{t} table must map {size_obs} "
-                             f"observations to inputs in [0, {size_in})")
-    if sigmas.shape[1] != t - 1:
-        raise ValueError(f"time {t} needs {t - 1} past states, got {sigmas.shape[1]}")
-    bad = ((sigmas < 0) | (sigmas >= spec.size_s)).any(axis=1)
-    if bad.any():
-        past = tuple(int(s) for s in sigmas[np.argmax(bad)])
-        raise ValueError(f"past state sequence {past} outside the state alphabet")
-    return np.asarray(sigmas, dtype=np.int64)
-
-
-def _one_past(spec: FsMacSpec, maps: EncoderMaps, t: int, sigma) -> np.ndarray:
-    """sigma as a batch of one past, checked by _time_and_past."""
-    return _time_and_past(spec, maps, t, [tuple(int(s) for s in sigma)])
+def _check_tables(spec: FsMacSpec, maps: EncoderMaps) -> None:
+    """Refuse code tables that do not fit the spec's alphabets; ValueError
+    names the first that fails, in time order, sender a before b."""
+    for t in range(1, maps.blocklength + 1):
+        for sender, phi, size_obs, size_in in (
+                ("a", maps.phi_a[t - 1], spec.size_sa, spec.size_xa),
+                ("b", maps.phi_b[t - 1], spec.size_sb, spec.size_xb)):
+            if phi.shape[2] != size_obs or phi.max() >= size_in:
+                raise ValueError(f"sender {sender}'s time-{t} table must map {size_obs} "
+                                 f"observations to inputs in [0, {size_in})")
 
 
 def _policies(spec: FsMacSpec, maps: EncoderMaps, t: int, sigmas: np.ndarray) -> tuple:
@@ -268,16 +255,6 @@ def _policies(spec: FsMacSpec, maps: EncoderMaps, t: int, sigmas: np.ndarray) ->
             one_side(maps.phi_b[t - 1], spec.obs_b, spec.size_xb, maps.messages_b))
 
 
-def induced_sigma_policy(spec: FsMacSpec, maps: EncoderMaps, t: int, sigma) -> TeamPolicy:
-    """Distribution of both senders' time-t tables given the past states.
-
-    Counts over uniform messages, mixing observation histories with their
-    probability given the state sequence.
-    """
-    pi_a, pi_b = _policies(spec, maps, t, _one_past(spec, maps, t, sigma))
-    return TeamPolicy(pi_a=pi_a[0], pi_b=pi_b[0])
-
-
 def _sender_rows(phi: np.ndarray, obs_rows: np.ndarray, sigmas: np.ndarray, size_in: int,
                  messages: int) -> tuple:
     """One sender's (message, history) rows at the time of phi, histories in
@@ -298,7 +275,9 @@ def _sender_rows(phi: np.ndarray, obs_rows: np.ndarray, sigmas: np.ndarray, size
 
 def _literal_laws(spec: FsMacSpec, maps: EncoderMaps, t: int, sigmas: np.ndarray) -> np.ndarray:
     """P(table_a, table_b, y, s | past) for every past in sigmas, by literal
-    summation, (pasts, A, B, Y, S).
+    summation, (pasts, A, B, Y, S): not the package's (S, A, B, Y) layout,
+    on purpose, so agreement with the factorized law cannot come from
+    shared code.
 
     A past's terms run over (message a, history a, message b, history b, s,
     oa, ob, y) in that lexicographic order, histories in itertools.product
@@ -334,18 +313,6 @@ def _literal_laws(spec: FsMacSpec, maps: EncoderMaps, t: int, sigmas: np.ndarray
     return laws
 
 
-def brute_force_conditional(spec: FsMacSpec, maps: EncoderMaps, t: int, sigma) -> np.ndarray:
-    """Letter law P(table_a, table_b, y, s | past states), by literal summation.
-
-    Axis order (table_a, table_b, y, s) on purpose: it is not the layout the
-    rest of the package uses, so agreement with the factorized law cannot be
-    an artifact of shared code. Nothing here touches the strategy-channel
-    construction; tables are identified by re-deriving their id digit by
-    digit.
-    """
-    return _literal_laws(spec, maps, t, _one_past(spec, maps, t, sigma))[0]
-
-
 def _groups(maps: EncoderMaps, t: int, count: int, cells: int):
     """Consecutive slices of a time's count pasts, each of at most
     SWEEP_CELL_BUDGET cells and at least one past. A past counts cells, or
@@ -369,9 +336,9 @@ def verify_factorization(spec: FsMacSpec, maps: EncoderMaps,
     """
     check_channel(spec, chan)
     pasts = _pasts(spec, maps.blocklength)
+    _check_tables(spec, maps)
     worst, worst_t, worst_sigma, checks = -1.0, 1, "", 0
     for t, sigmas, _ in pasts:
-        sigmas = _time_and_past(spec, maps, t, sigmas)
         for group in _groups(maps, t, len(sigmas), chan.q.size):
             literal = _literal_laws(spec, maps, t, sigmas[group])
             pi_a, pi_b = _policies(spec, maps, t, sigmas[group])
@@ -405,10 +372,10 @@ def sigma_average_pentagon(spec: FsMacSpec, maps: EncoderMaps,
     """
     check_channel(spec, chan)
     pasts = _pasts(spec, maps.blocklength)
+    _check_tables(spec, maps)
     obj = _Objective(chan)
     bounds = np.zeros(3)
     for t, sigmas, alpha in pasts:
-        sigmas = _time_and_past(spec, maps, t, sigmas)
         sigmas, alpha = sigmas[alpha != 0.0], alpha[alpha != 0.0]
         for group in _groups(maps, t, len(sigmas), 3 * _row_cells(obj.shape)):
             pi_a, pi_b = _policies(spec, maps, t, sigmas[group])

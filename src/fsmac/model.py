@@ -163,10 +163,11 @@ def check_pmf(arr: np.ndarray, name: str) -> None:
 
 
 def float_array(value, name: str) -> np.ndarray:
-    """value as a float64 array; anything else raises ValidationError naming it."""
+    """value as a float64 array; anything else, an integer too large for a
+    float included, raises ValidationError naming it."""
     try:
         return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name}: not a numeric array ({exc})") from None
 
 
@@ -213,15 +214,16 @@ def check_channel_cells(spec: FsMacSpec) -> None:
 
 def read_json_object(path, what: str) -> dict:
     """The object a JSON file holds. A file over SPEC_BYTE_CAP bytes, bytes
-    that do not decode, bad JSON, nesting too deep to parse and any other
-    top-level value raise SpecFormatError."""
+    that do not decode, bad JSON, an integer literal too long to parse,
+    nesting too deep to parse and any other top-level value raise
+    SpecFormatError."""
     with open(path, "rb") as fh:
         raw = fh.read(SPEC_BYTE_CAP + 1)
     if len(raw) > SPEC_BYTE_CAP:
         raise SpecFormatError(f"{path}: {what} file exceeds {SPEC_BYTE_CAP} bytes")
     try:
         doc = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:   # JSONDecodeError and UnicodeDecodeError too
         raise SpecFormatError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise SpecFormatError(

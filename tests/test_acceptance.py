@@ -20,7 +20,6 @@ import fsmac.cli as cli
 from fsmac import (
     SimConfig,
     TeamPolicy,
-    brute_force_conditional,
     estimate_error,
     grid_oracle_sum_rate,
     induced_strategy_channel,
@@ -36,6 +35,7 @@ from fsmac import (
 from fsmac.examples import NAMES, load, spec_path
 
 from conftest import random_spec, spec_with
+from reference import literal_law
 
 BINARY = dict(xa=2, xb=2, s=2, sa=2, sb=2, y=2)
 
@@ -94,15 +94,16 @@ def test_criterion_3_decomposition_identity():
             maps = random_encoders(spec, n, 2, 2, rng)
             left = sigma_average_pentagon(spec, maps, chan).bound_sum
 
-            # direct side: literal laws, weights and mutual informations all
-            # computed right here with none of the package's rate code
+            # direct side: literal laws by reference.py's one-float-at-a-time
+            # loop, weights and mutual informations computed right here,
+            # with none of the package's rate or converse code
             right = 0.0
             for t in range(1, n + 1):
                 for sigma in itertools.product(range(spec.size_s), repeat=t - 1):
                     weight = math.prod(
                         (float(spec.state_pmf[d]) for d in sigma), start=1.0 / n
                     )
-                    law = brute_force_conditional(spec, maps, t, sigma)
+                    law = literal_law(spec, maps, t, sigma)
                     p = np.transpose(law, (3, 0, 1, 2))  # to (s, ta, tb, y)
                     cmi = (
                         _subset_entropy(p, (0, 1, 2))

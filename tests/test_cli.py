@@ -367,6 +367,9 @@ def _spec_doc(**changes) -> bytes:
 
 UNDECODABLE = b"\xff\xfe\xfa\x00\x01"  # a UTF-16 mark, then an odd byte count
 TOO_DEEP = b"[" * 100_000 + b"]" * 100_000  # beyond the JSON parser's recursion limit
+LONG_INTEGER = b"1" * 5000
+
+
 def _uniform_spec(xa, s, sa) -> bytes:
     """A valid spec with sender b and the output trivial: xb = sb = y = 1."""
     return json.dumps({
@@ -391,6 +394,10 @@ SPEC_INPUTS = {             # malformed spec bytes and the exit code they earn
     "input-law": (_uniform_spec(1025, 16, 1), 1),
     # a row whose sum overflows to inf: refused, without numpy's overflow warning
     "overflowing": (_spec_doc(state_pmf=[1e308, 1e308]), 1),
+    # an integer too large for a float once raised numpy's OverflowError
+    "huge-integer": (_spec_doc(state_pmf=[10**400, 0]), 1),
+    # one longer than the 4300 digits json.loads parses: bad JSON, not a bad value
+    "long-integer": (_spec_doc(state_pmf=["LONG", 0]).replace(b'"LONG"', LONG_INTEGER), 2),
 }
 POLICY_INPUTS = {
     "undecodable": (UNDECODABLE, 2),
@@ -404,6 +411,8 @@ POLICY_INPUTS = {
     # sums of inf and nan: refused, without numpy's overflow or invalid-value warning
     "overflowing": (json.dumps({"pi_a": [1e308, 1e308, 0, 0], "pi_b": [1, 0, 0, 0]}).encode(), 1),
     "opposite-infinities": (b'{"pi_a": [Infinity, -Infinity, 0, 0], "pi_b": [1, 0, 0, 0]}', 1),
+    "huge-integer": (json.dumps({"pi_a": [10**400, 0, 0, 0], "pi_b": [1, 0, 0, 0]}).encode(), 1),
+    "long-integer": (b'{"pi_a": [' + LONG_INTEGER + b', 0, 0, 0], "pi_b": [1, 0, 0, 0]}', 2),
 }
 SIMULATE = ["simulate", "--n", "4", "--ra", "0.2", "--rb", "0.2", "--trials", "5"]
 
@@ -431,8 +440,10 @@ def test_bad_spec_never_tracebacks(tmp_path, capsys, monkeypatch, command, kind)
     assert _one_error_line(err) and len(err.splitlines()[0]) <= 300, err
     if kind in ("huge-alphabets", "input-law"):
         assert err.startswith("fsmac: error: channel cell cap: "), err
-    if kind == "non-numeric":
-        assert "state_pmf: not a numeric array" in err
+    if kind in ("non-numeric", "huge-integer"):
+        assert "state_pmf: not a numeric array" in err, err
+    if kind == "long-integer":
+        assert err.startswith("fsmac: error: spec.json: "), err
     if kind == "oversized":
         assert f"spec file exceeds {len(raw) - 1} bytes" in err
     if kind == "overflowing":
@@ -449,8 +460,10 @@ def test_bad_policy_never_tracebacks(tmp_path, capsys, kind):
                            "--decoder", decoder)
         assert (rc, out) == (code, ""), decoder
         assert _one_error_line(err), err
-        if kind in ("non-numeric", "dict-pmf"):
-            assert "pi_a: not a numeric array" in err
+        if kind in ("non-numeric", "dict-pmf", "huge-integer"):
+            assert "pi_a: not a numeric array" in err, err
+        if kind == "long-integer":
+            assert err.startswith(f"fsmac: error: {path}: "), err
         if kind in ("too-long", "too-short"):
             length = len(json.loads(raw)["pi_a"])
             assert f"pi_a: length {length} does not match 4 strategies" in err, err

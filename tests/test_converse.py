@@ -23,8 +23,6 @@ from fsmac.converse import (
     ConverseAudit,
     EncoderMaps,
     alpha_sigma_weights,
-    brute_force_conditional,
-    induced_sigma_policy,
     random_encoders,
     sigma_average_pentagon,
     sigma_string,
@@ -41,6 +39,13 @@ from conftest import random_spec, spec_with
 from reference import factorized_law, literal_law, sigma_policy
 
 BUNDLED = ("mod2-adder-noiseless", "mod2-adder-bsc01", "null-channel", "stateless-mac")
+
+
+def one_slice(spec, maps, t, sigma) -> tuple:
+    """The sweep's literal law and induced policy of one (t, past) slice."""
+    sigmas = np.array(sigma, dtype=np.int64).reshape(1, t - 1)
+    pi_a, pi_b = converse._policies(spec, maps, t, sigmas)
+    return converse._literal_laws(spec, maps, t, sigmas)[0], TeamPolicy(pi_a=pi_a[0], pi_b=pi_b[0])
 
 
 def sigma_digits(text: str) -> tuple:
@@ -118,8 +123,6 @@ def test_encoder_maps_validation(rng):
 _NO_MESSAGE_ENTRIES = {
     "verify_factorization": lambda spec, chan, maps: verify_factorization(spec, maps, chan),
     "sigma_average_pentagon": lambda spec, chan, maps: sigma_average_pentagon(spec, maps, chan),
-    "brute_force_conditional": lambda spec, chan, maps: brute_force_conditional(spec, maps, 1, ()),
-    "induced_sigma_policy": lambda spec, chan, maps: induced_sigma_policy(spec, maps, 1, ()),
 }
 
 
@@ -198,7 +201,7 @@ def test_induced_policy_matches_dict_counting_oracle(rng):
     spec = random_spec(rng, sizes=dict(xa=2, xb=3, s=2, sa=2, sb=2, y=2))
     maps = random_encoders(spec, 3, 3, 2, stream(7, 0, ROLE_ENCODER))
     t, sigma = 3, (1, 0)
-    policy = induced_sigma_policy(spec, maps, t, sigma)
+    _, policy = one_slice(spec, maps, t, sigma)
 
     def oracle(phi, obs_rows, input_size, obs_size, messages):
         acc = {}
@@ -233,39 +236,39 @@ def test_history_blind_single_message_code_gives_point_mass():
     )
     maps = EncoderMaps(phi_a=phi, phi_b=phi)
     for t, sigma in [(1, ()), (2, (0,)), (3, (1, 0))]:
-        policy = induced_sigma_policy(spec, maps, t, sigma)
+        _, policy = one_slice(spec, maps, t, sigma)
         identity_id = 0 + 2 * 1  # digits little-endian
         assert policy.pi_a[identity_id] == pytest.approx(1.0)
         assert policy.pi_b[identity_id] == pytest.approx(1.0)
 
 
-def test_policy_argument_validation(rng):
+def test_policy_argument_validation(rng, monkeypatch):
     spec = load("mod2-adder-noiseless")
+    chan = induced_strategy_channel(spec)
     maps = random_encoders(spec, 2, 2, 2, rng)
-    with pytest.raises(ValueError, match="time"):
-        induced_sigma_policy(spec, maps, 3, (0, 0))
-    with pytest.raises(ValueError, match="past states"):
-        induced_sigma_policy(spec, maps, 2, ())
-    with pytest.raises(ValueError, match="state alphabet"):
-        induced_sigma_policy(spec, maps, 2, (5,))
-    with pytest.raises(ValueError, match="past states"):
-        brute_force_conditional(spec, maps, 1, (0,))
-    for past in ((-1,), (2,)):   # (-1,) once read the last state's law
-        with pytest.raises(ValueError, match="state alphabet"):
-            brute_force_conditional(spec, maps, 2, past)
     # tables that do not fit the spec: over 3 observation symbols for a
     # 2-symbol sender, or sending inputs 2 and 3 for a binary one, once gave
     # a misleading policy length, a numpy matmul error or a bare IndexError
     wide = random_encoders(random_spec(rng, sizes=dict(xa=2, xb=2, s=2, sa=3, sb=2, y=2)),
                            2, 2, 2, rng)
     loud = EncoderMaps(phi_a=maps.phi_a, phi_b=tuple(phi + 2 for phi in maps.phi_b))
-    for bad, message in ((wide, r"sender a's time-1 table must map 2 observations to inputs "
-                                r"in \[0, 2\)"),
-                         (loud, r"sender b's time-1 table must map 2 observations to inputs "
-                                r"in \[0, 2\)")):
+    # the first misfit is named in time order, sender a before b
+    late = EncoderMaps(phi_a=(maps.phi_a[0], maps.phi_a[1] + 2), phi_b=loud.phi_b)
+    both = EncoderMaps(phi_a=loud.phi_b, phi_b=loud.phi_b)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("objective or law built before the tables were checked")
+
+    monkeypatch.setattr(converse, "_Objective", refuse)
+    monkeypatch.setattr(converse, "product_law", refuse)
+    for bad, sender in ((wide, "a"), (loud, "b"), (late, "b"), (both, "a")):
+        message = (rf"^sender {sender}'s time-1 table must map 2 observations to inputs "
+                   r"in \[0, 2\)$")
         for audit in (verify_factorization, sigma_average_pentagon):
             with pytest.raises(ValueError, match=message):
-                audit(spec, bad, induced_strategy_channel(spec))
+                audit(spec, bad, chan)
+    with pytest.raises(ValueError, match="^sender a's time-2 table "):
+        verify_factorization(spec, EncoderMaps(phi_a=late.phi_a, phi_b=maps.phi_b), chan)
 
 
 def _sparse_spec(seed: int):
@@ -284,16 +287,21 @@ def test_array_route_matches_the_loop_byte_for_byte(monkeypatch, name):
     for k, (ma, mb) in enumerate(((3, 1), (1, 4))):
         maps = random_encoders(spec, 4, ma, mb, stream(41, k, ROLE_ENCODER))
         for t in range(1, 5):
-            for sigma in itertools.product(range(spec.size_s), repeat=t - 1):
-                law = literal_law(spec, maps, t, sigma).tobytes()
-                pmfs = [pi.tobytes() for pi in sigma_policy(spec, maps, t, sigma)]
-                # a budget of 5 cells cuts a chunk at every (past, a row, b row)
-                for budget in (converse.SWEEP_CELL_BUDGET, 5):
-                    monkeypatch.setattr(converse, "SWEEP_CELL_BUDGET", budget)
-                    policy = induced_sigma_policy(spec, maps, t, sigma)
-                    assert brute_force_conditional(spec, maps, t, sigma).tobytes() == law
-                    assert [policy.pi_a.tobytes(), policy.pi_b.tobytes()] == pmfs
-                    monkeypatch.undo()
+            pasts = list(itertools.product(range(spec.size_s), repeat=t - 1))
+            laws = [literal_law(spec, maps, t, sigma).tobytes() for sigma in pasts]
+            pmfs = [[pi.tobytes() for pi in sigma_policy(spec, maps, t, sigma)]
+                    for sigma in pasts]
+            sigmas = np.array(pasts, dtype=np.int64).reshape(len(pasts), t - 1)
+            # all of a time's pasts as one batch, and each past alone; a
+            # budget of 5 cells cuts a chunk at every (past, a row, b row)
+            for budget in (converse.SWEEP_CELL_BUDGET, 5):
+                monkeypatch.setattr(converse, "SWEEP_CELL_BUDGET", budget)
+                for rows in [slice(None)] + [slice(i, i + 1) for i in range(len(pasts))]:
+                    got = converse._literal_laws(spec, maps, t, sigmas[rows])
+                    pi_a, pi_b = converse._policies(spec, maps, t, sigmas[rows])
+                    assert [law.tobytes() for law in got] == laws[rows]
+                    assert [[a.tobytes(), b.tobytes()] for a, b in zip(pi_a, pi_b)] == pmfs[rows]
+                monkeypatch.undo()
 
 
 def test_sweep_does_not_depend_on_its_cuts(rng):
@@ -320,7 +328,7 @@ def test_literal_terms_run_within_the_cell_budget(monkeypatch):
     chan.q  # built before tracing starts
     maps = random_encoders(spec, 4, 8, 8, stream(47, 0, ROLE_ENCODER))
     monkeypatch.setattr(converse, "SWEEP_CELL_BUDGET", 1 << 10)
-    for audit in (lambda: brute_force_conditional(spec, maps, 4, (1, 0, 1)),
+    for audit in (lambda: converse._literal_laws(spec, maps, 4, np.array([[1, 0, 1]])),
                   lambda: verify_factorization(spec, maps, chan)):
         tracemalloc.start()
         try:
@@ -357,8 +365,9 @@ def test_refusals_name_the_first_past_as_the_slice_route_did(monkeypatch):
     # a q off by 1e-8 in mass: the first past's joint law is refused
     chan = induced_strategy_channel(spec)
     vars(chan)["q"] = chan.q * (1 + 1e-8)
+    pi_a, pi_b = sigma_policy(spec, maps, 1, ())
     with pytest.raises(ValidationError, match="joint law: total mass") as slice_route:
-        factorized_law(spec, chan, induced_sigma_policy(spec, maps, 1, ()))
+        factorized_law(spec, chan, TeamPolicy(pi_a=pi_a, pi_b=pi_b))
     with pytest.raises(ValidationError) as sweep:
         verify_factorization(spec, maps, chan)
     assert str(sweep.value) == str(slice_route.value)
@@ -367,7 +376,7 @@ def test_refusals_name_the_first_past_as_the_slice_route_did(monkeypatch):
 def test_brute_force_law_is_a_pmf(rng):
     spec = load("mod2-adder-bsc01")
     maps = random_encoders(spec, 3, 2, 2, rng)
-    law = brute_force_conditional(spec, maps, 3, (1, 1))
+    law, _ = one_slice(spec, maps, 3, (1, 1))
     assert law.shape == (4, 4, 2, 2)
     assert np.all(law >= 0)
     assert law.sum() == pytest.approx(1.0, abs=1e-12)
@@ -399,9 +408,9 @@ def test_mismatched_policy_is_detected(rng):
     maps = random_encoders(spec, 2, 2, 2, stream(3, 0, ROLE_ENCODER))
     other = random_encoders(spec, 2, 2, 2, stream(3, 1, ROLE_ENCODER))
     t, sigma = 2, (0,)
-    literal = brute_force_conditional(spec, maps, t, sigma)
-    wrong = factorized_law(spec, chan, induced_sigma_policy(spec, other, t, sigma))
-    right = factorized_law(spec, chan, induced_sigma_policy(spec, maps, t, sigma))
+    literal, policy = one_slice(spec, maps, t, sigma)
+    wrong = factorized_law(spec, chan, one_slice(spec, other, t, sigma)[1])
+    right = factorized_law(spec, chan, policy)
     assert np.abs(literal - right).max() < 1e-12
     assert np.abs(literal - wrong).max() > 1e-3
 
@@ -420,7 +429,8 @@ def test_sigma_average_matches_manual_average(rng):
             for s in sigma:
                 prob *= spec.state_pmf[s]
             alpha = prob / maps.blocklength
-            policy = induced_sigma_policy(spec, maps, t, sigma)
+            pi_a, pi_b = sigma_policy(spec, maps, t, sigma)
+            policy = TeamPolicy(pi_a=pi_a, pi_b=pi_b)
             pent = pentagon(joint_law(spec, chan, policy))
             (factored,) = obj.pentagons(policy.pi_a[None], policy.pi_b[None])
             for bound in ("bound_a", "bound_b", "bound_sum"):

@@ -620,13 +620,15 @@ def test_outputs_never_fall_on_a_zero_probability_bin():
     # the channel row sums to 1 - 1e-10, which PMF_ATOL admits. Forcing only
     # the last edge to 1.0 left a uniform above the row's total drawing its
     # last bin, of probability 0, and typicality called the lone, transmitted
-    # pair no_typical; the edges are 1.0 from the last positive bin on
+    # pair no_typical; the edges are 1.0 from the last positive bin on. The
+    # spec rescales its rows to sum 1, so the short row goes straight into q
     channel = np.zeros((1, 1, 1, 3))
-    channel[0, 0, 0] = [0.5, 0.4999999999, 0.0]
+    channel[0, 0, 0] = [0.5, 0.5, 0.0]
     spec = FsMacSpec(size_xa=1, size_xb=1, size_s=1, size_sa=1, size_sb=1, size_y=3,
                      state_pmf=np.ones(1), obs_a=np.ones((1, 1)), obs_b=np.ones((1, 1)),
                      channel=channel)
     chan = induced_strategy_channel(spec)
+    vars(chan)["q"] = np.array([[[[0.5, 0.4999999999, 0.0]]]])
     ctx = _DecodeContext(chan, TeamPolicy(pi_a=np.ones(1), pi_b=np.ones(1)))
     n = 4
     ids, zeros = np.zeros((1, 1, n), dtype=np.intp), np.zeros(1, dtype=np.intp)

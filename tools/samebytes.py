@@ -24,8 +24,9 @@ that tree's `src/` on PYTHONPATH:
   converse demo prints it to 6 decimals)
 - the demos' stdout and every `--help`
 - `fsmac validate` on malformed documents: the spec inputs the CLI tests
-  feed every command, and one document per spec error (wrong shape, bad
-  row, bad labels, unknown key, oversized channel)
+  feed every command (integers too large for a float and too long to parse
+  among them), and one document per spec error (wrong shape, bad row, bad
+  labels, unknown key, oversized channel)
 
 Each run leaves its stdout, stderr, exit code and every file it wrote. JSON
 reports lose their `manifest` (timing, paths, version), and then every file
@@ -118,6 +119,8 @@ def bad_documents(good: dict) -> dict:
         "too-deep": b"[" * 100_000 + b"]" * 100_000,
         "not-an-object": b"[1, 2]",
         "non-numeric": doc(state_pmf=["a", "b"]),
+        "huge-integer": doc(state_pmf=[10**400, 0]),
+        "long-integer": doc(state_pmf=["LONG", 0]).replace(b'"LONG"', b"1" * 5000),
         "huge-alphabets": uniform(2000, 1, 2000),
         "input-law": uniform(1025, 16, 1),
         "wrong-shape": doc(state_pmf=[0.5, 0.25, 0.25]),
